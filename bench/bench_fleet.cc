@@ -35,10 +35,10 @@ struct FleetRun
     double cells_per_sec = 0;
 };
 
-FleetCampaignSpec
+CampaignSpec
 benchSpec()
 {
-    FleetCampaignSpec spec;
+    CampaignSpec spec;
     spec.seed = 7;
     spec.cells = cells;
     spec.max_events = 200'000;

@@ -1,13 +1,10 @@
 /**
  * @file
- * Event-kernel throughput: the calendar/bucket queue against the legacy
- * binary-heap kernel, on (a) a synthetic self-rescheduling event mesh
- * that isolates the queue itself and (b) a full-system run where the
- * kernel is one cost among caches, directory and interconnect.  The
- * artifact records events/sec and simulated ticks/sec per kernel plus
- * the speedups, so CI can hold the hot path to its trajectory.  When
- * the build disables WO_LEGACY_EVENT_QUEUE the comparison columns are
- * omitted and only the calendar numbers are tracked.
+ * Event-kernel throughput of the calendar/bucket queue, on (a) a
+ * synthetic self-rescheduling event mesh that isolates the queue itself
+ * and (b) a full-system run where the kernel is one cost among caches,
+ * directory and interconnect.  The artifact records events/sec and
+ * simulated ticks/sec, so CI can hold the hot path to its trajectory.
  */
 
 #include <chrono>
@@ -44,9 +41,9 @@ struct MicroResult
 };
 
 MicroResult
-microBench(EventQueueKind kind, std::uint64_t events)
+microBench(std::uint64_t events)
 {
-    EventQueue q(kind);
+    EventQueue q;
 
     struct Chain
     {
@@ -96,7 +93,7 @@ struct SysResult
 };
 
 SysResult
-sysBench(EventQueueKind kind, int repeats)
+sysBench(int repeats)
 {
     Program p = litmus::lockedCounter(4, 40);
     SysResult r;
@@ -104,7 +101,6 @@ sysBench(EventQueueKind kind, int repeats)
     for (int i = 0; i < repeats; ++i) {
         SystemCfg cfg;
         cfg.policy = OrderingPolicy::wo_drf0;
-        cfg.queue = kind;
         cfg.net.jitter = 3;
         cfg.net.seed = 7 + i;
         System sys(p, cfg);
@@ -133,12 +129,10 @@ main()
 
     std::printf("== event-kernel throughput ==\n");
     // Warm the allocator and caches once, unmeasured.
-    microBench(EventQueueKind::calendar, micro_events / 8);
+    microBench(micro_events / 8);
 
-    const MicroResult micro_cal =
-        microBench(EventQueueKind::calendar, micro_events);
-    const SysResult sys_cal = sysBench(EventQueueKind::calendar,
-                                       sys_repeats);
+    const MicroResult micro_cal = microBench(micro_events);
+    const SysResult sys_cal = sysBench(sys_repeats);
 
     Json payload = Json::object();
     payload.set("micro_events", Json(micro_events));
@@ -153,40 +147,7 @@ main()
               strprintf("%.0f", sys_cal.events_per_sec),
               strprintf("%.0f", sys_cal.ticks_per_sec)});
 
-#ifdef WO_HAVE_LEGACY_EVENT_QUEUE
-    const MicroResult micro_old =
-        microBench(EventQueueKind::legacy_heap, micro_events);
-    const SysResult sys_old = sysBench(EventQueueKind::legacy_heap,
-                                       sys_repeats);
-    const double micro_speedup =
-        micro_old.events_per_sec > 0
-            ? micro_cal.events_per_sec / micro_old.events_per_sec
-            : 0.0;
-    const double sys_speedup =
-        sys_old.ticks_per_sec > 0
-            ? sys_cal.ticks_per_sec / sys_old.ticks_per_sec
-            : 0.0;
-    t.addRow({"mesh", "legacy-heap",
-              strprintf("%.0f", micro_old.events_per_sec), "-"});
-    t.addRow({"system", "legacy-heap",
-              strprintf("%.0f", sys_old.events_per_sec),
-              strprintf("%.0f", sys_old.ticks_per_sec)});
-    payload.set("legacy_micro_events_per_sec",
-                Json(micro_old.events_per_sec));
-    payload.set("legacy_ticks_per_sec", Json(sys_old.ticks_per_sec));
-    payload.set("micro_speedup", Json(micro_speedup));
-    payload.set("sys_speedup", Json(sys_speedup));
-#endif
-
     t.print();
-#ifdef WO_HAVE_LEGACY_EVENT_QUEUE
-    std::printf("Read: calendar vs legacy heap, same binary -- mesh "
-                "speedup %.2fx, full-system speedup %.2fx.\n",
-                micro_speedup, sys_speedup);
-#else
-    std::printf("Read: legacy kernel compiled out; tracking calendar "
-                "throughput only.\n");
-#endif
 
     payload.set("table", tableToJson(t));
     writeBenchArtifact("kernel", std::move(payload));

@@ -134,11 +134,10 @@ Cell::familyId() const
 }
 
 SystemCfg
-Cell::systemCfg(std::uint64_t max_events, EventQueueKind queue) const
+Cell::systemCfg(std::uint64_t max_events) const
 {
     SystemCfg cfg;
     cfg.policy = policy;
-    cfg.queue = queue;
     cfg.net.seed = net_seed;
     cfg.net.hop_latency = hop;
     cfg.net.jitter = jitter;
@@ -149,6 +148,16 @@ Cell::systemCfg(std::uint64_t max_events, EventQueueKind queue) const
     // stats/JSON renders would dominate thousands of tiny runs.
     cfg.collect_stats = false;
     cfg.max_events = max_events;
+    return cfg;
+}
+
+VerifyCfg
+Cell::verifyCfg() const
+{
+    VerifyCfg cfg;
+    cfg.max_states = max_states;
+    cfg.jobs = explore_jobs;
+    cfg.axiom.inject_bug = inject_axiom_bug;
     return cfg;
 }
 
@@ -264,6 +273,65 @@ CellResult::verdict() const
     return "clean";
 }
 
+void
+VerdictTally::add(const std::string &verdict)
+{
+    if (verdict == "clean") {
+        ++clean;
+    } else if (verdict == "race") {
+        ++racy;
+    } else if (verdict.rfind("hw:", 0) == 0) {
+        ++hw;
+        ViolationKind k;
+        if (violationKindFromName(verdict.substr(3), k))
+            ++by_kind[static_cast<int>(k)];
+    } else if (verdict == "deadlock") {
+        ++deadlocked;
+    } else if (verdict == "livelock") {
+        ++livelocked;
+    } else if (verdict == "inconclusive") {
+        ++inconclusive;
+    } else if (verdict == "nonsc") {
+        ++nonsc;
+    } else {
+        ++errors;
+    }
+}
+
+void
+VerdictTally::merge(const VerdictTally &o)
+{
+    clean += o.clean;
+    racy += o.racy;
+    hw += o.hw;
+    deadlocked += o.deadlocked;
+    livelocked += o.livelocked;
+    errors += o.errors;
+    inconclusive += o.inconclusive;
+    nonsc += o.nonsc;
+    for (int k = 0; k < num_violation_kinds; ++k)
+        by_kind[k] += o.by_kind[k];
+}
+
+void
+VerdictTally::toJson(Json &j) const
+{
+    j.set("clean", Json(clean));
+    j.set("racy", Json(racy));
+    j.set("hw", Json(hw));
+    j.set("deadlocked", Json(deadlocked));
+    j.set("livelocked", Json(livelocked));
+    j.set("errors", Json(errors));
+    j.set("inconclusive", Json(inconclusive));
+    j.set("nonsc", Json(nonsc));
+    Json by = Json::object();
+    for (int k = 0; k < num_violation_kinds; ++k)
+        if (by_kind[k] > 0)
+            by.set(violationKindName(static_cast<ViolationKind>(k)),
+                   Json(by_kind[k]));
+    j.set("by_kind", std::move(by));
+}
+
 Json
 cellResultToJson(const CellResult &r)
 {
@@ -295,8 +363,7 @@ cellResultToJson(const CellResult &r)
 }
 
 CellRun
-runCell(const Cell &cell, std::uint64_t max_events, EventQueueKind queue,
-        MaterializeCache *cache)
+runCell(const Cell &cell, std::uint64_t max_events, MaterializeCache *cache)
 {
     CellRun run;
     CellResult &r = run.result;
@@ -328,12 +395,8 @@ runCell(const Cell &cell, std::uint64_t max_events, EventQueueKind queue,
         // starts from the zeroed initial image.
         Timeline::Scope verify_span(tl, SpanKind::run);
         const auto t0 = std::chrono::steady_clock::now();
-        VerifyCfg vcfg;
-        vcfg.max_states = cell.max_states;
-        vcfg.jobs = cell.explore_jobs;
-        vcfg.axiom.inject_bug = cell.inject_axiom_bug;
         VerifyResult v =
-            verifyProgramOnModel(*run.program, cell.model, vcfg);
+            verifyProgramOnModel(*run.program, cell.model, cell.verifyCfg());
         r.wall_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
@@ -365,7 +428,7 @@ runCell(const Cell &cell, std::uint64_t max_events, EventQueueKind queue,
 
     Timeline::Scope run_span(tl, SpanKind::run);
     const auto t0 = std::chrono::steady_clock::now();
-    System sys(*run.program, cell.systemCfg(max_events, queue));
+    System sys(*run.program, cell.systemCfg(max_events));
     for (const auto &w : run.warm)
         sys.warmShared(w.addr, w.procs);
     SystemResult sr = sys.run();

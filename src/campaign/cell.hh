@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "campaign/verify.hh"
 #include "obs/json.hh"
 #include "obs/monitor.hh"
 #include "program/program.hh"
@@ -106,14 +107,11 @@ struct Cell
      */
     std::string familyId() const;
 
-    /**
-     * The timed-system configuration this cell runs under.  @p queue
-     * selects the event kernel: the legacy heap exists so a campaign
-     * can cross-check verdicts against the pre-overhaul kernel.
-     */
-    SystemCfg systemCfg(std::uint64_t max_events,
-                        EventQueueKind queue =
-                            EventQueueKind::calendar) const;
+    /** The timed-system configuration a run cell runs under. */
+    SystemCfg systemCfg(std::uint64_t max_events) const;
+
+    /** The dual-engine verifier configuration of a verify cell. */
+    VerifyCfg verifyCfg() const;
 };
 
 /** A materialized cell program, or why it could not be built. */
@@ -222,6 +220,34 @@ struct CellResult
 };
 
 /**
+ * A campaign's verdict counts: every cell lands in exactly one class,
+ * and hardware verdicts also count by their violation kind.  One tally
+ * serves the in-process engine's workers and summary and the fleet
+ * coordinator, which sees only the journaled verdict string -- so the
+ * tally reads nothing else.
+ */
+struct VerdictTally
+{
+    std::uint64_t clean = 0;
+    std::uint64_t racy = 0;  //!< software races (contract void)
+    std::uint64_t hw = 0;    //!< cells with hardware violations
+    std::uint64_t deadlocked = 0;
+    std::uint64_t livelocked = 0;
+    std::uint64_t errors = 0;       //!< cells whose program failed to build
+    std::uint64_t inconclusive = 0; //!< verify cells without a verdict
+    std::uint64_t nonsc = 0;  //!< verify cells: hw escaped SC (expected)
+    std::uint64_t by_kind[num_violation_kinds] = {}; //!< hw cells per kind
+
+    /** Count one cell by its CellResult::verdict(). */
+    void add(const std::string &verdict);
+
+    void merge(const VerdictTally &o);
+
+    /** Set the tally's members (clean, racy, ..., by_kind) on @p j. */
+    void toJson(Json &j) const;
+};
+
+/**
  * The journal cell-line object for @p r (without the "type" member).
  * One schema, two producers: Journal::appendCell for in-process
  * campaigns and the fleet worker's RESULT messages, so a merged fleet
@@ -245,7 +271,6 @@ struct CellRun
 };
 
 CellRun runCell(const Cell &cell, std::uint64_t max_events,
-                EventQueueKind queue = EventQueueKind::calendar,
                 MaterializeCache *cache = nullptr);
 
 /** 64-bit FNV-1a over @p text, rendered as 16 hex digits. */

@@ -31,7 +31,7 @@ fnv64(const std::string &text)
 
 } // namespace
 
-Fuzzer::Fuzzer(const FuzzerCfg &cfg) : cfg_(cfg)
+Fuzzer::Fuzzer(const CampaignSpec &spec) : cfg_(spec)
 {
     if (cfg_.verify && cfg_.verify_models.empty())
         cfg_.verify_models = modelNames();

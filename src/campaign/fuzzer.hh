@@ -27,37 +27,18 @@
 #include <vector>
 
 #include "campaign/cell.hh"
+#include "campaign/spec.hh"
 
 namespace wo {
 
-/** Campaign-level fuzzing parameters. */
-struct FuzzerCfg
-{
-    std::uint64_t seed = 1;
-    std::vector<OrderingPolicy> policies = {
-        OrderingPolicy::sc, OrderingPolicy::wo_def1,
-        OrderingPolicy::wo_drf0};
-    std::vector<std::string> program_files; //!< extra .wo corpus
-    bool inject_reserve_bug = false;        //!< propagate to every cell
-
-    /**
-     * Verify mode: the base stream enumerates verify cells (program x
-     * model with the dual-engine judge) instead of run cells (program
-     * x policy x timing).
-     */
-    bool verify = false;
-    /** Models verify cells cross with; empty = every registered one. */
-    std::vector<std::string> verify_models;
-    std::uint64_t max_states = 200'000; //!< per-engine verify budget
-    bool inject_axiom_bug = false;      //!< propagate to verify cells
-    int explore_jobs = 1; //!< DPOR threads inside each verify cell
-};
+/** The frontier reads only the campaign spec. */
+using FuzzerCfg = CampaignSpec;
 
 /** The frontier: deterministic base stream + novelty-guided mutation. */
 class Fuzzer
 {
   public:
-    explicit Fuzzer(const FuzzerCfg &cfg);
+    explicit Fuzzer(const CampaignSpec &spec);
 
     /**
      * Cell @p index of the base stream.  A pure function of the
@@ -94,7 +75,7 @@ class Fuzzer
                             std::string key);
 
     std::vector<Cell> prototypes_; //!< one per corpus entry
-    FuzzerCfg cfg_;
+    CampaignSpec cfg_;
 
     mutable std::array<NoveltyShard, num_shards> outcome_shards_; //!< programId|sig
     mutable std::array<NoveltyShard, num_shards> verdict_shards_; //!< familyId|verdict

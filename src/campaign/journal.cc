@@ -178,14 +178,11 @@ Journal::load()
         JsonParseResult p = jsonParse(line);
         if (!p.ok || !p.value.isObject())
             continue; // crash-truncated or corrupt: skip
-        const Json *type = p.value.find("type");
-        if (!type || !type->isString())
-            continue;
-        if (type->stringValue() == "campaign") {
+        const std::string type = p.value.stringAt("type");
+        if (type == "campaign") {
             header_ = p.value;
-            if (const Json *sv = p.value.find("schema_version"))
-                if (sv->isNumber())
-                    loaded_schema_version_ = sv->uintValue();
+            loaded_schema_version_ = p.value.uintAt(
+                "schema_version", loaded_schema_version_);
             if (loaded_schema_version_ != journal_schema_version) {
                 schema_mismatch_ = true;
                 warn("journal '%s': schema version %llu, this build "
@@ -197,28 +194,27 @@ Journal::load()
                      static_cast<unsigned long long>(
                          journal_schema_version));
             }
-        } else if (type->stringValue() == "cell") {
+        } else if (type == "cell") {
             if (const Json *k = p.value.find("key"))
                 if (k->isString())
                     resume_done_.insert(k->stringValue());
             if (const Json *ix = p.value.find("idx"))
                 if (ix->isNumber())
                     resume_idx_.insert(ix->uintValue());
-        } else if (type->stringValue() == "failure") {
-            const Json *dedup = p.value.find("dedup");
-            if (!dedup || !dedup->isString())
+        } else if (type == "failure") {
+            const std::string dedup = p.value.stringAt("dedup");
+            if (dedup.empty())
                 continue;
-            JournalFailure &rec = failures_[dedup->stringValue()];
-            ++rec.count;
-            if (const Json *k = p.value.find("kind"))
-                if (k->isString())
-                    rec.kind = k->stringValue();
-            if (const Json *fl = p.value.find("file"))
-                if (fl->isString() && !fl->stringValue().empty())
-                    rec.file = fl->stringValue();
-            if (const Json *i = p.value.find("insns"))
-                if (i->isNumber() && rec.insns == 0)
-                    rec.insns = static_cast<std::size_t>(i->uintValue());
+            FailureRecord &rec = failures_[dedup];
+            rec.dedup = dedup;
+            if (rec.count++ > 0)
+                continue; // the first equivalent failure's provenance
+            rec.kind = p.value.stringAt("kind");
+            rec.first_cell = p.value.stringAt("cell");
+            rec.repro_path = p.value.stringAt("file");
+            rec.instructions = p.value.uintAt("insns");
+            rec.orig_instructions = p.value.uintAt("orig_insns");
+            rec.reproduced = p.value.boolAt("reproduced");
         }
     }
 }
@@ -406,16 +402,10 @@ Journal::writeHeader(Json meta)
 void
 Journal::appendJson(Json line)
 {
-    if (line.isObject()) {
-        const Json *type = line.find("type");
-        if (type && type->isString() &&
-            type->stringValue() == "cell") {
-            if (const Json *k = line.find("key"))
-                if (k->isString() &&
-                    resume_done_.count(k->stringValue()) == 0)
-                    seen_.insert(fnv1a64(k->stringValue()));
-        }
-    }
+    if (line.stringAt("type") == "cell")
+        if (const Json *k = line.find("key"))
+            if (k->isString() && resume_done_.count(k->stringValue()) == 0)
+                seen_.insert(fnv1a64(k->stringValue()));
     appendLine(line);
 }
 
@@ -449,44 +439,60 @@ Journal::appendCell(const CellResult &r)
 }
 
 bool
-Journal::recordFailure(const std::string &dedup, const std::string &kind,
-                       const std::string &cell_key,
-                       const std::string &file, std::size_t insns,
-                       std::size_t orig_insns)
+Journal::recordFailure(const FailureRecord &f)
 {
     bool first;
     std::string first_file;
     {
         std::lock_guard<std::mutex> lock(fail_mu_);
-        JournalFailure &rec = failures_[dedup];
+        FailureRecord &rec = failures_[f.dedup];
         first = rec.count == 0;
-        ++rec.count;
         if (first) {
-            rec.kind = kind;
-            rec.file = file;
-            rec.insns = insns;
+            rec = f;
+            rec.count = 0;
         }
-        first_file = rec.file;
+        ++rec.count;
+        first_file = rec.repro_path;
     }
 
     Json j = Json::object();
     j.set("type", Json("failure"));
-    j.set("dedup", Json(dedup));
-    j.set("kind", Json(kind));
-    j.set("cell", Json(cell_key));
-    j.set("file", Json(first ? file : first_file));
-    j.set("insns", Json(static_cast<std::uint64_t>(insns)));
-    j.set("orig_insns", Json(static_cast<std::uint64_t>(orig_insns)));
+    j.set("dedup", Json(f.dedup));
+    j.set("kind", Json(f.kind));
+    j.set("cell", Json(f.first_cell));
+    j.set("file", Json(first_file));
+    j.set("insns", Json(static_cast<std::uint64_t>(f.instructions)));
+    j.set("orig_insns",
+          Json(static_cast<std::uint64_t>(f.orig_instructions)));
+    j.set("reproduced", Json(f.reproduced));
     j.set("dup", Json(!first));
     appendLine(j);
     return first;
 }
 
-std::map<std::string, JournalFailure>
+std::vector<FailureRecord>
 Journal::failures() const
 {
     std::lock_guard<std::mutex> lock(fail_mu_);
-    return failures_;
+    std::vector<FailureRecord> out;
+    for (const auto &[dedup, rec] : failures_)
+        out.push_back(rec);
+    return out;
+}
+
+Json
+failureRecordToJson(const FailureRecord &f)
+{
+    Json j = Json::object();
+    j.set("dedup", Json(f.dedup));
+    j.set("kind", Json(f.kind));
+    j.set("file", Json(f.repro_path));
+    j.set("insns", Json(static_cast<std::uint64_t>(f.instructions)));
+    j.set("orig_insns",
+          Json(static_cast<std::uint64_t>(f.orig_instructions)));
+    j.set("count", Json(f.count));
+    j.set("reproduced", Json(f.reproduced));
+    return j;
 }
 
 } // namespace wo

@@ -55,16 +55,28 @@ namespace wo {
  * builds are being combined -- the reader warns instead of silently
  * mixing schemas.  Bump on any line-schema change.
  */
-constexpr std::uint64_t journal_schema_version = 2;
+constexpr std::uint64_t journal_schema_version = 3;
 
-/** One replayed failure record (resume-time state). */
-struct JournalFailure
+/**
+ * One deduplicated hardware failure: the first equivalent failure's
+ * provenance plus how many cells hit it.  Journaled, replayed on
+ * resume, and reported as-is by both the in-process campaign and the
+ * fleet coordinator.
+ */
+struct FailureRecord
 {
-    std::string kind;       //!< violation kind name
-    std::string file;       //!< reproducer path (may be empty)
-    std::size_t insns = 0;  //!< shrunk instruction count
-    std::uint64_t count = 0; //!< equivalent failures seen so far
+    std::string dedup;        //!< "<kind>:<shrunk-program hash>"
+    std::string kind;         //!< violation kind name
+    std::string first_cell;   //!< key of the first cell that hit it
+    std::string repro_path;   //!< minimized .wo reproducer
+    std::size_t instructions = 0;      //!< after shrinking
+    std::size_t orig_instructions = 0; //!< before shrinking
+    std::uint64_t count = 0;  //!< equivalent failures (dedup hits)
+    bool reproduced = false;  //!< shrink predicate held on the minimum
 };
+
+/** The summary-JSON object of @p f. */
+Json failureRecordToJson(const FailureRecord &f);
 
 /** Group-commit tuning (the `--sync-every` surface). */
 struct JournalCfg
@@ -223,18 +235,16 @@ class Journal
     void appendCell(const CellResult &r);
 
     /**
-     * Record a failure under deduplication key @p dedup ("<kind>:<hash
-     * of the shrunk program>").  Returns true when this is the first
-     * equivalent failure (caller should emit the reproducer bundle);
-     * repeats only bump the count.  Always journaled either way.
+     * Record a failure under its deduplication key @p f.dedup
+     * ("<kind>:<hash of the shrunk program>"; @p f.count is ignored).
+     * Returns true when this is the first equivalent failure (caller
+     * should emit the reproducer bundle); repeats only bump the count.
+     * Always journaled either way.
      */
-    bool recordFailure(const std::string &dedup, const std::string &kind,
-                       const std::string &cell_key,
-                       const std::string &file, std::size_t insns,
-                       std::size_t orig_insns);
+    bool recordFailure(const FailureRecord &f);
 
-    /** Deduplicated failures, keyed by dedup string. */
-    std::map<std::string, JournalFailure> failures() const;
+    /** Deduplicated failures, in dedup-key order. */
+    std::vector<FailureRecord> failures() const;
 
     const std::string &path() const { return path_; }
 
@@ -283,7 +293,7 @@ class Journal
     std::thread writer_;
 
     mutable std::mutex fail_mu_; //!< failures_ only (off the hot path)
-    std::map<std::string, JournalFailure> failures_;
+    std::map<std::string, FailureRecord> failures_;
 };
 
 /** Stable 64-bit FNV-1a over @p text (journal key hashing). */

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <deque>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -105,7 +104,7 @@ struct alignas(64) WorkerStats
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> ran{0};
     std::atomic<std::uint64_t> skipped{0};
-    std::atomic<std::uint64_t> hw{0};
+    std::atomic<std::uint64_t> hw{0}; //!< live copy of tally.hw
     // Verify-cell explorer totals (zero for run campaigns), live so
     // /metrics can report the memoization rate mid-campaign.
     std::atomic<std::uint64_t> dpor_probes{0};
@@ -137,16 +136,8 @@ struct alignas(64) WorkerStats
     }
 
     // Merged only at join.
-    std::uint64_t clean = 0;
-    std::uint64_t racy = 0;
-    std::uint64_t deadlocked = 0;
-    std::uint64_t livelocked = 0;
-    std::uint64_t errors = 0;
-    std::uint64_t inconclusive = 0;
-    std::uint64_t nonsc = 0;
-    std::uint64_t by_kind[num_violation_kinds] = {};
+    VerdictTally tally;
     std::vector<double> lat_ms;           //!< per-cell wall time
-    std::map<std::string, FailureRecord> first_failures; //!< staged
 
     void
     classify(const CellResult &r)
@@ -154,24 +145,8 @@ struct alignas(64) WorkerStats
         dpor_probes.fetch_add(r.dpor_probes, std::memory_order_relaxed);
         dpor_memo_hits.fetch_add(r.dpor_memo_hits,
                                  std::memory_order_relaxed);
-        for (int k = 0; k < num_violation_kinds; ++k)
-            by_kind[k] += r.by_kind[k];
-        if (r.primary_kind == "materialize_error")
-            ++errors;
-        else if (r.hardwareFailure())
-            hw.fetch_add(1, std::memory_order_relaxed);
-        else if (r.inconclusive)
-            ++inconclusive;
-        else if (r.nonsc)
-            ++nonsc;
-        else if (r.deadlocked)
-            ++deadlocked;
-        else if (r.livelocked)
-            ++livelocked;
-        else if (r.races > 0)
-            ++racy;
-        else
-            ++clean;
+        tally.add(r.verdict());
+        hw.store(tally.hw, std::memory_order_relaxed);
     }
 };
 
@@ -191,10 +166,7 @@ struct Engine
 {
     explicit Engine(const CampaignCfg &c)
         : cfg(c),
-          fuzzer(FuzzerCfg{c.seed, c.policies, c.program_files,
-                           c.inject_reserve_bug, c.verify,
-                           c.verify_models, c.max_states,
-                           c.inject_axiom_bug, c.explore_jobs}),
+          fuzzer(c),
           lanes(new Timeline[static_cast<std::size_t>(c.jobs) + 1]),
           journal(c.journal_path,
                   JournalCfg{c.sync_every, c.flush_interval_ms,
@@ -251,13 +223,6 @@ struct Engine
         return total;
     }
 
-    EventQueueKind
-    queueKind() const
-    {
-        return cfg.legacy_queue ? EventQueueKind::legacy_heap
-                                : EventQueueKind::calendar;
-    }
-
     bool
     timeUp() const
     {
@@ -267,7 +232,7 @@ struct Engine
                cfg.time_budget_s;
     }
 
-    void handleFailure(int w, const Cell &cell, CellRun &run);
+    void handleFailure(const Cell &cell, CellRun &run);
     void worker(int w);
 
     // --- Live control plane (every reader below touches only
@@ -316,6 +281,18 @@ struct Engine
                    std::uint64_t{1}
                    << (WorkerStats::num_lat_buckets - 1)) /
                1000.0;
+    }
+
+    /** Worker @p w's live idle share of its elapsed time, in %. */
+    double
+    idlePct(int w) const
+    {
+        const std::uint64_t el = lanes[w].liveElapsedNs();
+        return el > 0 ? 100.0 *
+                            static_cast<double>(
+                                lanes[w].liveNs(SpanKind::idle)) /
+                            static_cast<double>(el)
+                      : 0.0;
     }
 
     double
@@ -437,12 +414,7 @@ Engine::progressJson() const
         wj.set("ran", Json(ws.ran.load(std::memory_order_relaxed)));
         wj.set("skipped",
                Json(ws.skipped.load(std::memory_order_relaxed)));
-        const std::uint64_t el = lanes[w].liveElapsedNs();
-        const std::uint64_t id = lanes[w].liveNs(SpanKind::idle);
-        wj.set("idle_pct",
-               Json(el > 0 ? 100.0 * static_cast<double>(id) /
-                                 static_cast<double>(el)
-                           : 0.0));
+        wj.set("idle_pct", Json(idlePct(w)));
         workers.push(std::move(wj));
     }
     p.set("workers", std::move(workers));
@@ -498,86 +470,51 @@ Engine::mountControlPlane(HttpServer &srv)
 }
 
 void
-Engine::handleFailure(int w, const Cell &cell, CellRun &run)
+Engine::handleFailure(const Cell &cell, CellRun &run)
 {
-    ViolationKind kind;
-    if (!violationKindFromName(run.result.primary_kind, kind))
+    const std::optional<CellFailure> f =
+        shrinkCellFailure(cell, run, cfg, cfg.out_dir);
+    if (!f)
         return; // cannot name it: leave the cell verdict as evidence
-
-    ShrinkCfg scfg;
-    // With shrinking off the single permitted run just confirms the
-    // reproduction and renders the unreduced .wo text.
-    scfg.max_runs = cfg.shrink ? cfg.shrink_max_runs : 1;
-    const bool is_verify = cell.kind == CellKind::verify;
-    VerifyCfg vcfg;
-    vcfg.max_states = cell.max_states;
-    vcfg.jobs = cell.explore_jobs;
-    vcfg.axiom.inject_bug = cell.inject_axiom_bug;
-    ShrinkOutcome s =
-        is_verify
-            ? shrinkCounterexample(
-                  *run.program, run.warm,
-                  [&](const Program &p, const std::vector<WarmTerm> &) {
-                      return verifyReproduces(p, cell.model, kind, vcfg);
-                  },
-                  scfg)
-            : shrinkCounterexample(
-                  *run.program, run.warm,
-                  cell.systemCfg(cfg.max_events, queueKind()), kind,
-                  scfg);
-
-    const std::string hash = fnv1aHex(s.wo_text).substr(0, 12);
-    const std::string dedup = run.result.primary_kind + ":" + hash;
-    const std::string stem =
-        cfg.out_dir + "/repro-" + run.result.primary_kind + "-" + hash;
-    const std::string wo_path = stem + ".wo";
-
-    const bool first =
-        journal.recordFailure(dedup, run.result.primary_kind,
-                              run.result.key, wo_path, s.instructions,
-                              s.orig_instructions);
-    if (!first)
+    const ShrinkOutcome &s = f->shrunk;
+    FailureRecord rec;
+    rec.dedup = f->id.dedup;
+    rec.kind = run.result.primary_kind;
+    rec.first_cell = run.result.key;
+    rec.repro_path = f->id.stem + ".wo";
+    rec.instructions = s.instructions;
+    rec.orig_instructions = s.orig_instructions;
+    rec.reproduced = s.reproduced;
+    if (!journal.recordFailure(rec))
         return; // the journal's failure map already counts the repeat
 
     unique_failures.fetch_add(1, std::memory_order_relaxed);
-    writeFile(wo_path, s.wo_text);
-    if (is_verify) {
+    writeFile(rec.repro_path, s.wo_text);
+    if (cell.kind == CellKind::verify) {
         // The evidence bundle of an engine disagreement: re-judge the
         // minimum and write the outcome-set diff report next to the
         // reproducer (a flight-recorder replay would only show one
         // timed run, which is not what disagreed).
         VerifyResult ev =
-            verifyProgramOnModel(*s.program, cell.model, vcfg);
-        writeFile(stem + ".verify.txt", ev.detail());
+            verifyProgramOnModel(*s.program, cell.model, cell.verifyCfg());
+        writeFile(f->id.stem + ".verify.txt", ev.detail());
     } else {
         // The evidence bundle: re-run the minimum with the flight
         // recorder on and the failure dump pointed into the out dir.
-        SystemCfg ev = cell.systemCfg(cfg.max_events, queueKind());
+        SystemCfg ev = cell.systemCfg(cfg.max_events);
         ev.flight_recorder = true;
-        ev.dump_on_fail = stem;
+        ev.dump_on_fail = f->id.stem;
         System sys(*s.program, ev);
         for (const auto &wt : s.warm)
             sys.warmShared(wt.addr, wt.procs);
         sys.run();
     }
 
-    // Shrink provenance is staged on the observing worker and merged
-    // at join -- exactly one worker sees first==true per dedup key, so
-    // no lock is needed.
-    FailureRecord &rec = wstats[w].first_failures[dedup];
-    rec.dedup = dedup;
-    rec.kind = run.result.primary_kind;
-    rec.first_cell = run.result.key;
-    rec.repro_path = wo_path;
-    rec.instructions = s.instructions;
-    rec.orig_instructions = s.orig_instructions;
-    rec.reproduced = s.reproduced;
-
     // Feed the /events subscribers; a unique discovery already paid
     // for a shrink and an evidence re-run, so this lock is noise.
     std::lock_guard<std::mutex> lock(feed_mu);
-    failure_feed.push_back({dedup, run.result.primary_kind,
-                            run.result.key, wo_path});
+    failure_feed.push_back(
+        {rec.dedup, rec.kind, rec.first_cell, rec.repro_path});
 }
 
 void
@@ -621,7 +558,7 @@ Engine::worker(int w)
             continue;
         }
         idle_span.close();
-        CellRun run = runCell(cell, cfg.max_events, queueKind(), &cache);
+        CellRun run = runCell(cell, cfg.max_events, &cache);
         ws.classify(run.result);
         ws.lat_ms.push_back(run.result.wall_ms);
         ws.recordLatency(run.result.wall_ms);
@@ -634,7 +571,7 @@ Engine::worker(int w)
         if (run.result.hardwareFailure() && run.program) {
             Timeline::Scope shrink_span(&tl, SpanKind::shrink);
             const auto s0 = Clock::now();
-            handleFailure(w, cell, run);
+            handleFailure(cell, run);
             run.result.shrink_us = static_cast<std::uint64_t>(
                 std::chrono::duration<double, std::micro>(Clock::now() -
                                                           s0)
@@ -678,33 +615,9 @@ runCampaign(const CampaignCfg &user_cfg)
     eng.journal.reserveKeys(static_cast<std::size_t>(cfg.cells));
     eng.journal.open(/*fresh=*/!cfg.resume);
     if (!cfg.resume) {
-        Json meta = Json::object();
-        meta.set("seed", Json(cfg.seed));
-        meta.set("cells", Json(cfg.cells));
+        Json meta = campaignSpecToJson(cfg);
         meta.set("jobs", Json(static_cast<std::uint64_t>(cfg.jobs)));
-        std::string pols;
-        for (OrderingPolicy p : cfg.policies)
-            pols += std::string(pols.empty() ? "" : ",") +
-                    policyFlagName(p);
-        meta.set("policies", Json(pols));
-        meta.set("max_events", Json(cfg.max_events));
         meta.set("sync_every", Json(cfg.sync_every));
-        if (cfg.inject_reserve_bug)
-            meta.set("inject_reserve_bug", Json(true));
-        if (cfg.verify) {
-            meta.set("verify", Json(true));
-            std::string models;
-            for (const std::string &m : cfg.verify_models)
-                models += std::string(models.empty() ? "" : ",") + m;
-            meta.set("verify_models", Json(models));
-            meta.set("max_states", Json(cfg.max_states));
-            if (cfg.explore_jobs != 1)
-                meta.set("explore_jobs",
-                         Json(static_cast<std::uint64_t>(
-                             cfg.explore_jobs)));
-            if (cfg.inject_axiom_bug)
-                meta.set("inject_axiom_bug", Json(true));
-        }
         eng.journal.writeHeader(std::move(meta));
     }
 
@@ -750,17 +663,9 @@ runCampaign(const CampaignCfg &user_cfg)
                 // elapsed clock.  A starving fleet shows up here
                 // mid-run, not in the post-mortem.
                 std::string idle = " idle%[";
-                for (int w = 0; w < eng.cfg.jobs; ++w) {
-                    const std::uint64_t el =
-                        eng.lanes[w].liveElapsedNs();
-                    const std::uint64_t id =
-                        eng.lanes[w].liveNs(SpanKind::idle);
-                    idle += strprintf(
-                        "%s%.0f", w ? " " : "",
-                        el > 0 ? 100.0 * static_cast<double>(id) /
-                                     static_cast<double>(el)
-                               : 0.0);
-                }
+                for (int w = 0; w < eng.cfg.jobs; ++w)
+                    idle += strprintf("%s%.0f", w ? " " : "",
+                                      eng.idlePct(w));
                 idle += "]";
                 std::fprintf(
                     stderr,
@@ -796,24 +701,12 @@ runCampaign(const CampaignCfg &user_cfg)
 
     CampaignSummary sum;
     std::vector<double> lat;
-    std::map<std::string, FailureRecord> provenance;
     for (int w = 0; w < cfg.jobs; ++w) {
         WorkerStats &ws = eng.wstats[w];
         sum.ran += ws.ran.load(std::memory_order_relaxed);
         sum.skipped += ws.skipped.load(std::memory_order_relaxed);
-        sum.hw += ws.hw.load(std::memory_order_relaxed);
-        sum.clean += ws.clean;
-        sum.racy += ws.racy;
-        sum.deadlocked += ws.deadlocked;
-        sum.livelocked += ws.livelocked;
-        sum.errors += ws.errors;
-        sum.inconclusive += ws.inconclusive;
-        sum.nonsc += ws.nonsc;
-        for (int k = 0; k < num_violation_kinds; ++k)
-            sum.by_kind[k] += ws.by_kind[k];
+        sum.merge(ws.tally);
         lat.insert(lat.end(), ws.lat_ms.begin(), ws.lat_ms.end());
-        for (auto &[dedup, rec] : ws.first_failures)
-            provenance.emplace(dedup, std::move(rec));
     }
     std::sort(lat.begin(), lat.end());
     sum.lat_p50_ms = quantile(lat, 0.50);
@@ -857,24 +750,9 @@ runCampaign(const CampaignCfg &user_cfg)
         writeFile(sum.trace_path, timelinesChromeJson(lane_ptrs));
     }
 
-    // Failures: the journal knows every deduplicated failure including
-    // those recorded before a resume; this run's staged records add
-    // the shrink provenance.
-    for (const auto &[dedup, jf] : eng.journal.failures()) {
-        FailureRecord rec;
-        rec.dedup = dedup;
-        rec.kind = jf.kind;
-        rec.repro_path = jf.file;
-        rec.instructions = jf.insns;
-        rec.count = jf.count;
-        auto it = provenance.find(dedup);
-        if (it != provenance.end()) {
-            rec.first_cell = it->second.first_cell;
-            rec.orig_instructions = it->second.orig_instructions;
-            rec.reproduced = it->second.reproduced;
-        }
-        sum.failures.push_back(std::move(rec));
-    }
+    // Failures: the journal knows every deduplicated failure, including
+    // those recorded before a resume.
+    sum.failures = eng.journal.failures();
     // The machine-readable summary next to the journal: what `wotool
     // report` reads for the outcome matrix and lane decomposition.
     writeFile(cfg.out_dir + "/campaign.summary.json",
@@ -941,7 +819,7 @@ CampaignSummary::table() const
     for (int k = 0; k < num_violation_kinds; ++k)
         any_kind = any_kind || by_kind[k] > 0;
     if (any_kind) {
-        out += "monitor findings:";
+        out += "hw cells by kind:";
         for (int k = 0; k < num_violation_kinds; ++k)
             if (by_kind[k] > 0)
                 out += strprintf(
@@ -974,25 +852,12 @@ CampaignSummary::toJson() const
     Json j = Json::object();
     j.set("ran", Json(ran));
     j.set("skipped", Json(skipped));
-    j.set("clean", Json(clean));
-    j.set("race", Json(racy));
-    j.set("hw", Json(hw));
-    j.set("deadlock", Json(deadlocked));
-    j.set("livelock", Json(livelocked));
-    j.set("error", Json(errors));
-    j.set("inconclusive", Json(inconclusive));
-    j.set("nonsc", Json(nonsc));
+    VerdictTally::toJson(j);
     j.set("novelty", Json(novelty));
     j.set("wall_s", Json(wall_s));
     j.set("cells_per_sec", Json(cells_per_sec));
     j.set("lat_p50_ms", Json(lat_p50_ms));
     j.set("lat_p99_ms", Json(lat_p99_ms));
-    Json by = Json::object();
-    for (int k = 0; k < num_violation_kinds; ++k)
-        if (by_kind[k] > 0)
-            by.set(violationKindName(static_cast<ViolationKind>(k)),
-                   Json(by_kind[k]));
-    j.set("by_kind", std::move(by));
     Json lanes_j = Json::array();
     for (const LaneSummary &l : lanes) {
         Json lj = Json::object();
@@ -1019,18 +884,8 @@ CampaignSummary::toJson() const
         j.set("trace", Json(trace_path));
     }
     Json fails = Json::array();
-    for (const FailureRecord &f : failures) {
-        Json rec = Json::object();
-        rec.set("dedup", Json(f.dedup));
-        rec.set("kind", Json(f.kind));
-        rec.set("file", Json(f.repro_path));
-        rec.set("insns", Json(static_cast<std::uint64_t>(f.instructions)));
-        rec.set("orig_insns",
-                Json(static_cast<std::uint64_t>(f.orig_instructions)));
-        rec.set("count", Json(f.count));
-        rec.set("reproduced", Json(f.reproduced));
-        fails.push(std::move(rec));
-    }
+    for (const FailureRecord &f : failures)
+        fails.push(failureRecordToJson(f));
     j.set("failures", std::move(fails));
     return j;
 }

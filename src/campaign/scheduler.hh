@@ -36,6 +36,8 @@
 
 #include "campaign/cell.hh"
 #include "campaign/fuzzer.hh"
+#include "campaign/journal.hh"
+#include "campaign/spec.hh"
 #include "obs/json.hh"
 #include "obs/timeline.hh"
 
@@ -43,19 +45,16 @@ namespace wo {
 
 class HttpServer;
 
-/** Campaign configuration (the `wotool campaign` surface). */
-struct CampaignCfg
+/**
+ * Campaign configuration (the `wotool campaign` surface): the portable
+ * spec plus the knobs of a local run.
+ */
+struct CampaignCfg : CampaignSpec
 {
     int jobs = 1;                 //!< worker threads
-    std::uint64_t cells = 200;    //!< cell budget (includes skips)
     double time_budget_s = 0;     //!< wall-clock cap; 0 = none
     std::string out_dir = "campaign-out";
     std::string journal_path;     //!< default: <out_dir>/campaign.journal.jsonl
-    std::vector<std::string> program_files; //!< extra .wo corpus
-    std::vector<OrderingPolicy> policies = {
-        OrderingPolicy::sc, OrderingPolicy::wo_def1,
-        OrderingPolicy::wo_drf0};
-    bool shrink = true;           //!< minimize hardware failures
     bool resume = false;          //!< replay the journal, skip done cells
     /**
      * Feed novelty-earned mutants back into the fleet (`--no-frontier`
@@ -66,34 +65,7 @@ struct CampaignCfg
      * cell-for-cell in the verdict-parity tests.
      */
     bool frontier = true;
-    std::uint64_t seed = 1;       //!< base-stream / mutation seed
-    std::uint64_t max_events = 300'000; //!< per-cell livelock budget
-    std::uint64_t shrink_max_runs = 500;
-    bool inject_reserve_bug = false; //!< seeded-fault campaign
-    /**
-     * Verify campaign (`--verify`): cells model-check programs with
-     * the dual-engine judge (campaign/verify.hh) instead of running
-     * timed simulations.  Engine disagreements and broken Definition-2
-     * subset claims become shrunk, auto-filed reproducers through the
-     * same failure pipeline as monitor findings.
-     */
-    bool verify = false;
-    /** Models verify cells check; empty = every registered model. */
-    std::vector<std::string> verify_models;
-    /** Per-engine state budget of each verify cell. */
-    std::uint64_t max_states = 200'000;
-    /**
-     * Worker threads inside each verify cell's DPOR exploration
-     * (`--explore-jobs`; orthogonal to `jobs`, which fans out across
-     * cells).  Bit-identical results at any value keep it out of cell
-     * keys and the journal.
-     */
-    int explore_jobs = 1;
-    /** Seeded axiomatic-evaluator fault (cross-check path exercise). */
-    bool inject_axiom_bug = false;
     bool progress = false;        //!< live progress line on stderr
-    /** Run cells on the legacy heap kernel (A/B cross-checking). */
-    bool legacy_queue = false;
     /**
      * Journal group-commit granularity: fwrite+fflush after at most
      * this many buffered records (`--sync-every`; 1 = one flush per
@@ -126,33 +98,12 @@ struct CampaignCfg
     HttpServer *serve = nullptr;
 };
 
-/** One deduplicated hardware failure, as the campaign reports it. */
-struct FailureRecord
-{
-    std::string dedup;        //!< "<kind>:<shrunk-program hash>"
-    std::string kind;         //!< violation kind name
-    std::string first_cell;   //!< key of the first cell that hit it
-    std::string repro_path;   //!< minimized .wo reproducer
-    std::size_t instructions = 0;      //!< after shrinking
-    std::size_t orig_instructions = 0; //!< before shrinking
-    std::uint64_t count = 0;  //!< equivalent failures (dedup hits)
-    bool reproduced = false;  //!< shrink predicate held on the minimum
-};
-
-/** What a campaign did. */
-struct CampaignSummary
+/** What a campaign did: the verdict tally of the cells it ran, plus
+ *  throughput, failures and the per-lane decomposition. */
+struct CampaignSummary : VerdictTally
 {
     std::uint64_t ran = 0;     //!< cells actually simulated
     std::uint64_t skipped = 0; //!< journaled cells skipped on resume
-    std::uint64_t clean = 0;
-    std::uint64_t racy = 0;    //!< software races (contract void)
-    std::uint64_t hw = 0;      //!< cells with hardware violations
-    std::uint64_t deadlocked = 0;
-    std::uint64_t livelocked = 0;
-    std::uint64_t errors = 0;  //!< cells whose program failed to build
-    std::uint64_t inconclusive = 0; //!< verify cells without a verdict
-    std::uint64_t nonsc = 0;   //!< verify cells: hw escaped SC (expected)
-    std::uint64_t by_kind[num_violation_kinds] = {};
     std::uint64_t novelty = 0; //!< fuzz-frontier discoveries
     std::vector<FailureRecord> failures; //!< deduplicated
     double wall_s = 0;

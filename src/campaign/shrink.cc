@@ -309,4 +309,40 @@ shrinkCounterexample(const Program &prog,
         cfg);
 }
 
+FailureId
+failureId(const std::string &kind, const std::string &wo_text,
+          const std::string &dir)
+{
+    const std::string hash = fnv1aHex(wo_text).substr(0, 12);
+    return {kind + ":" + hash, dir + "/repro-" + kind + "-" + hash};
+}
+
+std::optional<CellFailure>
+shrinkCellFailure(const Cell &cell, const CellRun &run,
+                  const CampaignSpec &spec, const std::string &dir)
+{
+    ViolationKind kind;
+    if (!run.program ||
+        !violationKindFromName(run.result.primary_kind, kind))
+        return std::nullopt;
+    ShrinkCfg scfg;
+    scfg.max_runs = spec.shrink ? spec.shrink_max_runs : 1;
+    CellFailure f;
+    if (cell.kind == CellKind::verify) {
+        const VerifyCfg vcfg = cell.verifyCfg();
+        f.shrunk = shrinkCounterexample(
+            *run.program, run.warm,
+            [&](const Program &p, const std::vector<WarmTerm> &) {
+                return verifyReproduces(p, cell.model, kind, vcfg);
+            },
+            scfg);
+    } else {
+        f.shrunk = shrinkCounterexample(*run.program, run.warm,
+                                        cell.systemCfg(spec.max_events),
+                                        kind, scfg);
+    }
+    f.id = failureId(run.result.primary_kind, f.shrunk.wo_text, dir);
+    return f;
+}
+
 } // namespace wo

@@ -28,6 +28,8 @@
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "campaign/cell.hh"
+#include "campaign/spec.hh"
 #include "obs/monitor.hh"
 #include "program/program.hh"
 #include "sys/system.hh"
@@ -94,6 +96,44 @@ ShrinkOutcome shrinkCounterexample(const Program &prog,
                                    const SystemCfg &sys_cfg,
                                    ViolationKind kind,
                                    const ShrinkCfg &cfg = {});
+
+// --- the campaign failure pipeline ------------------------------------
+
+/**
+ * The campaign-wide identity of a shrunk failure: equal minima of the
+ * same violation kind are one failure, however many cells (or fleet
+ * workers) hit them.
+ */
+struct FailureId
+{
+    std::string dedup; //!< "<kind>:<12 hex digits of the .wo hash>"
+    std::string stem;  //!< "<dir>/repro-<kind>-<hash>"; + ".wo" = repro
+};
+
+/** The identity of a failure of @p kind whose reproducer is @p wo_text,
+ *  with its files under @p dir. */
+FailureId failureId(const std::string &kind, const std::string &wo_text,
+                    const std::string &dir);
+
+/** A hardware-blaming cell run, minimized and identified. */
+struct CellFailure
+{
+    ShrinkOutcome shrunk;
+    FailureId id;
+};
+
+/**
+ * Shrink @p run's program to a reproducer of its primary violation:
+ * verify cells under the dual-engine predicate, run cells under the
+ * monitored timed run.  With @p spec.shrink off the single permitted
+ * run only confirms the reproduction and renders the unreduced .wo
+ * text.  Empty when the run has no program or its violation kind
+ * cannot be named (the cell verdict stays the evidence).
+ */
+std::optional<CellFailure> shrinkCellFailure(const Cell &cell,
+                                             const CellRun &run,
+                                             const CampaignSpec &spec,
+                                             const std::string &dir);
 
 } // namespace wo
 

@@ -8,17 +8,10 @@
 
 namespace wo {
 
-EventQueue::EventQueue(EventQueueKind kind) : kind_(kind)
+EventQueue::EventQueue()
 {
-#ifndef WO_HAVE_LEGACY_EVENT_QUEUE
-    wo_assert(kind_ == EventQueueKind::calendar,
-              "legacy event queue requested but compiled out "
-              "(configure with -DWO_LEGACY_EVENT_QUEUE=ON)");
-#endif
-    if (kind_ == EventQueueKind::calendar) {
-        wheel_.resize(wheel_size);
-        occupied_.assign(wheel_size / 64, 0);
-    }
+    wheel_.resize(wheel_size);
+    occupied_.assign(wheel_size / 64, 0);
 }
 
 void
@@ -62,12 +55,6 @@ EventQueue::scheduleAt(Tick when, EventLabel label, EventCallback fn)
                  static_cast<unsigned long long>(when),
                  static_cast<unsigned long long>(now_));
     ++pending_;
-#ifdef WO_HAVE_LEGACY_EVENT_QUEUE
-    if (kind_ == EventQueueKind::legacy_heap) [[unlikely]] {
-        pq_.push(Event{when, next_seq_++, std::move(fn), label});
-        return;
-    }
-#endif
     if (when < wheel_base_ + wheel_size) {
         const std::size_t idx = when & wheel_mask;
         wheel_[idx].events.push_back(
@@ -103,18 +90,6 @@ EventQueue::refillWheel()
 bool
 EventQueue::popNext(Event &out)
 {
-#ifdef WO_HAVE_LEGACY_EVENT_QUEUE
-    if (kind_ == EventQueueKind::legacy_heap) [[unlikely]] {
-        if (pq_.empty())
-            return false;
-        // priority_queue exposes top() as const; moving out right
-        // before pop() is safe because nothing re-examines the slot.
-        out = std::move(const_cast<Event &>(pq_.top()));
-        pq_.pop();
-        --pending_;
-        return true;
-    }
-#endif
     if (pending_ == 0)
         return false;
     if (wheel_pending_ == 0)

@@ -20,10 +20,6 @@
  *    events beyond the window.  Bucket vectors keep their capacity when
  *    drained, so steady-state simulation recycles storage instead of
  *    allocating (see docs/PERF.md for the determinism contract).
- *  - The pre-overhaul binary-heap kernel is retained behind the
- *    WO_LEGACY_EVENT_QUEUE build option as EventQueueKind::legacy_heap;
- *    the kernel-equivalence golden test drives both and proves
- *    bit-identical behaviour until the legacy path is retired.
  */
 
 #ifndef WO_EVENT_EVENT_QUEUE_HH
@@ -31,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.hh"
@@ -51,13 +46,6 @@ struct Event
     EventLabel label;   //!< debugging aid, rendered on demand
 };
 
-/** Which kernel implementation backs an EventQueue. */
-enum class EventQueueKind
-{
-    calendar,    //!< the bucket-wheel + overflow-heap kernel (default)
-    legacy_heap, //!< the pre-overhaul std::priority_queue kernel
-};
-
 /**
  * A single-threaded event queue ordered by (tick, schedule sequence).
  *
@@ -68,10 +56,7 @@ enum class EventQueueKind
 class EventQueue
 {
   public:
-    explicit EventQueue(EventQueueKind kind = EventQueueKind::calendar);
-
-    /** The kernel implementation backing this queue. */
-    EventQueueKind kind() const { return kind_; }
+    EventQueue();
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -174,7 +159,6 @@ class EventQueue
     /** Materialize the label / notify obs around one firing. */
     void observeFire(const Event &ev);
 
-    EventQueueKind kind_;
     Tick now_ = 0;
     Obs *obs_ = nullptr;
     std::uint64_t next_seq_ = 0;
@@ -187,11 +171,6 @@ class EventQueue
     std::vector<Bucket> wheel_;          //!< wheel_size buckets
     std::vector<std::uint64_t> occupied_; //!< bitmap over the buckets
     std::vector<Event> overflow_;        //!< min-heap beyond the window
-
-#ifdef WO_HAVE_LEGACY_EVENT_QUEUE
-    // -- legacy backend -----------------------------------------------
-    std::priority_queue<Event, std::vector<Event>, Later> pq_;
-#endif
 };
 
 } // namespace wo

@@ -41,7 +41,7 @@ submitCampaign(const SubmitCfg &cfg)
     }
 
     Json submit = fleetMsg("submit");
-    submit.set("spec", fleetSpecToJson(cfg.spec));
+    submit.set("spec", campaignSpecToJson(cfg.spec));
     if (!conn.writeLine(submit)) {
         out.error = "submit write failed";
         return out;
@@ -70,8 +70,7 @@ submitCampaign(const SubmitCfg &cfg)
             continue;
         const std::string type = fleetMsgType(p.value);
         if (type == "accepted") {
-            const Json *c = p.value.find("campaign");
-            out.campaign = c && c->isNumber() ? c->uintValue() : 0;
+            out.campaign = p.value.uintAt("campaign");
             if (!cfg.quiet)
                 inform("fleet: campaign %llu accepted",
                        static_cast<unsigned long long>(out.campaign));
@@ -81,26 +80,16 @@ submitCampaign(const SubmitCfg &cfg)
             const Json *cells = p.value.find("cells");
             if (!cells || !cells->isObject())
                 continue;
-            const Json *done = cells->find("done");
-            const Json *total = cells->find("cells");
-            const Json *hw = cells->find("hw");
-            std::fprintf(stderr,
-                         "\rfleet: %llu/%llu cells, %llu hw   ",
-                         done ? static_cast<unsigned long long>(
-                                    done->uintValue())
-                              : 0ULL,
-                         total ? static_cast<unsigned long long>(
-                                     total->uintValue())
-                               : 0ULL,
-                         hw ? static_cast<unsigned long long>(
-                                  hw->uintValue())
-                            : 0ULL);
+            std::fprintf(
+                stderr, "\rfleet: %llu/%llu cells, %llu hw   ",
+                static_cast<unsigned long long>(cells->uintAt("done")),
+                static_cast<unsigned long long>(cells->uintAt("cells")),
+                static_cast<unsigned long long>(cells->uintAt("hw")));
             std::fflush(stderr);
         } else if (type == "done") {
             if (!cfg.quiet)
                 std::fprintf(stderr, "\n");
-            const Json *hc = p.value.find("hardware_clean");
-            out.hardware_clean = hc && hc->isBool() && hc->boolValue();
+            out.hardware_clean = p.value.boolAt("hardware_clean");
             if (const Json *s = p.value.find("summary"))
                 out.summary = *s;
             out.ok = true;

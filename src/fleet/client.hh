@@ -23,7 +23,7 @@ namespace wo {
 struct SubmitCfg
 {
     HostPort connect;        //!< the coordinator's endpoint
-    FleetCampaignSpec spec;  //!< what to run
+    CampaignSpec spec;  //!< what to run
     bool quiet = false;      //!< suppress the progress lines
     /** Give up when the fleet is silent this long (0 = wait forever);
      *  a coordinator pushes progress every ~500ms, so silence means

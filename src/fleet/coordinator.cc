@@ -5,30 +5,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "campaign/shrink.hh"
 #include "common/logging.hh"
 #include "obs/artifact.hh"
 #include "obs/httpd.hh"
 #include "obs/metrics.hh"
 
 namespace wo {
-
-namespace {
-
-std::uint64_t
-msgUint(const Json &msg, const char *key)
-{
-    const Json *v = msg.find(key);
-    return v && v->isNumber() ? v->uintValue() : 0;
-}
-
-std::string
-msgString(const Json &msg, const char *key)
-{
-    const Json *v = msg.find(key);
-    return v && v->isString() ? v->stringValue() : "";
-}
-
-} // namespace
 
 Coordinator::Coordinator(CoordinatorCfg cfg) : cfg_(std::move(cfg))
 {
@@ -120,12 +103,12 @@ Coordinator::teardown(bool drain)
                 c->sock->writeLine(msg);
     }
 
-    // Unblock the acceptor, then every reader.
-    if (listen_fd_ >= 0) {
+    // Unblock the acceptor, then every reader.  The listener is only
+    // shut down here: closing it while accept() may still be reading
+    // listen_fd_ would race, and could hand the fd number to an
+    // unrelated open before the acceptor notices.
+    if (listen_fd_ >= 0)
         ::shutdown(listen_fd_, SHUT_RDWR);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
     {
         std::lock_guard<std::mutex> lock(mu_);
         for (auto &[id, c] : conns_)
@@ -134,6 +117,10 @@ Coordinator::teardown(bool drain)
     ev_cv_.notify_all();
     if (acceptor_.joinable())
         acceptor_.join();
+    if (listen_fd_ >= 0) {
+        ::close(listen_fd_);
+        listen_fd_ = -1;
+    }
     if (pump_.joinable())
         pump_.join();
     {
@@ -308,7 +295,7 @@ Coordinator::handleMessage(std::uint64_t conn_id, const Json &msg)
 void
 Coordinator::handleHello(Conn &c, const Json &msg)
 {
-    const std::uint64_t proto = msgUint(msg, "proto");
+    const std::uint64_t proto = msg.uintAt("proto");
     if (proto != fleet_proto_version) {
         Json err = fleetMsg("error");
         err.set("text",
@@ -321,7 +308,7 @@ Coordinator::handleHello(Conn &c, const Json &msg)
         dropConn(c.id, "protocol mismatch");
         return;
     }
-    const std::string role = msgString(msg, "role");
+    const std::string role = msg.stringAt("role");
     if (role == "worker")
         c.role = Role::worker;
     else if (role == "client")
@@ -333,12 +320,12 @@ Coordinator::handleHello(Conn &c, const Json &msg)
         dropConn(c.id, "unknown role");
         return;
     }
-    c.name = msgString(msg, "name");
+    c.name = msg.stringAt("name");
     if (c.name.empty())
         c.name = strprintf("%s%llu", role.c_str(),
                            static_cast<unsigned long long>(c.id));
-    c.jobs = std::max(1, static_cast<int>(msgUint(msg, "jobs")));
-    c.hw_threads = msgUint(msg, "hw_threads");
+    c.jobs = std::max(1, static_cast<int>(msg.uintAt("jobs")));
+    c.hw_threads = msg.uintAt("hw_threads");
 
     Json ok = fleetMsg("hello_ok");
     ok.set("proto", Json(fleet_proto_version));
@@ -357,9 +344,9 @@ void
 Coordinator::handleSubmit(Conn &c, const Json &msg)
 {
     const Json *spec_j = msg.find("spec");
-    FleetCampaignSpec spec;
+    CampaignSpec spec;
     std::string why;
-    if (!spec_j || !fleetSpecFromJson(*spec_j, spec, &why)) {
+    if (!spec_j || !campaignSpecFromJson(*spec_j, spec, &why)) {
         Json err = fleetMsg("error");
         err.set("text", Json("bad campaign spec: " +
                              (why.empty() ? "missing" : why)));
@@ -376,15 +363,11 @@ Coordinator::handleSubmit(Conn &c, const Json &msg)
 void
 Coordinator::handleResult(Conn &c, const Json &msg)
 {
-    const std::uint64_t camp_id = msgUint(msg, "campaign");
-    Camp *camp = nullptr;
-    for (auto &cp : camps_)
-        if (cp->id == camp_id)
-            camp = cp.get();
+    Camp *camp = findCampaign(msg.uintAt("campaign"));
     const Json *cell = msg.find("cell");
     if (!camp || !cell || !cell->isObject())
         return;
-    const std::uint64_t idx = msgUint(msg, "idx");
+    const std::uint64_t idx = msg.uintAt("idx");
     if (camp->completed || idx >= camp->spec.cells || camp->done[idx]) {
         // A reassigned lease's original holder reported late: the
         // merge is idempotent, the duplicate only counts.
@@ -396,22 +379,7 @@ Coordinator::handleResult(Conn &c, const Json &msg)
     ++camp->ran;
     ++c.cells_done;
 
-    const std::string verdict = msgString(*cell, "verdict");
-    if (verdict == "clean")
-        ++camp->clean;
-    else if (verdict == "race")
-        ++camp->racy;
-    else if (verdict == "deadlock")
-        ++camp->deadlocked;
-    else if (verdict == "livelock")
-        ++camp->livelocked;
-    else if (verdict == "error")
-        ++camp->errors;
-    else if (verdict.rfind("hw:", 0) == 0)
-        ++camp->hw;
-    const std::string kind = msgString(*cell, "kind");
-    if (!kind.empty())
-        ++camp->kind_counts[kind];
+    camp->tally.add(cell->stringAt("verdict"));
 
     const std::size_t shard_i =
         static_cast<std::size_t>(idx / cfg_.shard_size);
@@ -429,25 +397,27 @@ Coordinator::handleResult(Conn &c, const Json &msg)
     camp->journal->appendJson(std::move(rec));
 
     if (const Json *f = msg.find("failure"); f && f->isObject()) {
-        const std::string fkind = msgString(*f, "kind");
-        const std::string wo_text = msgString(*f, "wo_text");
+        const std::string fkind = f->stringAt("kind");
+        const std::string wo_text = f->stringAt("wo_text");
         // Same identity as the single-process engine: a bug found by
         // three workers is still one failure fleet-wide.
-        const std::string hash = fnv1aHex(wo_text).substr(0, 12);
-        const std::string dedup = fkind + ":" + hash;
-        const std::string wo_path =
-            camp->dir + "/repro-" + fkind + "-" + hash + ".wo";
-        const bool first = camp->journal->recordFailure(
-            dedup, fkind, msgString(*cell, "key"), wo_path,
-            static_cast<std::size_t>(msgUint(*f, "insns")),
-            static_cast<std::size_t>(msgUint(*f, "orig_insns")));
-        if (first) {
+        const FailureId id = failureId(fkind, wo_text, camp->dir);
+        FailureRecord rec;
+        rec.dedup = id.dedup;
+        rec.kind = fkind;
+        rec.first_cell = cell->stringAt("key");
+        rec.repro_path = id.stem + ".wo";
+        rec.instructions = static_cast<std::size_t>(f->uintAt("insns"));
+        rec.orig_instructions =
+            static_cast<std::size_t>(f->uintAt("orig_insns"));
+        rec.reproduced = f->boolAt("reproduced");
+        if (camp->journal->recordFailure(rec)) {
             ++camp->unique_failures;
-            writeFile(wo_path, wo_text);
+            writeFile(rec.repro_path, wo_text);
             if (cfg_.verbose)
                 inform("fleet: campaign %llu failure %s (from '%s')",
                        static_cast<unsigned long long>(camp->id),
-                       dedup.c_str(), c.name.c_str());
+                       id.dedup.c_str(), c.name.c_str());
         }
     }
 
@@ -463,7 +433,7 @@ Coordinator::handleResult(Conn &c, const Json &msg)
 void
 Coordinator::handleLeaseDone(Conn &c, const Json &msg)
 {
-    const std::uint64_t lease_id = msgUint(msg, "lease");
+    const std::uint64_t lease_id = msg.uintAt("lease");
     auto it = leases_.find(lease_id);
     if (it == leases_.end() || it->second.conn != c.id)
         return; // stale: the lease was reassigned while this ran
@@ -489,9 +459,8 @@ Coordinator::dropConn(std::uint64_t conn_id, const char *why)
         auto lit = leases_.find(lease);
         if (lit == leases_.end())
             continue;
-        for (auto &cp : camps_)
-            if (cp->id == lit->second.campaign)
-                ++cp->reassigned_leases;
+        if (Camp *cp = findCampaign(lit->second.campaign))
+            ++cp->reassigned_leases;
         releaseLease(lease);
     }
     if (c.role == Role::client)
@@ -516,19 +485,35 @@ Coordinator::releaseLease(std::uint64_t lease_id)
         held.erase(std::remove(held.begin(), held.end(), lease_id),
                    held.end());
     }
-    for (auto &cp : camps_) {
-        if (cp->id != lease.campaign)
-            continue;
-        Shard &shard = cp->shards[lease.shard];
-        if (shard.lease != lease_id)
-            break; // already re-leased
-        shard.lease = 0;
-        // Whatever the holder managed before the lease ended is merged
-        // already; the remainder goes back to the pending pool.
-        shard.state = shard.remaining == 0 ? Shard::State::done
-                                           : Shard::State::pending;
-        break;
-    }
+    Camp *cp = findCampaign(lease.campaign);
+    if (!cp)
+        return;
+    Shard &shard = cp->shards[lease.shard];
+    if (shard.lease != lease_id)
+        return; // already re-leased
+    shard.lease = 0;
+    // Whatever the holder managed before the lease ended is merged
+    // already; the remainder goes back to the pending pool.
+    shard.state = shard.remaining == 0 ? Shard::State::done
+                                       : Shard::State::pending;
+}
+
+Coordinator::Camp *
+Coordinator::findCampaign(std::uint64_t id)
+{
+    for (auto &cp : camps_)
+        if (cp->id == id)
+            return cp.get();
+    return nullptr;
+}
+
+int
+Coordinator::aliveWorkers() const
+{
+    int alive = 0;
+    for (const auto &[id, c] : conns_)
+        alive += c->role == Role::worker && !c->dead;
+    return alive;
 }
 
 Coordinator::Camp *
@@ -566,7 +551,7 @@ Coordinator::grantLeases()
             msg.set("campaign", Json(camp->id));
             msg.set("lease", Json(lease_id));
             msg.set("shard", Json(static_cast<std::uint64_t>(shard_i)));
-            msg.set("spec", fleetSpecToJson(camp->spec));
+            msg.set("spec", campaignSpecToJson(camp->spec));
             Json indices = Json::array();
             for (std::uint64_t i = shard->lo; i < shard->hi; ++i)
                 if (!camp->done[i])
@@ -660,9 +645,8 @@ Coordinator::maybeCompleteCampaign(Camp &camp)
         if (it != conns_.end() && !it->second->dead) {
             Json msg = fleetMsg("done");
             msg.set("campaign", Json(camp.id));
-            const Json *hc = camp.summary.find("hardware_clean");
             msg.set("hardware_clean",
-                    Json(hc && hc->isBool() && hc->boolValue()));
+                    Json(camp.summary.boolAt("hardware_clean")));
             msg.set("summary", camp.summary);
             it->second->sock->writeLine(msg);
         }
@@ -689,18 +673,9 @@ Coordinator::buildSummary(const Camp &camp) const
     j.set("cells", Json(camp.spec.cells));
     j.set("ran", Json(camp.ran));
     j.set("resumed", Json(camp.resumed));
-    j.set("clean", Json(camp.clean));
-    j.set("racy", Json(camp.racy));
-    j.set("hw", Json(camp.hw));
-    j.set("deadlocked", Json(camp.deadlocked));
-    j.set("livelocked", Json(camp.livelocked));
-    j.set("errors", Json(camp.errors));
+    camp.tally.toJson(j);
     j.set("duplicate_results", Json(camp.duplicate_results));
     j.set("reassigned_leases", Json(camp.reassigned_leases));
-    Json kinds = Json::object();
-    for (const auto &[kind, count] : camp.kind_counts)
-        kinds.set(kind, Json(count));
-    j.set("by_kind", std::move(kinds));
     // The journal's failure map spans resumed history too, so the
     // verdict survives a coordinator restart.
     const auto failures = camp.journal->failures();
@@ -708,15 +683,8 @@ Coordinator::buildSummary(const Camp &camp) const
           Json(static_cast<std::uint64_t>(failures.size())));
     j.set("hardware_clean", Json(failures.empty()));
     Json fl = Json::array();
-    for (const auto &[dedup, f] : failures) {
-        Json rec = Json::object();
-        rec.set("dedup", Json(dedup));
-        rec.set("kind", Json(f.kind));
-        rec.set("file", Json(f.file));
-        rec.set("insns", Json(static_cast<std::uint64_t>(f.insns)));
-        rec.set("count", Json(f.count));
-        fl.push(std::move(rec));
-    }
+    for (const FailureRecord &f : failures)
+        fl.push(failureRecordToJson(f));
     j.set("failures", std::move(fl));
     j.set("wall_s",
           Json(std::chrono::duration<double>(
@@ -727,8 +695,37 @@ Coordinator::buildSummary(const Camp &camp) const
 
 // --- campaign setup / resume -----------------------------------------
 
+std::unique_ptr<Journal>
+Coordinator::newJournal(const std::string &dir) const
+{
+    JournalCfg jcfg;
+    jcfg.sync_every = cfg_.sync_every;
+    jcfg.flush_interval_ms = cfg_.flush_interval_ms;
+    return std::make_unique<Journal>(dir + "/campaign.journal.jsonl",
+                                     jcfg);
+}
+
+void
+Coordinator::layoutShards(Camp &camp) const
+{
+    const std::size_t nshards = static_cast<std::size_t>(
+        (camp.spec.cells + cfg_.shard_size - 1) / cfg_.shard_size);
+    camp.shards.resize(nshards);
+    for (std::size_t i = 0; i < nshards; ++i) {
+        Shard &s = camp.shards[i];
+        s.lo = i * cfg_.shard_size;
+        s.hi = std::min<std::uint64_t>(s.lo + cfg_.shard_size,
+                                       camp.spec.cells);
+        for (std::uint64_t idx = s.lo; idx < s.hi; ++idx)
+            if (!camp.done[idx])
+                ++s.remaining;
+        if (s.remaining == 0)
+            s.state = Shard::State::done;
+    }
+}
+
 std::uint64_t
-Coordinator::enqueueCampaign(FleetCampaignSpec spec,
+Coordinator::enqueueCampaign(CampaignSpec spec,
                              std::uint64_t client_conn)
 {
     auto camp = std::make_unique<Camp>();
@@ -742,30 +739,17 @@ Coordinator::enqueueCampaign(FleetCampaignSpec spec,
     std::error_code ec;
     std::filesystem::create_directories(camp->dir, ec);
 
-    JournalCfg jcfg;
-    jcfg.sync_every = cfg_.sync_every;
-    jcfg.flush_interval_ms = cfg_.flush_interval_ms;
-    camp->journal = std::make_unique<Journal>(
-        camp->dir + "/campaign.journal.jsonl", jcfg);
+    camp->journal = newJournal(camp->dir);
     camp->journal->reserveKeys(camp->spec.cells);
     camp->journal->open(true);
     Json meta = Json::object();
     meta.set("fleet", Json(true));
     meta.set("campaign_id", Json(camp->id));
-    meta.set("spec", fleetSpecToJson(camp->spec));
+    meta.set("spec", campaignSpecToJson(camp->spec));
     camp->journal->writeHeader(std::move(meta));
 
     camp->done.assign(camp->spec.cells, 0);
-    const std::size_t nshards = static_cast<std::size_t>(
-        (camp->spec.cells + cfg_.shard_size - 1) / cfg_.shard_size);
-    camp->shards.resize(nshards);
-    for (std::size_t i = 0; i < nshards; ++i) {
-        Shard &s = camp->shards[i];
-        s.lo = i * cfg_.shard_size;
-        s.hi = std::min<std::uint64_t>(s.lo + cfg_.shard_size,
-                                       camp->spec.cells);
-        s.remaining = s.hi - s.lo;
-    }
+    layoutShards(*camp);
     const std::uint64_t id = camp->id;
     camps_.push_back(std::move(camp));
     return id;
@@ -803,17 +787,12 @@ Coordinator::resumeFromOutDir()
         const std::string dir =
             cfg_.out_dir +
             strprintf("/c%llu", static_cast<unsigned long long>(id));
-        JournalCfg jcfg;
-        jcfg.sync_every = cfg_.sync_every;
-        jcfg.flush_interval_ms = cfg_.flush_interval_ms;
-        auto journal =
-            std::make_unique<Journal>(dir + "/campaign.journal.jsonl",
-                                      jcfg);
+        std::unique_ptr<Journal> journal = newJournal(dir);
         journal->load();
         const Json *spec_j = journal->header().find("spec");
-        FleetCampaignSpec spec;
+        CampaignSpec spec;
         std::string why;
-        if (!spec_j || !fleetSpecFromJson(*spec_j, spec, &why)) {
+        if (!spec_j || !campaignSpecFromJson(*spec_j, spec, &why)) {
             warn("fleet: %s: cannot rebuild campaign spec from the "
                  "journal header (%s); skipping",
                  dir.c_str(), why.empty() ? "missing" : why.c_str());
@@ -835,20 +814,7 @@ Coordinator::resumeFromOutDir()
                 ++camp->done_cells;
                 ++camp->resumed;
             }
-        const std::size_t nshards = static_cast<std::size_t>(
-            (camp->spec.cells + cfg_.shard_size - 1) / cfg_.shard_size);
-        camp->shards.resize(nshards);
-        for (std::size_t i = 0; i < nshards; ++i) {
-            Shard &s = camp->shards[i];
-            s.lo = i * cfg_.shard_size;
-            s.hi = std::min<std::uint64_t>(s.lo + cfg_.shard_size,
-                                           camp->spec.cells);
-            for (std::uint64_t idx = s.lo; idx < s.hi; ++idx)
-                if (!camp->done[idx])
-                    ++s.remaining;
-            if (s.remaining == 0)
-                s.state = Shard::State::done;
-        }
+        layoutShards(*camp);
         next_campaign_ = std::max(next_campaign_, id + 1);
         if (cfg_.verbose)
             inform("fleet: resumed campaign %llu (%llu/%llu cells "
@@ -863,7 +829,7 @@ Coordinator::resumeFromOutDir()
 // --- the public, lock-taking surface ---------------------------------
 
 std::uint64_t
-Coordinator::submitLocal(const FleetCampaignSpec &spec)
+Coordinator::submitLocal(const CampaignSpec &spec)
 {
     std::lock_guard<std::mutex> lock(mu_);
     const std::uint64_t id = enqueueCampaign(spec, 0);
@@ -875,10 +841,7 @@ bool
 Coordinator::waitCampaign(std::uint64_t id, int timeout_ms, Json *summary)
 {
     std::unique_lock<std::mutex> lock(mu_);
-    Camp *camp = nullptr;
-    for (auto &cp : camps_)
-        if (cp->id == id)
-            camp = cp.get();
+    Camp *camp = findCampaign(id);
     if (!camp)
         return false;
     const auto pred = [&] {
@@ -901,11 +864,8 @@ Coordinator::waitForWorkers(int n, int timeout_ms)
 {
     std::unique_lock<std::mutex> lock(mu_);
     const auto pred = [&] {
-        int alive = 0;
-        for (const auto &[id, c] : conns_)
-            if (c->role == Role::worker && !c->dead)
-                ++alive;
-        return alive >= n || stopping_.load(std::memory_order_relaxed);
+        return aliveWorkers() >= n ||
+               stopping_.load(std::memory_order_relaxed);
     };
     return state_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
                               pred) &&
@@ -932,11 +892,7 @@ int
 Coordinator::workersConnected() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    int alive = 0;
-    for (const auto &[id, c] : conns_)
-        if (c->role == Role::worker && !c->dead)
-            ++alive;
-    return alive;
+    return aliveWorkers();
 }
 
 Json
@@ -947,7 +903,7 @@ Coordinator::campaignProgressJson(const Camp &camp) const
     j.set("done", Json(camp.done_cells));
     j.set("ran", Json(camp.ran));
     j.set("resumed", Json(camp.resumed));
-    j.set("hw", Json(camp.hw));
+    j.set("hw", Json(camp.tally.hw));
     j.set("unique_failures", Json(camp.unique_failures));
     std::uint64_t pending = 0, leased = 0, done = 0;
     for (const Shard &s : camp.shards) {
@@ -972,12 +928,10 @@ Coordinator::progressJson() const
     std::lock_guard<std::mutex> lock(mu_);
     Json j = Json::object();
     j.set("proto", Json(fleet_proto_version));
-    int alive = 0;
     Json workers = Json::array();
     for (const auto &[id, c] : conns_) {
         if (c->role != Role::worker || c->dead)
             continue;
-        ++alive;
         Json w = Json::object();
         w.set("name", Json(c->name));
         w.set("jobs", Json(c->jobs));
@@ -986,7 +940,7 @@ Coordinator::progressJson() const
               Json(static_cast<std::uint64_t>(c->leases.size())));
         workers.push(std::move(w));
     }
-    j.set("workers_connected", Json(alive));
+    j.set("workers_connected", Json(aliveWorkers()));
     j.set("workers", std::move(workers));
     j.set("campaigns_completed", Json(completed_campaigns_));
     Json camps = Json::array();
@@ -1005,11 +959,7 @@ Coordinator::metricsJson() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     Json j = Json::object();
-    int alive = 0;
-    for (const auto &[id, c] : conns_)
-        if (c->role == Role::worker && !c->dead)
-            ++alive;
-    j.set("workers_connected", Json(alive));
+    j.set("workers_connected", Json(aliveWorkers()));
     j.set("campaigns_completed", Json(completed_campaigns_));
     j.set("leases_outstanding",
           Json(static_cast<std::uint64_t>(leases_.size())));
@@ -1028,7 +978,7 @@ Coordinator::metricsJson() const
         c.set("done_cells", Json(cp->done_cells));
         c.set("ran", Json(cp->ran));
         c.set("resumed", Json(cp->resumed));
-        c.set("hw", Json(cp->hw));
+        c.set("hw", Json(cp->tally.hw));
         c.set("unique_failures", Json(cp->unique_failures));
         c.set("duplicate_results", Json(cp->duplicate_results));
         c.set("reassigned_leases", Json(cp->reassigned_leases));

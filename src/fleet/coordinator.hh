@@ -131,7 +131,7 @@ class Coordinator
      * Enqueue a campaign without a client connection (benches, tests,
      * and the resume path).  Returns its campaign id.
      */
-    std::uint64_t submitLocal(const FleetCampaignSpec &spec);
+    std::uint64_t submitLocal(const CampaignSpec &spec);
 
     /**
      * Block until campaign @p id completes (@p timeout_ms <= 0 waits
@@ -192,7 +192,7 @@ class Coordinator
     struct Camp
     {
         std::uint64_t id = 0;
-        FleetCampaignSpec spec;
+        CampaignSpec spec;
         std::string dir;
         std::unique_ptr<Journal> journal;
         std::vector<std::uint8_t> done; //!< per base index
@@ -200,12 +200,10 @@ class Coordinator
         std::uint64_t done_cells = 0;
         std::uint64_t resumed = 0; //!< indices replayed from the journal
         std::uint64_t ran = 0;     //!< results merged by this process
-        std::uint64_t clean = 0, racy = 0, hw = 0;
-        std::uint64_t deadlocked = 0, livelocked = 0, errors = 0;
+        VerdictTally tally;        //!< of the results merged here
         std::uint64_t unique_failures = 0;
         std::uint64_t duplicate_results = 0; //!< stale-lease drops
         std::uint64_t reassigned_leases = 0;
-        std::map<std::string, std::uint64_t> kind_counts;
         std::uint64_t client_conn = 0; //!< 0 = detached/local submit
         bool completed = false;
         Json summary;
@@ -246,10 +244,15 @@ class Coordinator
     void expireSilentWorkers();
     void sendClientProgress();
     void maybeCompleteCampaign(Camp &camp);
-    std::uint64_t enqueueCampaign(FleetCampaignSpec spec,
+    std::uint64_t enqueueCampaign(CampaignSpec spec,
                                   std::uint64_t client_conn);
     void resumeFromOutDir();
+    std::unique_ptr<Journal> newJournal(const std::string &dir) const;
+    /** Cut the lattice into shards; done indices are not re-leased. */
+    void layoutShards(Camp &camp) const;
     Camp *activeCampaign();
+    Camp *findCampaign(std::uint64_t id);
+    int aliveWorkers() const;
     Json campaignProgressJson(const Camp &camp) const;
     Json buildSummary(const Camp &camp) const;
     void teardown(bool drain);

@@ -9,11 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-
-#include "campaign/cell.hh"
 #include "common/logging.hh"
-#include "models/model_registry.hh"
 
 namespace wo {
 
@@ -42,125 +38,6 @@ parseHostPort(const std::string &text, HostPort &out)
 }
 
 Json
-fleetSpecToJson(const FleetCampaignSpec &spec)
-{
-    Json j = Json::object();
-    j.set("seed", Json(spec.seed));
-    j.set("cells", Json(spec.cells));
-    std::string pols;
-    for (OrderingPolicy p : spec.policies)
-        pols += std::string(pols.empty() ? "" : ",") + policyFlagName(p);
-    j.set("policies", Json(pols));
-    Json files = Json::array();
-    for (const auto &f : spec.program_files)
-        files.push(Json(f));
-    j.set("programs", std::move(files));
-    j.set("max_events", Json(spec.max_events));
-    j.set("shrink", Json(spec.shrink));
-    j.set("shrink_max_runs", Json(spec.shrink_max_runs));
-    j.set("inject_reserve_bug", Json(spec.inject_reserve_bug));
-    if (spec.verify) {
-        j.set("verify", Json(true));
-        std::string models;
-        for (const auto &m : spec.verify_models)
-            models += std::string(models.empty() ? "" : ",") + m;
-        j.set("verify_models", Json(models));
-        j.set("max_states", Json(spec.max_states));
-        j.set("explore_jobs",
-              Json(static_cast<std::uint64_t>(spec.explore_jobs)));
-        j.set("inject_axiom_bug", Json(spec.inject_axiom_bug));
-    }
-    return j;
-}
-
-bool
-fleetSpecFromJson(const Json &j, FleetCampaignSpec &out,
-                  std::string *error)
-{
-    auto fail = [&](const std::string &why) {
-        if (error)
-            *error = why;
-        return false;
-    };
-    if (!j.isObject())
-        return fail("spec is not an object");
-    FleetCampaignSpec spec;
-    if (const Json *v = j.find("seed"); v && v->isNumber())
-        spec.seed = v->uintValue();
-    if (const Json *v = j.find("cells"); v && v->isNumber())
-        spec.cells = v->uintValue();
-    if (spec.cells == 0)
-        return fail("spec.cells must be positive");
-    if (const Json *v = j.find("policies"); v && v->isString()) {
-        std::string cur;
-        const std::string &text = v->stringValue();
-        for (std::size_t i = 0; i <= text.size(); ++i) {
-            if (i < text.size() && text[i] != ',') {
-                cur += text[i];
-                continue;
-            }
-            if (cur.empty())
-                continue;
-            OrderingPolicy p;
-            if (!parsePolicyName(cur, p))
-                return fail("unknown policy '" + cur + "'");
-            spec.policies.push_back(p);
-            cur.clear();
-        }
-    }
-    // The base stream crosses every cell with a policy, so an empty
-    // list is never meaningful: default to the campaign trio.
-    if (spec.policies.empty())
-        spec.policies = {OrderingPolicy::sc, OrderingPolicy::wo_def1,
-                         OrderingPolicy::wo_drf0};
-    if (const Json *v = j.find("programs"); v && v->isArray())
-        for (const Json &f : v->items())
-            if (f.isString())
-                spec.program_files.push_back(f.stringValue());
-    if (const Json *v = j.find("max_events"); v && v->isNumber())
-        spec.max_events = v->uintValue();
-    if (spec.max_events == 0)
-        return fail("spec.max_events must be positive");
-    if (const Json *v = j.find("shrink"); v && v->isBool())
-        spec.shrink = v->boolValue();
-    if (const Json *v = j.find("shrink_max_runs"); v && v->isNumber())
-        spec.shrink_max_runs = v->uintValue();
-    if (const Json *v = j.find("inject_reserve_bug"); v && v->isBool())
-        spec.inject_reserve_bug = v->boolValue();
-    if (const Json *v = j.find("verify"); v && v->isBool())
-        spec.verify = v->boolValue();
-    if (const Json *v = j.find("verify_models"); v && v->isString()) {
-        std::string cur;
-        const std::string &text = v->stringValue();
-        for (std::size_t i = 0; i <= text.size(); ++i) {
-            if (i < text.size() && text[i] != ',') {
-                cur += text[i];
-                continue;
-            }
-            if (cur.empty())
-                continue;
-            const auto &known = modelNames();
-            if (std::find(known.begin(), known.end(), cur) == known.end())
-                return fail("unknown model '" + cur + "'");
-            spec.verify_models.push_back(cur);
-            cur.clear();
-        }
-    }
-    if (const Json *v = j.find("max_states"); v && v->isNumber())
-        spec.max_states = v->uintValue();
-    if (spec.max_states == 0)
-        return fail("spec.max_states must be positive");
-    if (const Json *v = j.find("explore_jobs"); v && v->isNumber())
-        spec.explore_jobs = static_cast<int>(v->uintValue());
-    if (spec.explore_jobs < 1)
-        return fail("spec.explore_jobs must be positive");
-    if (const Json *v = j.find("inject_axiom_bug"); v && v->isBool())
-        spec.inject_axiom_bug = v->boolValue();
-    out = std::move(spec);
-    return true;
-}
-
-Json
 fleetMsg(const char *type)
 {
     Json j = Json::object();
@@ -171,10 +48,7 @@ fleetMsg(const char *type)
 std::string
 fleetMsgType(const Json &j)
 {
-    if (!j.isObject())
-        return "";
-    const Json *t = j.find("type");
-    return t && t->isString() ? t->stringValue() : "";
+    return j.stringAt("type");
 }
 
 // --- transport -------------------------------------------------------

@@ -30,10 +30,10 @@
  *   done       coord -> client {campaign, hardware_clean, summary}
  *   drain      coord -> worker {}; finish in-flight work and exit
  *
- * The campaign *spec* is the portable subset of CampaignCfg: the
- * deterministic base stream (fuzzer.hh) is a pure function of
- * (seed, index), so a lease only needs the spec plus a list of base
- * indices -- workers regenerate the exact cells the coordinator
+ * The campaign *spec* is campaign/spec.hh's CampaignSpec, in its one
+ * JSON codec: the deterministic base stream (fuzzer.hh) is a pure
+ * function of (seed, index), so a lease only needs the spec plus a list
+ * of base indices -- workers regenerate the exact cells the coordinator
  * sharded, and a resumed coordinator can re-lease precisely the
  * uncommitted indices recorded in its journal.
  */
@@ -46,8 +46,8 @@
 #include <string>
 #include <vector>
 
+#include "campaign/spec.hh"
 #include "obs/json.hh"
-#include "sys/policy.hh"
 
 namespace wo {
 
@@ -67,42 +67,8 @@ struct HostPort
  */
 bool parseHostPort(const std::string &text, HostPort &out);
 
-/**
- * The portable campaign description a client submits and a lease
- * carries.  Deliberately a subset of CampaignCfg: everything here is
- * meaningful on a remote worker (no out-dir, no serve pointer, no
- * journal tuning -- those belong to the coordinator).
- */
-struct FleetCampaignSpec
-{
-    std::uint64_t seed = 1;
-    std::uint64_t cells = 200;
-    std::vector<OrderingPolicy> policies;
-    std::vector<std::string> program_files; //!< paths valid on workers
-    std::uint64_t max_events = 300'000;
-    bool shrink = true;
-    std::uint64_t shrink_max_runs = 500;
-    bool inject_reserve_bug = false;
-
-    // Verify campaigns (see campaign/verify.hh): workers model-check
-    // program x model cells instead of running timed simulations.
-    bool verify = false;
-    std::vector<std::string> verify_models; //!< empty = all models
-    std::uint64_t max_states = 200'000;     //!< per-engine budget
-    int explore_jobs = 1; //!< DPOR threads inside each verify cell
-    bool inject_axiom_bug = false;          //!< seeded divergence
-};
-
-/** Encode @p spec as the wire/journal-header JSON object. */
-Json fleetSpecToJson(const FleetCampaignSpec &spec);
-
-/**
- * Decode a spec object (tolerates absent optional members).  False
- * with @p error set when a present member is malformed (unknown
- * policy name, zero cells, ...).
- */
-bool fleetSpecFromJson(const Json &j, FleetCampaignSpec &out,
-                       std::string *error);
+/** The campaign spec a client submits and a lease carries. */
+using FleetCampaignSpec = CampaignSpec;
 
 /** A fresh `{"type": type}` message skeleton. */
 Json fleetMsg(const char *type);

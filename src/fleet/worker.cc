@@ -5,9 +5,7 @@
 
 #include "campaign/fuzzer.hh"
 #include "campaign/shrink.hh"
-#include "campaign/verify.hh"
 #include "common/logging.hh"
-#include "obs/monitor.hh"
 
 namespace wo {
 
@@ -144,20 +142,16 @@ FleetWorker::executeLease(const Json &msg)
 {
     const Json *spec_j = msg.find("spec");
     const Json *indices_j = msg.find("indices");
-    FleetCampaignSpec spec;
+    CampaignSpec spec;
     std::string why;
-    if (!spec_j || !fleetSpecFromJson(*spec_j, spec, &why) ||
+    if (!spec_j || !campaignSpecFromJson(*spec_j, spec, &why) ||
         !indices_j || !indices_j->isArray()) {
         warn("fleet worker '%s': unusable lease (%s)", cfg_.name.c_str(),
              why.empty() ? "bad indices" : why.c_str());
         return;
     }
-    const Json *camp_j = msg.find("campaign");
-    const Json *lease_j = msg.find("lease");
-    const std::uint64_t campaign =
-        camp_j && camp_j->isNumber() ? camp_j->uintValue() : 0;
-    const std::uint64_t lease =
-        lease_j && lease_j->isNumber() ? lease_j->uintValue() : 0;
+    const std::uint64_t campaign = msg.uintAt("campaign");
+    const std::uint64_t lease = msg.uintAt("lease");
 
     std::vector<std::uint64_t> indices;
     indices.reserve(indices_j->items().size());
@@ -165,17 +159,7 @@ FleetWorker::executeLease(const Json &msg)
         if (i.isNumber())
             indices.push_back(i.uintValue());
 
-    FuzzerCfg fcfg;
-    fcfg.seed = spec.seed;
-    fcfg.policies = spec.policies;
-    fcfg.program_files = spec.program_files;
-    fcfg.inject_reserve_bug = spec.inject_reserve_bug;
-    fcfg.verify = spec.verify;
-    fcfg.verify_models = spec.verify_models;
-    fcfg.max_states = spec.max_states;
-    fcfg.inject_axiom_bug = spec.inject_axiom_bug;
-    fcfg.explore_jobs = spec.explore_jobs;
-    const Fuzzer fuzzer(fcfg);
+    const Fuzzer fuzzer(spec);
 
     std::atomic<std::size_t> cursor{0};
     auto slot_fn = [&](int slot) {
@@ -189,8 +173,7 @@ FleetWorker::executeLease(const Json &msg)
                 return;
             const std::uint64_t idx = indices[at];
             const Cell cell = fuzzer.baseCell(idx);
-            CellRun run = runCell(cell, spec.max_events,
-                                  EventQueueKind::calendar, &cache);
+            CellRun run = runCell(cell, spec.max_events, &cache);
 
             Json result = fleetMsg("result");
             result.set("campaign", Json(campaign));
@@ -198,44 +181,24 @@ FleetWorker::executeLease(const Json &msg)
             result.set("idx", Json(idx));
             result.set("cell", cellResultToJson(run.result));
 
-            ViolationKind kind;
-            if (run.result.hw > 0 && run.program &&
-                violationKindFromName(run.result.primary_kind, kind)) {
-                // Shrink where the evidence is: only the minimized
-                // text travels, and the coordinator's dedup hash is
-                // computed over exactly this text.  Verify findings
-                // shrink under the dual-engine predicate; run findings
-                // under the monitored timed run.
-                ShrinkCfg scfg;
-                scfg.max_runs = spec.shrink ? spec.shrink_max_runs : 1;
-                VerifyCfg vcfg;
-                vcfg.max_states = cell.max_states;
-                vcfg.jobs = cell.explore_jobs;
-                vcfg.axiom.inject_bug = cell.inject_axiom_bug;
-                const ShrinkOutcome s =
-                    cell.kind == CellKind::verify
-                        ? shrinkCounterexample(
-                              *run.program, run.warm,
-                              [&](const Program &p,
-                                  const std::vector<WarmTerm> &) {
-                                  return verifyReproduces(p, cell.model,
-                                                          kind, vcfg);
-                              },
-                              scfg)
-                        : shrinkCounterexample(
-                              *run.program, run.warm,
-                              cell.systemCfg(spec.max_events), kind,
-                              scfg);
+            // Shrink where the evidence is: only the minimized text
+            // travels, and the coordinator derives the failure identity
+            // from exactly this text.
+            const std::optional<CellFailure> f =
+                run.result.hardwareFailure()
+                    ? shrinkCellFailure(cell, run, spec, "")
+                    : std::nullopt;
+            if (f) {
                 Json failure = Json::object();
                 failure.set("kind", Json(run.result.primary_kind));
-                failure.set("wo_text", Json(s.wo_text));
-                failure.set(
-                    "insns",
-                    Json(static_cast<std::uint64_t>(s.instructions)));
+                failure.set("wo_text", Json(f->shrunk.wo_text));
+                failure.set("insns",
+                            Json(static_cast<std::uint64_t>(
+                                f->shrunk.instructions)));
                 failure.set("orig_insns",
                             Json(static_cast<std::uint64_t>(
-                                s.orig_instructions)));
-                failure.set("reproduced", Json(s.reproduced));
+                                f->shrunk.orig_instructions)));
+                failure.set("reproduced", Json(f->shrunk.reproduced));
                 result.set("failure", std::move(failure));
             }
             if (!conn_->writeLine(result))

@@ -93,6 +93,34 @@ Json::find(const std::string &key)
     return nullptr;
 }
 
+std::string
+Json::stringAt(const std::string &key) const
+{
+    const Json *v = find(key);
+    return v && v->isString() ? v->stringValue() : std::string();
+}
+
+std::uint64_t
+Json::uintAt(const std::string &key, std::uint64_t dflt) const
+{
+    const Json *v = find(key);
+    return v && v->isNumber() ? v->uintValue() : dflt;
+}
+
+double
+Json::numberAt(const std::string &key, double dflt) const
+{
+    const Json *v = find(key);
+    return v && v->isNumber() ? v->numberValue() : dflt;
+}
+
+bool
+Json::boolAt(const std::string &key) const
+{
+    const Json *v = find(key);
+    return v && v->isBool() && v->boolValue();
+}
+
 void
 jsonEscape(std::string &out, const std::string &text)
 {

@@ -104,6 +104,14 @@ class Json
     /** Member lookup for mutation; creates nothing. */
     Json *find(const std::string &key);
 
+    /** Typed member reads: the member's value, or the default when it
+     *  is absent or of another type. */
+    std::string stringAt(const std::string &key) const;
+    std::uint64_t uintAt(const std::string &key,
+                         std::uint64_t dflt = 0) const;
+    double numberAt(const std::string &key, double dflt = 0) const;
+    bool boolAt(const std::string &key) const;
+
     /**
      * Render as JSON text.  @p indent > 0 pretty-prints with that many
      * spaces per level; 0 emits the compact single-line form.

@@ -50,27 +50,6 @@ baseName(const std::string &path)
     return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-double
-numberAt(const Json &obj, const char *key, double dflt = 0)
-{
-    const Json *v = obj.find(key);
-    return v && v->isNumber() ? v->numberValue() : dflt;
-}
-
-std::uint64_t
-uintAt(const Json &obj, const char *key, std::uint64_t dflt = 0)
-{
-    const Json *v = obj.find(key);
-    return v && v->isNumber() ? v->uintValue() : dflt;
-}
-
-std::string
-stringAt(const Json &obj, const char *key)
-{
-    const Json *v = obj.find(key);
-    return v && v->isString() ? v->stringValue() : std::string();
-}
-
 // --- the merged campaign data model ---------------------------------
 
 struct CellRow
@@ -116,29 +95,29 @@ loadJournal(const std::string &path, Data &d)
         JsonParseResult p = jsonParse(line);
         if (!p.ok || !p.value.isObject())
             continue; // a torn tail line is expected after a crash
-        const std::string type = stringAt(p.value, "type");
+        const std::string type = p.value.stringAt("type");
         if (type == "campaign") {
             d.header = p.value;
         } else if (type == "cell") {
             CellRow c;
-            c.key = stringAt(p.value, "key");
-            c.verdict = stringAt(p.value, "verdict");
-            c.ms = numberAt(p.value, "ms");
-            c.mat_us = uintAt(p.value, "mat_us");
-            c.run_us = uintAt(p.value, "run_us");
-            c.shrink_us = uintAt(p.value, "shrink_us");
+            c.key = p.value.stringAt("key");
+            c.verdict = p.value.stringAt("verdict");
+            c.ms = p.value.numberAt("ms");
+            c.mat_us = p.value.uintAt("mat_us");
+            c.run_us = p.value.uintAt("run_us");
+            c.shrink_us = p.value.uintAt("shrink_us");
             d.cells.push_back(std::move(c));
         } else if (type == "failure") {
-            const std::string dedup = stringAt(p.value, "dedup");
+            const std::string dedup = p.value.stringAt("dedup");
             auto it = fail_index.find(dedup);
             if (it == fail_index.end()) {
                 FailRow f;
                 f.dedup = dedup;
-                f.kind = stringAt(p.value, "kind");
-                f.cell = stringAt(p.value, "cell");
-                f.file = stringAt(p.value, "file");
-                f.insns = uintAt(p.value, "insns");
-                f.orig_insns = uintAt(p.value, "orig_insns");
+                f.kind = p.value.stringAt("kind");
+                f.cell = p.value.stringAt("cell");
+                f.file = p.value.stringAt("file");
+                f.insns = p.value.uintAt("insns");
+                f.orig_insns = p.value.uintAt("orig_insns");
                 f.count = 1;
                 fail_index[dedup] = d.failures.size();
                 d.failures.push_back(std::move(f));
@@ -190,28 +169,25 @@ loadData(const ReportCfg &cfg)
 
 // --- verdict census -------------------------------------------------
 
-/** Verdict display classes, in table order. */
-constexpr int num_classes = 6;
+/** Verdict display classes, in table order; verify campaigns add
+ *  inconclusive (a budget tripped) and nonsc (an expected escape). */
+constexpr int num_classes = 8;
 const char *const class_name[num_classes] = {
-    "clean", "race", "hw", "deadlock", "livelock", "error"};
-const char *const class_icon[num_classes] = {"&#10003;", "&#8767;",
-                                             "&#10007;", "&#8856;",
-                                             "&#8634;",  "&#63;"};
+    "clean",    "race",         "hw",    "deadlock",
+    "livelock", "inconclusive", "nonsc", "error"};
+const char *const class_icon[num_classes] = {
+    "&#10003;", "&#8767;", "&#10007;", "&#8856;",
+    "&#8634;",  "&#8943;", "&#8800;",  "&#63;"};
 
 int
 classOf(const std::string &verdict)
 {
-    if (verdict == "clean")
-        return 0;
-    if (verdict == "race")
-        return 1;
     if (verdict.rfind("hw", 0) == 0)
         return 2;
-    if (verdict == "deadlock")
-        return 3;
-    if (verdict == "livelock")
-        return 4;
-    return 5;
+    for (int k = 0; k < num_classes - 1; ++k)
+        if (verdict == class_name[k])
+            return k;
+    return num_classes - 1; // "error" and anything unrecognized
 }
 
 /** "litmus:iriw|drf0|n7|..." -> program "litmus:iriw", policy "drf0". */
@@ -239,13 +215,13 @@ statTiles(const Data &d)
     std::uint64_t ran = 0, skipped = 0, clean = 0, hw_cells = 0;
     double cps = 0, p50 = 0, p99 = 0;
     if (d.summary.isObject()) {
-        ran = uintAt(d.summary, "ran");
-        skipped = uintAt(d.summary, "skipped");
-        clean = uintAt(d.summary, "clean");
-        hw_cells = uintAt(d.summary, "hw");
-        cps = numberAt(d.summary, "cells_per_sec");
-        p50 = numberAt(d.summary, "lat_p50_ms");
-        p99 = numberAt(d.summary, "lat_p99_ms");
+        ran = d.summary.uintAt("ran");
+        skipped = d.summary.uintAt("skipped");
+        clean = d.summary.uintAt("clean");
+        hw_cells = d.summary.uintAt("hw");
+        cps = d.summary.numberAt("cells_per_sec");
+        p50 = d.summary.numberAt("lat_p50_ms");
+        p99 = d.summary.numberAt("lat_p99_ms");
     } else {
         std::vector<double> lat;
         for (const CellRow &c : d.cells) {
@@ -441,7 +417,7 @@ laneDecomposition(const Data &d)
 
     double max_wall = 0;
     for (const Json &l : lanes->items())
-        max_wall = std::max(max_wall, numberAt(l, "wall_ms"));
+        max_wall = std::max(max_wall, l.numberAt("wall_ms"));
     if (max_wall <= 0)
         return "<p class=muted>lanes recorded no wall time.</p>\n";
 
@@ -455,8 +431,8 @@ laneDecomposition(const Data &d)
         w, h, w, h);
     double y = 3;
     for (const Json &l : lanes->items()) {
-        const std::string lane = stringAt(l, "lane");
-        const double wall = numberAt(l, "wall_ms");
+        const std::string lane = l.stringAt("lane");
+        const double wall = l.numberAt("wall_ms");
         svg += strprintf("<text class=llabel x=\"%.1f\" y=\"%.1f\" "
                          "text-anchor=\"end\">%s</text>\n",
                          label_w - 8, y + bar_h - 3,
@@ -468,7 +444,7 @@ laneDecomposition(const Data &d)
             const Json *s = spans ? spans->find(kn) : nullptr;
             if (!s)
                 continue;
-            const double ms = numberAt(*s, "ms");
+            const double ms = s->numberAt("ms");
             const double seg = plot_w * ms / max_wall;
             if (seg < 0.5) {
                 x += seg;
@@ -503,8 +479,8 @@ laneDecomposition(const Data &d)
                            spanKindName(static_cast<SpanKind>(k)));
     table += "</tr></thead><tbody>";
     for (const Json &l : lanes->items()) {
-        table += "<tr><td>" + htmlEscape(stringAt(l, "lane")) +
-                 strprintf("</td><td>%.1f</td>", numberAt(l, "wall_ms"));
+        table += "<tr><td>" + htmlEscape(l.stringAt("lane")) +
+                 strprintf("</td><td>%.1f</td>", l.numberAt("wall_ms"));
         const Json *spans = l.find("spans");
         for (int k = 0; k < num_span_kinds; ++k) {
             const Json *s =
@@ -512,7 +488,7 @@ laneDecomposition(const Data &d)
                             static_cast<SpanKind>(k)))
                       : nullptr;
             table += strprintf("<td>%.1f</td>",
-                               s ? numberAt(*s, "ms") : 0.0);
+                               s ? s->numberAt("ms") : 0.0);
         }
         table += "</tr>";
     }
@@ -670,7 +646,7 @@ td { font-variant-numeric: tabular-nums; }
 .c-race { color: var(--warn); }
 .c-hw { color: var(--critical); }
 .c-deadlock, .c-livelock { color: var(--serious); }
-.c-error { color: var(--muted); }
+.c-error, .c-inconclusive, .c-nonsc { color: var(--muted); }
 .pill { border: 1px solid var(--border); border-radius: 9px;
   padding: 0 6px; }
 .chart { display: block; margin: 8px 0; max-width: 100%; }
@@ -744,13 +720,13 @@ buildCampaignReportHtml(const ReportCfg &cfg, std::string *error)
     if (d.header.isObject()) {
         sub = strprintf(
             "seed %llu &middot; %llu-cell budget &middot; %llu jobs",
-            static_cast<unsigned long long>(uintAt(d.header, "seed")),
-            static_cast<unsigned long long>(uintAt(d.header, "cells")),
-            static_cast<unsigned long long>(uintAt(d.header, "jobs")));
-        const std::string pols = stringAt(d.header, "policies");
+            static_cast<unsigned long long>(d.header.uintAt("seed")),
+            static_cast<unsigned long long>(d.header.uintAt("cells")),
+            static_cast<unsigned long long>(d.header.uintAt("jobs")));
+        const std::string pols = d.header.stringAt("policies");
         if (!pols.empty())
             sub += " &middot; policies " + htmlEscape(pols);
-        if (d.header.find("inject_reserve_bug"))
+        if (d.header.boolAt("inject_reserve_bug"))
             sub += " &middot; <span class=\"status bad\">seeded "
                    "reserve-bit fault</span>";
     }

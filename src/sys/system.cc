@@ -35,7 +35,7 @@ SystemResult::stall_stat_total(const std::string &name) const
 }
 
 System::System(const Program &prog, const SystemCfg &cfg)
-    : prog_(prog), cfg_(cfg), eq_(cfg.queue)
+    : prog_(prog), cfg_(cfg)
 {
     const ProcId procs = prog.numThreads();
     const NodeId dir_id = procs;

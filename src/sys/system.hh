@@ -35,12 +35,6 @@ struct SystemCfg
     CpuCfg cpu;
     /** Event budget; exceeding it marks the run livelocked. */
     std::uint64_t max_events = 20'000'000;
-    /**
-     * Which event-kernel implementation drives the run.  The legacy
-     * heap exists only for the kernel-equivalence golden test (and
-     * requires the WO_LEGACY_EVENT_QUEUE build option).
-     */
-    EventQueueKind queue = EventQueueKind::calendar;
     /** Record the structured trace (Chrome trace JSON + JSONL). */
     bool trace = false;
     /** With trace: also record every event-queue firing (noisy). */

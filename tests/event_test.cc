@@ -159,43 +159,42 @@ TEST(CalendarQueue, ZeroDelayDuringBucketDrainStaysFifo)
     EXPECT_EQ(q.now(), 4u);
 }
 
-#ifdef WO_HAVE_LEGACY_EVENT_QUEUE
-TEST(CalendarQueue, MatchesLegacyKernelOnARandomSchedule)
+TEST(CalendarQueue, MatchesGoldenDigestOnARandomSchedule)
 {
-    // One deterministic pseudo-random workload driven through both
-    // kernels; firing order (tick and identity) must be identical.
-    auto drive = [](EventQueueKind kind) {
-        EventQueue q(kind);
-        std::vector<std::pair<Tick, int>> fired;
-        std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
-        auto next = [&rng] {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            return rng;
-        };
-        int id = 0;
-        std::function<void(int)> spawn = [&](int depth) {
-            const int me = id++;
-            const Tick delay = next() % (depth % 3 == 0 ? 9'000 : 40);
-            q.schedule(delay, "r", [&, me, depth] {
-                fired.emplace_back(q.now(), me);
-                if (id < 5000)
-                    spawn(depth + 1);
-                if (depth % 5 == 0 && id < 5000)
-                    spawn(depth + 1);
-            });
-        };
-        spawn(0);
-        q.runAll();
-        return fired;
+    // One deterministic pseudo-random workload; its firing order (tick
+    // and identity) must hash to the digest the pre-overhaul binary-heap
+    // kernel produced on the same schedule.
+    EventQueue q;
+    std::vector<std::pair<Tick, int>> fired;
+    std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+    auto next = [&rng] {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng;
     };
-    const auto calendar = drive(EventQueueKind::calendar);
-    const auto legacy = drive(EventQueueKind::legacy_heap);
-    EXPECT_EQ(calendar, legacy);
-    EXPECT_GT(calendar.size(), 2000u);
+    int id = 0;
+    std::function<void(int)> spawn = [&](int depth) {
+        const int me = id++;
+        const Tick delay = next() % (depth % 3 == 0 ? 9'000 : 40);
+        q.schedule(delay, "r", [&, me, depth] {
+            fired.emplace_back(q.now(), me);
+            if (id < 5000)
+                spawn(depth + 1);
+            if (depth % 5 == 0 && id < 5000)
+                spawn(depth + 1);
+        });
+    };
+    spawn(0);
+    q.runAll();
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto &[tick, who] : fired) {
+        h = (h ^ tick) * 0x100000001b3ULL;
+        h = (h ^ static_cast<std::uint64_t>(who)) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(fired.size(), 5000u);
+    EXPECT_EQ(h, 0xfa5074311fc5fd7bULL);
 }
-#endif // WO_HAVE_LEGACY_EVENT_QUEUE
 
 // --- lazy labels and allocation-free callbacks ----------------------
 

@@ -159,7 +159,7 @@ TEST(FleetProto, ParseHostPortIsStrict)
 
 TEST(FleetProto, SpecRoundTrips)
 {
-    FleetCampaignSpec spec;
+    CampaignSpec spec;
     spec.seed = 42;
     spec.cells = 123;
     spec.policies = {OrderingPolicy::sc, OrderingPolicy::wo_drf0};
@@ -174,9 +174,9 @@ TEST(FleetProto, SpecRoundTrips)
     spec.explore_jobs = 4;
     spec.inject_axiom_bug = true;
 
-    FleetCampaignSpec back;
+    CampaignSpec back;
     std::string err;
-    ASSERT_TRUE(fleetSpecFromJson(fleetSpecToJson(spec), back, &err))
+    ASSERT_TRUE(campaignSpecFromJson(campaignSpecToJson(spec), back, &err))
         << err;
     EXPECT_EQ(back.seed, spec.seed);
     EXPECT_EQ(back.cells, spec.cells);
@@ -198,16 +198,16 @@ TEST(FleetProto, SpecRejectsUnknownVerifyModel)
     // Model names travel verbatim in the spec; the codec must reject
     // a name the registry does not know before any worker burns a
     // lease discovering it.
-    FleetCampaignSpec spec;
+    CampaignSpec spec;
     std::string err;
-    EXPECT_FALSE(fleetSpecFromJson(
+    EXPECT_FALSE(campaignSpecFromJson(
         jsonParse(R"({"verify": true, "verify_models": "sc,tso"})")
             .value,
         spec, &err));
     EXPECT_NE(err.find("tso"), std::string::npos);
-    EXPECT_FALSE(fleetSpecFromJson(
+    EXPECT_FALSE(campaignSpecFromJson(
         jsonParse(R"({"max_states": 0})").value, spec, &err));
-    EXPECT_FALSE(fleetSpecFromJson(
+    EXPECT_FALSE(campaignSpecFromJson(
         jsonParse(R"({"explore_jobs": 0})").value, spec, &err));
 }
 
@@ -215,10 +215,10 @@ TEST(FleetProto, SpecDefaultsEmptyPoliciesToCampaignTrio)
 {
     // A spec without policies must never produce an empty vector (the
     // base stream crosses every cell with a policy).
-    FleetCampaignSpec spec;
+    CampaignSpec spec;
     std::string err;
     ASSERT_TRUE(
-        fleetSpecFromJson(jsonParse(R"({"cells": 10})").value, spec,
+        campaignSpecFromJson(jsonParse(R"({"cells": 10})").value, spec,
                           &err))
         << err;
     const std::vector<OrderingPolicy> trio = {OrderingPolicy::sc,
@@ -229,15 +229,15 @@ TEST(FleetProto, SpecDefaultsEmptyPoliciesToCampaignTrio)
 
 TEST(FleetProto, SpecRejectsMalformedMembers)
 {
-    FleetCampaignSpec spec;
+    CampaignSpec spec;
     std::string err;
-    EXPECT_FALSE(fleetSpecFromJson(Json(), spec, &err));
-    EXPECT_FALSE(fleetSpecFromJson(
+    EXPECT_FALSE(campaignSpecFromJson(Json(), spec, &err));
+    EXPECT_FALSE(campaignSpecFromJson(
         jsonParse(R"({"cells": 0})").value, spec, &err));
-    EXPECT_FALSE(fleetSpecFromJson(
+    EXPECT_FALSE(campaignSpecFromJson(
         jsonParse(R"({"policies": "sc,bogus"})").value, spec, &err));
     EXPECT_NE(err.find("bogus"), std::string::npos);
-    EXPECT_FALSE(fleetSpecFromJson(
+    EXPECT_FALSE(campaignSpecFromJson(
         jsonParse(R"({"max_events": 0})").value, spec, &err));
 }
 
@@ -288,29 +288,54 @@ TEST(FleetProto, LineConnFramesAndSevers)
 
 // --- fleet end to end ------------------------------------------------
 
+/** Every verdict-tally field of a fleet summary equals @p local's. */
+void
+expectTallyParity(const Json &fleet, const CampaignSummary &local)
+{
+    const struct
+    {
+        const char *key;
+        std::uint64_t want;
+    } fields[] = {{"clean", local.clean},
+                  {"racy", local.racy},
+                  {"hw", local.hw},
+                  {"deadlocked", local.deadlocked},
+                  {"livelocked", local.livelocked},
+                  {"errors", local.errors},
+                  {"inconclusive", local.inconclusive},
+                  {"nonsc", local.nonsc}};
+    for (const auto &f : fields) {
+        const Json *v = fleet.find(f.key);
+        ASSERT_NE(v, nullptr) << "fleet summary lacks '" << f.key << "'";
+        EXPECT_EQ(v->uintValue(), f.want) << f.key;
+    }
+    const Json *by = fleet.find("by_kind");
+    ASSERT_NE(by, nullptr);
+    for (int k = 0; k < num_violation_kinds; ++k) {
+        const char *name = violationKindName(static_cast<ViolationKind>(k));
+        const Json *n = by->find(name);
+        EXPECT_EQ(n ? n->uintValue() : 0, local.by_kind[k]) << name;
+    }
+}
+
 /**
- * The acceptance bar: a two-worker fleet on a fixed seed produces the
- * same per-cell verdicts, outcome signatures and deduplicated failure
- * set as the single-process campaign.  `frontier = false` makes the
+ * Run @p sp in process, then its spec on a two-worker fleet, and hold
+ * the two to the same per-cell verdicts, outcome signatures, verdict
+ * tally and deduplicated failure set.  `frontier = false` makes the
  * executed cell set a pure function of (seed, cells) on both sides.
  */
-TEST(Fleet, VerdictParityWithSingleProcess)
+void
+expectFleetParity(CampaignCfg sp, const std::string &name,
+                  CampaignSummary &local)
 {
-    const std::uint64_t seed = 7, cells = 60;
-
-    CampaignCfg sp;
     sp.jobs = 2;
-    sp.cells = cells;
-    sp.seed = seed;
     sp.frontier = false;
-    sp.inject_reserve_bug = true;
-    sp.shrink_max_runs = 200;
-    sp.out_dir = freshDir("fleet_parity_sp");
-    const CampaignSummary local = runCampaign(sp);
-    ASSERT_EQ(local.ran, cells);
+    sp.out_dir = freshDir(name + "_sp");
+    local = runCampaign(sp);
+    ASSERT_EQ(local.ran, sp.cells);
 
     CoordinatorCfg ccfg;
-    ccfg.out_dir = freshDir("fleet_parity_fl");
+    ccfg.out_dir = freshDir(name + "_fl");
     ccfg.shard_size = 8;
     ccfg.sync_every = 1;
     Coordinator coord(ccfg);
@@ -321,11 +346,7 @@ TEST(Fleet, VerdictParityWithSingleProcess)
     WorkerThread w0(wcfg), w1(wcfg);
     ASSERT_TRUE(coord.waitForWorkers(2, 10'000));
 
-    FleetCampaignSpec spec;
-    spec.seed = seed;
-    spec.cells = cells;
-    spec.inject_reserve_bug = true;
-    spec.shrink_max_runs = 200;
+    const CampaignSpec &spec = sp;
     const std::uint64_t id = coord.submitLocal(spec);
     Json summary;
     ASSERT_TRUE(coord.waitCampaign(id, 180'000, &summary));
@@ -339,17 +360,14 @@ TEST(Fleet, VerdictParityWithSingleProcess)
         journalVerdicts(sp.out_dir + "/campaign.journal.jsonl");
     const auto fl_cells = journalVerdicts(
         ccfg.out_dir + "/c1/campaign.journal.jsonl");
-    ASSERT_EQ(sp_cells.size(), cells);
+    ASSERT_EQ(sp_cells.size(), sp.cells);
     // Same key set, same verdict and same outcome signature per key.
     EXPECT_EQ(fl_cells, sp_cells);
 
     // Verdict tallies agree with the single-process summary.
-    EXPECT_EQ(summary.find("clean")->uintValue(), local.clean);
-    EXPECT_EQ(summary.find("racy")->uintValue(), local.racy);
-    EXPECT_EQ(summary.find("hw")->uintValue(), local.hw);
-    ASSERT_GT(local.hw, 0u) << "seeded fault never fired; the parity "
-                               "test lost its teeth";
-    EXPECT_FALSE(summary.find("hardware_clean")->boolValue());
+    expectTallyParity(summary, local);
+    EXPECT_EQ(summary.find("hardware_clean")->boolValue(),
+              local.hardwareClean());
 
     // Deduplicated failure identity (kind + shrunk-program hash)
     // matches, so fleet shrinking reproduced the same minima.
@@ -373,6 +391,43 @@ TEST(Fleet, VerdictParityWithSingleProcess)
 }
 
 /**
+ * The acceptance bar: a two-worker fleet produces the same verdicts as
+ * the single-process campaign on the same spec -- for run cells under
+ * a seeded fault (so the shrink and dedup pipeline is exercised) and
+ * for verify cells, whose budget-tripped and expected-escape verdicts
+ * (inconclusive, nonsc) the fleet must count like the engine does.
+ */
+TEST(Fleet, VerdictParityWithSingleProcess)
+{
+    CampaignCfg run;
+    run.seed = 7;
+    run.cells = 60;
+    run.inject_reserve_bug = true;
+    run.shrink_max_runs = 200;
+    CampaignSummary local;
+    expectFleetParity(run, "fleet_parity_run", local);
+    if (HasFatalFailure())
+        return;
+    ASSERT_GT(local.hw, 0u) << "seeded fault never fired; the parity "
+                               "test lost its teeth";
+
+    // The 17 litmus-corpus cells on one model: every key is distinct,
+    // and the tight state budget makes the looping entries
+    // inconclusive while the racy shapes escape SC.
+    CampaignCfg verify;
+    verify.seed = 7;
+    verify.cells = 17;
+    verify.verify = true;
+    verify.verify_models = {"drf0"};
+    verify.max_states = 2'000;
+    expectFleetParity(verify, "fleet_parity_verify", local);
+    if (HasFatalFailure())
+        return;
+    EXPECT_GT(local.inconclusive, 0u);
+    EXPECT_GT(local.nonsc, 0u);
+}
+
+/**
  * Kill one of two workers mid-campaign: its leases are reassigned and
  * the lattice still completes with every base index merged exactly
  * once (the idempotent-merge half of the crash contract).
@@ -393,7 +448,7 @@ TEST(Fleet, WorkerKillReassignsLeases)
     WorkerThread w0(wcfg), w1(wcfg);
     ASSERT_TRUE(coord.waitForWorkers(2, 10'000));
 
-    FleetCampaignSpec spec;
+    CampaignSpec spec;
     spec.seed = 3;
     spec.cells = cells;
     spec.shrink = false;
@@ -460,7 +515,7 @@ TEST(Fleet, SilentWorkerForfeitsLeases)
     WorkerThread live(wcfg);
     ASSERT_TRUE(coord.waitForWorkers(2, 10'000));
 
-    FleetCampaignSpec spec;
+    CampaignSpec spec;
     spec.seed = 11;
     spec.cells = 96;
     spec.shrink = false;
@@ -489,7 +544,7 @@ TEST(Fleet, CoordinatorRestartResumes)
     const std::uint64_t cells = 3000;
     const std::string out_dir = freshDir("fleet_resume");
 
-    FleetCampaignSpec spec;
+    CampaignSpec spec;
     spec.seed = 5;
     spec.cells = cells;
     spec.shrink = false;
@@ -558,7 +613,7 @@ TEST(Fleet, ResumeOfCompleteJournalNeedsNoWorkers)
 {
     const std::string out_dir = freshDir("fleet_resume_complete");
 
-    FleetCampaignSpec spec;
+    CampaignSpec spec;
     spec.seed = 13;
     spec.cells = 48;
     spec.shrink = false;

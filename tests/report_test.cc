@@ -3,8 +3,9 @@
  * Tests for the static campaign dashboard (obs/report.hh): a seeded
  * fault-injection campaign must render into a self-contained
  * report.html carrying the outcome matrix and at least one embedded
- * happens-before witness SVG, and the builder must refuse an empty
- * directory rather than emit a hollow page.
+ * happens-before witness SVG, a verify campaign's census must keep
+ * inconclusive and nonsc cells apart from errors, and the builder must
+ * refuse an empty directory rather than emit a hollow page.
  */
 
 #include <cstdio>
@@ -99,6 +100,8 @@ TEST(Report, RendersMatrixAndEmbeddedWitnessForSeededFault)
     EXPECT_NE(html.find("class=prog"), std::string::npos);
     EXPECT_NE(html.find("<th>drf0</th>"), std::string::npos);
     EXPECT_NE(html.find("c-hw"), std::string::npos);
+    // The journal header names the seeded fault.
+    EXPECT_NE(html.find("seeded reserve-bit fault"), std::string::npos);
 
     // At least one failure card embeds its hb witness as inline SVG
     // (the marker defs only exist in the witness renderer's output)
@@ -113,6 +116,37 @@ TEST(Report, RendersMatrixAndEmbeddedWitnessForSeededFault)
     EXPECT_EQ(html.find("https://"), std::string::npos);
     EXPECT_EQ(html.find("<script src"), std::string::npos);
     EXPECT_EQ(html.find("<link "), std::string::npos);
+}
+
+TEST(Report, VerifyCensusSeparatesInconclusiveAndNonSc)
+{
+    // Verify cells add two verdicts of their own: a budget-tripped
+    // check (inconclusive) and an expected SC escape on a relaxed
+    // machine (nonsc).  Neither is an error, and a header that records
+    // inject_reserve_bug=false is no seeded fault.
+    CampaignCfg cfg;
+    cfg.jobs = 2;
+    cfg.cells = 17; // the litmus corpus, once
+    cfg.out_dir = testing::TempDir() + "report_verify";
+    cfg.frontier = false;
+    cfg.verify = true;
+    cfg.verify_models = {"drf0"};
+    cfg.max_states = 2'000;
+    auto sum = runCampaign(cfg);
+    ASSERT_GT(sum.inconclusive, 0u);
+    ASSERT_GT(sum.nonsc, 0u);
+    ASSERT_EQ(sum.errors, 0u);
+
+    ReportCfg rcfg;
+    rcfg.out_dir = cfg.out_dir;
+    std::string error;
+    const std::string path = writeCampaignReport(rcfg, &error);
+    ASSERT_FALSE(path.empty()) << error;
+    const std::string html = slurp(path);
+    EXPECT_NE(html.find("pill c-inconclusive"), std::string::npos);
+    EXPECT_NE(html.find("pill c-nonsc"), std::string::npos);
+    EXPECT_EQ(html.find("pill c-error"), std::string::npos);
+    EXPECT_EQ(html.find("seeded reserve-bit fault"), std::string::npos);
 }
 
 TEST(Report, RefusesADirectoryWithNoCampaignArtifacts)

@@ -406,13 +406,12 @@ TEST(EventKernel, UntracedRunRendersNoLabels)
     EXPECT_EQ(EventLabel::lazyMaterializations() - before, 0u);
 }
 
-#ifdef WO_HAVE_LEGACY_EVENT_QUEUE
-TEST(EventKernel, SeededLivelockDetectsIdenticallyOnBothKernels)
+TEST(EventKernel, SeededLivelockDetectsAtTheGoldenTick)
 {
     // The drain loop's livelock detector (event budget + NACK spin) must
-    // survive the kernel swap: a machine wedged by the dropped
+    // survive kernel changes: a machine wedged by the dropped
     // reserve-clear fault has to be flagged at the same point in
-    // simulated time by the calendar queue and the legacy heap.
+    // simulated time as the pre-overhaul binary-heap kernel flagged it.
     const char *const leak = R"(program leak
 thread 0
   tas r7 lock
@@ -426,23 +425,17 @@ thread 1
     AsmResult a = assembleString(leak);
     ASSERT_TRUE(a.ok());
 
-    auto wedge = [&](EventQueueKind kind) {
-        SystemCfg cfg = cfgFor(OrderingPolicy::wo_drf0);
-        cfg.queue = kind;
-        cfg.cache.bug_drop_reserve_clear = true;
-        cfg.max_events = 50'000; // the stuck machine would spin forever
-        cfg.quiet = true;
-        System sys(*a.program, cfg);
-        SystemResult r = sys.run();
-        EXPECT_FALSE(r.completed);
-        EXPECT_TRUE(r.livelocked);
-        return std::make_pair(r.drain_tick, sys.eventQueue().now());
-    };
-    const auto calendar = wedge(EventQueueKind::calendar);
-    const auto legacy = wedge(EventQueueKind::legacy_heap);
-    EXPECT_EQ(calendar, legacy);
+    SystemCfg cfg = cfgFor(OrderingPolicy::wo_drf0);
+    cfg.cache.bug_drop_reserve_clear = true;
+    cfg.max_events = 50'000; // the stuck machine would spin forever
+    cfg.quiet = true;
+    System sys(*a.program, cfg);
+    SystemResult r = sys.run();
+    EXPECT_FALSE(r.completed);
+    EXPECT_TRUE(r.livelocked);
+    EXPECT_EQ(r.drain_tick, 650'081u);
+    EXPECT_EQ(sys.eventQueue().now(), 650'081u);
 }
-#endif // WO_HAVE_LEGACY_EVENT_QUEUE
 
 } // namespace
 } // namespace wo

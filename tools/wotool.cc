@@ -52,14 +52,14 @@
  *     wotool stats   <file> [--policy sc|def1|drf0|drf0ro]
  *         Run and print the metrics JSON to stdout.
  *
- *     wotool campaign [--jobs N] [--cells N] [--time-budget SECS]
- *                     [--out-dir DIR] [--resume] [--policy LIST]
- *                     [--programs F1,F2,...] [--seed N] [--no-shrink]
- *                     [--max-events N] [--inject-reserve-bug]
- *                     [--verify] [--verify-models LIST]
- *                     [--max-states N] [--explore-jobs N]
- *                     [--inject-axiom-bug]
+ *     wotool campaign [spec options] [--jobs N] [--time-budget SECS]
+ *                     [--out-dir DIR] [--resume]
  *                     [--serve-port N] [--serve-addr A]
+ *         The spec options ([--cells N] [--seed N] [--policy LIST]
+ *         [--programs F1,F2,...] [--no-shrink] [--max-events N]
+ *         [--inject-reserve-bug] [--verify] [--verify-models LIST]
+ *         [--max-states N] [--explore-jobs N] [--inject-axiom-bug])
+ *         describe the campaign; submit takes the same ones.
  *         Bulk Definition-2 verification: fan a fuzzed stream of
  *         (program x policy x seed) cells over a work-stealing worker
  *         fleet, shrink every hardware violation to a minimal .wo
@@ -82,7 +82,7 @@
  *
  *     wotool serve [--port N] [--addr A] [--out-dir DIR] [...]
  *     wotool worker --connect host:port [--jobs N] [...]
- *     wotool submit --connect host:port [--cells N] [...]
+ *     wotool submit --connect host:port [spec options]
  *         The distributed fleet (src/fleet/, docs/FLEET.md): serve
  *         runs the long-lived coordinator, worker lends a process to
  *         it, submit enqueues a campaign against the warm fleet and
@@ -490,20 +490,10 @@ bool
 parsePolicy(int argc, char **argv, OrderingPolicy &out)
 {
     const char *pol = opt(argc, argv, "--policy");
-    std::string p = pol ? pol : "drf0";
-    if (p == "sc")
-        out = OrderingPolicy::sc;
-    else if (p == "def1")
-        out = OrderingPolicy::wo_def1;
-    else if (p == "drf0")
-        out = OrderingPolicy::wo_drf0;
-    else if (p == "drf0ro")
-        out = OrderingPolicy::wo_drf0_ro;
-    else {
-        std::fprintf(stderr, "unknown policy '%s'\n", p.c_str());
-        return false;
-    }
-    return true;
+    if (parsePolicyName(pol ? pol : "drf0", out))
+        return true;
+    std::fprintf(stderr, "unknown policy '%s'\n", pol);
+    return false;
 }
 
 /** Write @p text to @p path, reporting success on stdout. */
@@ -516,6 +506,28 @@ emitFile(const char *path, const std::string &text, const char *what)
     }
     std::printf("wrote %s to %s\n", what, path);
     return 0;
+}
+
+/** --profile / --profile-hz / --profile-out (run, monitor, campaign);
+ *  either value option implies --profile. */
+bool
+parseProfileOpts(int argc, char **argv, bool &profile, double &hz,
+                 std::string &out)
+{
+    profile = flag(argc, argv, "--profile");
+    if (const char *v = opt(argc, argv, "--profile-hz")) {
+        profile = true;
+        hz = std::strtod(v, nullptr);
+        if (!(hz > 0)) {
+            std::fprintf(stderr, "--profile-hz must be positive\n");
+            return false;
+        }
+    }
+    if (const char *v = opt(argc, argv, "--profile-out")) {
+        profile = true;
+        out = v;
+    }
+    return true;
 }
 
 /** Shared option parsing for the run/monitor subcommands. */
@@ -544,29 +556,15 @@ parseRunCfg(int argc, char **argv, SystemCfg &cfg)
         static_cast<std::size_t>(flight_capacity);
     if (const char *v = opt(argc, argv, "--dump-on-fail"))
         cfg.dump_on_fail = v;
-    cfg.profile = flag(argc, argv, "--profile");
-    if (const char *v = opt(argc, argv, "--profile-hz")) {
-        cfg.profile = true;
-        cfg.profile_hz = std::strtod(v, nullptr);
-        if (!(cfg.profile_hz > 0)) {
-            std::fprintf(stderr, "--profile-hz must be positive\n");
-            return false;
-        }
-    }
-    if (const char *v = opt(argc, argv, "--profile-out")) {
-        cfg.profile = true;
-        cfg.profile_out = v;
-    } else if (cfg.profile) {
+    if (!parseProfileOpts(argc, argv, cfg.profile, cfg.profile_hz,
+                          cfg.profile_out))
+        return false;
+    if (cfg.profile && cfg.profile_out.empty())
         cfg.profile_out = "profile.folded.txt";
-    }
     // Fault injection, so a campaign-shrunk counterexample can be
     // replayed under the same (buggy) cache it was found on.
     if (flag(argc, argv, "--inject-reserve-bug"))
         cfg.cache.bug_drop_reserve_clear = true;
-    // A/B comparison against the pre-overhaul event kernel (see
-    // docs/PERF.md; requires the WO_LEGACY_EVENT_QUEUE build option).
-    if (flag(argc, argv, "--legacy-queue"))
-        cfg.queue = EventQueueKind::legacy_heap;
     return true;
 }
 
@@ -606,6 +604,32 @@ parseServeOpts(int argc, char **argv, HttpServerCfg &scfg)
 }
 
 /**
+ * Bind the --serve-port control plane; the caller mounts its routes on
+ * it (routes may be added while serving).  @p out stays null when
+ * serving was not requested; false (error printed) on a bad flag or
+ * bind failure.
+ */
+bool
+startControlPlane(int argc, char **argv, const char *who,
+                  const char *routes, std::unique_ptr<HttpServer> &out)
+{
+    if (!opt(argc, argv, "--serve-port"))
+        return true;
+    HttpServerCfg scfg;
+    if (!parseServeOpts(argc, argv, scfg))
+        return false;
+    out = std::make_unique<HttpServer>(scfg);
+    if (!out->start()) {
+        std::fprintf(stderr, "cannot start control plane: %s\n",
+                     out->lastError().c_str());
+        return false;
+    }
+    std::fprintf(stderr, "[%s] control plane on http://%s:%u (%s)\n", who,
+                 scfg.addr.c_str(), out->port(), routes);
+    return true;
+}
+
+/**
  * The run/monitor control plane.  /healthz answers immediately;
  * /metrics and /progress serve the most recently published stats
  * snapshot.  The single-run simulator is not instrumented with the
@@ -622,12 +646,11 @@ class RunServe
     /// the caller exits 2).
     int maybeStart(int argc, char **argv)
     {
-        if (!opt(argc, argv, "--serve-port"))
-            return 0;
-        HttpServerCfg scfg;
-        if (!parseServeOpts(argc, argv, scfg))
+        if (!startControlPlane(argc, argv, "serve",
+                               "/healthz /metrics /progress", srv_))
             return -1;
-        srv_ = std::make_unique<HttpServer>(scfg);
+        if (!srv_)
+            return 0;
         srv_->handle("/healthz", [](const HttpRequest &) {
             HttpResponse r;
             r.body = "ok\n";
@@ -649,15 +672,6 @@ class RunServe
                 json_.empty() ? "{\"done\": false}\n" : json_ + "\n";
             return r;
         });
-        if (!srv_->start()) {
-            std::fprintf(stderr, "cannot start control plane: %s\n",
-                         srv_->lastError().c_str());
-            return -1;
-        }
-        std::fprintf(stderr,
-                     "[serve] control plane on http://%s:%u "
-                     "(/healthz /metrics /progress)\n",
-                     scfg.addr.c_str(), srv_->port());
         return 1;
     }
 
@@ -714,29 +728,15 @@ cmdRun(const AsmResult &a, int argc, char **argv)
         std::printf("trace:\n%s", r.execution.toString().c_str());
         std::printf("stats:\n%s", r.stats.c_str());
     }
-    if (const char *path = opt(argc, argv, "--save-trace")) {
-        std::string text = traceToText(r.execution);
-        FILE *f = std::fopen(path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n", path);
-            return 2;
-        }
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-        std::printf("wrote trace to %s\n", path);
-    }
+    if (const char *path = opt(argc, argv, "--save-trace"))
+        if (int rc = emitFile(path, traceToText(r.execution), "trace"))
+            return rc;
     if (const char *path = opt(argc, argv, "--dot")) {
         DotCfg dc;
         dc.title = prog.name() + " on " + policyName(cfg.policy);
-        std::string dot = executionToDot(r.execution, dc);
-        FILE *f = std::fopen(path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n", path);
-            return 2;
-        }
-        std::fwrite(dot.data(), 1, dot.size(), f);
-        std::fclose(f);
-        std::printf("wrote happens-before graph to %s\n", path);
+        if (int rc = emitFile(path, executionToDot(r.execution, dc),
+                              "happens-before graph"))
+            return rc;
     }
     if (trace_json)
         if (int rc = emitFile(trace_json, sys.obs().chromeTraceJson(),
@@ -893,108 +893,81 @@ cmdAnalyzeTrace(const char *path)
     return sc.sc ? 0 : 1;
 }
 
-/** Split @p text at commas, dropping empty pieces. */
-std::vector<std::string>
-splitCommas(const char *text)
+/**
+ * The campaign-spec options, shared by `campaign` and `submit`: both
+ * describe the same CampaignSpec, one run locally, one on a fleet.
+ */
+bool
+parseSpecOpts(int argc, char **argv, CampaignSpec &spec)
 {
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char *p = text;; ++p) {
-        if (*p == ',' || *p == '\0') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-            if (*p == '\0')
-                break;
-        } else {
-            cur += *p;
+    if (!parseU64Opt(argc, argv, "--cells", 1, spec.cells) ||
+        !parseU64Opt(argc, argv, "--seed", 0, spec.seed) ||
+        !parseU64Opt(argc, argv, "--max-events", 1, spec.max_events) ||
+        !parseU64Opt(argc, argv, "--shrink-max-runs", 1,
+                     spec.shrink_max_runs) ||
+        !parseU64Opt(argc, argv, "--max-states", 1, spec.max_states) ||
+        !parseIntOpt(argc, argv, "--explore-jobs", 1, spec.explore_jobs))
+        return false;
+    if (const char *v = opt(argc, argv, "--policy")) {
+        spec.policies.clear();
+        for (const auto &name : splitCommas(v)) {
+            OrderingPolicy p;
+            if (!parsePolicyName(name, p))
+                return badOpt("--policy",
+                              "a comma list of sc|def1|drf0|drf0ro",
+                              name.c_str());
+            spec.policies.push_back(p);
         }
+        if (spec.policies.empty())
+            return badOpt("--policy", "at least one policy name", v);
     }
-    return out;
+    if (const char *v = opt(argc, argv, "--programs"))
+        spec.program_files = splitCommas(v);
+    spec.shrink = !flag(argc, argv, "--no-shrink");
+    spec.inject_reserve_bug = flag(argc, argv, "--inject-reserve-bug");
+    // Verify campaigns: model-check program x model cells (dual-engine
+    // explorer + axiomatic cross-check) instead of timed simulations.
+    spec.verify = flag(argc, argv, "--verify");
+    if (const char *v = opt(argc, argv, "--verify-models")) {
+        spec.verify = true;
+        for (const auto &name : splitCommas(v)) {
+            if (!knownModel(name))
+                return badOpt("--verify-models",
+                              "a comma list of sc|wb|net|stale|def1|"
+                              "drf0|drf0ro",
+                              name.c_str());
+            spec.verify_models.push_back(name);
+        }
+        if (spec.verify_models.empty())
+            return badOpt("--verify-models", "at least one model name",
+                          v);
+    }
+    if (flag(argc, argv, "--inject-axiom-bug")) {
+        spec.verify = true;
+        spec.inject_axiom_bug = true;
+    }
+    return true;
 }
 
 int
 cmdCampaign(const AsmResult *, int argc, char **argv)
 {
     CampaignCfg cfg;
-    if (!parseIntOpt(argc, argv, "--jobs", 1, cfg.jobs) ||
-        !parseIntOpt(argc, argv, "--explore-jobs", 1,
-                     cfg.explore_jobs) ||
-        !parseU64Opt(argc, argv, "--cells", 1, cfg.cells) ||
+    if (!parseSpecOpts(argc, argv, cfg) ||
+        !parseIntOpt(argc, argv, "--jobs", 1, cfg.jobs) ||
         !parseDoubleOpt(argc, argv, "--time-budget",
                         cfg.time_budget_s) ||
-        !parseU64Opt(argc, argv, "--seed", 0, cfg.seed) ||
-        !parseU64Opt(argc, argv, "--max-events", 1, cfg.max_events) ||
-        !parseU64Opt(argc, argv, "--sync-every", 1, cfg.sync_every) ||
-        !parseU64Opt(argc, argv, "--shrink-max-runs", 1,
-                     cfg.shrink_max_runs))
+        !parseU64Opt(argc, argv, "--sync-every", 1, cfg.sync_every))
         return 2;
     if (const char *v = opt(argc, argv, "--out-dir"))
         cfg.out_dir = v;
     if (const char *v = opt(argc, argv, "--journal"))
         cfg.journal_path = v;
-    if (const char *v = opt(argc, argv, "--policy")) {
-        cfg.policies.clear();
-        for (const auto &name : splitCommas(v)) {
-            OrderingPolicy p;
-            if (!parsePolicyName(name, p)) {
-                std::fprintf(stderr, "unknown policy '%s'\n",
-                             name.c_str());
-                return 2;
-            }
-            cfg.policies.push_back(p);
-        }
-        if (cfg.policies.empty()) {
-            std::fprintf(stderr, "--policy needs at least one name\n");
-            return 2;
-        }
-    }
-    if (const char *v = opt(argc, argv, "--programs"))
-        cfg.program_files = splitCommas(v);
-    // Verify campaigns: model-check program x model cells (dual-engine
-    // explorer + axiomatic cross-check) instead of timed simulations.
-    cfg.verify = flag(argc, argv, "--verify");
-    if (const char *v = opt(argc, argv, "--verify-models")) {
-        cfg.verify = true;
-        for (const auto &name : splitCommas(v)) {
-            if (!knownModel(name)) {
-                badOpt("--verify-models",
-                       "a comma list of sc|wb|net|stale|def1|drf0|"
-                       "drf0ro",
-                       name.c_str());
-                return 2;
-            }
-            cfg.verify_models.push_back(name);
-        }
-        if (cfg.verify_models.empty()) {
-            badOpt("--verify-models", "at least one model name", v);
-            return 2;
-        }
-    }
-    if (flag(argc, argv, "--inject-axiom-bug")) {
-        cfg.verify = true;
-        cfg.inject_axiom_bug = true;
-    }
-    if (!parseU64Opt(argc, argv, "--max-states", 1, cfg.max_states))
-        return 2;
-    cfg.shrink = !flag(argc, argv, "--no-shrink");
     cfg.frontier = !flag(argc, argv, "--no-frontier");
     cfg.resume = flag(argc, argv, "--resume");
-    cfg.inject_reserve_bug = flag(argc, argv, "--inject-reserve-bug");
-    cfg.legacy_queue = flag(argc, argv, "--legacy-queue");
-    cfg.profile = flag(argc, argv, "--profile");
-    if (const char *v = opt(argc, argv, "--profile-hz")) {
-        cfg.profile = true;
-        cfg.profile_hz = std::strtod(v, nullptr);
-        if (!(cfg.profile_hz > 0)) {
-            std::fprintf(stderr, "--profile-hz must be positive\n");
-            return 2;
-        }
-    }
-    if (const char *v = opt(argc, argv, "--profile-out")) {
-        cfg.profile = true;
-        cfg.profile_out = v;
-    }
+    if (!parseProfileOpts(argc, argv, cfg.profile, cfg.profile_hz,
+                          cfg.profile_out))
+        return 2;
     cfg.progress = isatty(fileno(stderr)) != 0;
 
     // The live control plane: bind before the fleet spawns so an
@@ -1002,22 +975,10 @@ cmdCampaign(const AsmResult *, int argc, char **argv)
     // runCampaign mounts the routes and stops the server before
     // returning, so its handlers never outlive the engine.
     std::unique_ptr<HttpServer> server;
-    if (opt(argc, argv, "--serve-port")) {
-        HttpServerCfg scfg;
-        if (!parseServeOpts(argc, argv, scfg))
-            return 2;
-        server = std::make_unique<HttpServer>(scfg);
-        if (!server->start()) {
-            std::fprintf(stderr, "cannot start control plane: %s\n",
-                         server->lastError().c_str());
-            return 2;
-        }
-        std::fprintf(stderr,
-                     "[campaign] control plane on http://%s:%u "
-                     "(/healthz /metrics /progress /events)\n",
-                     scfg.addr.c_str(), server->port());
-        cfg.serve = server.get();
-    }
+    if (!startControlPlane(argc, argv, "campaign",
+                           "/healthz /metrics /progress /events", server))
+        return 2;
+    cfg.serve = server.get();
 
     CampaignSummary sum = runCampaign(cfg);
     std::fputs(sum.table().c_str(), stdout);
@@ -1082,22 +1043,10 @@ cmdServe(const AsmResult *, int argc, char **argv)
     cfg.verbose = flag(argc, argv, "--verbose");
 
     std::unique_ptr<HttpServer> server;
-    if (opt(argc, argv, "--serve-port")) {
-        HttpServerCfg scfg;
-        if (!parseServeOpts(argc, argv, scfg))
-            return 2;
-        server = std::make_unique<HttpServer>(scfg);
-        if (!server->start()) {
-            std::fprintf(stderr, "cannot start control plane: %s\n",
-                         server->lastError().c_str());
-            return 2;
-        }
-        std::fprintf(stderr,
-                     "[serve] control plane on http://%s:%u "
-                     "(/healthz /metrics /progress)\n",
-                     scfg.addr.c_str(), server->port());
-        cfg.serve = server.get();
-    }
+    if (!startControlPlane(argc, argv, "serve",
+                           "/healthz /metrics /progress", server))
+        return 2;
+    cfg.serve = server.get();
 
     Coordinator coord(cfg);
     if (!coord.start()) {
@@ -1138,66 +1087,12 @@ cmdWorker(const AsmResult *, int argc, char **argv)
     return 0;
 }
 
-/** The portable campaign-spec options shared by submit (and only it:
- *  serve owns no spec, leases carry one verbatim). */
-bool
-parseFleetSpec(int argc, char **argv, FleetCampaignSpec &spec)
-{
-    if (!parseU64Opt(argc, argv, "--cells", 1, spec.cells) ||
-        !parseU64Opt(argc, argv, "--seed", 0, spec.seed) ||
-        !parseU64Opt(argc, argv, "--max-events", 1, spec.max_events) ||
-        !parseU64Opt(argc, argv, "--shrink-max-runs", 1,
-                     spec.shrink_max_runs))
-        return false;
-    if (const char *v = opt(argc, argv, "--policy")) {
-        spec.policies.clear();
-        for (const auto &name : splitCommas(v)) {
-            OrderingPolicy p;
-            if (!parsePolicyName(name, p))
-                return badOpt("--policy",
-                              "a comma list of sc|def1|drf0|drf0ro",
-                              name.c_str());
-            spec.policies.push_back(p);
-        }
-        if (spec.policies.empty())
-            return badOpt("--policy", "at least one policy name", v);
-    }
-    if (const char *v = opt(argc, argv, "--programs"))
-        spec.program_files = splitCommas(v);
-    spec.shrink = !flag(argc, argv, "--no-shrink");
-    spec.inject_reserve_bug = flag(argc, argv, "--inject-reserve-bug");
-    spec.verify = flag(argc, argv, "--verify");
-    if (const char *v = opt(argc, argv, "--verify-models")) {
-        spec.verify = true;
-        for (const auto &name : splitCommas(v)) {
-            if (!knownModel(name))
-                return badOpt("--verify-models",
-                              "a comma list of sc|wb|net|stale|def1|"
-                              "drf0|drf0ro",
-                              name.c_str());
-            spec.verify_models.push_back(name);
-        }
-        if (spec.verify_models.empty())
-            return badOpt("--verify-models", "at least one model name",
-                          v);
-    }
-    if (flag(argc, argv, "--inject-axiom-bug")) {
-        spec.verify = true;
-        spec.inject_axiom_bug = true;
-    }
-    if (!parseU64Opt(argc, argv, "--max-states", 1, spec.max_states) ||
-        !parseIntOpt(argc, argv, "--explore-jobs", 1,
-                     spec.explore_jobs))
-        return false;
-    return true;
-}
-
 int
 cmdSubmit(const AsmResult *, int argc, char **argv)
 {
     SubmitCfg cfg;
     if (!parseConnectOpt(argc, argv, cfg.connect) ||
-        !parseFleetSpec(argc, argv, cfg.spec))
+        !parseSpecOpts(argc, argv, cfg.spec))
         return 2;
     int idle_timeout = 0;
     if (!parseIntOpt(argc, argv, "--idle-timeout", 1, idle_timeout))
@@ -1319,7 +1214,7 @@ const Command commands[] = {
      "      [--stats-json F] [--monitor] [--flight-recorder]\n"
      "      [--flight-capacity N] [--sample-interval N]\n"
      "      [--sample-csv F] [--dump-on-fail PREFIX]\n"
-     "      [--max-events N] [--inject-reserve-bug] [--legacy-queue]\n"
+     "      [--max-events N] [--inject-reserve-bug]\n"
      "      [--profile] [--profile-hz N] [--profile-out F]\n"
      "      [--serve-port N] [--serve-addr A]\n"},
     {"monitor", true, wrapMonitor,
@@ -1329,16 +1224,9 @@ const Command commands[] = {
      "  stats <file> [--policy sc|def1|drf0|drf0ro]  (metrics JSON\n"
      "        on stdout)\n"},
     {"campaign", false, cmdCampaign,
-     "  campaign [--jobs N] [--cells N] [--time-budget SECS]\n"
+     "  campaign [spec options] [--jobs N] [--time-budget SECS]\n"
      "           [--out-dir DIR] [--journal F] [--resume]\n"
-     "           [--policy sc,def1,drf0,...] [--programs F1,F2,...]\n"
-     "           [--seed N] [--no-shrink] [--shrink-max-runs N]\n"
-     "           [--no-frontier] [--max-events N]\n"
-     "           [--sync-every N] [--inject-reserve-bug]\n"
-     "           [--verify] [--verify-models sc,wb,net,...]\n"
-     "           [--max-states N] [--explore-jobs N]\n"
-     "           [--inject-axiom-bug]\n"
-     "           [--legacy-queue]\n"
+     "           [--no-frontier] [--sync-every N]\n"
      "           [--profile] [--profile-hz N] [--profile-out F]\n"
      "           [--serve-port N] [--serve-addr A]\n"
      "           (bulk verification; exit 1 iff a hardware violation\n"
@@ -1349,7 +1237,13 @@ const Command commands[] = {
      "           a per-worker Chrome trace under --out-dir;\n"
      "           --serve-port exposes the live /healthz /metrics\n"
      "           /progress /events control plane; --no-frontier runs\n"
-     "           the deterministic base stream only)\n"},
+     "           the deterministic base stream only)\n"
+     "      spec options (campaign and submit): [--cells N] [--seed N]\n"
+     "           [--policy sc,def1,drf0,...] [--programs F1,F2,...]\n"
+     "           [--max-events N] [--no-shrink] [--shrink-max-runs N]\n"
+     "           [--inject-reserve-bug] [--verify]\n"
+     "           [--verify-models sc,wb,net,...] [--max-states N]\n"
+     "           [--explore-jobs N] [--inject-axiom-bug]\n"},
     {"serve", false, cmdServe,
      "  serve [--port N] [--addr A] [--out-dir DIR] [--shard-size N]\n"
      "        [--lease-timeout MS] [--max-outstanding N]\n"
@@ -1366,12 +1260,7 @@ const Command commands[] = {
      "         (lend this process to a fleet: runs leased cells,\n"
      "         shrinks failures locally, streams results back)\n"},
     {"submit", false, cmdSubmit,
-     "  submit --connect host:port [--cells N] [--seed N]\n"
-     "         [--policy sc,def1,drf0,...] [--programs F1,F2,...]\n"
-     "         [--max-events N] [--no-shrink] [--shrink-max-runs N]\n"
-     "         [--inject-reserve-bug] [--verify]\n"
-     "         [--verify-models sc,wb,net,...] [--max-states N]\n"
-     "         [--explore-jobs N] [--inject-axiom-bug]\n"
+     "  submit --connect host:port [spec options]\n"
      "         [--idle-timeout MS] [--quiet]\n"
      "         (enqueue a campaign on a warm fleet, stream progress,\n"
      "         exit with the campaign verdict: 1 iff a hardware\n"
