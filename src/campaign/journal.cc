@@ -409,6 +409,15 @@ Journal::appendJson(Json line)
     appendLine(line);
 }
 
+KeyClaim
+Journal::claim(const std::string &key)
+{
+    if (resume_done_.count(key) > 0)
+        return KeyClaim::resumed;
+    return seen_.insert(fnv1a64(key)) ? KeyClaim::fresh
+                                      : KeyClaim::duplicate;
+}
+
 bool
 Journal::done(const std::string &key) const
 {
@@ -429,7 +438,9 @@ Journal::appendCell(const CellResult &r)
     // Mark the key done before the line is durable: done() answers
     // "has this run handled the key", the journal line answers "will a
     // resumed run re-handle it" -- the crash window between the two is
-    // the (bounded) uncommitted tail of the current batch.
+    // the (bounded) uncommitted tail of the current batch.  A key the
+    // campaign engine claim()ed is marked already; the insert is then
+    // a no-op.
     if (resume_done_.count(r.key) == 0)
         seen_.insert(fnv1a64(r.key));
 

@@ -22,10 +22,11 @@
  * A truncated or malformed line (the crash can tear at most the tail
  * of the last batch) is ignored by the reader.
  *
- * done() is lock-free on the worker hot path: the resume set is
+ * claim() is lock-free on the worker hot path: the resume set is
  * snapshotted into an immutable hash set by load() before the fleet
- * starts, and the keys journaled by the current run live in an
- * insert-only atomic hash set (SeenSet below).
+ * starts, and the keys claimed by the current run live in an
+ * insert-only atomic hash set (SeenSet below), whose single insert
+ * hands each key to exactly one worker.
  */
 
 #ifndef WO_CAMPAIGN_JOURNAL_HH
@@ -145,6 +146,13 @@ class SeenSet
     std::unordered_set<std::uint64_t> overflow_;
 };
 
+/** How Journal::claim() found a cell key. */
+enum class KeyClaim {
+    fresh,     ///< nobody has run it: the caller now owns the key
+    resumed,   ///< a replayed journal already holds it
+    duplicate, ///< this run claimed it already (a repeat in the stream)
+};
+
 /** The campaign journal (group-commit writer + resume reader). */
 class Journal
 {
@@ -222,8 +230,15 @@ class Journal
     void appendJson(Json line);
 
     /**
-     * Was @p key journaled (this run or a resumed one)?  Lock-free:
-     * an immutable resume snapshot plus the atomic seen set.
+     * Claim @p key for this run.  Exactly one caller per key sees
+     * fresh (the seen set's single insert decides), so concurrent
+     * workers drawing the same key never both run it.  Lock-free.
+     */
+    KeyClaim claim(const std::string &key);
+
+    /**
+     * Was @p key claimed or journaled (this run or a resumed one)?
+     * Lock-free: an immutable resume snapshot plus the atomic seen set.
      */
     bool done(const std::string &key) const;
 

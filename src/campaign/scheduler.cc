@@ -103,7 +103,8 @@ struct alignas(64) WorkerStats
     // Live counters the progress reporter may read mid-run.
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> ran{0};
-    std::atomic<std::uint64_t> skipped{0};
+    std::atomic<std::uint64_t> resumed{0};    //!< journaled by a past run
+    std::atomic<std::uint64_t> duplicates{0}; //!< repeated in this run
     std::atomic<std::uint64_t> hw{0}; //!< live copy of tally.hw
     // Verify-cell explorer totals (zero for run campaigns), live so
     // /metrics can report the memoization rate mid-campaign.
@@ -320,7 +321,8 @@ Engine::metricsJson() const
     reg.set("cells.completed",
             Json(sumLive(&WorkerStats::completed)));
     reg.set("cells.ran", Json(sumLive(&WorkerStats::ran)));
-    reg.set("cells.skipped", Json(sumLive(&WorkerStats::skipped)));
+    reg.set("cells.resumed", Json(sumLive(&WorkerStats::resumed)));
+    reg.set("cells.duplicate", Json(sumLive(&WorkerStats::duplicates)));
     reg.set("cells.hw_failed", Json(sumLive(&WorkerStats::hw)));
     reg.set("failures.unique",
             Json(unique_failures.load(std::memory_order_relaxed)));
@@ -340,8 +342,10 @@ Engine::metricsJson() const
                 Json(ws.completed.load(std::memory_order_relaxed)));
         reg.set(base + ".ran",
                 Json(ws.ran.load(std::memory_order_relaxed)));
-        reg.set(base + ".skipped",
-                Json(ws.skipped.load(std::memory_order_relaxed)));
+        reg.set(base + ".resumed",
+                Json(ws.resumed.load(std::memory_order_relaxed)));
+        reg.set(base + ".duplicate",
+                Json(ws.duplicates.load(std::memory_order_relaxed)));
     }
     // Per-lane span decomposition (workers + the journal writer):
     // where each thread's wall clock is going, right now.
@@ -384,7 +388,8 @@ Engine::progressJson() const
     cells.set("total", Json(cfg.cells));
     cells.set("completed", Json(sumLive(&WorkerStats::completed)));
     cells.set("ran", Json(sumLive(&WorkerStats::ran)));
-    cells.set("skipped", Json(sumLive(&WorkerStats::skipped)));
+    cells.set("resumed", Json(sumLive(&WorkerStats::resumed)));
+    cells.set("duplicate", Json(sumLive(&WorkerStats::duplicates)));
     cells.set("hw_failed", Json(sumLive(&WorkerStats::hw)));
     p.set("cells", std::move(cells));
     p.set("unique_failures",
@@ -412,8 +417,10 @@ Engine::progressJson() const
         wj.set("completed",
                Json(ws.completed.load(std::memory_order_relaxed)));
         wj.set("ran", Json(ws.ran.load(std::memory_order_relaxed)));
-        wj.set("skipped",
-               Json(ws.skipped.load(std::memory_order_relaxed)));
+        wj.set("resumed",
+               Json(ws.resumed.load(std::memory_order_relaxed)));
+        wj.set("duplicate",
+               Json(ws.duplicates.load(std::memory_order_relaxed)));
         wj.set("idle_pct", Json(idlePct(w)));
         workers.push(std::move(wj));
     }
@@ -552,8 +559,10 @@ Engine::worker(int w)
             cell = fuzzer.baseCell(
                 base_index.fetch_add(1, std::memory_order_relaxed));
 
-        if (journal.done(cell.key())) {
-            ws.skipped.fetch_add(1, std::memory_order_relaxed);
+        const KeyClaim claim = journal.claim(cell.key());
+        if (claim != KeyClaim::fresh) {
+            (claim == KeyClaim::resumed ? ws.resumed : ws.duplicates)
+                .fetch_add(1, std::memory_order_relaxed);
             ws.completed.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
@@ -670,13 +679,16 @@ runCampaign(const CampaignCfg &user_cfg)
                 std::fprintf(
                     stderr,
                     "\r[campaign] %llu/%llu cells  %llu run  %llu "
-                    "resumed  %llu hw-fail (%llu unique)  %.1f cells/s%s ",
+                    "resumed  %llu duplicate  %llu hw-fail (%llu unique)  "
+                    "%.1f cells/s%s ",
                     static_cast<unsigned long long>(c),
                     static_cast<unsigned long long>(eng.cfg.cells),
                     static_cast<unsigned long long>(
                         eng.sumLive(&WorkerStats::ran)),
                     static_cast<unsigned long long>(
-                        eng.sumLive(&WorkerStats::skipped)),
+                        eng.sumLive(&WorkerStats::resumed)),
+                    static_cast<unsigned long long>(
+                        eng.sumLive(&WorkerStats::duplicates)),
                     static_cast<unsigned long long>(
                         eng.sumLive(&WorkerStats::hw)),
                     static_cast<unsigned long long>(
@@ -704,7 +716,10 @@ runCampaign(const CampaignCfg &user_cfg)
     for (int w = 0; w < cfg.jobs; ++w) {
         WorkerStats &ws = eng.wstats[w];
         sum.ran += ws.ran.load(std::memory_order_relaxed);
-        sum.skipped += ws.skipped.load(std::memory_order_relaxed);
+        const std::uint64_t dup =
+            ws.duplicates.load(std::memory_order_relaxed);
+        sum.duplicates += dup;
+        sum.skipped += ws.resumed.load(std::memory_order_relaxed) + dup;
         sum.merge(ws.tally);
         lat.insert(lat.end(), ws.lat_ms.begin(), ws.lat_ms.end());
     }
@@ -771,12 +786,13 @@ CampaignSummary::table() const
 {
     std::string out;
     out += strprintf(
-        "campaign: %llu cells (%llu run, %llu resumed), %.2f s, "
-        "%.1f cells/s (cell p50 %.3f ms, p99 %.3f ms), "
+        "campaign: %llu cells (%llu run, %llu resumed, %llu duplicate), "
+        "%.2f s, %.1f cells/s (cell p50 %.3f ms, p99 %.3f ms), "
         "%llu frontier discoveries\n",
         static_cast<unsigned long long>(ran + skipped),
         static_cast<unsigned long long>(ran),
-        static_cast<unsigned long long>(skipped), wall_s,
+        static_cast<unsigned long long>(resumed()),
+        static_cast<unsigned long long>(duplicates), wall_s,
         cells_per_sec, lat_p50_ms, lat_p99_ms,
         static_cast<unsigned long long>(novelty));
     out += strprintf(
@@ -852,6 +868,8 @@ CampaignSummary::toJson() const
     Json j = Json::object();
     j.set("ran", Json(ran));
     j.set("skipped", Json(skipped));
+    j.set("resumed", Json(resumed()));
+    j.set("duplicate", Json(duplicates));
     VerdictTally::toJson(j);
     j.set("novelty", Json(novelty));
     j.set("wall_s", Json(wall_s));

@@ -103,13 +103,17 @@ struct CampaignCfg : CampaignSpec
 struct CampaignSummary : VerdictTally
 {
     std::uint64_t ran = 0;     //!< cells actually simulated
-    std::uint64_t skipped = 0; //!< journaled cells skipped on resume
+    std::uint64_t skipped = 0; //!< cells not run: resumed + duplicates
+    std::uint64_t duplicates = 0; //!< keys this run had claimed already
     std::uint64_t novelty = 0; //!< fuzz-frontier discoveries
     std::vector<FailureRecord> failures; //!< deduplicated
     double wall_s = 0;
     double cells_per_sec = 0;
     double lat_p50_ms = 0; //!< median per-cell wall time (ran cells)
     double lat_p99_ms = 0; //!< tail per-cell wall time
+
+    /** Skipped cells a replayed journal already held. */
+    std::uint64_t resumed() const { return skipped - duplicates; }
 
     /**
      * One engine thread's span decomposition: where its wall clock

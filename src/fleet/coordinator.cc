@@ -123,13 +123,21 @@ Coordinator::teardown(bool drain)
     }
     if (pump_.joinable())
         pump_.join();
+    // Join the readers with mu_ released: a thread is never joined
+    // while holding a lock its target might want.
+    std::vector<std::thread> readers;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        for (auto &[id, c] : conns_) {
+        for (auto &[id, c] : conns_)
             if (c->reader.joinable())
-                c->reader.join();
+                readers.push_back(std::move(c->reader));
+    }
+    for (auto &t : readers)
+        t.join();
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (auto &[id, c] : conns_)
             c->sock->closeNow();
-        }
         // Commit every merged record; in-flight campaigns stay
         // resumable from exactly this journal state.
         for (auto &camp : camps_)
@@ -168,18 +176,16 @@ Coordinator::acceptLoop()
         conn->last_seen = std::chrono::steady_clock::now();
         Conn *raw = conn.get();
         conns_.emplace(id, std::move(conn));
-        raw->reader = std::thread([this, id] { readerLoop(id); });
+        // The reader gets its socket up front and never takes mu_, so
+        // teardown can join it whether or not it has started running.
+        raw->reader = std::thread(
+            [this, id, sock = raw->sock.get()] { readerLoop(id, sock); });
     }
 }
 
 void
-Coordinator::readerLoop(std::uint64_t conn_id)
+Coordinator::readerLoop(std::uint64_t conn_id, LineConn *sock)
 {
-    LineConn *sock;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        sock = conns_.at(conn_id)->sock.get();
-    }
     std::string line;
     for (;;) {
         const LineConn::Read r = sock->readLine(line, 500);

@@ -228,7 +228,7 @@ class Coordinator
     };
 
     void acceptLoop();
-    void readerLoop(std::uint64_t conn_id);
+    void readerLoop(std::uint64_t conn_id, LineConn *sock);
     void pumpLoop();
     void pushEvent(Event ev);
 

@@ -51,16 +51,25 @@
  *    materialized once globally instead of once per probe plus once at
  *    expansion -- the single biggest cost in the old engine.
  *
- * Model concept:
+ * Model concept (one successor relation, seen through labels):
  *     struct State;                         // copyable machine state
  *     State initial() const;
  *     bool isFinal(const State&) const;     // halted and quiescent
- *     std::vector<State> successors(const State&) const;
  *     std::vector<LabeledSucc<State>> labeledSuccessors(const State&) const;
+ *     std::optional<State> stepLabel(const State&, const TransLabel&) const;
  *     Outcome outcome(const State&) const;  // defined for final states
  *     std::string encode(const State&) const; // injective (cold paths)
  *     StateHash hashState(const State&) const; // streamed key (hot path)
+ *     const Program &program() const;
+ *     void pendingAddrs(const State&, ProcId, std::vector<Addr>&) const;
  *     static const char *name();
+ *     static constexpr bool stores_broadcast; // optional, default false
+ *
+ * Every model in src/models/ gets this concept from OpModel (op_model.hh):
+ * it writes initial, isFinal, the per-processor generators instrSucc and
+ * drainSuccs, encodeInto, pendingAddrs, dump and name, and inherits
+ * labeledSuccessors, stepLabel, outcome, encode, hashState and program.
+ * Any other type meeting the concept (e.g. a timing wrapper) works too.
  */
 
 #ifndef WO_MODELS_EXPLORER_HH
@@ -214,8 +223,8 @@ witnessChain(const Model &model, const Outcome &target,
             std::reverse(chain.begin(), chain.end());
             return chain;
         }
-        for (auto &succ : model.successors(nodes[at].state))
-            push(std::move(succ), at);
+        for (auto &succ : model.labeledSuccessors(nodes[at].state))
+            push(std::move(succ.state), at);
     }
     return {};
 }
@@ -251,7 +260,7 @@ exploreOutcomesBfs(const Model &model, const ExploreCfg &cfg = {})
             result.outcomes.insert(model.outcome(s));
             continue;
         }
-        auto succs = model.successors(s);
+        auto succs = model.labeledSuccessors(s);
         if (succs.empty()) {
             // A non-final state with nothing enabled: the machine is stuck
             // (e.g. a deadlock in a blocking implementation model).
@@ -260,7 +269,7 @@ exploreOutcomesBfs(const Model &model, const ExploreCfg &cfg = {})
         }
         result.transitions += succs.size();
         for (auto &n : succs)
-            push(std::move(n));
+            push(std::move(n.state));
     }
     return result;
 }

@@ -6,7 +6,7 @@ namespace wo {
 
 NetworkReorderModel::NetworkReorderModel(const Program &prog,
                                          std::size_t max_flights)
-    : prog_(prog), max_flights_(max_flights)
+    : Base(prog), max_flights_(max_flights)
 {
     wo_assert(max_flights_ > 0, "need at least one in-flight slot");
 }
@@ -14,11 +14,7 @@ NetworkReorderModel::NetworkReorderModel(const Program &prog,
 NetworkReorderModel::State
 NetworkReorderModel::initial() const
 {
-    State s;
-    s.threads.resize(prog_.numThreads());
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        runLocal(prog_.thread(p), s.threads[p]);
-    s.mem = prog_.initialMemory();
+    State s = startState();
     s.flights.resize(prog_.numThreads());
     return s;
 }
@@ -26,41 +22,14 @@ NetworkReorderModel::initial() const
 bool
 NetworkReorderModel::isFinal(const State &s) const
 {
-    for (const auto &t : s.threads)
-        if (!t.halted)
-            return false;
     for (const auto &f : s.flights)
         if (!f.empty())
             return false;
-    return true;
-}
-
-namespace {
-
-bool
-hasFlightTo(const std::vector<NetworkReorderModel::Flight> &flights,
-            Addr addr)
-{
-    for (const auto &f : flights)
-        if (f.addr == addr)
-            return true;
-    return false;
-}
-
-} // namespace
-
-std::vector<NetworkReorderModel::State>
-NetworkReorderModel::successors(const State &s) const
-{
-    std::vector<State> out;
-    for (auto &ls : labeledSuccessors(s))
-        out.push_back(std::move(ls.state));
-    return out;
+    return allHalted(s);
 }
 
 void
-NetworkReorderModel::instrSucc(const State &s, ProcId p,
-                               std::vector<LabeledSucc<State>> &out) const
+NetworkReorderModel::instrSucc(const State &s, ProcId p, Succs &out) const
 {
     const ThreadCtx &t = s.threads[p];
     if (t.halted)
@@ -71,7 +40,7 @@ NetworkReorderModel::instrSucc(const State &s, ProcId p,
         // The read's arrival at its module is instantaneous, so it may
         // overtake older in-flight writes to other modules; it may not
         // overtake the processor's own write to the same location.
-        if (hasFlightTo(s.flights[p], i->addr))
+        if (poolForward(s.flights[p], i->addr))
             break;
         State next = s;
         completeAccess(prog_.thread(p), next.threads[p], s.mem[i->addr]);
@@ -82,7 +51,7 @@ NetworkReorderModel::instrSucc(const State &s, ProcId p,
         if (s.flights[p].size() >= max_flights_)
             break;
         State next = s;
-        next.flights[p].push_back(Flight{i->addr, storeValue(*i, t)});
+        next.flights[p].push_back(PendingWrite{i->addr, storeValue(*i, t)});
         completeAccess(prog_.thread(p), next.threads[p], 0);
         out.push_back({instrLabel(p), std::move(next)});
         break;
@@ -109,7 +78,7 @@ NetworkReorderModel::instrSucc(const State &s, ProcId p,
 void
 NetworkReorderModel::drainSuccs(const State &s, ProcId p,
                                 std::optional<Addr> only,
-                                std::vector<LabeledSucc<State>> &out) const
+                                Succs &out) const
 {
     // Any in-flight write whose processor has no older in-flight write
     // to the same location may reach memory.
@@ -117,17 +86,10 @@ NetworkReorderModel::drainSuccs(const State &s, ProcId p,
     for (std::size_t k = 0; k < fl.size(); ++k) {
         if (only && fl[k].addr != *only)
             continue;
-        bool oldest_to_addr = true;
-        for (std::size_t j = 0; j < k; ++j) {
-            if (fl[j].addr == fl[k].addr) {
-                oldest_to_addr = false;
-                break;
-            }
-        }
-        if (!oldest_to_addr)
+        if (!poolMayDrain(fl, k))
             continue;
         State next = s;
-        Flight f = next.flights[p][k];
+        PendingWrite f = next.flights[p][k];
         next.flights[p].erase(next.flights[p].begin() +
                               static_cast<std::ptrdiff_t>(k));
         next.mem[f.addr] = f.value;
@@ -136,50 +98,6 @@ NetworkReorderModel::drainSuccs(const State &s, ProcId p,
         out.push_back({drainLabel(p, f.addr), std::move(next)});
     }
 }
-
-std::vector<LabeledSucc<NetworkReorderModel::State>>
-NetworkReorderModel::labeledSuccessors(const State &s) const
-{
-    std::vector<LabeledSucc<State>> out;
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        instrSucc(s, p, out);
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        drainSuccs(s, p, std::nullopt, out);
-    return out;
-}
-
-std::optional<NetworkReorderModel::State>
-NetworkReorderModel::stepLabel(const State &s, const TransLabel &l) const
-{
-    std::vector<LabeledSucc<State>> out;
-    if (l.kind == TransKind::instr)
-        instrSucc(s, l.proc, out);
-    else
-        drainSuccs(s, l.proc, l.addr, out);
-    for (auto &ls : out)
-        if (ls.label == l)
-            return std::move(ls.state);
-    return std::nullopt;
-}
-
-Outcome
-NetworkReorderModel::outcome(const State &s) const
-{
-    Outcome o;
-    for (const auto &t : s.threads)
-        o.regs.emplace_back(t.regs.begin(), t.regs.end());
-    o.memory = s.mem;
-    return o;
-}
-
-std::string
-NetworkReorderModel::encode(const State &s) const
-{
-    StateEnc enc;
-    encodeInto(s, enc);
-    return enc.take();
-}
-
 
 std::string
 NetworkReorderModel::dump(const State &s) const

@@ -20,40 +20,33 @@
 #ifndef WO_MODELS_NETWORK_MODEL_HH
 #define WO_MODELS_NETWORK_MODEL_HH
 
-#include <optional>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "execution/execution.hh"
-#include "models/state_enc.hh"
-#include "models/thread_ctx.hh"
-#include "models/transition.hh"
-#include "program/program.hh"
+#include "models/op_model.hh"
+#include "models/pending_pool.hh"
 
 namespace wo {
 
+/** Machine state of the general-network machine. */
+struct NetworkState
+{
+    std::vector<ThreadCtx> threads;
+    std::vector<Value> mem;
+    std::vector<PendingPool> flights; // per processor, in issue order
+
+    bool operator==(const NetworkState &other) const = default;
+};
+
 /** General-interconnect machine without caches. */
 class NetworkReorderModel
+    : public OpModel<NetworkReorderModel, NetworkState>
 {
+    using Base = OpModel<NetworkReorderModel, NetworkState>;
+    friend Base;
+
   public:
-    /** One write travelling through the network. */
-    struct Flight
-    {
-        Addr addr;
-        Value value;
-        bool operator==(const Flight &other) const = default;
-    };
-
-    /** Machine state. */
-    struct State
-    {
-        std::vector<ThreadCtx> threads;
-        std::vector<Value> mem;
-        std::vector<std::vector<Flight>> flights; // per processor, in order
-
-        bool operator==(const State &other) const = default;
-    };
-
     /**
      * @param prog       the program (must outlive the model)
      * @param max_flights in-flight writes allowed per processor
@@ -65,18 +58,6 @@ class NetworkReorderModel
 
     State initial() const;
     bool isFinal(const State &s) const;
-    std::vector<State> successors(const State &s) const;
-    std::vector<LabeledSucc<State>> labeledSuccessors(const State &s) const;
-
-    /**
-     * The successor reached from @p s by the single transition @p l, or
-     * nullopt if @p l is not enabled.  Materializes exactly one state:
-     * the explorer's commutation probes chase individual labels and
-     * must not pay for a full successor list.
-     */
-    std::optional<State> stepLabel(const State &s, const TransLabel &l) const;
-
-    Outcome outcome(const State &s) const;
 
     /**
      * Injective state layout, written into either encoder: threads,
@@ -92,32 +73,12 @@ class NetworkReorderModel
         for (Value v : s.mem)
             enc.put(v);
         enc.sep();
-        for (const auto &fl : s.flights) {
-            for (const auto &f : fl) {
-                enc.put(f.addr);
-                enc.put(f.value);
-            }
-            enc.sep();
-        }
-    }
-
-    /** Injective byte encoding for the visited set (cold paths). */
-    std::string encode(const State &s) const;
-
-    /** Allocation-free 128-bit key over the encoded bytes (hot path). */
-    StateHash
-    hashState(const State &s) const
-    {
-        HashEnc enc;
-        encodeInto(s, enc);
-        return enc.take();
+        for (const auto &fl : s.flights)
+            encodePool(enc, fl);
     }
 
     /** Human-readable state rendering (for witness chains/debugging). */
     std::string dump(const State &s) const;
-
-    /** The bound program. */
-    const Program &program() const { return prog_; }
 
     /** Locations @p p's in-flight writes will still write to memory. */
     void
@@ -129,17 +90,15 @@ class NetworkReorderModel
 
   private:
     /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p,
-                   std::vector<LabeledSucc<State>> &out) const;
+    void instrSucc(const State &s, ProcId p, Succs &out) const;
 
     /**
      * Append @p p's arrival successors to @p out; @p only restricts the
      * enumeration to arrivals at one location.
      */
     void drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                    std::vector<LabeledSucc<State>> &out) const;
+                    Succs &out) const;
 
-    const Program &prog_;
     std::size_t max_flights_;
 };
 

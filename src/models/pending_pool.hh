@@ -7,6 +7,10 @@
  * condition 2 of Section 5.1); loads forward from the youngest own pending
  * write to the same location.
  *
+ * The other queued machines hold their (address, value) queues in the same
+ * type and drain them by their own rules: the write buffer and the
+ * stale-cache inbox strictly from the front, the network like a pool.
+ *
  * Pools are kept in issue order.  Because erasures preserve relative order,
  * the writes that were pending at any past instant always form a *prefix*
  * of the current pool -- which lets the DRF0 machine represent "the

@@ -4,28 +4,6 @@
 
 namespace wo {
 
-ScModel::ScModel(const Program &prog) : prog_(prog) {}
-
-ScModel::State
-ScModel::initial() const
-{
-    State s;
-    s.threads.resize(prog_.numThreads());
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        runLocal(prog_.thread(p), s.threads[p]);
-    s.mem = prog_.initialMemory();
-    return s;
-}
-
-bool
-ScModel::isFinal(const State &s) const
-{
-    for (const auto &t : s.threads)
-        if (!t.halted)
-            return false;
-    return true;
-}
-
 bool
 ScModel::step(State &s, ProcId p, Execution *trace) const
 {
@@ -47,8 +25,7 @@ ScModel::step(State &s, ProcId p, Execution *trace) const
 }
 
 void
-ScModel::instrSucc(const State &s, ProcId p,
-                   std::vector<LabeledSucc<State>> &out) const
+ScModel::instrSucc(const State &s, ProcId p, Succs &out) const
 {
     if (s.threads[p].halted)
         return;
@@ -57,59 +34,10 @@ ScModel::instrSucc(const State &s, ProcId p,
     out.push_back({instrLabel(p), std::move(next)});
 }
 
-std::vector<LabeledSucc<ScModel::State>>
-ScModel::labeledSuccessors(const State &s) const
-{
-    std::vector<LabeledSucc<State>> out;
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        instrSucc(s, p, out);
-    return out;
-}
-
-std::optional<ScModel::State>
-ScModel::stepLabel(const State &s, const TransLabel &l) const
-{
-    std::vector<LabeledSucc<State>> out;
-    if (l.kind == TransKind::instr)
-        instrSucc(s, l.proc, out);
-    for (auto &ls : out)
-        if (ls.label == l)
-            return std::move(ls.state);
-    return std::nullopt;
-}
-
-std::vector<ScModel::State>
-ScModel::successors(const State &s) const
-{
-    std::vector<State> out;
-    for (auto &ls : labeledSuccessors(s))
-        out.push_back(std::move(ls.state));
-    return out;
-}
-
-Outcome
-ScModel::outcome(const State &s) const
-{
-    Outcome o;
-    o.regs.reserve(s.threads.size());
-    for (const auto &t : s.threads)
-        o.regs.emplace_back(t.regs.begin(), t.regs.end());
-    o.memory = s.mem;
-    return o;
-}
-
 std::string
 ScModel::dump(const State &s) const
 {
     return dumpThreadsAndMem(prog_, s.threads, s.mem);
-}
-
-std::string
-ScModel::encode(const State &s) const
-{
-    StateEnc enc;
-    encodeInto(s, enc);
-    return enc.take();
 }
 
 } // namespace wo

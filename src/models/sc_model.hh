@@ -10,59 +10,39 @@
 #ifndef WO_MODELS_SC_MODEL_HH
 #define WO_MODELS_SC_MODEL_HH
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "execution/execution.hh"
-#include "models/state_enc.hh"
-#include "models/thread_ctx.hh"
-#include "models/transition.hh"
-#include "program/program.hh"
+#include "models/op_model.hh"
 
 namespace wo {
 
-/** The sequentially consistent reference machine. */
-class ScModel
+/** A machine state: thread contexts plus the single atomic memory. */
+struct ScState
 {
+    std::vector<ThreadCtx> threads;
+    std::vector<Value> mem;
+
+    bool operator==(const ScState &other) const = default;
+};
+
+/** The sequentially consistent reference machine. */
+class ScModel : public OpModel<ScModel, ScState>
+{
+    using Base = OpModel<ScModel, ScState>;
+    friend Base;
+
   public:
-    /** A machine state: thread contexts plus the single atomic memory. */
-    struct State
-    {
-        std::vector<ThreadCtx> threads;
-        std::vector<Value> mem;
-
-        bool operator==(const State &other) const = default;
-    };
-
-    /** Bind the model to @p prog (which must outlive the model). */
-    explicit ScModel(const Program &prog);
+    using Base::Base;
 
     /** Model name for reports. */
     static const char *name() { return "SC"; }
 
     /** The initial state (threads advanced to their first access). */
-    State initial() const;
+    State initial() const { return startState(); }
 
     /** All threads halted (memory is always quiescent here). */
-    bool isFinal(const State &s) const;
-
-    /** Every state reachable in one visible step. */
-    std::vector<State> successors(const State &s) const;
-
-    /** Successors with transition labels (the DPOR explorer's view). */
-    std::vector<LabeledSucc<State>> labeledSuccessors(const State &s) const;
-
-    /**
-     * The successor reached from @p s by the single transition @p l, or
-     * nullopt if @p l is not enabled.  Materializes exactly one state:
-     * the explorer's commutation probes chase individual labels and
-     * must not pay for a full successor list.
-     */
-    std::optional<State> stepLabel(const State &s, const TransLabel &l) const;
-
-    /** The observable result of a final state. */
-    Outcome outcome(const State &s) const;
+    bool isFinal(const State &s) const { return allHalted(s); }
 
     /**
      * Injective state layout, written into either encoder: threads,
@@ -79,23 +59,8 @@ class ScModel
             enc.put(v);
     }
 
-    /** Injective byte encoding for the visited set (cold paths). */
-    std::string encode(const State &s) const;
-
-    /** Allocation-free 128-bit key over the encoded bytes (hot path). */
-    StateHash
-    hashState(const State &s) const
-    {
-        HashEnc enc;
-        encodeInto(s, enc);
-        return enc.take();
-    }
-
     /** Human-readable state rendering (for witness chains/debugging). */
     std::string dump(const State &s) const;
-
-    /** The bound program. */
-    const Program &program() const { return prog_; }
 
     /** Locations @p p's queued effects will still write (none: no queues). */
     void pendingAddrs(const State &, ProcId, std::vector<Addr> &) const {}
@@ -111,10 +76,7 @@ class ScModel
 
   private:
     /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p,
-                   std::vector<LabeledSucc<State>> &out) const;
-
-    const Program &prog_;
+    void instrSucc(const State &s, ProcId p, Succs &out) const;
 };
 
 } // namespace wo

@@ -5,7 +5,7 @@
 namespace wo {
 
 StaleCacheModel::StaleCacheModel(const Program &prog, std::size_t max_inbox)
-    : prog_(prog), max_inbox_(max_inbox)
+    : Base(prog), max_inbox_(max_inbox)
 {
     wo_assert(max_inbox_ > 0, "need at least one inbox slot");
 }
@@ -13,32 +13,16 @@ StaleCacheModel::StaleCacheModel(const Program &prog, std::size_t max_inbox)
 StaleCacheModel::State
 StaleCacheModel::initial() const
 {
-    State s;
-    s.threads.resize(prog_.numThreads());
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        runLocal(prog_.thread(p), s.threads[p]);
-    s.mem = prog_.initialMemory();
+    State s = startState();
     s.copy.assign(prog_.numThreads(), s.mem);
     s.inbox.resize(prog_.numThreads());
     return s;
 }
 
-bool
-StaleCacheModel::isFinal(const State &s) const
-{
-    for (const auto &t : s.threads)
-        if (!t.halted)
-            return false;
-    for (const auto &q : s.inbox)
-        if (!q.empty())
-            return false;
-    return true;
-}
-
 namespace {
 
 bool
-allInboxesEmpty(const StaleCacheModel::State &s)
+allInboxesEmpty(const StaleCacheState &s)
 {
     for (const auto &q : s.inbox)
         if (!q.empty())
@@ -47,7 +31,7 @@ allInboxesEmpty(const StaleCacheModel::State &s)
 }
 
 bool
-inboxesHaveRoom(const StaleCacheModel::State &s, ProcId writer,
+inboxesHaveRoom(const StaleCacheState &s, ProcId writer,
                 std::size_t cap)
 {
     for (ProcId q = 0; q < s.inbox.size(); ++q)
@@ -58,18 +42,14 @@ inboxesHaveRoom(const StaleCacheModel::State &s, ProcId writer,
 
 } // namespace
 
-std::vector<StaleCacheModel::State>
-StaleCacheModel::successors(const State &s) const
+bool
+StaleCacheModel::isFinal(const State &s) const
 {
-    std::vector<State> out;
-    for (auto &ls : labeledSuccessors(s))
-        out.push_back(std::move(ls.state));
-    return out;
+    return allInboxesEmpty(s) && allHalted(s);
 }
 
 void
-StaleCacheModel::instrSucc(const State &s, ProcId p,
-                           std::vector<LabeledSucc<State>> &out) const
+StaleCacheModel::instrSucc(const State &s, ProcId p, Succs &out) const
 {
     const ThreadCtx &t = s.threads[p];
     if (t.halted)
@@ -93,7 +73,7 @@ StaleCacheModel::instrSucc(const State &s, ProcId p,
         next.copy[p][i->addr] = v; // own copy updated immediately
         for (ProcId q = 0; q < prog_.numThreads(); ++q)
             if (q != p)
-                next.inbox[q].push_back(Update{i->addr, v});
+                next.inbox[q].push_back(PendingWrite{i->addr, v});
         completeAccess(prog_.thread(p), next.threads[p], 0);
         out.push_back({instrLabel(p), std::move(next)});
         break;
@@ -124,15 +104,14 @@ StaleCacheModel::instrSucc(const State &s, ProcId p,
 
 void
 StaleCacheModel::drainSuccs(const State &s, ProcId q,
-                            std::optional<Addr> only,
-                            std::vector<LabeledSucc<State>> &out) const
+                            std::optional<Addr> only, Succs &out) const
 {
     // Delivery steps: pop the front of the receiver's inbox.  The label
     // carries the *receiver* q (one front entry per inbox, so q alone is
     // unique); the delivered address refines it for readability.
     if (s.inbox[q].empty())
         return;
-    const Update u = s.inbox[q].front();
+    const PendingWrite u = s.inbox[q].front();
     if (only && u.addr != *only)
         return;
     State next = s;
@@ -140,50 +119,6 @@ StaleCacheModel::drainSuccs(const State &s, ProcId q,
     next.copy[q][u.addr] = u.value;
     out.push_back({drainLabel(q, u.addr), std::move(next)});
 }
-
-std::vector<LabeledSucc<StaleCacheModel::State>>
-StaleCacheModel::labeledSuccessors(const State &s) const
-{
-    std::vector<LabeledSucc<State>> out;
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        instrSucc(s, p, out);
-    for (ProcId q = 0; q < prog_.numThreads(); ++q)
-        drainSuccs(s, q, std::nullopt, out);
-    return out;
-}
-
-std::optional<StaleCacheModel::State>
-StaleCacheModel::stepLabel(const State &s, const TransLabel &l) const
-{
-    std::vector<LabeledSucc<State>> out;
-    if (l.kind == TransKind::instr)
-        instrSucc(s, l.proc, out);
-    else
-        drainSuccs(s, l.proc, l.addr, out);
-    for (auto &ls : out)
-        if (ls.label == l)
-            return std::move(ls.state);
-    return std::nullopt;
-}
-
-Outcome
-StaleCacheModel::outcome(const State &s) const
-{
-    Outcome o;
-    for (const auto &t : s.threads)
-        o.regs.emplace_back(t.regs.begin(), t.regs.end());
-    o.memory = s.mem;
-    return o;
-}
-
-std::string
-StaleCacheModel::encode(const State &s) const
-{
-    StateEnc enc;
-    encodeInto(s, enc);
-    return enc.take();
-}
-
 
 std::string
 StaleCacheModel::dump(const State &s) const

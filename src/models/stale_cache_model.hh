@@ -22,41 +22,33 @@
 #ifndef WO_MODELS_STALE_CACHE_MODEL_HH
 #define WO_MODELS_STALE_CACHE_MODEL_HH
 
-#include <optional>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "execution/execution.hh"
-#include "models/state_enc.hh"
-#include "models/thread_ctx.hh"
-#include "models/transition.hh"
-#include "program/program.hh"
+#include "models/op_model.hh"
+#include "models/pending_pool.hh"
 
 namespace wo {
 
-/** Cache-based machine with delayed update propagation. */
-class StaleCacheModel
+/** Machine state of the stale-cache machine. */
+struct StaleCacheState
 {
+    std::vector<ThreadCtx> threads;
+    std::vector<Value> mem;               // commit-order memory image
+    std::vector<std::vector<Value>> copy; // copy[proc][addr]
+    std::vector<PendingPool> inbox;       // updates, per receiving processor
+
+    bool operator==(const StaleCacheState &other) const = default;
+};
+
+/** Cache-based machine with delayed update propagation. */
+class StaleCacheModel : public OpModel<StaleCacheModel, StaleCacheState>
+{
+    using Base = OpModel<StaleCacheModel, StaleCacheState>;
+    friend Base;
+
   public:
-    /** An update travelling towards one processor's cache. */
-    struct Update
-    {
-        Addr addr;
-        Value value;
-        bool operator==(const Update &other) const = default;
-    };
-
-    /** Machine state. */
-    struct State
-    {
-        std::vector<ThreadCtx> threads;
-        std::vector<Value> mem;                  // commit-order memory image
-        std::vector<std::vector<Value>> copy;    // copy[proc][addr]
-        std::vector<std::vector<Update>> inbox;  // per receiving processor
-
-        bool operator==(const State &other) const = default;
-    };
-
     /**
      * @param prog       the program (must outlive the model)
      * @param max_inbox  pending updates per receiver before writers stall
@@ -67,18 +59,6 @@ class StaleCacheModel
 
     State initial() const;
     bool isFinal(const State &s) const;
-    std::vector<State> successors(const State &s) const;
-    std::vector<LabeledSucc<State>> labeledSuccessors(const State &s) const;
-
-    /**
-     * The successor reached from @p s by the single transition @p l, or
-     * nullopt if @p l is not enabled.  Materializes exactly one state:
-     * the explorer's commutation probes chase individual labels and
-     * must not pay for a full successor list.
-     */
-    std::optional<State> stepLabel(const State &s, const TransLabel &l) const;
-
-    Outcome outcome(const State &s) const;
 
     /**
      * Injective state layout, written into either encoder: threads,
@@ -99,32 +79,12 @@ class StaleCacheModel
             for (Value v : c)
                 enc.put(v);
         enc.sep();
-        for (const auto &q : s.inbox) {
-            for (const auto &u : q) {
-                enc.put(u.addr);
-                enc.put(u.value);
-            }
-            enc.sep();
-        }
-    }
-
-    /** Injective byte encoding for the visited set (cold paths). */
-    std::string encode(const State &s) const;
-
-    /** Allocation-free 128-bit key over the encoded bytes (hot path). */
-    StateHash
-    hashState(const State &s) const
-    {
-        HashEnc enc;
-        encodeInto(s, enc);
-        return enc.take();
+        for (const auto &q : s.inbox)
+            encodePool(enc, q);
     }
 
     /** Human-readable state rendering (for witness chains/debugging). */
     std::string dump(const State &s) const;
-
-    /** The bound program. */
-    const Program &program() const { return prog_; }
 
     /**
      * Stores broadcast updates into every other processor's inbox and
@@ -143,17 +103,15 @@ class StaleCacheModel
 
   private:
     /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p,
-                   std::vector<LabeledSucc<State>> &out) const;
+    void instrSucc(const State &s, ProcId p, Succs &out) const;
 
     /**
      * Append @p p's delivery successor to @p out; @p only restricts the
      * enumeration to deliveries of one location.
      */
     void drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                    std::vector<LabeledSucc<State>> &out) const;
+                    Succs &out) const;
 
-    const Program &prog_;
     std::size_t max_inbox_;
 };
 

@@ -2,12 +2,13 @@
  * @file
  * Transition labels for the abstract operational models.
  *
- * Every model exposes its successor relation twice: `successors()` (plain
- * states, kept for callers that only walk the graph) and
- * `labeledSuccessors()`, which names each outgoing edge with a TransLabel.
- * The label identifies the *transition*, not the target state, and is the
- * unit the DPOR explorer reasons about: sleep sets are sets of labels, and
- * independence is judged between labels by concretely commuting them.
+ * Every model has one successor relation, `labeledSuccessors()`, which
+ * names each outgoing edge with a TransLabel; `stepLabel()` follows a
+ * single named edge.  Both are derived once by OpModel (op_model.hh) from
+ * the model's per-processor generators.  The label identifies the
+ * *transition*, not the target state, and is the unit the DPOR explorer
+ * reasons about: sleep sets are sets of labels, and independence is
+ * judged between labels by concretely commuting them.
  *
  * A label must be unique among the outgoing edges of any single state.
  * Two coordinates suffice for every model in this repository:

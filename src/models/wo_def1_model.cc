@@ -5,7 +5,7 @@
 namespace wo {
 
 WoDef1Model::WoDef1Model(const Program &prog, std::size_t max_pool)
-    : prog_(prog), max_pool_(max_pool)
+    : Base(prog), max_pool_(max_pool)
 {
     wo_assert(max_pool_ > 0, "need at least one pool slot");
 }
@@ -13,11 +13,7 @@ WoDef1Model::WoDef1Model(const Program &prog, std::size_t max_pool)
 WoDef1Model::State
 WoDef1Model::initial() const
 {
-    State s;
-    s.threads.resize(prog_.numThreads());
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        runLocal(prog_.thread(p), s.threads[p]);
-    s.mem = prog_.initialMemory();
+    State s = startState();
     s.pools.resize(prog_.numThreads());
     return s;
 }
@@ -25,27 +21,14 @@ WoDef1Model::initial() const
 bool
 WoDef1Model::isFinal(const State &s) const
 {
-    for (const auto &t : s.threads)
-        if (!t.halted)
-            return false;
     for (const auto &pool : s.pools)
         if (!pool.empty())
             return false;
-    return true;
-}
-
-std::vector<WoDef1Model::State>
-WoDef1Model::successors(const State &s) const
-{
-    std::vector<State> out;
-    for (auto &ls : labeledSuccessors(s))
-        out.push_back(std::move(ls.state));
-    return out;
+    return allHalted(s);
 }
 
 void
-WoDef1Model::instrSucc(const State &s, ProcId p,
-                       std::vector<LabeledSucc<State>> &out) const
+WoDef1Model::instrSucc(const State &s, ProcId p, Succs &out) const
 {
     const ThreadCtx &t = s.threads[p];
     if (t.halted)
@@ -92,7 +75,7 @@ WoDef1Model::instrSucc(const State &s, ProcId p,
 
 void
 WoDef1Model::drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                        std::vector<LabeledSucc<State>> &out) const
+                        Succs &out) const
 {
     // poolMayDrain admits only the oldest pending write per location, so
     // (p, addr) uniquely names each drain edge.
@@ -110,50 +93,6 @@ WoDef1Model::drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
         out.push_back({drainLabel(p, w.addr), std::move(next)});
     }
 }
-
-std::vector<LabeledSucc<WoDef1Model::State>>
-WoDef1Model::labeledSuccessors(const State &s) const
-{
-    std::vector<LabeledSucc<State>> out;
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        instrSucc(s, p, out);
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        drainSuccs(s, p, std::nullopt, out);
-    return out;
-}
-
-std::optional<WoDef1Model::State>
-WoDef1Model::stepLabel(const State &s, const TransLabel &l) const
-{
-    std::vector<LabeledSucc<State>> out;
-    if (l.kind == TransKind::instr)
-        instrSucc(s, l.proc, out);
-    else
-        drainSuccs(s, l.proc, l.addr, out);
-    for (auto &ls : out)
-        if (ls.label == l)
-            return std::move(ls.state);
-    return std::nullopt;
-}
-
-Outcome
-WoDef1Model::outcome(const State &s) const
-{
-    Outcome o;
-    for (const auto &t : s.threads)
-        o.regs.emplace_back(t.regs.begin(), t.regs.end());
-    o.memory = s.mem;
-    return o;
-}
-
-std::string
-WoDef1Model::encode(const State &s) const
-{
-    StateEnc enc;
-    encodeInto(s, enc);
-    return enc.take();
-}
-
 
 std::string
 WoDef1Model::dump(const State &s) const

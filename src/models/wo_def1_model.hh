@@ -23,32 +23,32 @@
 #ifndef WO_MODELS_WO_DEF1_MODEL_HH
 #define WO_MODELS_WO_DEF1_MODEL_HH
 
-#include <optional>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "execution/execution.hh"
+#include "models/op_model.hh"
 #include "models/pending_pool.hh"
-#include "models/thread_ctx.hh"
-#include "models/transition.hh"
-#include "program/program.hh"
 
 namespace wo {
 
-/** Weakly ordered machine per the old (Definition 1) rules. */
-class WoDef1Model
+/** Machine state of the Definition-1 machine. */
+struct WoDef1State
 {
+    std::vector<ThreadCtx> threads;
+    std::vector<Value> mem;
+    std::vector<PendingPool> pools; // per processor
+
+    bool operator==(const WoDef1State &other) const = default;
+};
+
+/** Weakly ordered machine per the old (Definition 1) rules. */
+class WoDef1Model : public OpModel<WoDef1Model, WoDef1State>
+{
+    using Base = OpModel<WoDef1Model, WoDef1State>;
+    friend Base;
+
   public:
-    /** Machine state. */
-    struct State
-    {
-        std::vector<ThreadCtx> threads;
-        std::vector<Value> mem;
-        std::vector<PendingPool> pools; // per processor
-
-        bool operator==(const State &other) const = default;
-    };
-
     /**
      * @param prog      the program (must outlive the model)
      * @param max_pool  pending writes allowed per processor
@@ -59,18 +59,6 @@ class WoDef1Model
 
     State initial() const;
     bool isFinal(const State &s) const;
-    std::vector<State> successors(const State &s) const;
-    std::vector<LabeledSucc<State>> labeledSuccessors(const State &s) const;
-
-    /**
-     * The successor reached from @p s by the single transition @p l, or
-     * nullopt if @p l is not enabled.  Materializes exactly one state:
-     * the explorer's commutation probes chase individual labels and
-     * must not pay for a full successor list.
-     */
-    std::optional<State> stepLabel(const State &s, const TransLabel &l) const;
-
-    Outcome outcome(const State &s) const;
 
     /**
      * Injective state layout, written into either encoder: threads,
@@ -90,23 +78,8 @@ class WoDef1Model
             encodePool(enc, pool);
     }
 
-    /** Injective byte encoding for the visited set (cold paths). */
-    std::string encode(const State &s) const;
-
-    /** Allocation-free 128-bit key over the encoded bytes (hot path). */
-    StateHash
-    hashState(const State &s) const
-    {
-        HashEnc enc;
-        encodeInto(s, enc);
-        return enc.take();
-    }
-
     /** Human-readable state rendering (for witness chains/debugging). */
     std::string dump(const State &s) const;
-
-    /** The bound program. */
-    const Program &program() const { return prog_; }
 
     /** Locations @p p's pending writes will still write to memory. */
     void
@@ -118,17 +91,15 @@ class WoDef1Model
 
   private:
     /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p,
-                   std::vector<LabeledSucc<State>> &out) const;
+    void instrSucc(const State &s, ProcId p, Succs &out) const;
 
     /**
      * Append @p p's drain successors to @p out; @p only restricts the
      * enumeration to drains of one location.
      */
     void drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                    std::vector<LabeledSucc<State>> &out) const;
+                    Succs &out) const;
 
-    const Program &prog_;
     std::size_t max_pool_;
 };
 

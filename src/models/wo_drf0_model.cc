@@ -6,7 +6,7 @@ namespace wo {
 
 WoDrf0Model::WoDrf0Model(const Program &prog, std::size_t max_pool,
                          bool weak_sync_read)
-    : prog_(prog), max_pool_(max_pool), weak_sync_read_(weak_sync_read)
+    : Base(prog), max_pool_(max_pool), weak_sync_read_(weak_sync_read)
 {
     wo_assert(max_pool_ > 0, "need at least one pool slot");
 }
@@ -14,11 +14,7 @@ WoDrf0Model::WoDrf0Model(const Program &prog, std::size_t max_pool,
 WoDrf0Model::State
 WoDrf0Model::initial() const
 {
-    State s;
-    s.threads.resize(prog_.numThreads());
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        runLocal(prog_.thread(p), s.threads[p]);
-    s.mem = prog_.initialMemory();
+    State s = startState();
     s.pools.resize(prog_.numThreads());
     return s;
 }
@@ -26,27 +22,14 @@ WoDrf0Model::initial() const
 bool
 WoDrf0Model::isFinal(const State &s) const
 {
-    for (const auto &t : s.threads)
-        if (!t.halted)
-            return false;
     for (const auto &pool : s.pools)
         if (!pool.empty())
             return false;
-    return true;
-}
-
-std::vector<WoDrf0Model::State>
-WoDrf0Model::successors(const State &s) const
-{
-    std::vector<State> out;
-    for (auto &ls : labeledSuccessors(s))
-        out.push_back(std::move(ls.state));
-    return out;
+    return allHalted(s);
 }
 
 void
-WoDrf0Model::instrSucc(const State &s, ProcId p,
-                       std::vector<LabeledSucc<State>> &out) const
+WoDrf0Model::instrSucc(const State &s, ProcId p, Succs &out) const
 {
     const ThreadCtx &t = s.threads[p];
     if (t.halted)
@@ -94,7 +77,7 @@ WoDrf0Model::instrSucc(const State &s, ProcId p,
         // prefix counts never exceed the pool size, and zero-prefix
         // reservations are erased at drain time.)
         if (publishes && !next.pools[p].empty()) {
-            next.reserved[i->addr] = Reservation{
+            next.reserved[i->addr] = Drf0Reservation{
                 p, static_cast<std::uint32_t>(next.pools[p].size())};
         }
         completeAccess(prog_.thread(p), next.threads[p], old);
@@ -109,7 +92,7 @@ WoDrf0Model::instrSucc(const State &s, ProcId p,
 
 void
 WoDrf0Model::drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                        std::vector<LabeledSucc<State>> &out) const
+                        Succs &out) const
 {
     // Draining entry k of processor p shrinks every reservation prefix of
     // p that still covers k; prefixes hitting zero clear the reservation
@@ -138,50 +121,6 @@ WoDrf0Model::drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
         out.push_back({drainLabel(p, w.addr), std::move(next)});
     }
 }
-
-std::vector<LabeledSucc<WoDrf0Model::State>>
-WoDrf0Model::labeledSuccessors(const State &s) const
-{
-    std::vector<LabeledSucc<State>> out;
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        instrSucc(s, p, out);
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        drainSuccs(s, p, std::nullopt, out);
-    return out;
-}
-
-std::optional<WoDrf0Model::State>
-WoDrf0Model::stepLabel(const State &s, const TransLabel &l) const
-{
-    std::vector<LabeledSucc<State>> out;
-    if (l.kind == TransKind::instr)
-        instrSucc(s, l.proc, out);
-    else
-        drainSuccs(s, l.proc, l.addr, out);
-    for (auto &ls : out)
-        if (ls.label == l)
-            return std::move(ls.state);
-    return std::nullopt;
-}
-
-Outcome
-WoDrf0Model::outcome(const State &s) const
-{
-    Outcome o;
-    for (const auto &t : s.threads)
-        o.regs.emplace_back(t.regs.begin(), t.regs.end());
-    o.memory = s.mem;
-    return o;
-}
-
-std::string
-WoDrf0Model::encode(const State &s) const
-{
-    StateEnc enc;
-    encodeInto(s, enc);
-    return enc.take();
-}
-
 
 std::string
 WoDrf0Model::dump(const State &s) const

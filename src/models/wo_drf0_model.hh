@@ -38,43 +38,44 @@
 #ifndef WO_MODELS_WO_DRF0_MODEL_HH
 #define WO_MODELS_WO_DRF0_MODEL_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "execution/execution.hh"
+#include "models/op_model.hh"
 #include "models/pending_pool.hh"
-#include "models/thread_ctx.hh"
-#include "models/transition.hh"
-#include "program/program.hh"
 
 namespace wo {
 
-/** The new-definition weakly ordered machine (w.r.t. DRF0). */
-class WoDrf0Model
+/** An active reservation: who holds it and how many writes it awaits. */
+struct Drf0Reservation
 {
+    ProcId owner;
+    std::uint32_t prefix_count; // > 0 while active
+
+    bool operator==(const Drf0Reservation &other) const = default;
+};
+
+/** Machine state of the DRF0 machine. */
+struct WoDrf0State
+{
+    std::vector<ThreadCtx> threads;
+    std::vector<Value> mem;
+    std::vector<PendingPool> pools;           // per processor
+    std::map<Addr, Drf0Reservation> reserved; // active reservations only
+
+    bool operator==(const WoDrf0State &other) const = default;
+};
+
+/** The new-definition weakly ordered machine (w.r.t. DRF0). */
+class WoDrf0Model : public OpModel<WoDrf0Model, WoDrf0State>
+{
+    using Base = OpModel<WoDrf0Model, WoDrf0State>;
+    friend Base;
+
   public:
-    /** An active reservation: who holds it and how many writes it awaits. */
-    struct Reservation
-    {
-        ProcId owner;
-        std::uint32_t prefix_count; // > 0 while active
-
-        bool operator==(const Reservation &other) const = default;
-    };
-
-    /** Machine state. */
-    struct State
-    {
-        std::vector<ThreadCtx> threads;
-        std::vector<Value> mem;
-        std::vector<PendingPool> pools;        // per processor
-        std::map<Addr, Reservation> reserved;  // active reservations only
-
-        bool operator==(const State &other) const = default;
-    };
-
     /**
      * @param prog           the program (must outlive the model)
      * @param max_pool       pending writes allowed per processor
@@ -97,18 +98,6 @@ class WoDrf0Model
 
     State initial() const;
     bool isFinal(const State &s) const;
-    std::vector<State> successors(const State &s) const;
-    std::vector<LabeledSucc<State>> labeledSuccessors(const State &s) const;
-
-    /**
-     * The successor reached from @p s by the single transition @p l, or
-     * nullopt if @p l is not enabled.  Materializes exactly one state:
-     * the explorer's commutation probes chase individual labels and
-     * must not pay for a full successor list.
-     */
-    std::optional<State> stepLabel(const State &s, const TransLabel &l) const;
-
-    Outcome outcome(const State &s) const;
 
     /**
      * Injective state layout, written into either encoder: threads,
@@ -135,23 +124,8 @@ class WoDrf0Model
         }
     }
 
-    /** Injective byte encoding for the visited set (cold paths). */
-    std::string encode(const State &s) const;
-
-    /** Allocation-free 128-bit key over the encoded bytes (hot path). */
-    StateHash
-    hashState(const State &s) const
-    {
-        HashEnc enc;
-        encodeInto(s, enc);
-        return enc.take();
-    }
-
     /** Human-readable state rendering (for witness chains/debugging). */
     std::string dump(const State &s) const;
-
-    /** The bound program. */
-    const Program &program() const { return prog_; }
 
     /** Locations @p p's pending writes will still write to memory. */
     void
@@ -163,17 +137,15 @@ class WoDrf0Model
 
   private:
     /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p,
-                   std::vector<LabeledSucc<State>> &out) const;
+    void instrSucc(const State &s, ProcId p, Succs &out) const;
 
     /**
      * Append @p p's drain successors to @p out; @p only restricts the
      * enumeration to drains of one location.
      */
     void drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                    std::vector<LabeledSucc<State>> &out) const;
+                    Succs &out) const;
 
-    const Program &prog_;
     std::size_t max_pool_;
     bool weak_sync_read_;
 };

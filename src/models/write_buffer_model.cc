@@ -5,7 +5,7 @@
 namespace wo {
 
 WriteBufferModel::WriteBufferModel(const Program &prog, std::size_t capacity)
-    : prog_(prog), capacity_(capacity)
+    : Base(prog), capacity_(capacity)
 {
     wo_assert(capacity_ > 0, "write buffer needs capacity >= 1");
 }
@@ -13,11 +13,7 @@ WriteBufferModel::WriteBufferModel(const Program &prog, std::size_t capacity)
 WriteBufferModel::State
 WriteBufferModel::initial() const
 {
-    State s;
-    s.threads.resize(prog_.numThreads());
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        runLocal(prog_.thread(p), s.threads[p]);
-    s.mem = prog_.initialMemory();
+    State s = startState();
     s.buffers.resize(prog_.numThreads());
     return s;
 }
@@ -25,27 +21,14 @@ WriteBufferModel::initial() const
 bool
 WriteBufferModel::isFinal(const State &s) const
 {
-    for (const auto &t : s.threads)
-        if (!t.halted)
-            return false;
     for (const auto &b : s.buffers)
         if (!b.empty())
             return false;
-    return true;
-}
-
-std::vector<WriteBufferModel::State>
-WriteBufferModel::successors(const State &s) const
-{
-    std::vector<State> out;
-    for (auto &ls : labeledSuccessors(s))
-        out.push_back(std::move(ls.state));
-    return out;
+    return allHalted(s);
 }
 
 void
-WriteBufferModel::instrSucc(const State &s, ProcId p,
-                            std::vector<LabeledSucc<State>> &out) const
+WriteBufferModel::instrSucc(const State &s, ProcId p, Succs &out) const
 {
     const ThreadCtx &t = s.threads[p];
     if (t.halted)
@@ -55,14 +38,8 @@ WriteBufferModel::instrSucc(const State &s, ProcId p,
       case Opcode::load_data: {
         // Forward from the youngest matching buffered store, else read
         // memory directly -- passing any older buffered stores.
-        Value v = s.mem[i->addr];
-        const auto &buf = s.buffers[p];
-        for (auto it = buf.rbegin(); it != buf.rend(); ++it) {
-            if (it->addr == i->addr) {
-                v = it->value;
-                break;
-            }
-        }
+        auto fwd = poolForward(s.buffers[p], i->addr);
+        const Value v = fwd ? *fwd : s.mem[i->addr];
         State next = s;
         completeAccess(prog_.thread(p), next.threads[p], v);
         out.push_back({instrLabel(p), std::move(next)});
@@ -72,7 +49,7 @@ WriteBufferModel::instrSucc(const State &s, ProcId p,
         if (s.buffers[p].size() >= capacity_)
             break; // buffer full: wait for a drain
         State next = s;
-        next.buffers[p].push_back(BufEntry{i->addr, storeValue(*i, t)});
+        next.buffers[p].push_back(PendingWrite{i->addr, storeValue(*i, t)});
         completeAccess(prog_.thread(p), next.threads[p], 0);
         out.push_back({instrLabel(p), std::move(next)});
         break;
@@ -100,13 +77,12 @@ WriteBufferModel::instrSucc(const State &s, ProcId p,
 
 void
 WriteBufferModel::drainSuccs(const State &s, ProcId p,
-                             std::optional<Addr> only,
-                             std::vector<LabeledSucc<State>> &out) const
+                             std::optional<Addr> only, Succs &out) const
 {
     // Only the oldest entry may drain.
     if (s.buffers[p].empty())
         return;
-    const BufEntry e = s.buffers[p].front();
+    const PendingWrite e = s.buffers[p].front();
     if (only && e.addr != *only)
         return;
     State next = s;
@@ -114,50 +90,6 @@ WriteBufferModel::drainSuccs(const State &s, ProcId p,
     next.mem[e.addr] = e.value;
     out.push_back({drainLabel(p, e.addr), std::move(next)});
 }
-
-std::vector<LabeledSucc<WriteBufferModel::State>>
-WriteBufferModel::labeledSuccessors(const State &s) const
-{
-    std::vector<LabeledSucc<State>> out;
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        instrSucc(s, p, out);
-    for (ProcId p = 0; p < prog_.numThreads(); ++p)
-        drainSuccs(s, p, std::nullopt, out);
-    return out;
-}
-
-std::optional<WriteBufferModel::State>
-WriteBufferModel::stepLabel(const State &s, const TransLabel &l) const
-{
-    std::vector<LabeledSucc<State>> out;
-    if (l.kind == TransKind::instr)
-        instrSucc(s, l.proc, out);
-    else
-        drainSuccs(s, l.proc, l.addr, out);
-    for (auto &ls : out)
-        if (ls.label == l)
-            return std::move(ls.state);
-    return std::nullopt;
-}
-
-Outcome
-WriteBufferModel::outcome(const State &s) const
-{
-    Outcome o;
-    for (const auto &t : s.threads)
-        o.regs.emplace_back(t.regs.begin(), t.regs.end());
-    o.memory = s.mem;
-    return o;
-}
-
-std::string
-WriteBufferModel::encode(const State &s) const
-{
-    StateEnc enc;
-    encodeInto(s, enc);
-    return enc.take();
-}
-
 
 std::string
 WriteBufferModel::dump(const State &s) const

@@ -17,40 +17,32 @@
 #ifndef WO_MODELS_WRITE_BUFFER_MODEL_HH
 #define WO_MODELS_WRITE_BUFFER_MODEL_HH
 
-#include <optional>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "execution/execution.hh"
-#include "models/state_enc.hh"
-#include "models/thread_ctx.hh"
-#include "models/transition.hh"
-#include "program/program.hh"
+#include "models/op_model.hh"
+#include "models/pending_pool.hh"
 
 namespace wo {
 
-/** Bus-based machine with per-processor FIFO write buffers. */
-class WriteBufferModel
+/** Machine state of the write-buffer machine. */
+struct WriteBufferState
 {
+    std::vector<ThreadCtx> threads;
+    std::vector<Value> mem;
+    std::vector<PendingPool> buffers; // per processor, FIFO
+
+    bool operator==(const WriteBufferState &other) const = default;
+};
+
+/** Bus-based machine with per-processor FIFO write buffers. */
+class WriteBufferModel : public OpModel<WriteBufferModel, WriteBufferState>
+{
+    using Base = OpModel<WriteBufferModel, WriteBufferState>;
+    friend Base;
+
   public:
-    /** One buffered store. */
-    struct BufEntry
-    {
-        Addr addr;
-        Value value;
-        bool operator==(const BufEntry &other) const = default;
-    };
-
-    /** Machine state. */
-    struct State
-    {
-        std::vector<ThreadCtx> threads;
-        std::vector<Value> mem;
-        std::vector<std::vector<BufEntry>> buffers; // per processor, FIFO
-
-        bool operator==(const State &other) const = default;
-    };
-
     /**
      * @param prog      the program (must outlive the model)
      * @param capacity  write-buffer depth; a full buffer blocks new stores
@@ -62,18 +54,6 @@ class WriteBufferModel
 
     State initial() const;
     bool isFinal(const State &s) const;
-    std::vector<State> successors(const State &s) const;
-    std::vector<LabeledSucc<State>> labeledSuccessors(const State &s) const;
-
-    /**
-     * The successor reached from @p s by the single transition @p l, or
-     * nullopt if @p l is not enabled.  Materializes exactly one state:
-     * the explorer's commutation probes chase individual labels and
-     * must not pay for a full successor list.
-     */
-    std::optional<State> stepLabel(const State &s, const TransLabel &l) const;
-
-    Outcome outcome(const State &s) const;
 
     /**
      * Injective state layout, written into either encoder: threads,
@@ -89,32 +69,12 @@ class WriteBufferModel
         for (Value v : s.mem)
             enc.put(v);
         enc.sep();
-        for (const auto &buf : s.buffers) {
-            for (const auto &e : buf) {
-                enc.put(e.addr);
-                enc.put(e.value);
-            }
-            enc.sep();
-        }
-    }
-
-    /** Injective byte encoding for the visited set (cold paths). */
-    std::string encode(const State &s) const;
-
-    /** Allocation-free 128-bit key over the encoded bytes (hot path). */
-    StateHash
-    hashState(const State &s) const
-    {
-        HashEnc enc;
-        encodeInto(s, enc);
-        return enc.take();
+        for (const auto &buf : s.buffers)
+            encodePool(enc, buf);
     }
 
     /** Human-readable state rendering (for witness chains/debugging). */
     std::string dump(const State &s) const;
-
-    /** The bound program. */
-    const Program &program() const { return prog_; }
 
     /** Locations @p p's buffered stores will still write to memory. */
     void
@@ -126,17 +86,15 @@ class WriteBufferModel
 
   private:
     /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p,
-                   std::vector<LabeledSucc<State>> &out) const;
+    void instrSucc(const State &s, ProcId p, Succs &out) const;
 
     /**
      * Append @p p's drain successors to @p out; @p only restricts the
      * enumeration to drains of one location.
      */
     void drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                    std::vector<LabeledSucc<State>> &out) const;
+                    Succs &out) const;
 
-    const Program &prog_;
     std::size_t capacity_;
 };
 

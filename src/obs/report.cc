@@ -212,11 +212,13 @@ splitKey(const std::string &key, std::string &program,
 std::string
 statTiles(const Data &d)
 {
-    std::uint64_t ran = 0, skipped = 0, clean = 0, hw_cells = 0;
+    std::uint64_t ran = 0, resumed = 0, duplicate = 0, clean = 0;
+    std::uint64_t hw_cells = 0;
     double cps = 0, p50 = 0, p99 = 0;
     if (d.summary.isObject()) {
         ran = d.summary.uintAt("ran");
-        skipped = d.summary.uintAt("skipped");
+        resumed = d.summary.uintAt("resumed");
+        duplicate = d.summary.uintAt("duplicate");
         clean = d.summary.uintAt("clean");
         hw_cells = d.summary.uintAt("hw");
         cps = d.summary.numberAt("cells_per_sec");
@@ -249,10 +251,14 @@ statTiles(const Data &d)
     };
     tile(strprintf("%llu", static_cast<unsigned long long>(ran)),
          "cells run");
-    if (skipped > 0)
+    if (resumed > 0)
         tile(strprintf("%llu",
-                       static_cast<unsigned long long>(skipped)),
+                       static_cast<unsigned long long>(resumed)),
              "resumed");
+    if (duplicate > 0)
+        tile(strprintf("%llu",
+                       static_cast<unsigned long long>(duplicate)),
+             "duplicate");
     tile(strprintf("%llu", static_cast<unsigned long long>(clean)),
          "clean");
     tile(strprintf("%zu", d.failures.size()), "unique failures",

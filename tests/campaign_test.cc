@@ -955,6 +955,40 @@ TEST(Campaign, VerifyCellsRunCleanWithoutASeededBug)
     }
 }
 
+TEST(Campaign, RepeatedKeysAreClaimedOnceAndReportedAsDuplicates)
+{
+    // A verify stream repeats its deterministic programs every
+    // nproto x nmodels draws.  On a fresh run those repeats are
+    // duplicates, never resumes, and the journal's claim hands each
+    // key to exactly one worker: every key is journaled once.
+    CampaignCfg cfg;
+    cfg.jobs = 4;
+    cfg.cells = 40; // more than two passes over the prototypes
+    cfg.frontier = false;
+    cfg.out_dir = testing::TempDir() + "camp_claim_once";
+    cfg.seed = 60; // small random draws: the test stays fast
+    cfg.verify = true;
+    cfg.verify_models = {"sc"};
+    cfg.max_states = 20'000;
+    auto sum = runCampaign(cfg);
+    EXPECT_EQ(sum.ran + sum.skipped, 40u);
+    EXPECT_EQ(sum.resumed(), 0u);
+    EXPECT_GT(sum.duplicates, 0u);
+    EXPECT_EQ(sum.skipped, sum.duplicates);
+
+    const std::string js = sum.toJson().dump();
+    EXPECT_NE(js.find("\"resumed\":0"), std::string::npos) << js;
+    EXPECT_NE(sum.table().find("0 resumed"), std::string::npos);
+
+    auto lines = journalCells(cfg.out_dir + "/campaign.journal.jsonl");
+    EXPECT_EQ(lines.size(), sum.ran);
+    std::unordered_map<std::string, int> times;
+    for (const auto &l : lines)
+        ++times[l.key];
+    for (const auto &[key, n] : times)
+        EXPECT_EQ(n, 1) << key;
+}
+
 TEST(Campaign, SeededAxiomBugIsFoundShrunkAndReproducible)
 {
     // The acceptance path: a seeded axiomatic-vs-operational

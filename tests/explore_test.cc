@@ -21,8 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "asm/assembler.hh"
@@ -185,6 +188,85 @@ TEST(Explore, ParallelExplorationIsDeterministicRunToRun)
         EXPECT_TRUE(a == b);
         EXPECT_GT(a.commutation_probes, 0u);
     }));
+}
+
+// ------------------------------------------------- the model contract
+
+TEST(ModelContract, LabelsStepLabelAndEdgeOrderAgreeOnEveryModel)
+{
+    // In every reachable state (a few hundred per pair, BFS order):
+    //  - labels are unique among the outgoing edges;
+    //  - stepLabel(s, l) lands on the same state as edge l, and returns
+    //    nullopt for every label the edge list does not name -- a halted
+    //    or blocked processor's instr, a drain where nothing is pending;
+    //  - edges come instr-by-processor first, then drains by processor.
+    constexpr std::size_t states_per_pair = 300;
+    std::uint64_t edges = 0, halted_probes = 0, empty_drain_probes = 0;
+    for (const std::string &file : corpusFiles()) {
+        const Program prog = load(file);
+        for (const std::string &model : modelNames()) {
+            ASSERT_TRUE(withModelByName(prog, model, [&](auto &m) {
+                using State = typename std::decay_t<decltype(m)>::State;
+                const std::string where = prog.name() + " on " + model;
+                std::unordered_set<std::string> visited;
+                std::deque<State> frontier;
+                auto push = [&](State s) {
+                    if (visited.insert(m.encode(s)).second)
+                        frontier.push_back(std::move(s));
+                };
+                push(m.initial());
+                for (std::size_t n = 0;
+                     n < states_per_pair && !frontier.empty(); ++n) {
+                    const State s = std::move(frontier.front());
+                    frontier.pop_front();
+                    auto succs = m.labeledSuccessors(s);
+                    std::set<TransLabel> labels;
+                    for (std::size_t k = 0; k < succs.size(); ++k) {
+                        const TransLabel &l = succs[k].label;
+                        EXPECT_TRUE(labels.insert(l).second)
+                            << where << ": duplicate " << l.toString();
+                        const auto stepped = m.stepLabel(s, l);
+                        EXPECT_TRUE(stepped.has_value() &&
+                                    m.encode(*stepped) ==
+                                        m.encode(succs[k].state))
+                            << where << ": stepLabel(" << l.toString()
+                            << ") disagrees with its edge";
+                        if (k > 0) {
+                            const TransLabel &prev = succs[k - 1].label;
+                            EXPECT_TRUE(prev.kind < l.kind ||
+                                        (prev.kind == l.kind &&
+                                         prev.proc <= l.proc))
+                                << where << ": " << prev.toString()
+                                << " listed before " << l.toString();
+                        }
+                    }
+                    edges += succs.size();
+                    for (ProcId p = 0; p < prog.numThreads(); ++p) {
+                        std::vector<TransLabel> absent;
+                        if (!labels.count(instrLabel(p))) {
+                            absent.push_back(instrLabel(p));
+                            halted_probes += s.threads[p].halted;
+                        }
+                        for (Addr a = 0; a < prog.numLocations(); ++a) {
+                            if (labels.count(drainLabel(p, a)))
+                                continue;
+                            absent.push_back(drainLabel(p, a));
+                            ++empty_drain_probes;
+                        }
+                        for (const TransLabel &l : absent)
+                            EXPECT_FALSE(m.stepLabel(s, l).has_value())
+                                << where << ": disabled " << l.toString()
+                                << " stepped";
+                    }
+                    for (auto &succ : succs)
+                        push(std::move(succ.state));
+                }
+            })) << model;
+        }
+    }
+    EXPECT_GT(edges, 0u);
+    EXPECT_GT(halted_probes, 0u);
+    EXPECT_GT(empty_drain_probes, 0u);
 }
 
 // --------------------------------------- truncation is never a verdict

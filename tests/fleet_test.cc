@@ -606,6 +606,29 @@ TEST(Fleet, CoordinatorRestartResumes)
 }
 
 /**
+ * stop() right after a peer connects: the reader thread spawned for
+ * the connection may not have run yet when teardown joins it.  Readers
+ * take no coordinator lock and are joined with it released, so this
+ * must never hang, whichever side of the race each iteration lands on.
+ */
+TEST(Fleet, ConnectThenImmediateStopNeverHangs)
+{
+    // The window is narrow: the old lock order hung here only under
+    // CPU contention, and then once in a few hundred iterations.
+    for (int i = 0; i < 1000; ++i) {
+        CoordinatorCfg ccfg;
+        ccfg.out_dir = freshDir("fleet_connect_stop");
+        Coordinator coord(ccfg);
+        ASSERT_TRUE(coord.start()) << coord.lastError();
+        std::string err;
+        const int fd = fleetConnect({"127.0.0.1", coord.port()}, &err);
+        ASSERT_GE(fd, 0) << err;
+        coord.stop();
+        ::close(fd);
+    }
+}
+
+/**
  * A fully-journaled campaign resumes to completion without any
  * workers at all: resume alone reconstructs the verdict.
  */

@@ -392,9 +392,9 @@ TEST(Explorer, WitnessChainReachesTheOutcome)
     EXPECT_TRUE(m.outcome(chain.back()) == *target);
     for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
         bool is_succ = false;
-        for (const auto &succ : m.successors(chain[k]))
+        for (const auto &succ : m.labeledSuccessors(chain[k]))
             is_succ = is_succ ||
-                      m.encode(succ) == m.encode(chain[k + 1]);
+                      m.encode(succ.state) == m.encode(chain[k + 1]);
         EXPECT_TRUE(is_succ) << "chain step " << k << " is not an edge";
     }
     // Dumps render without dying and mention the write buffer.
