@@ -5,6 +5,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -13,6 +14,9 @@
 namespace wo {
 
 namespace {
+
+/** The largest explicit numeric location a source may name. */
+constexpr unsigned max_numeric_location = 65535;
 
 /** Tokenize one line (whitespace separated; '#' ends the line). */
 std::vector<std::string>
@@ -51,6 +55,12 @@ class Assembler
             ++lineno_;
             parseLine(tokenize(line));
         }
+        // Resolve labels here, where a bad one is a line-numbered
+        // error, instead of letting the builder treat it as fatal.
+        for (const LabelUse &u : label_uses_)
+            if (labels_[u.thread].count(u.label) == 0)
+                errors_.push_back(
+                    AsmError{u.line, "undefined label '" + u.label + "'"});
         AsmResult result;
         result.errors = std::move(errors_);
         if (!result.errors.empty())
@@ -161,8 +171,15 @@ class Assembler
     location(const std::string &tok)
     {
         if (isNumber(tok)) {
-            Addr a =
-                static_cast<Addr>(std::strtoul(tok.c_str(), nullptr, 0));
+            // Every location up to the highest one is materialized, so
+            // an address from outside input must stay small.
+            const unsigned long v = std::strtoul(tok.c_str(), nullptr, 0);
+            if (tok[0] == '-' || v > max_numeric_location) {
+                error(strprintf("location '%s' out of range (0..%u)",
+                                tok.c_str(), max_numeric_location));
+                return 0;
+            }
+            const Addr a = static_cast<Addr>(v);
             // Keep symbolic allocation clear of explicit addresses.
             next_loc_ = std::max(next_loc_, a + 1);
             return a;
@@ -202,9 +219,12 @@ class Assembler
         // Label?
         if (toks.size() == 1 && op.size() > 1 && op.back() == ':') {
             std::string label = op.substr(0, op.size() - 1);
-            if (auto *c = code())
-                c->push_back(
-                    [label](ThreadBuilder &t) { t.label(label); });
+            auto *c = code();
+            if (!c)
+                return;
+            if (!labels_[current_].insert(label).second)
+                return error("duplicate label '" + label + "'");
+            c->push_back([label](ThreadBuilder &t) { t.label(label); });
             return;
         }
 
@@ -273,8 +293,10 @@ class Assembler
                 return;
             if (n < 0 || n > 255)
                 return error("thread index out of range");
-            while (threads_.size() <= static_cast<std::size_t>(n))
+            while (threads_.size() <= static_cast<std::size_t>(n)) {
                 threads_.emplace_back();
+                labels_.emplace_back();
+            }
             current_ = static_cast<std::size_t>(n);
             return;
         }
@@ -373,6 +395,7 @@ class Assembler
             if (!parseReg(toks[1], r) || !parseImm(toks[2], v))
                 return;
             std::string label = toks[3];
+            label_uses_.push_back({current_, label, lineno_});
             if (op == "beq")
                 c->push_back([r, v, label](ThreadBuilder &t) {
                     t.beq(r, v, label);
@@ -387,6 +410,7 @@ class Assembler
             if (!need(2, "jmp <label>"))
                 return;
             std::string label = toks[1];
+            label_uses_.push_back({current_, label, lineno_});
             c->push_back([label](ThreadBuilder &t) { t.jmp(label); });
             return;
         }
@@ -413,6 +437,15 @@ class Assembler
     std::string name_;
     std::vector<std::vector<Emit>> threads_;
     std::size_t current_ = 0;
+    /** A branch's target label, checked once every label is known. */
+    struct LabelUse
+    {
+        std::size_t thread;
+        std::string label;
+        int line;
+    };
+    std::vector<std::set<std::string>> labels_; //!< defined, per thread
+    std::vector<LabelUse> label_uses_;
     std::map<std::string, Addr> locs_;
     Addr next_loc_ = 0;
     std::vector<std::pair<Addr, Value>> inits_;

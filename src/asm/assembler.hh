@@ -34,7 +34,8 @@
  *     halt                       -- implicit at end of thread
  *
  * Registers are written r0..r15.  Locations are symbolic names (assigned
- * addresses in order of first appearance) or explicit numbers.
+ * addresses in order of first appearance) or explicit numbers in
+ * 0..65535.
  */
 
 #ifndef WO_ASM_ASSEMBLER_HH

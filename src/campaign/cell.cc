@@ -422,7 +422,6 @@ runCell(const Cell &cell, std::uint64_t max_events, MaterializeCache *cache)
         for (const auto &o : v.dpor.outcomes)
             sig_src += o.toString() + "\n";
         r.outcome_sig = fnv1aHex(sig_src);
-        run.verify_detail = v.detail();
         return run;
     }
 

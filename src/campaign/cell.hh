@@ -203,11 +203,12 @@ struct CellResult
 
     // Host-time span decomposition, journaled per cell so post-hoc
     // tooling (wotool report) can break a campaign's wall clock down
-    // without the profiler on.  shrink_us is stamped by the campaign
-    // worker (shrinking happens above runCell).
+    // without the profiler on.  shrink_us is stamped by the campaign's
+    // run-then-shrink step (runAndShrinkCell, shrink.hh), which both
+    // the in-process worker and the fleet worker run.
     std::uint64_t mat_us = 0;    //!< materialize (parse/factory/generate)
     std::uint64_t run_us = 0;    //!< timed simulation
-    std::uint64_t shrink_us = 0; //!< shrink + evidence re-run
+    std::uint64_t shrink_us = 0; //!< shrinking (>= 1 on a shrunk cell)
 
     /** Did the hardware break the Definition-2 contract? */
     bool hardwareFailure() const { return hw > 0; }
@@ -267,7 +268,6 @@ struct CellRun
     CellResult result;
     std::optional<Program> program; //!< kept for the shrinker
     std::vector<WarmTerm> warm;
-    std::string verify_detail; //!< verify cells: the evidence report
 };
 
 CellRun runCell(const Cell &cell, std::uint64_t max_events,

@@ -16,30 +16,27 @@
  * history.
  *
  * Every hardware-blaming verdict is shrunk to a minimal reproducer
- * (see shrink.hh) and deduplicated by verdict kind + shrunk-program
- * hash; the first equivalent failure writes a `.wo` reproducer plus an
- * evidence bundle under the output directory, later ones only count.
+ * (see shrink.hh) and handed to the campaign's ledger (ledger.hh),
+ * which deduplicates it by verdict kind + shrunk-program hash: the
+ * first equivalent failure writes a `.wo` reproducer plus an evidence
+ * bundle under the output directory, later ones only count.
  *
- * The per-cell hot path carries no serialization point, so throughput
- * scales near-linearly with --jobs: the journal group-commits from a
- * dedicated writer thread (see journal.hh), resume lookups read an
- * immutable snapshot, each worker owns a materialization cache and a
- * cache-line-aligned statistics block merged at join, and failure
- * provenance is staged per worker instead of behind a global mutex.
+ * The per-cell hot path takes no global lock: the journal group-commits from
+ * a dedicated writer thread (see journal.hh), resume lookups read an
+ * immutable snapshot, and each worker owns a materialization cache
+ * and its own ledger slot.  That does not make throughput scale with
+ * --jobs by itself: measured on 4 hardware threads, 1 / 2 / 4 workers
+ * ran 18.5k / 18.5k / 18.0k cells/s, held back by per-cell allocation
+ * in the C library (ROADMAP.md, Open item 1).
  */
 
 #ifndef WO_CAMPAIGN_SCHEDULER_HH
 #define WO_CAMPAIGN_SCHEDULER_HH
 
 #include <string>
-#include <vector>
 
-#include "campaign/cell.hh"
-#include "campaign/fuzzer.hh"
-#include "campaign/journal.hh"
+#include "campaign/ledger.hh"
 #include "campaign/spec.hh"
-#include "obs/json.hh"
-#include "obs/timeline.hh"
 
 namespace wo {
 
@@ -96,56 +93,6 @@ struct CampaignCfg : CampaignSpec
      * port-in-use as a config error) is the caller's job.
      */
     HttpServer *serve = nullptr;
-};
-
-/** What a campaign did: the verdict tally of the cells it ran, plus
- *  throughput, failures and the per-lane decomposition. */
-struct CampaignSummary : VerdictTally
-{
-    std::uint64_t ran = 0;     //!< cells actually simulated
-    std::uint64_t skipped = 0; //!< cells not run: resumed + duplicates
-    std::uint64_t duplicates = 0; //!< keys this run had claimed already
-    std::uint64_t novelty = 0; //!< fuzz-frontier discoveries
-    std::vector<FailureRecord> failures; //!< deduplicated
-    double wall_s = 0;
-    double cells_per_sec = 0;
-    double lat_p50_ms = 0; //!< median per-cell wall time (ran cells)
-    double lat_p99_ms = 0; //!< tail per-cell wall time
-
-    /** Skipped cells a replayed journal already held. */
-    std::uint64_t resumed() const { return skipped - duplicates; }
-
-    /**
-     * One engine thread's span decomposition: where its wall clock
-     * went, by span kind (see obs/timeline.hh).  Lanes are the jobs
-     * workers in order plus the journal writer; always populated, so
-     * every campaign explains its own scaling.
-     */
-    struct LaneSummary
-    {
-        std::string lane;      //!< "worker<i>" or "journal-writer"
-        double wall_ms = 0;    //!< markStart..markEnd of the thread loop
-        double span_ms[num_span_kinds] = {};
-        std::uint64_t span_count[num_span_kinds] = {};
-        double span_max_ms[num_span_kinds] = {};
-    };
-    std::vector<LaneSummary> lanes;
-
-    // Self-profiler results (zero / empty unless cfg.profile).
-    std::uint64_t profile_samples = 0;
-    std::uint64_t profile_dropped = 0;
-    std::string folded_path;  //!< collapsed stacks written here
-    std::string trace_path;   //!< per-lane Chrome trace written here
-    Json profiler_json;       //!< Profiler::toJson(); null when off
-
-    /** Exit-0 condition: no hardware violation survived shrinking. */
-    bool hardwareClean() const { return failures.empty(); }
-
-    /** The final human-readable summary table. */
-    std::string table() const;
-
-    /** Machine-readable form (journal footer / tooling). */
-    Json toJson() const;
 };
 
 /** Run a campaign to completion (or its budget). */

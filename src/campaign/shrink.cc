@@ -1,9 +1,13 @@
 #include "shrink.hh"
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <map>
 
 #include "common/logging.hh"
+#include "obs/artifact.hh"
+#include "obs/timeline.hh"
 
 namespace wo {
 
@@ -309,17 +313,11 @@ shrinkCounterexample(const Program &prog,
         cfg);
 }
 
-FailureId
-failureId(const std::string &kind, const std::string &wo_text,
-          const std::string &dir)
-{
-    const std::string hash = fnv1aHex(wo_text).substr(0, 12);
-    return {kind + ":" + hash, dir + "/repro-" + kind + "-" + hash};
-}
+namespace {
 
-std::optional<CellFailure>
+std::optional<ShrinkOutcome>
 shrinkCellFailure(const Cell &cell, const CellRun &run,
-                  const CampaignSpec &spec, const std::string &dir)
+                  const CampaignSpec &spec)
 {
     ViolationKind kind;
     if (!run.program ||
@@ -327,22 +325,58 @@ shrinkCellFailure(const Cell &cell, const CellRun &run,
         return std::nullopt;
     ShrinkCfg scfg;
     scfg.max_runs = spec.shrink ? spec.shrink_max_runs : 1;
-    CellFailure f;
     if (cell.kind == CellKind::verify) {
         const VerifyCfg vcfg = cell.verifyCfg();
-        f.shrunk = shrinkCounterexample(
+        return shrinkCounterexample(
             *run.program, run.warm,
             [&](const Program &p, const std::vector<WarmTerm> &) {
                 return verifyReproduces(p, cell.model, kind, vcfg);
             },
             scfg);
-    } else {
-        f.shrunk = shrinkCounterexample(*run.program, run.warm,
-                                        cell.systemCfg(spec.max_events),
-                                        kind, scfg);
     }
-    f.id = failureId(run.result.primary_kind, f.shrunk.wo_text, dir);
-    return f;
+    return shrinkCounterexample(*run.program, run.warm,
+                                cell.systemCfg(spec.max_events), kind,
+                                scfg);
+}
+
+} // namespace
+
+ShrunkCellRun
+runAndShrinkCell(const Cell &cell, const CampaignSpec &spec,
+                 MaterializeCache *cache)
+{
+    ShrunkCellRun out{runCell(cell, spec.max_events, cache), {}};
+    if (!out.run.result.hardwareFailure())
+        return out;
+    Timeline::Scope span(Timeline::current(), SpanKind::shrink);
+    const auto t0 = std::chrono::steady_clock::now();
+    out.failure = shrinkCellFailure(cell, out.run, spec);
+    // Rounded up, so every shrunk cell journals a nonzero shrink_us.
+    out.run.result.shrink_us = static_cast<std::uint64_t>(std::ceil(
+        std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
+    return out;
+}
+
+void
+writeFailureEvidence(const Cell &cell, const Program &prog,
+                     const std::vector<WarmTerm> &warm,
+                     std::uint64_t max_events, const std::string &stem)
+{
+    if (cell.kind == CellKind::verify) {
+        writeFile(stem + ".verify.txt",
+                  verifyProgramOnModel(prog, cell.model, cell.verifyCfg())
+                      .detail());
+        return;
+    }
+    SystemCfg ev = cell.systemCfg(max_events);
+    ev.flight_recorder = true;
+    ev.dump_on_fail = stem;
+    System sys(prog, ev);
+    for (const auto &wt : warm)
+        sys.warmShared(wt.addr, wt.procs);
+    sys.run();
 }
 
 } // namespace wo

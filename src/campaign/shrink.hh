@@ -99,41 +99,39 @@ ShrinkOutcome shrinkCounterexample(const Program &prog,
 
 // --- the campaign failure pipeline ------------------------------------
 
-/**
- * The campaign-wide identity of a shrunk failure: equal minima of the
- * same violation kind are one failure, however many cells (or fleet
- * workers) hit them.
- */
-struct FailureId
+/** One cell's run and, when it blamed the hardware, its minimum. */
+struct ShrunkCellRun
 {
-    std::string dedup; //!< "<kind>:<12 hex digits of the .wo hash>"
-    std::string stem;  //!< "<dir>/repro-<kind>-<hash>"; + ".wo" = repro
-};
-
-/** The identity of a failure of @p kind whose reproducer is @p wo_text,
- *  with its files under @p dir. */
-FailureId failureId(const std::string &kind, const std::string &wo_text,
-                    const std::string &dir);
-
-/** A hardware-blaming cell run, minimized and identified. */
-struct CellFailure
-{
-    ShrinkOutcome shrunk;
-    FailureId id;
+    CellRun run;
+    std::optional<ShrinkOutcome> failure;
 };
 
 /**
- * Shrink @p run's program to a reproducer of its primary violation:
- * verify cells under the dual-engine predicate, run cells under the
- * monitored timed run.  With @p spec.shrink off the single permitted
- * run only confirms the reproduction and renders the unreduced .wo
- * text.  Empty when the run has no program or its violation kind
+ * The campaign's run-then-shrink step, shared by the in-process
+ * engine and the fleet worker: run @p cell, and on a hardware verdict
+ * shrink it to a reproducer of its primary violation inside a shrink
+ * span, stamping `shrink_us` on the result before the caller
+ * serializes it.  Verify cells shrink under the dual-engine predicate,
+ * run cells under the monitored timed run; with @p spec.shrink off the
+ * single permitted run only confirms the reproduction and renders the
+ * unreduced .wo text.  No failure comes back when the violation kind
  * cannot be named (the cell verdict stays the evidence).
  */
-std::optional<CellFailure> shrinkCellFailure(const Cell &cell,
-                                             const CellRun &run,
-                                             const CampaignSpec &spec,
-                                             const std::string &dir);
+ShrunkCellRun runAndShrinkCell(const Cell &cell, const CampaignSpec &spec,
+                               MaterializeCache *cache);
+
+/**
+ * Write the evidence bundle of a shrunk failure of @p cell beside its
+ * reproducer at @p stem.  A verify cell re-judges @p prog and writes
+ * the outcome-set diff to `<stem>.verify.txt` (a flight-recorder
+ * replay would only show one timed run, which is not what disagreed);
+ * a run cell re-runs it with the flight recorder on, so the failure
+ * dumps `<stem>.trace.json`, `.hb.dot`, `.hb.svg` and `.monitor.txt`.
+ */
+void writeFailureEvidence(const Cell &cell, const Program &prog,
+                          const std::vector<WarmTerm> &warm,
+                          std::uint64_t max_events,
+                          const std::string &stem);
 
 } // namespace wo
 

@@ -77,14 +77,16 @@ submitCampaign(const SubmitCfg &cfg)
         } else if (type == "progress") {
             if (cfg.quiet)
                 continue;
-            const Json *cells = p.value.find("cells");
+            // The campaign's ledger progress document (proto v2).
+            const Json *prog = p.value.find("progress");
+            const Json *cells = prog ? prog->find("cells") : nullptr;
             if (!cells || !cells->isObject())
                 continue;
             std::fprintf(
                 stderr, "\rfleet: %llu/%llu cells, %llu hw   ",
-                static_cast<unsigned long long>(cells->uintAt("done")),
-                static_cast<unsigned long long>(cells->uintAt("cells")),
-                static_cast<unsigned long long>(cells->uintAt("hw")));
+                static_cast<unsigned long long>(cells->uintAt("completed")),
+                static_cast<unsigned long long>(cells->uintAt("total")),
+                static_cast<unsigned long long>(cells->uintAt("hw_failed")));
             std::fflush(stderr);
         } else if (type == "done") {
             if (!cfg.quiet)

@@ -5,9 +5,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "campaign/shrink.hh"
+#include "campaign/fuzzer.hh"
 #include "common/logging.hh"
-#include "obs/artifact.hh"
+#include "obs/control_plane.hh"
 #include "obs/httpd.hh"
 #include "obs/metrics.hh"
 
@@ -42,25 +42,14 @@ Coordinator::start()
     if (cfg_.resume)
         resumeFromOutDir();
 
-    if (cfg_.serve) {
-        cfg_.serve->handle("/healthz", [](const HttpRequest &) {
-            HttpResponse r;
-            r.body = "ok\n";
-            return r;
-        });
-        cfg_.serve->handle("/metrics", [this](const HttpRequest &) {
-            HttpResponse r;
-            r.content_type = "text/plain; version=0.0.4";
-            r.body = prometheusText(metricsJson(), "wo_fleet");
-            return r;
-        });
-        cfg_.serve->handle("/progress", [this](const HttpRequest &) {
-            HttpResponse r;
-            r.content_type = "application/json";
-            r.body = progressJson().dump(1) + "\n";
-            return r;
-        });
-    }
+    if (cfg_.serve)
+        mountControlPlane(
+            *cfg_.serve, "wo_fleet",
+            {[this] { return metricsJson(); },
+             [this] { return progressJson(); },
+             [this](std::vector<std::size_t> &cursors, std::string &chunk) {
+                 return failureEvents(cursors, chunk);
+             }});
 
     started_ = true;
     acceptor_ = std::thread([this] { acceptLoop(); });
@@ -141,8 +130,7 @@ Coordinator::teardown(bool drain)
         // Commit every merged record; in-flight campaigns stay
         // resumable from exactly this journal state.
         for (auto &camp : camps_)
-            if (camp->journal)
-                camp->journal->close();
+            camp->ledger->journal().close();
     }
     if (cfg_.serve)
         cfg_.serve->stop();
@@ -250,8 +238,6 @@ Coordinator::pumpLoop()
         std::lock_guard<std::mutex> lock(mu_);
         if (have) {
             switch (ev.kind) {
-              case Event::Kind::connected:
-                break;
               case Event::Kind::message:
                 handleMessage(ev.conn, ev.msg);
                 break;
@@ -331,7 +317,6 @@ Coordinator::handleHello(Conn &c, const Json &msg)
         c.name = strprintf("%s%llu", role.c_str(),
                            static_cast<unsigned long long>(c.id));
     c.jobs = std::max(1, static_cast<int>(msg.uintAt("jobs")));
-    c.hw_threads = msg.uintAt("hw_threads");
 
     Json ok = fleetMsg("hello_ok");
     ok.set("proto", Json(fleet_proto_version));
@@ -374,18 +359,14 @@ Coordinator::handleResult(Conn &c, const Json &msg)
     if (!camp || !cell || !cell->isObject())
         return;
     const std::uint64_t idx = msg.uintAt("idx");
-    if (camp->completed || idx >= camp->spec.cells || camp->done[idx]) {
+    if (camp->ledger->done() || idx >= camp->spec.cells || camp->done[idx]) {
         // A reassigned lease's original holder reported late: the
         // merge is idempotent, the duplicate only counts.
         ++camp->duplicate_results;
         return;
     }
     camp->done[idx] = 1;
-    ++camp->done_cells;
-    ++camp->ran;
     ++c.cells_done;
-
-    camp->tally.add(cell->stringAt("verdict"));
 
     const std::size_t shard_i =
         static_cast<std::size_t>(idx / cfg_.shard_size);
@@ -393,38 +374,31 @@ Coordinator::handleResult(Conn &c, const Json &msg)
     if (shard.remaining > 0)
         --shard.remaining;
 
-    // Merge into the campaign journal, annotated with the fleet
+    // Merge into the campaign ledger, annotated with the fleet
     // provenance a resumed coordinator needs.
     Json rec = *cell;
     rec.set("type", Json("cell"));
     rec.set("idx", Json(idx));
     rec.set("shard", Json(static_cast<std::uint64_t>(shard_i)));
     rec.set("worker", Json(c.name));
-    camp->journal->appendJson(std::move(rec));
+    camp->ledger->recordLine(0, std::move(rec));
 
     if (const Json *f = msg.find("failure"); f && f->isObject()) {
-        const std::string fkind = f->stringAt("kind");
-        const std::string wo_text = f->stringAt("wo_text");
-        // Same identity as the single-process engine: a bug found by
-        // three workers is still one failure fleet-wide.
-        const FailureId id = failureId(fkind, wo_text, camp->dir);
-        FailureRecord rec;
-        rec.dedup = id.dedup;
-        rec.kind = fkind;
-        rec.first_cell = cell->stringAt("key");
-        rec.repro_path = id.stem + ".wo";
-        rec.instructions = static_cast<std::size_t>(f->uintAt("insns"));
-        rec.orig_instructions =
+        // The worker shrank it; the evidence re-run needs the cell,
+        // which the base index rebuilds exactly.
+        ShrinkOutcome s;
+        s.wo_text = f->stringAt("wo_text");
+        s.instructions = static_cast<std::size_t>(f->uintAt("insns"));
+        s.orig_instructions =
             static_cast<std::size_t>(f->uintAt("orig_insns"));
-        rec.reproduced = f->boolAt("reproduced");
-        if (camp->journal->recordFailure(rec)) {
-            ++camp->unique_failures;
-            writeFile(rec.repro_path, wo_text);
-            if (cfg_.verbose)
-                inform("fleet: campaign %llu failure %s (from '%s')",
-                       static_cast<unsigned long long>(camp->id),
-                       id.dedup.c_str(), c.name.c_str());
-        }
+        s.reproduced = f->boolAt("reproduced");
+        const std::string kind = f->stringAt("kind");
+        if (camp->ledger->fileFailure(Fuzzer(camp->spec).baseCell(idx),
+                                      kind, s) &&
+            cfg_.verbose)
+            inform("fleet: campaign %llu: new %s failure (from '%s')",
+                   static_cast<unsigned long long>(camp->id), kind.c_str(),
+                   c.name.c_str());
     }
 
     if (shard.remaining == 0) {
@@ -526,7 +500,7 @@ Coordinator::Camp *
 Coordinator::activeCampaign()
 {
     for (auto &cp : camps_)
-        if (!cp->completed)
+        if (!cp->ledger->done())
             return cp.get();
     return nullptr;
 }
@@ -574,7 +548,6 @@ Coordinator::grantLeases()
             lease.campaign = camp->id;
             lease.shard = shard_i;
             lease.conn = id;
-            lease.granted = std::chrono::steady_clock::now();
             leases_.emplace(lease_id, lease);
             c->leases.push_back(lease_id);
             if (cfg_.verbose)
@@ -615,14 +588,14 @@ Coordinator::sendClientProgress()
         return;
     last_progress_push_ = now;
     for (auto &cp : camps_) {
-        if (cp->completed || cp->client_conn == 0)
+        if (cp->ledger->done() || cp->client_conn == 0)
             continue;
         auto it = conns_.find(cp->client_conn);
         if (it == conns_.end() || it->second->dead)
             continue;
         Json msg = fleetMsg("progress");
         msg.set("campaign", Json(cp->id));
-        msg.set("cells", campaignProgressJson(*cp));
+        msg.set("progress", campaignProgressJson(*cp));
         it->second->sock->writeLine(msg);
     }
 }
@@ -630,29 +603,32 @@ Coordinator::sendClientProgress()
 void
 Coordinator::maybeCompleteCampaign(Camp &camp)
 {
-    if (camp.completed || camp.done_cells < camp.spec.cells)
+    if (camp.ledger->done() || camp.ledger->completed() < camp.spec.cells)
         return;
-    camp.completed = true;
-    camp.summary = buildSummary(camp);
-    camp.journal->close();
-    writeFile(camp.dir + "/campaign.summary.json",
-              camp.summary.dump(1) + "\n");
+    const CampaignSummary sum = camp.ledger->close();
+    // The in-process summary plus what only a fleet knows.  Failures
+    // come from the journal, so the verdict survives a restart.
+    camp.summary = sum.toJson();
+    camp.summary.set("campaign", Json(camp.id));
+    camp.summary.set("cells", Json(camp.spec.cells));
+    camp.summary.set("duplicate_results", Json(camp.duplicate_results));
+    camp.summary.set("reassigned_leases", Json(camp.reassigned_leases));
+    camp.ledger->writeSummary(camp.summary);
     ++completed_campaigns_;
     if (cfg_.verbose)
         inform("fleet: campaign %llu complete (%llu ran, %llu resumed, "
-               "%llu unique failures)",
+               "%zu unique failures)",
                static_cast<unsigned long long>(camp.id),
-               static_cast<unsigned long long>(camp.ran),
-               static_cast<unsigned long long>(camp.resumed),
-               static_cast<unsigned long long>(camp.unique_failures));
+               static_cast<unsigned long long>(sum.ran),
+               static_cast<unsigned long long>(sum.resumed()),
+               sum.failures.size());
 
     if (camp.client_conn != 0) {
         auto it = conns_.find(camp.client_conn);
         if (it != conns_.end() && !it->second->dead) {
             Json msg = fleetMsg("done");
             msg.set("campaign", Json(camp.id));
-            msg.set("hardware_clean",
-                    Json(camp.summary.boolAt("hardware_clean")));
+            msg.set("hardware_clean", Json(sum.hardwareClean()));
             msg.set("summary", camp.summary);
             it->second->sock->writeLine(msg);
         }
@@ -671,44 +647,17 @@ Coordinator::maybeCompleteCampaign(Camp &camp)
     state_cv_.notify_all();
 }
 
-Json
-Coordinator::buildSummary(const Camp &camp) const
-{
-    Json j = Json::object();
-    j.set("campaign", Json(camp.id));
-    j.set("cells", Json(camp.spec.cells));
-    j.set("ran", Json(camp.ran));
-    j.set("resumed", Json(camp.resumed));
-    camp.tally.toJson(j);
-    j.set("duplicate_results", Json(camp.duplicate_results));
-    j.set("reassigned_leases", Json(camp.reassigned_leases));
-    // The journal's failure map spans resumed history too, so the
-    // verdict survives a coordinator restart.
-    const auto failures = camp.journal->failures();
-    j.set("unique_failures",
-          Json(static_cast<std::uint64_t>(failures.size())));
-    j.set("hardware_clean", Json(failures.empty()));
-    Json fl = Json::array();
-    for (const FailureRecord &f : failures)
-        fl.push(failureRecordToJson(f));
-    j.set("failures", std::move(fl));
-    j.set("wall_s",
-          Json(std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - camp.t0)
-                   .count()));
-    return j;
-}
-
 // --- campaign setup / resume -----------------------------------------
 
-std::unique_ptr<Journal>
-Coordinator::newJournal(const std::string &dir) const
+std::unique_ptr<Ledger>
+Coordinator::newLedger(std::uint64_t id) const
 {
+    const std::string dir =
+        cfg_.out_dir + strprintf("/c%llu", static_cast<unsigned long long>(id));
     JournalCfg jcfg;
     jcfg.sync_every = cfg_.sync_every;
     jcfg.flush_interval_ms = cfg_.flush_interval_ms;
-    return std::make_unique<Journal>(dir + "/campaign.journal.jsonl",
-                                     jcfg);
+    return std::make_unique<Ledger>(1, dir, "", jcfg);
 }
 
 void
@@ -730,34 +679,40 @@ Coordinator::layoutShards(Camp &camp) const
     }
 }
 
+Coordinator::Camp &
+Coordinator::addCampaign(std::uint64_t id, CampaignSpec spec,
+                         std::unique_ptr<Ledger> ledger)
+{
+    auto camp = std::make_unique<Camp>();
+    camp->id = id;
+    camp->spec = std::move(spec);
+    Json meta = Json::object(); // the header, if the journal is fresh
+    meta.set("fleet", Json(true));
+    meta.set("campaign_id", Json(id));
+    meta.set("spec", campaignSpecToJson(camp->spec));
+    ledger->open(camp->spec, std::move(meta));
+    camp->ledger = std::move(ledger);
+    // A replayed journal's indices are merged already: only the
+    // complement is leased.
+    camp->done.assign(camp->spec.cells, 0);
+    for (std::uint64_t idx : camp->ledger->journal().resumeIndices())
+        if (idx < camp->spec.cells && !camp->done[idx]) {
+            camp->done[idx] = 1;
+            camp->ledger->recordSkip(0, KeyClaim::resumed);
+        }
+    layoutShards(*camp);
+    next_campaign_ = std::max(next_campaign_, id + 1);
+    camps_.push_back(std::move(camp));
+    return *camps_.back();
+}
+
 std::uint64_t
 Coordinator::enqueueCampaign(CampaignSpec spec,
                              std::uint64_t client_conn)
 {
-    auto camp = std::make_unique<Camp>();
-    camp->id = next_campaign_++;
-    camp->spec = std::move(spec);
-    camp->client_conn = client_conn;
-    camp->t0 = std::chrono::steady_clock::now();
-    camp->dir = cfg_.out_dir +
-                strprintf("/c%llu",
-                          static_cast<unsigned long long>(camp->id));
-    std::error_code ec;
-    std::filesystem::create_directories(camp->dir, ec);
-
-    camp->journal = newJournal(camp->dir);
-    camp->journal->reserveKeys(camp->spec.cells);
-    camp->journal->open(true);
-    Json meta = Json::object();
-    meta.set("fleet", Json(true));
-    meta.set("campaign_id", Json(camp->id));
-    meta.set("spec", campaignSpecToJson(camp->spec));
-    camp->journal->writeHeader(std::move(meta));
-
-    camp->done.assign(camp->spec.cells, 0);
-    layoutShards(*camp);
-    const std::uint64_t id = camp->id;
-    camps_.push_back(std::move(camp));
+    const std::uint64_t id = next_campaign_;
+    addCampaign(id, std::move(spec), newLedger(id)).client_conn =
+        client_conn;
     return id;
 }
 
@@ -790,45 +745,24 @@ Coordinator::resumeFromOutDir()
     std::sort(ids.begin(), ids.end());
 
     for (std::uint64_t id : ids) {
-        const std::string dir =
-            cfg_.out_dir +
-            strprintf("/c%llu", static_cast<unsigned long long>(id));
-        std::unique_ptr<Journal> journal = newJournal(dir);
-        journal->load();
-        const Json *spec_j = journal->header().find("spec");
+        std::unique_ptr<Ledger> ledger = newLedger(id);
+        const Json *spec_j = ledger->replay().find("spec");
         CampaignSpec spec;
         std::string why;
         if (!spec_j || !campaignSpecFromJson(*spec_j, spec, &why)) {
-            warn("fleet: %s: cannot rebuild campaign spec from the "
+            warn("fleet: c%llu: cannot rebuild campaign spec from the "
                  "journal header (%s); skipping",
-                 dir.c_str(), why.empty() ? "missing" : why.c_str());
+                 static_cast<unsigned long long>(id),
+                 why.empty() ? "missing" : why.c_str());
             continue;
         }
-        auto camp = std::make_unique<Camp>();
-        camp->id = id;
-        camp->spec = std::move(spec);
-        camp->dir = dir;
-        camp->t0 = std::chrono::steady_clock::now();
-        camp->journal = std::move(journal);
-        camp->journal->reserveKeys(camp->spec.cells);
-        camp->journal->open(false);
-
-        camp->done.assign(camp->spec.cells, 0);
-        for (std::uint64_t idx : camp->journal->resumeIndices())
-            if (idx < camp->spec.cells && !camp->done[idx]) {
-                camp->done[idx] = 1;
-                ++camp->done_cells;
-                ++camp->resumed;
-            }
-        layoutShards(*camp);
-        next_campaign_ = std::max(next_campaign_, id + 1);
+        const Camp &camp = addCampaign(id, std::move(spec), std::move(ledger));
         if (cfg_.verbose)
             inform("fleet: resumed campaign %llu (%llu/%llu cells "
                    "journaled)",
                    static_cast<unsigned long long>(id),
-                   static_cast<unsigned long long>(camp->done_cells),
-                   static_cast<unsigned long long>(camp->spec.cells));
-        camps_.push_back(std::move(camp));
+                   static_cast<unsigned long long>(camp.ledger->completed()),
+                   static_cast<unsigned long long>(camp.spec.cells));
     }
 }
 
@@ -851,14 +785,15 @@ Coordinator::waitCampaign(std::uint64_t id, int timeout_ms, Json *summary)
     if (!camp)
         return false;
     const auto pred = [&] {
-        return camp->completed || stopping_.load(std::memory_order_relaxed);
+        return camp->ledger->done() ||
+               stopping_.load(std::memory_order_relaxed);
     };
     if (timeout_ms <= 0)
         state_cv_.wait(lock, pred);
     else if (!state_cv_.wait_for(
                  lock, std::chrono::milliseconds(timeout_ms), pred))
         return false;
-    if (!camp->completed)
+    if (!camp->ledger->done())
         return false;
     if (summary)
         *summary = camp->summary;
@@ -904,13 +839,8 @@ Coordinator::workersConnected() const
 Json
 Coordinator::campaignProgressJson(const Camp &camp) const
 {
-    Json j = Json::object();
-    j.set("cells", Json(camp.spec.cells));
-    j.set("done", Json(camp.done_cells));
-    j.set("ran", Json(camp.ran));
-    j.set("resumed", Json(camp.resumed));
-    j.set("hw", Json(camp.tally.hw));
-    j.set("unique_failures", Json(camp.unique_failures));
+    Json j = camp.ledger->progressJson();
+    j.set("campaign", Json(camp.id));
     std::uint64_t pending = 0, leased = 0, done = 0;
     for (const Shard &s : camp.shards) {
         if (s.state == Shard::State::pending)
@@ -926,6 +856,18 @@ Coordinator::campaignProgressJson(const Camp &camp) const
     shards.set("done", Json(done));
     j.set("shards", std::move(shards));
     return j;
+}
+
+bool
+Coordinator::failureEvents(std::vector<std::size_t> &cursors,
+                           std::string &chunk)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    cursors.resize(camps_.size());
+    for (std::size_t i = 0; i < camps_.size(); ++i)
+        camps_[i]->ledger->failureEvents(cursors[i], chunk);
+    return serving_done_ ||
+           (completed_campaigns_ > 0 && activeCampaign() == nullptr);
 }
 
 Json
@@ -950,12 +892,8 @@ Coordinator::progressJson() const
     j.set("workers", std::move(workers));
     j.set("campaigns_completed", Json(completed_campaigns_));
     Json camps = Json::array();
-    for (const auto &cp : camps_) {
-        Json c = campaignProgressJson(*cp);
-        c.set("campaign", Json(cp->id));
-        c.set("completed", Json(cp->completed));
-        camps.push(std::move(c));
-    }
+    for (const auto &cp : camps_)
+        camps.push(campaignProgressJson(*cp));
     j.set("campaigns", std::move(camps));
     return j;
 }
@@ -979,16 +917,11 @@ Coordinator::metricsJson() const
         j.set("worker{worker=\"" + c->name + "\"}", std::move(w));
     }
     for (const auto &cp : camps_) {
-        Json c = Json::object();
-        c.set("cells", Json(cp->spec.cells));
-        c.set("done_cells", Json(cp->done_cells));
-        c.set("ran", Json(cp->ran));
-        c.set("resumed", Json(cp->resumed));
-        c.set("hw", Json(cp->tally.hw));
-        c.set("unique_failures", Json(cp->unique_failures));
+        MetricsRegistry reg;
+        cp->ledger->metrics(reg);
+        Json c = reg.json();
         c.set("duplicate_results", Json(cp->duplicate_results));
         c.set("reassigned_leases", Json(cp->reassigned_leases));
-        c.set("completed", Json(cp->completed ? 1 : 0));
         // Per-shard series are bounded by the operator's shard-size
         // choice; cap the cardinality anyway so a million-cell
         // campaign cannot flood a scrape.

@@ -30,15 +30,20 @@
  *    cell lines' `idx` members rebuild the done set, and exactly the
  *    uncommitted indices are re-leased (Journal::resumeIndices()).
  *
- * Shrinking runs on the worker that caught the violation; the RESULT
- * carries the minimized `.wo` text back as failure evidence, and the
- * coordinator deduplicates fleet-wide by verdict kind + shrunk-program
- * hash -- the same identity the single-process campaign uses -- so a
- * bug found by many workers is still reported once.
+ * Each campaign records into its own ledger (campaign/ledger.hh), the
+ * same one the single-process campaign uses, driven from the pump
+ * with a single slot: tally, latency, journaling, failure filing and
+ * the summary are that code, not a copy.  Shrinking runs on the
+ * worker that caught the violation; the RESULT carries the minimized
+ * `.wo` text back, and the ledger deduplicates it fleet-wide by
+ * verdict kind + shrunk-program hash, so a bug found by many workers
+ * is still reported once.  The first of each class gets its evidence
+ * bundle here: the coordinator rebuilds the cell from its base index
+ * and re-runs the assembled reproducer.
  *
  * The optional httpd control plane (obs/httpd.hh) mounts /healthz,
- * /metrics and /progress with per-worker, per-campaign and per-shard
- * series, mirroring the in-process campaign's surface.
+ * /metrics, /progress and /events: each campaign's ledger documents
+ * next to the per-worker, per-lease and per-shard series.
  */
 
 #ifndef WO_FLEET_COORDINATOR_HH
@@ -55,7 +60,7 @@
 #include <thread>
 #include <vector>
 
-#include "campaign/journal.hh"
+#include "campaign/ledger.hh"
 #include "fleet/proto.hh"
 
 namespace wo {
@@ -83,7 +88,8 @@ struct CoordinatorCfg
      *  until stop()); finished fleets DRAIN their workers. */
     int max_campaigns = 0;
     /** Already-started control-plane server to mount /healthz,
-     *  /metrics, /progress on (caller binds; stop() stops it). */
+     *  /metrics, /progress and /events on (caller binds; stop()
+     *  stops it). */
     HttpServer *serve = nullptr;
     bool verbose = false; //!< log lease traffic on stderr
 };
@@ -173,7 +179,6 @@ class Coordinator
         Role role = Role::unknown;
         std::string name;
         int jobs = 1;
-        std::uint64_t hw_threads = 0;
         std::chrono::steady_clock::time_point last_seen;
         std::vector<std::uint64_t> leases; //!< outstanding lease ids
         std::uint64_t cells_done = 0;
@@ -193,21 +198,13 @@ class Coordinator
     {
         std::uint64_t id = 0;
         CampaignSpec spec;
-        std::string dir;
-        std::unique_ptr<Journal> journal;
+        std::unique_ptr<Ledger> ledger; //!< one slot, driven by the pump
         std::vector<std::uint8_t> done; //!< per base index
         std::vector<Shard> shards;
-        std::uint64_t done_cells = 0;
-        std::uint64_t resumed = 0; //!< indices replayed from the journal
-        std::uint64_t ran = 0;     //!< results merged by this process
-        VerdictTally tally;        //!< of the results merged here
-        std::uint64_t unique_failures = 0;
         std::uint64_t duplicate_results = 0; //!< stale-lease drops
         std::uint64_t reassigned_leases = 0;
         std::uint64_t client_conn = 0; //!< 0 = detached/local submit
-        bool completed = false;
-        Json summary;
-        std::chrono::steady_clock::time_point t0;
+        Json summary; //!< set once the ledger is closed (completed)
     };
 
     struct Lease
@@ -216,12 +213,11 @@ class Coordinator
         std::uint64_t campaign = 0;
         std::size_t shard = 0;
         std::uint64_t conn = 0;
-        std::chrono::steady_clock::time_point granted;
     };
 
     struct Event
     {
-        enum class Kind : std::uint8_t { connected, message, closed };
+        enum class Kind : std::uint8_t { message, closed };
         Kind kind;
         std::uint64_t conn = 0;
         Json msg;
@@ -247,14 +243,22 @@ class Coordinator
     std::uint64_t enqueueCampaign(CampaignSpec spec,
                                   std::uint64_t client_conn);
     void resumeFromOutDir();
-    std::unique_ptr<Journal> newJournal(const std::string &dir) const;
+    /** The ledger of campaign @p id, under <out_dir>/c<id>. */
+    std::unique_ptr<Ledger> newLedger(std::uint64_t id) const;
+    /** Open @p ledger (fresh, or replayed on resume) and lease the
+     *  campaign's uncommitted indices. */
+    Camp &addCampaign(std::uint64_t id, CampaignSpec spec,
+                      std::unique_ptr<Ledger> ledger);
     /** Cut the lattice into shards; done indices are not re-leased. */
     void layoutShards(Camp &camp) const;
     Camp *activeCampaign();
     Camp *findCampaign(std::uint64_t id);
     int aliveWorkers() const;
     Json campaignProgressJson(const Camp &camp) const;
-    Json buildSummary(const Camp &camp) const;
+    /** The /events source: every campaign's failures; done once the
+     *  fleet is idle after completing a campaign. */
+    bool failureEvents(std::vector<std::size_t> &cursors,
+                       std::string &chunk);
     void teardown(bool drain);
 
     CoordinatorCfg cfg_;

@@ -26,7 +26,7 @@
  *                                          orig_insns, reproduced}}
  *   lease_done worker -> coord {campaign, lease}
  *   heartbeat  worker -> coord {}
- *   progress   coord -> client {campaign, cells:{...}, ...}
+ *   progress   coord -> client {campaign, progress:{cells:{...}, ...}}
  *   done       coord -> client {campaign, hardware_clean, summary}
  *   drain      coord -> worker {}; finish in-flight work and exit
  *
@@ -52,7 +52,7 @@
 namespace wo {
 
 /** Bump on any wire-visible change; hello carries it both ways. */
-constexpr std::uint64_t fleet_proto_version = 1;
+constexpr std::uint64_t fleet_proto_version = 2;
 
 /** A parsed `host:port` endpoint (the `--connect` surface). */
 struct HostPort

@@ -172,33 +172,28 @@ FleetWorker::executeLease(const Json &msg)
             if (at >= indices.size())
                 return;
             const std::uint64_t idx = indices[at];
-            const Cell cell = fuzzer.baseCell(idx);
-            CellRun run = runCell(cell, spec.max_events, &cache);
+            // Shrink where the evidence is: only the minimized text
+            // travels, and the coordinator derives the failure identity
+            // from exactly this text.
+            const ShrunkCellRun out =
+                runAndShrinkCell(fuzzer.baseCell(idx), spec, &cache);
 
             Json result = fleetMsg("result");
             result.set("campaign", Json(campaign));
             result.set("lease", Json(lease));
             result.set("idx", Json(idx));
-            result.set("cell", cellResultToJson(run.result));
-
-            // Shrink where the evidence is: only the minimized text
-            // travels, and the coordinator derives the failure identity
-            // from exactly this text.
-            const std::optional<CellFailure> f =
-                run.result.hardwareFailure()
-                    ? shrinkCellFailure(cell, run, spec, "")
-                    : std::nullopt;
-            if (f) {
+            result.set("cell", cellResultToJson(out.run.result));
+            if (out.failure) {
                 Json failure = Json::object();
-                failure.set("kind", Json(run.result.primary_kind));
-                failure.set("wo_text", Json(f->shrunk.wo_text));
+                failure.set("kind", Json(out.run.result.primary_kind));
+                failure.set("wo_text", Json(out.failure->wo_text));
                 failure.set("insns",
                             Json(static_cast<std::uint64_t>(
-                                f->shrunk.instructions)));
+                                out.failure->instructions)));
                 failure.set("orig_insns",
                             Json(static_cast<std::uint64_t>(
-                                f->shrunk.orig_instructions)));
-                failure.set("reproduced", Json(f->shrunk.reproduced));
+                                out.failure->orig_instructions)));
+                failure.set("reproduced", Json(out.failure->reproduced));
                 result.set("failure", std::move(failure));
             }
             if (!conn_->writeLine(result))

@@ -301,18 +301,21 @@ HttpServer::serveStream(int fd, const StreamGen &gen)
         cfg_.stream_interval_ms > 0 ? cfg_.stream_interval_ms : 100);
     std::string chunk;
     for (;;) {
+        // A stream woken by stop() polls once more, so it ends on the
+        // state its owner had when it stopped the server (a finished
+        // campaign's final `done`), not on a stale earlier poll.
+        const bool last = stopping_.load();
         chunk.clear();
         const bool more = gen(chunk);
         if (!chunk.empty() && !writeAll(fd, chunk.data(), chunk.size()))
             return; // client disconnected
-        if (!more)
+        if (!more || last)
             return;
         // Sleep stop()-aware so shutdown stays prompt; dedicated
         // monitor, so a doze never swallows a new-connection wake.
         std::unique_lock<std::mutex> lock(stop_mu_);
-        if (stop_cv_.wait_for(lock, interval,
-                              [this] { return stopping_.load(); }))
-            return;
+        stop_cv_.wait_for(lock, interval,
+                          [this] { return stopping_.load(); });
     }
 }
 

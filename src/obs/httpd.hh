@@ -19,7 +19,7 @@
  *
  * stop() is prompt and idempotent: it closes the listener, wakes the
  * pool, and joins every thread; in-flight simple responses finish,
- * streams end at their next poll.  The destructor calls it, so a
+ * and every stream is polled one last time, then ends.  The destructor calls it, so a
  * server never outlives the state its handlers capture as long as it
  * is declared after that state (or stopped explicitly first).
  *

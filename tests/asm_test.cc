@@ -87,6 +87,11 @@ thread 0
     const Program &p = *r.program;
     EXPECT_EQ(p.thread(0).at(0).addr, 3u);
     EXPECT_EQ(p.thread(0).at(1).addr, 4u);
+    // Every location up to the highest is materialized, so a huge or
+    // negative explicit address is an error, not a giant program.
+    EXPECT_FALSE(assembleString("thread 0\n  st 4294967295 1\n").ok());
+    EXPECT_FALSE(assembleString("thread 0\n  st -1 1\n").ok());
+    EXPECT_TRUE(assembleString("thread 0\n  st 65535 1\n").ok());
 }
 
 TEST(Assembler, StoreRegisterForm)
@@ -153,11 +158,24 @@ TEST(Assembler, RejectsBadRegisterAndThreadless)
               std::string::npos);
 }
 
-TEST(Assembler, UndefinedLabelFailsAtBuild)
+TEST(Assembler, UndefinedLabelIsRejected)
 {
-    // Label resolution happens in ProgramBuilder::build -> fatal exit.
-    EXPECT_EXIT(assembleString("thread 0\n  jmp nowhere\n"),
-                testing::ExitedWithCode(1), "undefined label");
+    // Source text can come from outside (a fleet worker's reproducer),
+    // so a bad label is a line-numbered error, never a fatal exit --
+    // also when the label exists only in another thread.
+    auto r = assembleString("thread 0\n  jmp nowhere\n");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.errors[0].line, 2);
+    EXPECT_NE(r.errors[0].message.find("undefined label 'nowhere'"),
+              std::string::npos);
+    auto other = assembleString(
+        "thread 0\nhere:\n  halt\nthread 1\n  jmp here\n");
+    EXPECT_FALSE(other.ok());
+    auto dup = assembleString("thread 0\nL:\nL:\n  jmp L\n");
+    ASSERT_FALSE(dup.ok());
+    EXPECT_EQ(dup.errors[0].line, 3);
+    EXPECT_NE(dup.errors[0].message.find("duplicate label"),
+              std::string::npos);
 }
 
 TEST(Assembler, EmptySourceFails)

@@ -6,6 +6,7 @@
  * (including the seeded-fault hunt and `--resume` semantics).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -771,6 +772,40 @@ TEST(Campaign, SeededFaultIsFoundDedupedAndShrunk)
     }
     EXPECT_EQ(hits, sum.hw); // every hw cell folded into a record
     EXPECT_LT(sum.failures.size(), sum.hw);
+}
+
+TEST(Ledger, WireReportedFailuresAreFiledWithoutTrustingTheText)
+{
+    // A fleet coordinator files failures from text its workers send:
+    // an unknown kind names no file, and a reproducer that does not
+    // assemble keeps its .wo and journal record but gets no evidence
+    // bundle -- and neither takes the process down.
+    const std::string dir = testing::TempDir() + "ledger_wire";
+    std::filesystem::remove_all(dir);
+    Ledger ledger(1, dir, "", JournalCfg{});
+    CampaignSpec spec;
+    spec.cells = 4;
+    ledger.open(spec, Json::object());
+    const Cell cell = Fuzzer(spec).baseCell(0);
+    ShrinkOutcome s;
+    s.wo_text = "thread 0\n  jmp nowhere\n";
+    EXPECT_FALSE(ledger.fileFailure(cell, "../escape", s));
+    EXPECT_TRUE(ledger.fileFailure(cell, "reserve_leak", s));
+    EXPECT_FALSE(ledger.fileFailure(cell, "reserve_leak", s)); // counts
+    const CampaignSummary sum = ledger.close();
+    ASSERT_EQ(sum.failures.size(), 1u);
+    EXPECT_EQ(sum.failures[0].count, 2u);
+    EXPECT_EQ(sum.failures[0].first_cell, cell.key());
+    EXPECT_EQ(slurp(sum.failures[0].repro_path), s.wo_text);
+    std::vector<std::string> files;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        files.push_back(e.path().filename().string());
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files, (std::vector<std::string>{
+                         "campaign.journal.jsonl",
+                         std::filesystem::path(sum.failures[0].repro_path)
+                             .filename()
+                             .string()}));
 }
 
 TEST(Campaign, SummaryJsonCarriesTheVerdictCounts)

@@ -6,8 +6,12 @@
  * fault paths -- a SIGKILLed worker's leases are reassigned with zero
  * lost cells, a silent worker times out, and a killed coordinator
  * resumes from its merged journal re-leasing only uncommitted cells.
+ * The in-process campaign and the coordinator serve the same
+ * per-campaign HTTP series.
  */
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -31,6 +35,7 @@
 #include "fleet/coordinator.hh"
 #include "fleet/proto.hh"
 #include "fleet/worker.hh"
+#include "obs/httpd.hh"
 #include "obs/json.hh"
 
 namespace wo {
@@ -103,6 +108,42 @@ journalIndices(const std::string &path)
         const Json *idx = p.value.find("idx");
         if (idx && idx->isNumber())
             out.insert(idx->uintValue());
+    }
+    return out;
+}
+
+/** The hw:* cell lines of a journal that carry no shrink_us. */
+std::vector<std::string>
+unshrunkHwCells(const std::string &path)
+{
+    std::vector<std::string> out;
+    const std::string text = slurp(path);
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+        const std::size_t eol = text.find('\n', pos);
+        if (eol == std::string::npos)
+            break;
+        JsonParseResult p =
+            jsonParse(std::string_view(text.data() + pos, eol - pos));
+        pos = eol + 1;
+        if (p.ok && p.value.stringAt("type") == "cell" &&
+            p.value.stringAt("verdict").rfind("hw:", 0) == 0 &&
+            p.value.uintAt("shrink_us") == 0)
+            out.push_back(p.value.stringAt("key"));
+    }
+    return out;
+}
+
+/** The failure files (reproducers and evidence) under @p dir. */
+std::set<std::string>
+failureFiles(const std::string &dir)
+{
+    std::set<std::string> out;
+    std::error_code ec;
+    for (const auto &e : std::filesystem::directory_iterator(dir, ec)) {
+        const std::string name = e.path().filename().string();
+        if (name.rfind("repro-", 0) == 0)
+            out.insert(name);
     }
     return out;
 }
@@ -321,8 +362,11 @@ expectTallyParity(const Json &fleet, const CampaignSummary &local)
 /**
  * Run @p sp in process, then its spec on a two-worker fleet, and hold
  * the two to the same per-cell verdicts, outcome signatures, verdict
- * tally and deduplicated failure set.  `frontier = false` makes the
- * executed cell set a pure function of (seed, cells) on both sides.
+ * tally and deduplicated failure set, the same shared summary keys,
+ * the same failure files (reproducers plus evidence bundles) and a
+ * stamped shrink_us on every hardware cell line.  `frontier = false`
+ * makes the executed cell set a pure function of (seed, cells) on
+ * both sides.
  */
 void
 expectFleetParity(CampaignCfg sp, const std::string &name,
@@ -388,6 +432,42 @@ expectFleetParity(CampaignCfg sp, const std::string &name,
             ".wo";
         EXPECT_FALSE(slurp(path).empty()) << path;
     }
+
+    // Both sides write one summary shape: the shared keys are
+    // present on both sides, and the counted ones agree.
+    JsonParseResult sp_sum =
+        jsonParse(slurp(sp.out_dir + "/campaign.summary.json"));
+    JsonParseResult fl_sum =
+        jsonParse(slurp(ccfg.out_dir + "/c1/campaign.summary.json"));
+    ASSERT_TRUE(sp_sum.ok && fl_sum.ok);
+    for (const char *key :
+         {"ran", "resumed", "clean", "racy", "hw", "deadlocked",
+          "livelocked", "errors", "inconclusive", "nonsc", "by_kind",
+          "failures", "hardware_clean", "unique_failures",
+          "cells_per_sec", "lat_p50_ms", "lat_p99_ms", "wall_s"}) {
+        const Json *a = sp_sum.value.find(key);
+        const Json *b = fl_sum.value.find(key);
+        ASSERT_TRUE(a && b) << "summary key '" << key << "' missing ("
+                            << (a ? "fleet" : "in-process") << ")";
+        EXPECT_EQ(a->isNumber(), b->isNumber()) << key;
+    }
+    for (const char *key : {"ran", "resumed", "hw", "unique_failures"})
+        EXPECT_EQ(fl_sum.value.uintAt(key), sp_sum.value.uintAt(key))
+            << key;
+    EXPECT_EQ(fl_sum.value.boolAt("hardware_clean"),
+              sp_sum.value.boolAt("hardware_clean"));
+    EXPECT_GT(fl_sum.value.numberAt("cells_per_sec"), 0.0);
+    EXPECT_GT(fl_sum.value.numberAt("lat_p99_ms"), 0.0);
+
+    // Same failure files on both sides: every reproducer comes with
+    // the same evidence bundle.
+    EXPECT_EQ(failureFiles(ccfg.out_dir + "/c1"), failureFiles(sp.out_dir));
+
+    // Every hardware cell was shrunk, and says how long that took.
+    EXPECT_EQ(unshrunkHwCells(sp.out_dir + "/campaign.journal.jsonl"),
+              std::vector<std::string>());
+    EXPECT_EQ(unshrunkHwCells(ccfg.out_dir + "/c1/campaign.journal.jsonl"),
+              std::vector<std::string>());
 }
 
 /**
@@ -665,6 +745,164 @@ TEST(Fleet, ResumeOfCompleteJournalNeedsNoWorkers)
     second.stop();
     EXPECT_EQ(summary.find("resumed")->uintValue(), 48u);
     EXPECT_EQ(summary.find("ran")->uintValue(), 0u);
+}
+
+// --- control plane ----------------------------------------------------
+
+/** GET @p path from 127.0.0.1:@p port; the whole response, read to
+ *  EOF (the server closes after each response or finished stream). */
+std::string
+httpGet(std::uint16_t port, const std::string &path)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return "";
+    sockaddr_in sa = {};
+    sa.sin_family = AF_INET;
+    sa.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&sa), sizeof(sa)) <
+        0) {
+        ::close(fd);
+        return "";
+    }
+    const std::string req =
+        "GET " + path + " HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
+    ::send(fd, req.data(), req.size(), 0);
+    std::string out;
+    char buf[4096];
+    for (;;) {
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0)
+            break;
+        out.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return out;
+}
+
+std::string
+httpBody(const std::string &resp)
+{
+    const std::size_t at = resp.find("\r\n\r\n");
+    return at == std::string::npos ? "" : resp.substr(at + 4);
+}
+
+/** Does Prometheus text @p text carry a sample of metric @p name? */
+bool
+hasSeries(const std::string &text, const std::string &name)
+{
+    for (std::size_t at = text.find(name); at != std::string::npos;
+         at = text.find(name, at + 1)) {
+        const char next = at + name.size() < text.size()
+                              ? text[at + name.size()]
+                              : '\0';
+        if ((at == 0 || text[at - 1] == '\n') && (next == ' ' || next == '{'))
+            return true;
+    }
+    return false;
+}
+
+/** The per-campaign series every campaign ledger serves. */
+const char *const shared_series[] = {
+    "cells_total",     "cells_completed",        "cells_ran",
+    "cells_resumed",   "cells_hw_failed",        "failures_unique",
+    "wall_seconds",    "cell_latency_us_bucket", "cell_latency_us_count",
+};
+
+/** Poll /healthz until the routes are mounted. */
+bool
+waitHealthy(std::uint16_t port)
+{
+    for (int i = 0; i < 5'000; ++i) {
+        if (httpGet(port, "/healthz").rfind("HTTP/1.1 200", 0) == 0)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+}
+
+/**
+ * Nothing but CI scraped either HTTP surface: serve a small
+ * in-process campaign and a one-worker fleet and hold both to the
+ * shared per-campaign series under their prefixes, a parseable
+ * /progress, and an /events stream that ends with `done`.
+ */
+TEST(ControlPlane, CampaignAndFleetServeTheSharedSeries)
+{
+    HttpServerCfg scfg;
+    scfg.stream_interval_ms = 20;
+    const std::string done_event = "event: done\ndata: {}\n\n";
+
+    {
+        HttpServer srv(scfg);
+        ASSERT_TRUE(srv.start()) << srv.lastError();
+        CampaignCfg cfg;
+        cfg.cells = 10'000'000;
+        cfg.time_budget_s = 1.5; // long enough to scrape mid-run
+        cfg.shrink = false;
+        cfg.out_dir = freshDir("cp_campaign");
+        cfg.serve = &srv;
+        std::thread run([&cfg] { runCampaign(cfg); });
+        const bool healthy = waitHealthy(srv.port());
+        std::string events;
+        std::thread sub([&] {
+            if (healthy)
+                events = httpGet(srv.port(), "/events");
+        });
+        const std::string metrics = httpBody(httpGet(srv.port(), "/metrics"));
+        JsonParseResult progress =
+            jsonParse(httpBody(httpGet(srv.port(), "/progress")));
+        sub.join();
+        run.join();
+        ASSERT_TRUE(healthy);
+        for (const char *s : shared_series)
+            EXPECT_TRUE(hasSeries(metrics, std::string("wo_campaign_") + s))
+                << s << "\n" << metrics;
+        ASSERT_TRUE(progress.ok) << progress.error;
+        EXPECT_NE(progress.value.find("cells"), nullptr);
+        ASSERT_GE(events.size(), done_event.size());
+        EXPECT_EQ(events.substr(events.size() - done_event.size()),
+                  done_event);
+    }
+
+    HttpServer srv(scfg);
+    ASSERT_TRUE(srv.start()) << srv.lastError();
+    CoordinatorCfg ccfg;
+    ccfg.out_dir = freshDir("cp_fleet");
+    ccfg.shard_size = 16;
+    ccfg.serve = &srv;
+    Coordinator coord(ccfg);
+    ASSERT_TRUE(coord.start()) << coord.lastError();
+    WorkerCfg wcfg;
+    wcfg.connect = {"127.0.0.1", coord.port()};
+    WorkerThread w(wcfg);
+    CampaignSpec spec;
+    spec.seed = 21;
+    spec.cells = 64;
+    spec.shrink = false;
+    ASSERT_TRUE(coord.waitCampaign(coord.submitLocal(spec), 60'000));
+    ASSERT_TRUE(waitHealthy(srv.port()));
+    const std::string metrics = httpBody(httpGet(srv.port(), "/metrics"));
+    JsonParseResult progress =
+        jsonParse(httpBody(httpGet(srv.port(), "/progress")));
+    const std::string events = httpGet(srv.port(), "/events");
+    coord.stop();
+
+    for (const char *s : shared_series)
+        EXPECT_TRUE(
+            hasSeries(metrics, std::string("wo_fleet_campaign_") + s))
+            << s << "\n" << metrics;
+    EXPECT_NE(metrics.find("wo_fleet_campaign_cells_ran{campaign=\"1\"} 64"),
+              std::string::npos)
+        << metrics;
+    EXPECT_TRUE(hasSeries(metrics, "wo_fleet_workers_connected"));
+    ASSERT_TRUE(progress.ok) << progress.error;
+    const Json *camps = progress.value.find("campaigns");
+    ASSERT_TRUE(camps && camps->items().size() == 1);
+    EXPECT_EQ(camps->items()[0].find("cells")->uintAt("ran"), 64u);
+    ASSERT_GE(events.size(), done_event.size());
+    EXPECT_EQ(events.substr(events.size() - done_event.size()), done_event);
 }
 
 } // namespace

@@ -3,17 +3,22 @@
  * Tests for the static campaign dashboard (obs/report.hh): a seeded
  * fault-injection campaign must render into a self-contained
  * report.html carrying the outcome matrix and at least one embedded
- * happens-before witness SVG, a verify campaign's census must keep
- * inconclusive and nonsc cells apart from errors, and the builder must
- * refuse an empty directory rather than emit a hollow page.
+ * happens-before witness SVG -- whether the campaign ran in process or
+ * on a fleet -- a verify campaign's census must keep inconclusive and
+ * nonsc cells apart from errors, and the builder must refuse an empty
+ * directory rather than emit a hollow page.
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "campaign/scheduler.hh"
+#include "fleet/coordinator.hh"
+#include "fleet/worker.hh"
 #include "obs/report.hh"
 
 namespace wo {
@@ -116,6 +121,65 @@ TEST(Report, RendersMatrixAndEmbeddedWitnessForSeededFault)
     EXPECT_EQ(html.find("https://"), std::string::npos);
     EXPECT_EQ(html.find("<script src"), std::string::npos);
     EXPECT_EQ(html.find("<link "), std::string::npos);
+}
+
+TEST(Report, FleetSeededFaultRendersWitnessAndThroughput)
+{
+    // The same hunt as above, run by a coordinator and one worker: the
+    // fleet files the same evidence bundle and the same summary, so its
+    // campaign directory renders the same report.
+    const std::string wo_path = testing::TempDir() + "report_fleet_leak.wo";
+    FILE *f = std::fopen(wo_path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(leak_source, f);
+    std::fclose(f);
+
+    CoordinatorCfg ccfg;
+    ccfg.out_dir = testing::TempDir() + "report_fleet";
+    std::error_code ec;
+    std::filesystem::remove_all(ccfg.out_dir, ec);
+    Coordinator coord(ccfg);
+    ASSERT_TRUE(coord.start()) << coord.lastError();
+    WorkerCfg wcfg;
+    wcfg.connect = {"127.0.0.1", coord.port()};
+    FleetWorker worker(wcfg);
+    std::thread wt([&worker] { worker.connectAndRun(); });
+
+    CampaignSpec spec;
+    spec.cells = 30;
+    spec.max_events = 60'000;
+    spec.shrink_max_runs = 200;
+    spec.inject_reserve_bug = true;
+    spec.policies = {OrderingPolicy::wo_drf0};
+    spec.program_files = {wo_path};
+    spec.seed = 31;
+    Json summary;
+    const bool finished =
+        coord.waitCampaign(coord.submitLocal(spec), 120'000, &summary);
+    coord.stop();
+    worker.kill();
+    wt.join();
+    ASSERT_TRUE(finished);
+    ASSERT_FALSE(summary.boolAt("hardware_clean")); // the hunt must land
+
+    ReportCfg rcfg;
+    rcfg.out_dir = ccfg.out_dir + "/c1";
+    std::string error;
+    const std::string path = writeCampaignReport(rcfg, &error);
+    ASSERT_FALSE(path.empty()) << error;
+    const std::string html = slurp(path);
+    EXPECT_NE(html.find("happens-before witness"), std::string::npos);
+    EXPECT_NE(html.find("id=\"m-po\""), std::string::npos);
+
+    // The throughput tile: "<div class="tv ">N</div><div class=tl>
+    // cells / s</div>" with N > 0.
+    const std::size_t label = html.find("<div class=tl>cells / s</div>");
+    ASSERT_NE(label, std::string::npos) << "no cells/s tile";
+    const std::size_t close = html.rfind("</div>", label - 1);
+    const std::size_t open = html.rfind('>', close - 1);
+    ASSERT_TRUE(close != std::string::npos && open != std::string::npos);
+    const std::string value = html.substr(open + 1, close - open - 1);
+    EXPECT_GT(std::stod(value), 0.0) << value;
 }
 
 TEST(Report, VerifyCensusSeparatesInconclusiveAndNonSc)

@@ -125,9 +125,9 @@
 #include "hb/race.hh"
 #include "models/model_registry.hh"
 #include "obs/artifact.hh"
+#include "obs/control_plane.hh"
 #include "obs/httpd.hh"
 #include "obs/json.hh"
-#include "obs/metrics.hh"
 #include "obs/report.hh"
 #include "sc/sc_checker.hh"
 #include "sys/system.hh"
@@ -630,13 +630,13 @@ startControlPlane(int argc, char **argv, const char *who,
 }
 
 /**
- * The run/monitor control plane.  /healthz answers immediately;
- * /metrics and /progress serve the most recently published stats
- * snapshot.  The single-run simulator is not instrumented with the
- * live atomics the campaign fleet has, so the snapshot appears when
- * the run completes; the server answers from bind until command exit,
- * which lets an external scraper distinguish "starting", "running"
- * and "finished" without races.
+ * The run/monitor control plane: the campaign's surface, serving the
+ * most recently published stats snapshot.  The single-run simulator
+ * is not instrumented with the live atomics a campaign has, so the
+ * snapshot appears when the run completes (until then both /metrics
+ * and /progress read {"done": false}); the server answers from
+ * bind until command exit, which lets an external scraper distinguish
+ * "starting", "running" and "finished" without races.
  */
 class RunServe
 {
@@ -647,50 +647,41 @@ class RunServe
     int maybeStart(int argc, char **argv)
     {
         if (!startControlPlane(argc, argv, "serve",
-                               "/healthz /metrics /progress", srv_))
+                               "/healthz /metrics /progress /events", srv_))
             return -1;
         if (!srv_)
             return 0;
-        srv_->handle("/healthz", [](const HttpRequest &) {
-            HttpResponse r;
-            r.body = "ok\n";
-            return r;
-        });
-        srv_->handle("/metrics", [this](const HttpRequest &) {
-            HttpResponse r;
-            r.content_type =
-                "text/plain; version=0.0.4; charset=utf-8";
+        const auto snapshot = [this] {
             std::lock_guard<std::mutex> lk(mu_);
-            r.body = prom_.empty() ? "# run in progress\n" : prom_;
-            return r;
-        });
-        srv_->handle("/progress", [this](const HttpRequest &) {
-            HttpResponse r;
-            r.content_type = "application/json";
-            std::lock_guard<std::mutex> lk(mu_);
-            r.body =
-                json_.empty() ? "{\"done\": false}\n" : json_ + "\n";
-            return r;
-        });
+            if (!stats_.isNull())
+                return stats_;
+            Json j = Json::object();
+            j.set("done", Json(false));
+            return j;
+        };
+        mountControlPlane(*srv_, "wo",
+                          {snapshot, snapshot,
+                           [this](std::vector<std::size_t> &, std::string &) {
+                               std::lock_guard<std::mutex> lk(mu_);
+                               return !stats_.isNull();
+                           }});
         return 1;
     }
 
     /// Publish the finished run's metrics tree to /metrics + /progress.
     void publish(const std::string &stats_json)
     {
-        if (!srv_)
-            return;
         JsonParseResult p = jsonParse(stats_json);
         std::lock_guard<std::mutex> lk(mu_);
-        json_ = stats_json;
         if (p.ok)
-            prom_ = prometheusText(p.value, "wo");
+            stats_ = std::move(p.value);
     }
 
   private:
-    std::unique_ptr<HttpServer> srv_;
     std::mutex mu_;
-    std::string prom_, json_;
+    Json stats_;
+    // Declared last, so it stops before the state its handlers read.
+    std::unique_ptr<HttpServer> srv_;
 };
 
 int
@@ -1044,7 +1035,7 @@ cmdServe(const AsmResult *, int argc, char **argv)
 
     std::unique_ptr<HttpServer> server;
     if (!startControlPlane(argc, argv, "serve",
-                           "/healthz /metrics /progress", server))
+                           "/healthz /metrics /progress /events", server))
         return 2;
     cfg.serve = server.get();
 
