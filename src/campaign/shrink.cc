@@ -371,7 +371,6 @@ writeFailureEvidence(const Cell &cell, const Program &prog,
         return;
     }
     SystemCfg ev = cell.systemCfg(max_events);
-    ev.flight_recorder = true;
     ev.dump_on_fail = stem;
     System sys(prog, ev);
     for (const auto &wt : warm)

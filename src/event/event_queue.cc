@@ -120,7 +120,7 @@ EventQueue::observeFire(const Event &ev)
     if (logLevel() == LogLevel::verbose)
         verbose("t=%llu event %s", static_cast<unsigned long long>(now_),
                 label.c_str());
-    if (obs_ && obs_->wantsQueueEvents())
+    if (obs_ && obs_->tracing())
         obs_->queueFire(now_, label);
 }
 
@@ -134,7 +134,7 @@ EventQueue::step()
     // Label materialization is the cold path: only verbose logging or
     // queue-event tracing ever looks at the text.
     if (logLevel() == LogLevel::verbose ||
-        (obs_ && obs_->wantsQueueEvents())) [[unlikely]]
+        (obs_ && obs_->tracing())) [[unlikely]]
         observeFire(ev);
     ++executed_;
     ev.fn();

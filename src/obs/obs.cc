@@ -2,8 +2,7 @@
 
 #include "common/logging.hh"
 #include "obs/monitor.hh"
-#include "obs/recorder.hh"
-#include "obs/sampler.hh"
+#include "obs/trace_writer.hh"
 
 namespace wo {
 
@@ -60,57 +59,25 @@ Obs::Obs(ProcId nprocs) : nprocs_(nprocs)
 }
 
 void
-Obs::enableTrace(bool queue_events)
+Obs::record(const FlightEvent &e)
 {
-    trace_enabled_ = true;
-    trace_queue_events_ = queue_events;
-}
-
-void
-Obs::raw(Json line)
-{
-    jsonl_.push_back(line.dump(0));
-}
-
-void
-Obs::chrome(Json ev)
-{
-    chrome_events_.push_back(std::move(ev));
-}
-
-Json
-Obs::completeEvent(const std::string &name, std::uint64_t tid, Tick start,
-                   Tick end) const
-{
-    Json ev = Json::object();
-    ev.set("name", name);
-    ev.set("ph", "X");
-    ev.set("ts", start);
-    ev.set("dur", end - start);
-    ev.set("pid", std::uint64_t{0});
-    ev.set("tid", tid);
-    return ev;
+    if (recorder_)
+        recorder_->record(e);
+    if (trace_enabled_)
+        records_.push_back(e);
 }
 
 void
 Obs::queueFire(Tick now, const std::string &label)
 {
-    if (!trace_enabled_ || !trace_queue_events_)
+    if (!trace_enabled_)
         return;
-    Json r = Json::object();
-    r.set("t", now);
-    r.set("ev", "fire");
-    r.set("label", label);
-    raw(std::move(r));
-
-    Json ev = Json::object();
-    ev.set("name", label);
-    ev.set("ph", "i");
-    ev.set("ts", now);
-    ev.set("pid", std::uint64_t{0});
-    ev.set("tid", std::uint64_t{2u * nprocs_ + 1});
-    ev.set("s", "t");
-    chrome(std::move(ev));
+    const auto [it, fresh] = fire_label_ids_.try_emplace(
+        label, static_cast<std::uint32_t>(fire_labels_.size()));
+    if (fresh)
+        fire_labels_.push_back(label);
+    // Queue firings feed the full trace only: the ring has no label table.
+    records_.push_back({.kind = FlightKind::fire, .t = now, .a = it->second});
 }
 
 void
@@ -125,9 +92,7 @@ Obs::mirrorViolations(Tick now)
     }
     const auto &rec = monitor_->violations();
     while (mirrored_violations_ < total) {
-        FlightEvent e;
-        e.kind = FlightKind::violation;
-        e.t = now;
+        FlightEvent e{.kind = FlightKind::violation, .t = now};
         if (mirrored_violations_ < rec.size()) {
             const MonitorViolation &v = rec[mirrored_violations_];
             e.t = v.tick;
@@ -146,143 +111,37 @@ void
 Obs::message(Tick sent, Tick deliver, unsigned src, unsigned dst,
              const char *type, Addr addr, bool is_sync)
 {
-    if (recorder_) {
-        FlightEvent e;
-        e.kind = FlightKind::msg;
-        e.t = sent;
-        e.t2 = deliver;
-        e.proc = static_cast<ProcId>(src);
-        e.addr = addr;
-        e.label = type;
-        e.a = dst;
-        recorder_->record(e);
-    }
-    if (!trace_enabled_)
-        return;
-    Json r = Json::object();
-    r.set("t", sent);
-    r.set("ev", "msg");
-    r.set("type", type);
-    r.set("src", std::uint64_t{src});
-    r.set("dst", std::uint64_t{dst});
-    if (addr != invalid_addr)
-        r.set("addr", std::uint64_t{addr});
-    r.set("deliver", deliver);
-    if (is_sync)
-        r.set("sync", true);
-    raw(std::move(r));
-
-    Json ev = completeEvent(strprintf("%s %u>%u", type, src, dst),
-                            2u * nprocs_, sent, deliver);
-    Json args = Json::object();
-    args.set("addr", std::uint64_t{addr});
-    args.set("sync", is_sync);
-    ev.set("args", std::move(args));
-    chrome(std::move(ev));
+    if (recording())
+        record({.kind = FlightKind::msg, .sync = is_sync,
+                .proc = static_cast<ProcId>(src), .addr = addr, .t = sent,
+                .t2 = deliver, .label = type, .a = dst});
 }
 
 void
 Obs::opIssue(ProcId p, std::uint64_t req, const char *kind, Addr addr,
              Pc pc, Tick reached, Tick issued)
 {
-    LiveOp op;
-    op.kind = kind;
-    op.addr = addr;
-    op.pc = pc;
-    op.reached = reached;
-    op.issued = issued;
-    live_[{p, req}] = std::move(op);
-    if (recorder_) {
-        FlightEvent e;
-        e.kind = FlightKind::issue;
-        e.t = issued;
-        e.proc = p;
-        e.addr = addr;
-        e.req = req;
-        e.label = kind; // accessKindName: static storage
-        recorder_->record(e);
-    }
-    if (!trace_enabled_)
-        return;
-    Json r = Json::object();
-    r.set("t", issued);
-    r.set("ev", "issue");
-    r.set("cpu", std::uint64_t{p});
-    r.set("req", req);
-    r.set("kind", kind);
-    r.set("addr", std::uint64_t{addr});
-    r.set("pc", std::uint64_t{pc});
-    r.set("reached", reached);
-    raw(std::move(r));
+    ++unfinished_ops_;
+    if (recording())
+        record({.kind = FlightKind::issue, .proc = p, .addr = addr,
+                .pc = pc, .t = issued, .reached = reached, .req = req,
+                .label = kind}); // accessKindName: static storage
 }
 
 void
 Obs::opCommit(ProcId p, std::uint64_t req, Tick now)
 {
-    auto it = live_.find({p, req});
-    if (it != live_.end()) {
-        it->second.committed = now;
-        it->second.has_committed = true;
-    }
-    if (recorder_) {
-        FlightEvent e;
-        e.kind = FlightKind::commit;
-        e.t = now;
-        e.proc = p;
-        e.req = req;
-        recorder_->record(e);
-    }
-    if (!trace_enabled_)
-        return;
-    Json r = Json::object();
-    r.set("t", now);
-    r.set("ev", "commit");
-    r.set("cpu", std::uint64_t{p});
-    r.set("req", req);
-    raw(std::move(r));
+    if (recording())
+        record({.kind = FlightKind::commit, .proc = p, .t = now, .req = req});
 }
 
 void
 Obs::opPerform(ProcId p, std::uint64_t req, Tick now)
 {
-    auto it = live_.find({p, req});
-    if (it != live_.end()) {
-        if (trace_enabled_) {
-            const LiveOp &op = it->second;
-            Json ev = completeEvent(
-                strprintf("%s a%u", op.kind.c_str(), op.addr), 2u * p,
-                op.issued, now);
-            Json args = Json::object();
-            args.set("req", req);
-            args.set("pc", std::uint64_t{op.pc});
-            args.set("addr", std::uint64_t{op.addr});
-            args.set("reached", op.reached);
-            args.set("issued", op.issued);
-            if (op.has_committed)
-                args.set("committed", op.committed);
-            args.set("performed", now);
-            ev.set("args", std::move(args));
-            chrome(std::move(ev));
-        }
-        live_.erase(it);
-    }
+    --unfinished_ops_;
     facts_.erase({p, req});
-    if (recorder_) {
-        FlightEvent e;
-        e.kind = FlightKind::perform;
-        e.t = now;
-        e.proc = p;
-        e.req = req;
-        recorder_->record(e);
-    }
-    if (!trace_enabled_)
-        return;
-    Json r = Json::object();
-    r.set("t", now);
-    r.set("ev", "perform");
-    r.set("cpu", std::uint64_t{p});
-    r.set("req", req);
-    raw(std::move(r));
+    if (recording())
+        record({.kind = FlightKind::perform, .proc = p, .t = now, .req = req});
 }
 
 void
@@ -290,43 +149,25 @@ Obs::opRetire(ProcId p, std::uint64_t req, Tick now, Addr addr,
               AccessKind kind, Value value_read, Value value_written,
               Tick commit_tick)
 {
-    if (recorder_) {
-        FlightEvent e;
-        e.kind = FlightKind::retire;
-        e.t = now;
-        e.proc = p;
-        e.addr = addr;
-        e.req = req;
-        e.label = accessKindName(kind);
-        recorder_->record(e);
-    }
+    if (recording())
+        record({.kind = FlightKind::retire, .proc = p, .addr = addr,
+                .t = now, .req = req, .label = accessKindName(kind)});
     if (monitor_) {
         monitor_->opRetired(p, addr, kind, value_read, value_written,
                             commit_tick, now);
         mirrorViolations(now);
     }
-    if (!trace_enabled_)
-        return;
-    Json r = Json::object();
-    r.set("t", now);
-    r.set("ev", "retire");
-    r.set("cpu", std::uint64_t{p});
-    r.set("req", req);
-    r.set("addr", std::uint64_t{addr});
-    raw(std::move(r));
 }
+
+// Counter and reserve transitions feed the ring and the monitor; the
+// full trace does not record them.
 
 void
 Obs::counterChanged(ProcId p, int value, Tick now)
 {
-    if (recorder_) {
-        FlightEvent e;
-        e.kind = FlightKind::counter;
-        e.t = now;
-        e.proc = p;
-        e.a = value;
-        recorder_->record(e);
-    }
+    if (recorder_)
+        recorder_->record(
+            {.kind = FlightKind::counter, .proc = p, .t = now, .a = value});
     if (monitor_) {
         monitor_->counterChanged(p, value, now);
         mirrorViolations(now);
@@ -336,16 +177,9 @@ Obs::counterChanged(ProcId p, int value, Tick now)
 void
 Obs::reserveSet(ProcId p, Addr addr, Tick now)
 {
-    if (recorder_) {
-        FlightEvent e;
-        e.kind = FlightKind::reserve;
-        e.t = now;
-        e.proc = p;
-        e.addr = addr;
-        e.label = "set";
-        e.a = 1;
-        recorder_->record(e);
-    }
+    if (recorder_)
+        recorder_->record({.kind = FlightKind::reserve, .proc = p,
+                           .addr = addr, .t = now, .label = "set", .a = 1});
     if (monitor_) {
         monitor_->reserveSet(p, addr, now);
         mirrorViolations(now);
@@ -355,15 +189,9 @@ Obs::reserveSet(ProcId p, Addr addr, Tick now)
 void
 Obs::reserveCleared(ProcId p, Tick now)
 {
-    if (recorder_) {
-        FlightEvent e;
-        e.kind = FlightKind::reserve;
-        e.t = now;
-        e.proc = p;
-        e.label = "clear";
-        e.a = 0;
-        recorder_->record(e);
-    }
+    if (recorder_)
+        recorder_->record({.kind = FlightKind::reserve, .proc = p, .t = now,
+                           .label = "clear", .a = 0});
     if (monitor_) {
         monitor_->reserveCleared(p, now);
         mirrorViolations(now);
@@ -427,38 +255,11 @@ Obs::stall(ProcId p, std::uint64_t req, Addr addr, StallPhase phase,
     g.counter("total").inc(cycles);
     g.counter(opSideName(side)).inc(cycles);
 
-    if (recorder_) {
-        FlightEvent e;
-        e.kind = FlightKind::stall;
-        e.t = from;
-        e.t2 = to;
-        e.proc = p;
-        e.addr = addr;
-        e.req = req;
-        e.label = stallBucketName(bucket);
-        recorder_->record(e);
-    }
-
-    if (!trace_enabled_)
-        return;
-    Json r = Json::object();
-    r.set("t", from);
-    r.set("ev", "stall");
-    r.set("cpu", std::uint64_t{p});
-    r.set("req", req);
-    r.set("bucket", stallBucketName(bucket));
-    r.set("side", opSideName(side));
-    r.set("cycles", cycles);
-    raw(std::move(r));
-
-    Json ev = completeEvent(
-        strprintf("stall:%s", stallBucketName(bucket)), 2u * p + 1, from,
-        to);
-    Json args = Json::object();
-    args.set("side", opSideName(side));
-    args.set("req", req);
-    ev.set("args", std::move(args));
-    chrome(std::move(ev));
+    if (recording())
+        record({.kind = FlightKind::stall,
+                .side = static_cast<std::uint8_t>(side), .proc = p,
+                .addr = addr, .t = from, .t2 = to, .req = req,
+                .label = stallBucketName(bucket)});
 }
 
 const StatGroup &
@@ -481,52 +282,17 @@ Obs::stallGroups() const
 std::string
 Obs::chromeTraceJson() const
 {
-    Json root = Json::object();
-    Json events = Json::array();
-
-    // Named lanes so Perfetto shows "cpu0", "cpu0 stalls", "network",
-    // "event kernel" instead of bare tids.
-    auto thread_name = [](std::uint64_t tid, const std::string &name) {
-        Json ev = Json::object();
-        ev.set("name", "thread_name");
-        ev.set("ph", "M");
-        ev.set("pid", std::uint64_t{0});
-        ev.set("tid", tid);
-        Json args = Json::object();
-        args.set("name", name);
-        ev.set("args", std::move(args));
-        return ev;
-    };
-    for (ProcId p = 0; p < nprocs_; ++p) {
-        events.push(thread_name(2u * p, strprintf("cpu%u ops", p)));
-        events.push(thread_name(2u * p + 1, strprintf("cpu%u stalls", p)));
-    }
-    events.push(thread_name(2u * nprocs_, "network"));
-    if (trace_queue_events_)
-        events.push(thread_name(2u * nprocs_ + 1, "event kernel"));
-
-    for (const Json &ev : chrome_events_)
-        events.push(ev);
-    if (sampler_)
-        sampler_->appendCounterEvents(events);
-    root.set("traceEvents", std::move(events));
-    root.set("displayTimeUnit", "ns");
     Json other = Json::object();
     other.set("source", "wotool");
-    other.set("unfinished_ops", std::uint64_t{live_.size()});
-    root.set("otherData", std::move(other));
-    return root.dump(1);
+    other.set("unfinished_ops", unfinished_ops_);
+    return recordsChromeJson(records_, fire_labels_, nprocs_, "event kernel",
+                             sampler_, std::move(other));
 }
 
 std::string
 Obs::traceJsonl() const
 {
-    std::string out;
-    for (const std::string &line : jsonl_) {
-        out += line;
-        out += '\n';
-    }
-    return out;
+    return recordsJsonl(records_, fire_labels_);
 }
 
 } // namespace wo

@@ -7,10 +7,12 @@
  *
  *  1. A structured trace: every event-queue firing, every coherence
  *     message, and every memory-operation lifecycle transition
- *     (issue -> commit -> globally-performed -> retire).  Exported as
- *     Chrome trace-event JSON (load `chrome://tracing` or
- *     https://ui.perfetto.dev) and as a compact JSONL stream.  Tracing
- *     is off by default; when off, the hooks cost one branch.
+ *     (issue -> commit -> globally-performed -> retire), kept as POD
+ *     FlightEvent records and rendered at export time as Chrome
+ *     trace-event JSON (load `chrome://tracing` or
+ *     https://ui.perfetto.dev) and as a compact JSONL stream (see
+ *     trace_writer.hh).  Tracing is off by default; when off, the hooks
+ *     cost one branch.
  *
  *  2. Stall attribution: every cycle a CPU pipeline spends not
  *     executing is classified into exactly one paper-meaningful bucket
@@ -25,8 +27,9 @@
  * The hub also fans the same hooks out to two optional attachments:
  * the online invariant Monitor (fed every retired operation and every
  * counter/reserve-bit transition) and the always-on FlightRecorder
- * ring (fed every hook, cheaply, even with tracing off).  See
- * monitor.hh and recorder.hh.
+ * ring (fed the same records as the trace, plus counter, reserve and
+ * violation records, cheaply, even with tracing off).  See monitor.hh
+ * and recorder.hh.
  *
  * Components reach the hub through EventQueue::obs(), which every timed
  * component already holds; a null hub disables everything.  The hub
@@ -38,19 +41,18 @@
 #define WO_OBS_OBS_HH
 
 #include <map>
-#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "execution/memory_op.hh"
-#include "obs/json.hh"
+#include "obs/recorder.hh"
 
 namespace wo {
 
 class Monitor;
-class FlightRecorder;
 class Sampler;
 
 /**
@@ -106,25 +108,15 @@ class Obs
     /** @param nprocs processor count (sizes the per-CPU stall groups) */
     explicit Obs(ProcId nprocs);
 
-    /**
-     * Turn the structured trace on.
-     * @param queue_events also record every event-queue firing (noisy;
-     *        useful for kernel-level debugging, off for plain runs)
-     */
-    void enableTrace(bool queue_events);
+    /** Turn the structured trace on, event-queue firings included. */
+    void enableTrace() { trace_enabled_ = true; }
 
-    /** Is the structured trace recording? */
+    /**
+     * Is the structured trace recording?  The kernel asks before
+     * materializing an event label, so a run that never looks at labels
+     * never pays for building them.
+     */
     bool tracing() const { return trace_enabled_; }
-
-    /**
-     * Does the trace want per-firing queue events?  The kernel asks
-     * before materializing an event label, so a run that never looks at
-     * labels never pays for building them.
-     */
-    bool wantsQueueEvents() const
-    {
-        return trace_enabled_ && trace_queue_events_;
-    }
 
     /**
      * Attach the online invariant monitor.  Retired operations and
@@ -230,35 +222,20 @@ class Obs
     std::string traceJsonl() const;
 
     /** Operations issued but never globally performed (so far). */
-    std::uint64_t unfinishedOps() const { return live_.size(); }
+    std::uint64_t unfinishedOps() const { return unfinished_ops_; }
 
   private:
-    struct LiveOp
-    {
-        std::string kind;
-        Addr addr = invalid_addr;
-        Pc pc = 0;
-        Tick reached = 0;
-        Tick issued = 0;
-        Tick committed = 0;
-        bool has_committed = false;
-    };
-
     struct ReqFacts
     {
         bool missed = false;
         bool nacked = false;
     };
 
-    /** Append one JSONL record (tracing only). */
-    void raw(Json line);
+    /** Does any sink (trace or ring) take records? */
+    bool recording() const { return trace_enabled_ || recorder_; }
 
-    /** Append one Chrome trace event (tracing only). */
-    void chrome(Json ev);
-
-    /** Chrome complete event helper. */
-    Json completeEvent(const std::string &name, std::uint64_t tid,
-                       Tick start, Tick end) const;
+    /** Append @p e to the ring and, when tracing, to the full trace. */
+    void record(const FlightEvent &e);
 
     StallBucket classify(ProcId p, std::uint64_t req, Addr addr,
                          StallPhase phase);
@@ -268,7 +245,6 @@ class Obs
 
     ProcId nprocs_;
     bool trace_enabled_ = false;
-    bool trace_queue_events_ = false;
     Monitor *monitor_ = nullptr;
     FlightRecorder *recorder_ = nullptr;
     const Sampler *sampler_ = nullptr;
@@ -277,11 +253,11 @@ class Obs
     std::vector<StatGroup> stall_groups_; //!< one per processor
     std::map<std::pair<ProcId, std::uint64_t>, ReqFacts> facts_;
     std::map<std::pair<ProcId, Addr>, bool> reserve_held_;
-    std::map<std::pair<ProcId, std::uint64_t>, LiveOp> live_;
+    std::uint64_t unfinished_ops_ = 0;
 
-    std::vector<Json> chrome_events_;
-    std::vector<std::string> jsonl_;
-    std::uint64_t dropped_ops_ = 0; //!< ops never performed by sim end
+    std::vector<FlightEvent> records_; //!< the full trace (tracing only)
+    std::vector<std::string> fire_labels_; //!< interned queue-fire labels
+    std::unordered_map<std::string, std::uint32_t> fire_label_ids_;
 };
 
 } // namespace wo

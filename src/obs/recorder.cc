@@ -1,7 +1,6 @@
 #include "obs/recorder.hh"
 
-#include "common/logging.hh"
-#include "obs/json.hh"
+#include "obs/trace_writer.hh"
 
 namespace wo {
 
@@ -17,6 +16,7 @@ const char *flightKindName(FlightKind k)
     case FlightKind::counter: return "counter";
     case FlightKind::reserve: return "reserve";
     case FlightKind::violation: return "violation";
+    case FlightKind::fire: return "fire";
     }
     return "?";
 }
@@ -40,118 +40,13 @@ std::vector<FlightEvent> FlightRecorder::window() const
 
 std::string FlightRecorder::chromeTraceJson(ProcId nprocs) const
 {
-    Json root = Json::object();
-    Json events = Json::array();
-
-    auto thread_name = [](std::uint64_t tid, const std::string &name) {
-        Json ev = Json::object();
-        ev.set("name", "thread_name");
-        ev.set("ph", "M");
-        ev.set("pid", std::uint64_t{0});
-        ev.set("tid", tid);
-        Json args = Json::object();
-        args.set("name", name);
-        ev.set("args", std::move(args));
-        return ev;
-    };
-    for (ProcId p = 0; p < nprocs; ++p) {
-        events.push(thread_name(2u * p, strprintf("cpu%u ops", p)));
-        events.push(thread_name(2u * p + 1, strprintf("cpu%u stalls", p)));
-    }
-    events.push(thread_name(2u * nprocs, "network"));
-    events.push(thread_name(2u * nprocs + 1, "monitor"));
-
-    auto span = [](const std::string &name, std::uint64_t tid, Tick from,
-                   Tick to) {
-        Json ev = Json::object();
-        ev.set("name", name);
-        ev.set("ph", "X");
-        ev.set("ts", from);
-        ev.set("dur", to >= from ? to - from : 0);
-        ev.set("pid", std::uint64_t{0});
-        ev.set("tid", tid);
-        return ev;
-    };
-    auto instant = [](const std::string &name, std::uint64_t tid, Tick at) {
-        Json ev = Json::object();
-        ev.set("name", name);
-        ev.set("ph", "i");
-        ev.set("ts", at);
-        ev.set("pid", std::uint64_t{0});
-        ev.set("tid", tid);
-        ev.set("s", "t");
-        return ev;
-    };
-
-    for (const FlightEvent &e : window()) {
-        const char *label = e.label ? e.label : flightKindName(e.kind);
-        switch (e.kind) {
-        case FlightKind::msg: {
-            Json ev = span(strprintf("%s %u>%lld", label, e.proc,
-                                     static_cast<long long>(e.a)),
-                           2u * nprocs, e.t, e.t2);
-            Json args = Json::object();
-            args.set("addr", std::uint64_t{e.addr});
-            ev.set("args", std::move(args));
-            events.push(std::move(ev));
-            break;
-        }
-        case FlightKind::stall: {
-            Json ev = span(strprintf("stall:%s", label), 2u * e.proc + 1,
-                           e.t, e.t2);
-            Json args = Json::object();
-            args.set("req", e.req);
-            ev.set("args", std::move(args));
-            events.push(std::move(ev));
-            break;
-        }
-        case FlightKind::counter: {
-            // A Perfetto counter track sample.
-            Json ev = Json::object();
-            ev.set("name", strprintf("cpu%u outstanding", e.proc));
-            ev.set("ph", "C");
-            ev.set("ts", e.t);
-            ev.set("pid", std::uint64_t{0});
-            ev.set("tid", std::uint64_t{2u * e.proc});
-            Json args = Json::object();
-            args.set("value", std::int64_t{e.a});
-            ev.set("args", std::move(args));
-            events.push(std::move(ev));
-            break;
-        }
-        case FlightKind::violation:
-            events.push(instant(strprintf("violation:%s", label),
-                                2u * nprocs + 1, e.t));
-            break;
-        case FlightKind::issue:
-        case FlightKind::commit:
-        case FlightKind::perform:
-        case FlightKind::retire:
-        case FlightKind::reserve: {
-            Json ev = instant(
-                e.label ? strprintf("%s:%s", flightKindName(e.kind), e.label)
-                        : std::string(flightKindName(e.kind)),
-                2u * e.proc, e.t);
-            Json args = Json::object();
-            args.set("req", e.req);
-            if (e.addr != invalid_addr)
-                args.set("addr", std::uint64_t{e.addr});
-            ev.set("args", std::move(args));
-            events.push(std::move(ev));
-            break;
-        }
-        }
-    }
-
-    root.set("traceEvents", std::move(events));
-    root.set("displayTimeUnit", "ns");
     Json other = Json::object();
     other.set("source", "wotool flight recorder");
     other.set("window", std::uint64_t{size()});
     other.set("recorded", recorded_);
     other.set("dropped", dropped());
-    root.set("otherData", std::move(other));
-    return root.dump(1);
+    return recordsChromeJson(window(), {}, nprocs, "monitor", nullptr,
+                             std::move(other));
 }
 
 } // namespace wo

@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "event/event_queue.hh"
+#include "obs/trace_writer.hh"
 
 namespace wo {
 
@@ -61,20 +62,10 @@ std::string Sampler::csv() const
 void Sampler::appendCounterEvents(Json &events) const
 {
     const std::size_t w = probes_.size();
-    for (std::size_t row = 0; row < ticks_.size(); ++row) {
-        for (std::size_t c = 0; c < w; ++c) {
-            Json ev = Json::object();
-            ev.set("name", names_[c]);
-            ev.set("ph", "C");
-            ev.set("ts", ticks_[row]);
-            ev.set("pid", std::uint64_t{0});
-            ev.set("tid", std::uint64_t{0});
-            Json args = Json::object();
-            args.set("value", values_[row * w + c]);
-            ev.set("args", std::move(args));
-            events.push(std::move(ev));
-        }
-    }
+    for (std::size_t row = 0; row < ticks_.size(); ++row)
+        for (std::size_t c = 0; c < w; ++c)
+            events.push(chrome::counter(names_[c], 0, ticks_[row],
+                                        Json(values_[row * w + c])));
 }
 
 } // namespace wo

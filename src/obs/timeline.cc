@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/trace_writer.hh"
+
 namespace wo {
 
 namespace {
@@ -131,27 +133,11 @@ timelinesChromeJson(const std::vector<const Timeline *> &lanes)
 {
     Json events = Json::array();
     for (std::size_t tid = 0; tid < lanes.size(); ++tid) {
-        const Timeline *tl = lanes[tid];
-        Json meta = Json::object();
-        meta.set("ph", Json("M"));
-        meta.set("name", Json("thread_name"));
-        meta.set("pid", Json(std::uint64_t{0}));
-        meta.set("tid", Json(static_cast<std::uint64_t>(tid)));
-        Json args = Json::object();
-        args.set("name", Json(tl->lane()));
-        meta.set("args", std::move(args));
-        events.push(std::move(meta));
-
-        for (const SpanEvent &e : tl->events()) {
-            Json x = Json::object();
-            x.set("ph", Json("X"));
-            x.set("name", Json(spanKindName(e.kind)));
-            x.set("cat", Json("campaign"));
-            x.set("pid", Json(std::uint64_t{0}));
-            x.set("tid", Json(static_cast<std::uint64_t>(tid)));
-            x.set("ts", Json(e.t0_us));
-            x.set("dur", Json(e.t1_us >= e.t0_us ? e.t1_us - e.t0_us
-                                                 : std::uint64_t{0}));
+        events.push(chrome::lane(tid, lanes[tid]->lane()));
+        for (const SpanEvent &e : lanes[tid]->events()) {
+            Json x = chrome::span(spanKindName(e.kind), tid, e.t0_us,
+                                  e.t1_us);
+            x.set("cat", "campaign");
             events.push(std::move(x));
         }
     }

@@ -44,7 +44,7 @@ System::System(const Program &prog, const SystemCfg &cfg)
 
     obs_ = std::make_unique<Obs>(procs);
     if (cfg_.trace)
-        obs_->enableTrace(cfg_.trace_queue_events);
+        obs_->enableTrace();
     if (cfg_.monitor) {
         MonitorCfg mc;
         mc.flavor = cfg_.policy == OrderingPolicy::wo_drf0_ro
@@ -54,7 +54,8 @@ System::System(const Program &prog, const SystemCfg &cfg)
                                              prog.initialMemory(), mc);
         obs_->attachMonitor(monitor_.get());
     }
-    if (cfg_.flight_recorder) {
+    // A failure dump without the full trace reads the ring.
+    if (cfg_.flight_recorder || (!cfg_.dump_on_fail.empty() && !cfg_.trace)) {
         recorder_ =
             std::make_unique<FlightRecorder>(cfg_.flight_recorder_capacity);
         obs_->attachRecorder(recorder_.get());

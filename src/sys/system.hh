@@ -37,8 +37,6 @@ struct SystemCfg
     std::uint64_t max_events = 20'000'000;
     /** Record the structured trace (Chrome trace JSON + JSONL). */
     bool trace = false;
-    /** With trace: also record every event-queue firing (noisy). */
-    bool trace_queue_events = true;
     /** Run the online invariant monitor (see obs/monitor.hh). */
     bool monitor = false;
     /** Keep the bounded flight-recorder ring (see obs/recorder.hh). */
@@ -86,7 +84,9 @@ struct SystemCfg
      * termination, write evidence files `<prefix>.trace.json` (the
      * flight-recorder window, or the full trace when no recorder),
      * `<prefix>.hb.dot` and `<prefix>.monitor.txt` (when the monitor is
-     * on).  Empty = never dump.
+     * on).  Without `trace`, a prefix attaches the flight recorder even
+     * when `flight_recorder` is off, so the dump always holds events.
+     * Empty = never dump.
      */
     std::string dump_on_fail;
 };
@@ -165,7 +165,8 @@ class System
     /** The online monitor, or nullptr when cfg.monitor is off. */
     const Monitor *monitor() const { return monitor_.get(); }
 
-    /** The flight recorder, or nullptr when cfg.flight_recorder is off. */
+    /** The flight recorder, or nullptr when none is attached (see
+     *  SystemCfg::flight_recorder and SystemCfg::dump_on_fail). */
     const FlightRecorder *recorder() const { return recorder_.get(); }
 
     /** The periodic sampler, or nullptr when cfg.sample_interval is 0. */

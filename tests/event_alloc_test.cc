@@ -1,11 +1,13 @@
 /**
  * @file
- * Steady-state allocation audit of the event kernel.
+ * Steady-state allocation audit of the event kernel and the
+ * observability hub's per-op hooks.
  *
  * The calendar queue recycles its bucket vectors and the callback/label
  * slots store captures inline, so after a warm-up phase that grows the
  * arena to its working-set size, scheduling and firing events must
- * perform zero heap allocations.  This binary replaces the global
+ * perform zero heap allocations; an untraced hub must not allocate per
+ * operation either.  This binary replaces the global
  * operator new/delete with counting versions and measures the delta
  * across a controlled region -- which is why the audit lives in its own
  * test executable rather than inside event_test.
@@ -18,6 +20,7 @@
 #include <new>
 
 #include "event/event_queue.hh"
+#include "obs/obs.hh"
 
 namespace {
 
@@ -127,6 +130,33 @@ TEST(EventAllocation, SteadyStateSchedulesWithoutAllocating)
     EXPECT_EQ(heap_cbs, 0u)
         << "a simulator-sized capture no longer fits the inline slot";
     EXPECT_GE(q.executed(), 240'000u);
+}
+
+TEST(ObsAllocation, UntracedOpHooksDoNotAllocate)
+{
+    // With the trace off and no ring or monitor attached, the hub's
+    // per-op hooks only touch counters: a campaign cell pays no heap
+    // traffic for operations it never renders.
+    Obs obs(2);
+    auto cycle = [&obs](std::uint64_t req) {
+        const ProcId p = static_cast<ProcId>(req % 2);
+        const Tick t = req * 10;
+        obs.opIssue(p, req, "R", 3, 7, t, t + 1);
+        obs.opCommit(p, req, t + 2);
+        obs.stall(p, req, 3, StallPhase::commit_wait, OpSide::data, t + 1,
+                  t + 2);
+        obs.opPerform(p, req, t + 3);
+        obs.opRetire(p, req, t + 4, 3, AccessKind::data_read, 0, 0, t + 2);
+    };
+    for (std::uint64_t req = 0; req < 100; ++req)
+        cycle(req);
+
+    const std::uint64_t allocs_before = g_allocs;
+    for (std::uint64_t req = 100; req < 50'000; ++req)
+        cycle(req);
+    EXPECT_EQ(g_allocs - allocs_before, 0u)
+        << "an untraced op lifecycle touched the heap";
+    EXPECT_EQ(obs.unfinishedOps(), 0u);
 }
 
 } // namespace

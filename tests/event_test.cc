@@ -218,7 +218,7 @@ TEST(LazyLabel, MaterializedOncePerFiringWhenTraced)
 {
     const std::uint64_t before = EventLabel::lazyMaterializations();
     Obs obs(1);
-    obs.enableTrace(/*queue_events=*/true);
+    obs.enableTrace();
     EventQueue q;
     q.setObs(&obs);
     for (int i = 0; i < 7; ++i)

@@ -12,9 +12,12 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "asm/assembler.hh"
+#include "common/logging.hh"
 #include "event/event_queue.hh"
+#include "obs/json.hh"
 #include "obs/monitor.hh"
 #include "obs/recorder.hh"
 #include "obs/sampler.hh"
@@ -455,6 +458,29 @@ TEST(SeededBug, DroppedReserveClearIsCaughtWithEvidence)
     EXPECT_NE(report.find("reserve_leak"), std::string::npos);
 }
 
+TEST(SeededBug, DumpOnFailAloneStillCarriesTheWindow)
+{
+    // No --flight-recorder and no trace: the dump prefix alone attaches
+    // the ring, so the evidence trace holds the failure window instead
+    // of bare lane metadata.
+    AsmResult a = assembleString(leak_source);
+    ASSERT_TRUE(a.ok());
+    SystemCfg cfg;
+    cfg.cache.bug_drop_reserve_clear = true;
+    cfg.max_events = 50'000;
+    const std::string prefix =
+        testing::TempDir() + "monitor_evidence_no_recorder";
+    cfg.dump_on_fail = prefix;
+    auto r = runMonitored(a, OrderingPolicy::wo_drf0, cfg);
+    EXPECT_GT(r.monitor_hw_violations, 0u);
+
+    const std::string trace = slurp(prefix + ".trace.json");
+    auto v = validateChromeTrace(trace);
+    ASSERT_TRUE(v.ok) << v.error;
+    EXPECT_GT(v.complete, 0u);
+    EXPECT_NE(trace.find("\"violation:reserve_leak\""), std::string::npos);
+}
+
 TEST(SeededBug, MonitorPinpointsTheViolatingCycle)
 {
     AsmResult a = assembleString(leak_source);
@@ -517,6 +543,45 @@ TEST(SystemSampler, EmitsCsvAndCounterTracks)
     ASSERT_TRUE(v.ok) << v.error;
     EXPECT_GT(v.counters, 0u);
     EXPECT_NE(r.stats_json.find("\"sampler\""), std::string::npos);
+}
+
+/** Name, tid, ts and dur of every 'X' event of a Chrome trace, in order. */
+std::vector<std::string>
+completeEvents(const std::string &chrome)
+{
+    std::vector<std::string> out;
+    JsonParseResult p = jsonParse(chrome);
+    EXPECT_TRUE(p.ok) << p.error;
+    for (const Json &e : p.value.find("traceEvents")->items())
+        if (e.stringAt("ph") == "X")
+            out.push_back(strprintf(
+                "%s tid=%llu ts=%llu dur=%llu", e.stringAt("name").c_str(),
+                static_cast<unsigned long long>(e.uintAt("tid")),
+                static_cast<unsigned long long>(e.uintAt("ts")),
+                static_cast<unsigned long long>(e.uintAt("dur"))));
+    return out;
+}
+
+TEST(SystemRecorder, RingDumpRendersLikeTheFullTrace)
+{
+    // One record, one renderer: with a ring that holds the whole run,
+    // the flight dump's ops, messages and stalls are exactly the full
+    // trace's spans.
+    AsmResult a = load("fig3.wo");
+    SystemCfg cfg;
+    cfg.policy = OrderingPolicy::wo_drf0;
+    cfg.trace = true;
+    cfg.flight_recorder = true;
+    cfg.flight_recorder_capacity = 1 << 16;
+    System sys(*a.program, cfg);
+    for (const auto &w : a.warm)
+        sys.warmShared(w.addr, w.procs);
+    ASSERT_TRUE(sys.run().completed);
+    ASSERT_EQ(sys.recorder()->dropped(), 0u);
+
+    const auto full = completeEvents(sys.obs().chromeTraceJson());
+    ASSERT_FALSE(full.empty());
+    EXPECT_EQ(completeEvents(sys.recorder()->chromeTraceJson(2)), full);
 }
 
 TEST(SystemRecorder, AlwaysOnRingTracksTheRun)
