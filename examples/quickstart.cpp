@@ -13,8 +13,9 @@
 
 #include <cstdio>
 
+#include "campaign/verify.hh"
 #include "core/drf0_checker.hh"
-#include "core/weak_ordering.hh"
+#include "models/sc_model.hh"
 #include "models/wo_drf0_model.hh"
 #include "program/builder.hh"
 #include "sys/system.hh"
@@ -56,9 +57,9 @@ main()
         std::printf("  weak outcome: %s\n", o.toString().c_str());
 
     // -- 4. hardware side of the contract (Definition 2) ------------------
-    auto conformance = conformsForProgram(weak, prog);
-    std::printf("Definition-2 conformance: %s\n\n",
-                conformance.toString().c_str());
+    auto conformance = checkScSubset(prog, "drf0");
+    std::printf("Definition-2 conformance:\n%s\n",
+                conformance.def2.report("def2_subset").c_str());
 
     // -- 5. the timed cache-coherent system (Section 5.3 hardware) --------
     SystemCfg cfg;

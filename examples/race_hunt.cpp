@@ -8,9 +8,8 @@
 
 #include <cstdio>
 
+#include "campaign/verify.hh"
 #include "core/drf0_checker.hh"
-#include "core/weak_ordering.hh"
-#include "models/wo_drf0_model.hh"
 #include "program/builder.hh"
 
 namespace wo {
@@ -60,10 +59,9 @@ inspect(const Program &p)
             std::printf("  %s\n", r.toString(*v.witness).c_str());
     }
     // Show what the race costs on weak hardware: the outcome set.
-    WoDrf0Model m(p);
-    auto c = conformsForProgram(m, p);
-    std::printf("on the weakly ordered machine: %s\n\n",
-                c.toString().c_str());
+    auto c = checkScSubset(p, "drf0");
+    std::printf("on the weakly ordered machine:\n%s\n",
+                c.def2.report("def2_subset").c_str());
 }
 
 } // namespace

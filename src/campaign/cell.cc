@@ -403,17 +403,17 @@ runCell(const Cell &cell, std::uint64_t max_events, MaterializeCache *cache)
         r.run_us = static_cast<std::uint64_t>(r.wall_ms * 1000.0);
 
         r.completed = true;
-        r.inconclusive = v.inconclusive;
-        r.nonsc = v.nonsc;
+        r.inconclusive = v.inconclusive();
+        r.nonsc = v.nonsc();
         r.dpor_states = v.dpor.states;
         r.bfs_states = v.bfs.states;
         r.dpor_probes = v.dpor.commutation_probes;
         r.dpor_memo_hits = v.dpor.memo_hits;
-        if (v.has_violation) {
+        if (const auto kind = v.violation()) {
             r.hw = 1;
             r.total = 1;
-            r.by_kind[static_cast<int>(v.kind)] = 1;
-            r.primary_kind = violationKindName(v.kind);
+            r.by_kind[static_cast<int>(*kind)] = 1;
+            r.primary_kind = violationKindName(*kind);
         }
         // The outcome signature hashes the hardware outcome set, so
         // the frontier's novelty tracking sees outcome-set changes

@@ -20,9 +20,11 @@
 #ifndef WO_MODELS_MODEL_REGISTRY_HH
 #define WO_MODELS_MODEL_REGISTRY_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "hb/happens_before.hh"
 #include "models/network_model.hh"
 #include "models/sc_model.hh"
 #include "models/stale_cache_model.hh"
@@ -43,18 +45,26 @@ modelNames()
 }
 
 /**
- * Does the model named @p name claim the paper's Definition-2 contract
- * (every DRF0 program sees only SC outcomes)?  The write-buffer,
- * network and stale-cache machines are the paper's *counterexample*
- * hardware -- they exist to show non-SC outcomes -- so an SC-subset
- * miss on them is a result, not a bug.  On a claiming model it is a
- * model-checking failure worth a reproducer.
+ * The synchronization model the machine @p name claims Definition 2
+ * for (`drf0ro`: the Section-6 read-only-sync refinement), or nullopt
+ * for the paper's *counterexample* hardware (wb, net, stale), whose
+ * SC-subset misses are results, not bugs.
  */
+inline std::optional<HbRelation::SyncFlavor>
+claimedSyncModel(const std::string &name)
+{
+    if (name == "drf0ro")
+        return HbRelation::SyncFlavor::weak_sync_read;
+    if (name == "sc" || name == "def1" || name == "drf0")
+        return HbRelation::SyncFlavor::drf0;
+    return std::nullopt;
+}
+
+/** Does the model named @p name claim the Definition-2 contract? */
 inline bool
 modelClaimsConformance(const std::string &name)
 {
-    return name == "sc" || name == "def1" || name == "drf0" ||
-           name == "drf0ro";
+    return claimedSyncModel(name).has_value();
 }
 
 /**

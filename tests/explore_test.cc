@@ -23,6 +23,7 @@
 
 #include <deque>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -31,7 +32,6 @@
 #include "asm/assembler.hh"
 #include "axiom/axiom_eval.hh"
 #include "campaign/verify.hh"
-#include "core/weak_ordering.hh"
 #include "models/model_registry.hh"
 #include "models/sc_model.hh"
 
@@ -288,26 +288,20 @@ TEST(Explore, TruncatedExplorationIsNeverConclusive)
 
 TEST(Explore, ConformanceUnderTinyBudgetIsUnreliable)
 {
-    // Satellite regression: a budget-tripped conformance query must
-    // surface reliable=false so no caller can mint an "appears SC"
-    // verdict out of a partial exploration.
-    const Program prog = loadByName("dekker.wo");
-    ExploreCfg cfg;
+    // A budget-tripped SC-subset check must come back unknown, so no
+    // caller can mint an "appears SC" verdict out of a partial
+    // exploration.
+    VerifyCfg cfg;
     cfg.max_states = 2;
-    ScModel hw(prog);
-    const ConformanceResult c = conformsForProgram(hw, prog, cfg);
-    EXPECT_FALSE(c.reliable);
+    const VerifyResult r = checkScSubset(loadByName("dekker.wo"), "sc", cfg);
+    EXPECT_EQ(r.def2.state, CheckState::unknown);
 
-    // A contract check whose *relevant* (DRF0-obeying) entry is
-    // starved must report the whole question open rather than claiming
-    // the contract holds.  A racy program would not do: its entry is
-    // irrelevant to the contract, starved or not.
-    const std::vector<Program> suite = {loadByName("handoff.wo")};
-    const ContractResult contract = checkContract(
-        [](const Program &p) { return ScModel(p); }, suite, {}, cfg);
-    EXPECT_FALSE(contract.conclusive);
-    ASSERT_EQ(contract.entries.size(), 1u);
-    EXPECT_FALSE(contract.entries[0].reliable);
+    // A starved DRF0-obeying program leaves the contract question open
+    // rather than claiming the contract holds.
+    const VerifyResult h = checkScSubset(loadByName("handoff.wo"), "sc", cfg);
+    EXPECT_EQ(h.def2.state, CheckState::unknown);
+    EXPECT_TRUE(h.inconclusive());
+    EXPECT_EQ(h.verdict(), "inconclusive");
 }
 
 // ------------------------------------- axiomatic vs operational engine
@@ -351,14 +345,14 @@ TEST(Axiom, SeededSoundnessBugIsCaughtByTheVerifyJudge)
         VerifyCfg cfg;
         cfg.axiom.inject_bug = true;
         const VerifyResult r = verifyProgramOnModel(prog, "sc", cfg);
-        EXPECT_FALSE(r.inconclusive) << name << ": "
-                                     << r.why_inconclusive;
-        if (!r.has_violation)
+        EXPECT_FALSE(r.inconclusive()) << name << ": "
+                                       << r.whyInconclusive();
+        if (!r.violation())
             continue;
         ++caught;
-        EXPECT_EQ(r.kind, ViolationKind::axiom_divergence) << name;
+        EXPECT_EQ(r.violation(), ViolationKind::axiom_divergence) << name;
         EXPECT_EQ(r.verdict(), "hw:axiom_divergence") << name;
-        EXPECT_FALSE(r.witness.empty()) << name;
+        EXPECT_FALSE(r.axiom_sc.witness.empty()) << name;
         EXPECT_NE(r.detail().find("axiom"), std::string::npos) << name;
     }
     EXPECT_GT(caught, 0u)
@@ -374,8 +368,8 @@ TEST(Verify, ConformingPairsReportOk)
         const VerifyResult r =
             verifyProgramOnModel(loadByName("mp.wo"), "sc");
         EXPECT_EQ(r.verdict(), "ok") << r.detail();
-        EXPECT_FALSE(r.has_violation);
-        EXPECT_FALSE(r.inconclusive) << r.why_inconclusive;
+        EXPECT_FALSE(r.violation());
+        EXPECT_FALSE(r.inconclusive()) << r.whyInconclusive();
     }
     // A race-free straight-line program (disjoint footprints, so DRF0
     // holds with no sync and no loops) appears SC on the claiming
@@ -391,8 +385,9 @@ TEST(Verify, ConformingPairsReportOk)
         ASSERT_TRUE(a.ok());
         const VerifyResult r = verifyProgramOnModel(*a.program, "drf0");
         EXPECT_EQ(r.verdict(), "ok") << r.detail();
-        EXPECT_TRUE(r.drf0_obeys);
-        EXPECT_FALSE(r.inconclusive) << r.why_inconclusive;
+        EXPECT_EQ(r.def2.state, CheckState::agree);
+        EXPECT_EQ(r.drf0, "not needed");
+        EXPECT_FALSE(r.inconclusive()) << r.whyInconclusive();
     }
 }
 
@@ -404,9 +399,9 @@ TEST(Verify, CounterexampleHardwareEscapingScIsExpectedNotAFailure)
     const VerifyResult r =
         verifyProgramOnModel(loadByName("fig1.wo"), "wb");
     EXPECT_EQ(r.verdict(), "nonsc");
-    EXPECT_TRUE(r.nonsc);
-    EXPECT_FALSE(r.has_violation);
-    EXPECT_FALSE(r.inconclusive) << r.why_inconclusive;
+    EXPECT_TRUE(r.nonsc());
+    EXPECT_FALSE(r.violation());
+    EXPECT_FALSE(r.inconclusive()) << r.whyInconclusive();
 }
 
 TEST(Verify, BudgetTripReportsInconclusiveNotAVerdict)
@@ -415,17 +410,17 @@ TEST(Verify, BudgetTripReportsInconclusiveNotAVerdict)
     cfg.max_states = 10;
     const VerifyResult r =
         verifyProgramOnModel(loadByName("dekker.wo"), "drf0", cfg);
-    EXPECT_TRUE(r.inconclusive);
+    EXPECT_TRUE(r.inconclusive());
     EXPECT_EQ(r.verdict(), "inconclusive");
-    EXPECT_FALSE(r.has_violation);
-    EXPECT_FALSE(r.why_inconclusive.empty());
+    EXPECT_FALSE(r.violation());
+    EXPECT_FALSE(r.whyInconclusive().empty());
 }
 
 TEST(Verify, UnknownModelIsInconclusiveNotACrash)
 {
     const VerifyResult r =
         verifyProgramOnModel(loadByName("mp.wo"), "tso");
-    EXPECT_TRUE(r.inconclusive);
+    EXPECT_TRUE(r.inconclusive());
     EXPECT_EQ(r.verdict(), "inconclusive");
 }
 
@@ -438,8 +433,7 @@ TEST(Verify, ReproducesIsAFaithfulShrinkPredicate)
     VerifyCfg cfg;
     cfg.axiom.inject_bug = true;
     const VerifyResult r = verifyProgramOnModel(prog, "sc", cfg);
-    ASSERT_TRUE(r.has_violation);
-    ASSERT_EQ(r.kind, ViolationKind::axiom_divergence);
+    ASSERT_EQ(r.violation(), ViolationKind::axiom_divergence);
     EXPECT_TRUE(verifyReproduces(prog, "sc",
                                  ViolationKind::axiom_divergence, cfg));
     EXPECT_FALSE(verifyReproduces(prog, "sc",
@@ -449,4 +443,70 @@ TEST(Verify, ReproducesIsAFaithfulShrinkPredicate)
     EXPECT_FALSE(verifyReproduces(prog, "sc",
                                   ViolationKind::axiom_divergence,
                                   clean));
+}
+
+TEST(Verify, ScSubsetAnswerMatchesVerifyExitCodes)
+{
+    // `wotool verify` exits 0 within SC, 1 escaping SC, 3 unanswered.
+    // One digit per model, in modelNames() order: the table the CLI
+    // has always printed for the corpus.
+    const std::map<std::string, std::string> expected = {
+        {"dekker", "0111111"}, {"fig1", "0111111"},
+        {"fig3", "0000000"},   {"handoff", "0000000"},
+        {"iriw", "0000000"},   {"mixed", "0010111"},
+        {"mp", "0010111"},     {"spinlock", "0000000"}};
+    VerifyCfg cfg;
+    cfg.max_states = ExploreCfg{}.max_states;
+    std::size_t files = 0;
+    for (const std::string &path : corpusFiles()) {
+        const std::string name =
+            std::filesystem::path(path).stem().string();
+        const auto want = expected.find(name);
+        ASSERT_NE(want, expected.end()) << "no expected row for " << name;
+        const Program prog = load(path);
+        std::string row;
+        for (const std::string &model : modelNames()) {
+            const CheckState s = checkScSubset(prog, model, cfg).def2.state;
+            row += s == CheckState::agree     ? '0'
+                   : s == CheckState::unknown ? '3'
+                                              : '1';
+        }
+        EXPECT_EQ(row, want->second) << name;
+        ++files;
+    }
+    EXPECT_EQ(files, expected.size());
+}
+
+TEST(Verify, Definition2ConfirmedWhileTheAxiomCheckIsUnknown)
+{
+    // handoff.wo spins, so the axiomatic evaluator cannot judge it;
+    // the SC-subset check still confirms Definition 2 on its own
+    // record, while the one-word cell verdict stays inconclusive.
+    VerifyCfg cfg;
+    cfg.axiom.max_unfoldings = 64;
+    const VerifyResult r =
+        verifyProgramOnModel(loadByName("handoff.wo"), "drf0", cfg);
+    EXPECT_EQ(r.engines.state, CheckState::agree) << r.detail();
+    EXPECT_EQ(r.def2.state, CheckState::agree) << r.detail();
+    EXPECT_EQ(r.axiom_sc.state, CheckState::unknown);
+    ASSERT_FALSE(r.axiom.why_inconclusive.empty());
+    EXPECT_NE(r.axiom_sc.reason.find(r.axiom.why_inconclusive),
+              std::string::npos)
+        << r.axiom_sc.reason;
+    EXPECT_EQ(r.drf0, "not needed");
+    EXPECT_EQ(r.verdict(), "inconclusive");
+}
+
+TEST(Verify, AxiomCheckNamesTheEvaluatorsReason)
+{
+    // dekker's free reads never settle into a value universe.  A larger
+    // state budget cannot help, and the check's reason must say why.
+    const Program prog = loadByName("dekker.wo");
+    ScModel sc(prog);
+    const CheckRecord c =
+        checkAxiom(axiomScOutcomes(prog), exploreOutcomes(sc));
+    EXPECT_EQ(c.state, CheckState::unknown);
+    EXPECT_NE(c.reason.find("value universe did not converge"),
+              std::string::npos)
+        << c.reason;
 }

@@ -9,11 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
+#include "campaign/verify.hh"
 #include "common/random.hh"
 #include "core/conditions.hh"
 #include "core/drf0_checker.hh"
 #include "core/lockset.hh"
-#include "core/weak_ordering.hh"
 #include "execution/trace_io.hh"
 #include "hb/dot.hh"
 #include "hb/lemma1.hh"
@@ -49,8 +49,7 @@ spin:
     EXPECT_FALSE(checkLockDiscipline(p).certified);
 
     // Abstract hardware side.
-    WoDrf0Model model(p);
-    EXPECT_TRUE(conformsForProgram(model, p).appears_sc);
+    EXPECT_EQ(checkScSubset(p, "drf0").def2.state, CheckState::agree);
 
     // Timed hardware side.
     SystemCfg cfg;
@@ -76,9 +75,7 @@ TEST(Pipeline, RacyProgramFailsExactlyWhereItShould)
 {
     Program p = litmus::messagePassing();
     EXPECT_FALSE(checkDrf0(p).obeys);
-    WoDrf0Model model(p);
-    auto c = conformsForProgram(model, p);
-    EXPECT_FALSE(c.appears_sc);
+    EXPECT_EQ(checkScSubset(p, "drf0").def2.state, CheckState::escapes_sc);
     // The timed machine still satisfies its hardware-side invariants.
     SystemCfg cfg;
     System sys(p, cfg);
@@ -90,16 +87,29 @@ TEST(Pipeline, RacyProgramFailsExactlyWhereItShould)
 
 TEST(Contract, ReportRendersAllColumns)
 {
-    std::vector<Program> suite;
-    suite.push_back(litmus::messagePassingSync());
-    suite.push_back(litmus::messagePassing());
-    auto result = checkContract(
-        [](const Program &q) { return WoDrf0Model(q); }, suite);
-    std::string text = result.toString();
-    EXPECT_NE(text.find("contract HOLDS"), std::string::npos);
-    EXPECT_NE(text.find("message-passing-sync"), std::string::npos);
-    EXPECT_NE(text.find("obeys-DRF0"), std::string::npos);
-    EXPECT_NE(text.find("violates-DRF0"), std::string::npos);
+    // The evidence report names every check, the SC-subset answer and
+    // whether the DRF0 classification had to be read.
+    const std::string sync =
+        checkScSubset(litmus::messagePassingSync(), "drf0").detail();
+    EXPECT_NE(sync.find("dpor_divergence:  unknown (not run)"),
+              std::string::npos)
+        << sync;
+    EXPECT_NE(sync.find("axiom_divergence: unknown (not run)"),
+              std::string::npos)
+        << sync;
+    EXPECT_NE(sync.find("def2_subset:      agree"), std::string::npos)
+        << sync;
+    EXPECT_NE(sync.find("drf0: not needed"), std::string::npos) << sync;
+
+    const VerifyResult racy = checkScSubset(litmus::messagePassing(), "drf0");
+    const std::string text = racy.detail();
+    EXPECT_NE(text.find("def2_subset:      escapes-sc"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("drf0: violates"), std::string::npos) << text;
+    ASSERT_FALSE(racy.def2.witness.empty());
+    EXPECT_NE(text.find(racy.def2.witness.begin()->toString()),
+              std::string::npos)
+        << text;
 }
 
 TEST(Invariants, TimedOutcomeAlwaysAmongAbstractForCannedSuite)

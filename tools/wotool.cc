@@ -22,9 +22,10 @@
  *         docs/EXPLORE.md.
  *
  *     wotool verify  <file> [--model ...] [--max-states N]
- *         Definition-2 conformance: is the machine's outcome set within
- *         SC's for this program?  A truncated or stuck exploration
- *         never yields a verdict: the result is INCONCLUSIVE, exit 3.
+ *         The verify judge's record (campaign/verify.hh), one line per
+ *         check.  Exit 0 when the outcome set is within SC's, 1 when
+ *         it escapes SC or any check is violated, 3 when a truncated
+ *         or stuck exploration left the SC-subset check unanswered.
  *
  *     wotool run     <file> [--policy sc|def1|drf0|drf0ro] [--hop N]
  *                    [--jitter N] [--seed N] [--trace]
@@ -118,7 +119,6 @@
 #include "fleet/worker.hh"
 #include "core/drf0_checker.hh"
 #include "core/lockset.hh"
-#include "core/weak_ordering.hh"
 #include "execution/trace_io.hh"
 #include "hb/dot.hh"
 #include "hb/lemma1.hh"
@@ -310,20 +310,11 @@ knownModel(const std::string &name)
     return std::find(known.begin(), known.end(), name) != known.end();
 }
 
-/** Print the outcomes in @p a but not in @p b, prefixed @p label. */
-void
-printOnly(const char *label, const std::set<Outcome> &a,
-          const std::set<Outcome> &b)
-{
-    for (const auto &o : a)
-        if (!b.count(o))
-            std::printf("  only %s: %s\n", label, o.toString().c_str());
-}
-
 /**
  * Exit contract (shared with `verify`): 0 all engines agree, 1 an
  * engine disagreement (a checker bug caught red-handed), 2 usage,
- * 3 inconclusive (a budget was hit; no verdict either way).
+ * 3 inconclusive (a budget was hit; no verdict either way).  The
+ * comparisons are the verify judge's checks 1 and 2.
  */
 int
 cmdExplore(const Program &prog, int argc, char **argv)
@@ -375,60 +366,38 @@ cmdExplore(const Program &prog, int argc, char **argv)
         for (const auto &o : r.outcomes)
             std::printf("  #%zu %s\n", idx++, o.toString().c_str());
 
-        bool disagreement = false;
-        bool inconclusive = !r.conclusive();
+        // Exit 1 on any violated check, else 3 on the first unknown.
+        int rc = 0;
+        std::string why = r.conclusive() ? ""
+                                         : "a state budget was hit (raise "
+                                           "--max-states)";
+        auto report = [&](const char *name, const CheckRecord &c) {
+            std::printf("%s", c.report(name).c_str());
+            if (c.state == CheckState::violated)
+                rc = 1;
+            else if (c.state == CheckState::unknown && why.empty())
+                why = c.reason;
+        };
         if (algo == "both") {
-            ExploreCfg bcfg = cfg;
-            bcfg.algo = ExploreAlgo::bfs;
-            auto b = exploreOutcomesBfs(model, bcfg);
+            auto b = exploreOutcomesBfs(model, cfg);
             engineLine("bfs", b);
-            if (!b.conclusive())
-                inconclusive = true;
-            else if (r.conclusive()) {
-                if (r.outcomes == b.outcomes) {
-                    std::printf(
-                        "engines agree; DPOR visited %llu of %llu BFS "
-                        "states (%.1f%%)\n",
+            report("dpor_divergence", checkEngines(r, b));
+            std::printf("DPOR visited %llu of %llu BFS states (%.1f%%)\n",
                         static_cast<unsigned long long>(r.states),
                         static_cast<unsigned long long>(b.states),
                         b.states ? 100.0 * static_cast<double>(r.states) /
                                        static_cast<double>(b.states)
                                  : 100.0);
-                } else {
-                    disagreement = true;
-                    std::printf("ENGINE DIVERGENCE: DPOR and BFS outcome "
-                                "sets differ\n");
-                    printOnly("dpor", r.outcomes, b.outcomes);
-                    printOnly("bfs", b.outcomes, r.outcomes);
-                }
-            }
         }
         if (axiom) {
             const AxiomResult ax = axiomScOutcomes(prog);
-            ScModel sc_model(prog);
-            const auto sc = exploreOutcomes(sc_model, cfg);
             std::printf("axiomatic SC: %zu outcome(s), %llu candidates, "
-                        "%llu judgements%s\n",
+                        "%llu judgements\n",
                         ax.outcomes.size(),
                         static_cast<unsigned long long>(ax.candidates),
-                        static_cast<unsigned long long>(ax.judgements),
-                        ax.conclusive ? "" : " [inconclusive]");
-            if (!ax.conclusive) {
-                std::printf("  (%s)\n", ax.why_inconclusive.c_str());
-                inconclusive = true;
-            } else if (!sc.conclusive()) {
-                inconclusive = true;
-            } else if (ax.outcomes != sc.outcomes) {
-                disagreement = true;
-                std::printf("ENGINE DIVERGENCE: axiomatic and "
-                            "operational SC outcome sets differ\n");
-                printOnly("axiomatic", ax.outcomes, sc.outcomes);
-                printOnly("operational", sc.outcomes, ax.outcomes);
-            } else {
-                std::printf("axiomatic and operational SC agree "
-                            "(%zu outcomes)\n",
-                            ax.outcomes.size());
-            }
+                        static_cast<unsigned long long>(ax.judgements));
+            report("axiom_divergence",
+                   checkAxiom(ax, exploreOutcomes(ScModel(prog), cfg)));
         }
 
         if (want_witness) {
@@ -450,40 +419,33 @@ cmdExplore(const Program &prog, int argc, char **argv)
                             model.dump(chain[k]).c_str());
             }
         }
-        if (disagreement)
-            return 1;
-        if (inconclusive) {
-            std::printf("inconclusive: a state/step budget was hit; "
-                        "no verdict (raise --max-states)\n");
-            return 3;
+        if (rc == 0 && !why.empty()) {
+            std::printf("inconclusive: %s\n", why.c_str());
+            rc = 3;
         }
-        return 0;
+        return rc;
     });
 }
 
 int
 cmdVerify(const Program &prog, int argc, char **argv)
 {
-    ExploreCfg cfg;
+    VerifyCfg cfg;
+    cfg.max_states = ExploreCfg{}.max_states;
     if (!parseU64Opt(argc, argv, "--max-states", 1, cfg.max_states))
         return 2;
-    return withModel(prog, opt(argc, argv, "--model"), [&](auto &model) {
-        auto c = conformsForProgram(model, prog, cfg);
-        // A truncated or stuck exploration saw only part of an outcome
-        // set; neither conformance verdict would be trustworthy.
-        if (!c.reliable) {
-            std::printf("%s on %s: INCONCLUSIVE (budget hit at %llu "
-                        "hardware / %llu SC states; raise "
-                        "--max-states)\n",
-                        prog.name().c_str(), model.name(),
-                        static_cast<unsigned long long>(c.hw.states),
-                        static_cast<unsigned long long>(c.sc.states));
-            return 3;
-        }
-        std::printf("%s on %s: %s\n", prog.name().c_str(), model.name(),
-                    c.toString().c_str());
-        return c.appears_sc ? 0 : 1;
-    });
+    const char *model_v = opt(argc, argv, "--model");
+    const std::string model = model_v ? model_v : "drf0";
+    if (!knownModel(model)) {
+        std::fprintf(stderr, "unknown model '%s'\n", model.c_str());
+        return 2;
+    }
+    const VerifyResult r = verifyProgramOnModel(prog, model, cfg);
+    std::printf("%s on %s:\n%s", prog.name().c_str(), model.c_str(),
+                r.detail().c_str());
+    if (r.violation() || r.nonsc())
+        return 1;
+    return r.def2.state == CheckState::agree ? 0 : 3;
 }
 
 bool
@@ -824,33 +786,24 @@ cmdLitmus(const AsmResult &a)
     // A found witness outcome is definite even under truncation, but
     // "forbidden" needs the full state space: a truncated or stuck
     // exploration without a witness is only INCONCLUSIVE.
-    struct Row
-    {
-        bool allowed;
-        bool conclusive;
-    };
-    auto evaluate = [&](const char *label, auto &&model) {
-        auto r = exploreOutcomes(model);
-        bool allowed = false;
-        for (const auto &o : r.outcomes)
-            allowed = allowed || probeMatches(a.probe, o);
-        const bool conclusive = allowed || r.conclusive();
-        std::printf("  %-22s %s\n", label,
-                    allowed      ? "ALLOWED"
-                    : conclusive ? "forbidden"
-                                 : "INCONCLUSIVE");
-        return Row{allowed, conclusive};
-    };
-    Row sc = evaluate("SC", ScModel(prog));
-    evaluate("write-buffer", WriteBufferModel(prog));
-    evaluate("general-network", NetworkReorderModel(prog));
-    evaluate("stale-cache", StaleCacheModel(prog));
-    evaluate("WO-Def1", WoDef1Model(prog));
-    evaluate("WO-DRF0", WoDrf0Model(prog));
-    evaluate("WO-DRF0+RO", WoDrf0Model(prog, 4, true));
-    if (!sc.allowed && !sc.conclusive)
-        return 3;
-    return sc.allowed ? 0 : 1;
+    int rc = 0;
+    for (const std::string &name : modelNames()) {
+        withModelByName(prog, name, [&](auto &model) {
+            auto r = exploreOutcomes(model);
+            bool allowed = false;
+            for (const auto &o : r.outcomes)
+                allowed = allowed || probeMatches(a.probe, o);
+            const bool conclusive = allowed || r.conclusive();
+            std::printf("  %-7s %-22s %s\n", name.c_str(), model.name(),
+                        allowed      ? "ALLOWED"
+                        : conclusive ? "forbidden"
+                                     : "INCONCLUSIVE");
+            // The exit code answers the probe on the SC machine.
+            if (name == "sc")
+                rc = allowed ? 0 : conclusive ? 1 : 3;
+        });
+    }
+    return rc;
 }
 
 int
@@ -1195,9 +1148,10 @@ const Command commands[] = {
      "          inconclusive; --jobs N explores on N work-stealing\n"
      "          threads with bit-identical results)\n"},
     {"verify", true, wrapVerify,
-     "  verify <file> [--model wb|net|stale|def1|drf0|drf0ro]\n"
-     "         [--max-states N]   (exit 3 when exploration was\n"
-     "         truncated/stuck: no conclusive verdict)\n"},
+     "  verify <file> [--model sc|wb|net|stale|def1|drf0|drf0ro]\n"
+     "         [--max-states N]   (one line per check; exit 1 when\n"
+     "         outcomes escape SC or a check is violated, 3 when\n"
+     "         the SC-subset check has no answer)\n"},
     {"run", true, wrapRun,
      "  run <file> [--policy sc|def1|drf0|drf0ro] [--hop N]\n"
      "      [--jitter N] [--seed N] [--trace] [--dot F]\n"
