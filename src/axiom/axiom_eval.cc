@@ -4,8 +4,10 @@
 #include <array>
 #include <cstddef>
 #include <map>
+#include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "program/instruction.hh"
 
 namespace wo {
@@ -35,43 +37,77 @@ struct Unfolding
  * from the IR spec (program/instruction.hh) on purpose -- it must not
  * share code with the operational models' thread_ctx machinery, so the
  * two engines can act as independent witnesses.
+ *
+ * The walk is depth-first over one shared path: events are pushed on the
+ * way down and truncated on return.  Each completed path is counted
+ * against max_unfoldings, its writes are added to @p written (a sorted
+ * set), and, only when @p out is given, it is copied out as an
+ * Unfolding.
  */
 class Unfolder
 {
   public:
-    Unfolder(const ThreadCode &code, const std::vector<Value> &universe,
-             const AxiomCfg &cfg, AxiomResult &res)
-        : code_(code), universe_(universe), cfg_(cfg), res_(res)
+    Unfolder(const ThreadCode &code, ProcId tid,
+             const std::vector<Value> &universe, const AxiomCfg &cfg,
+             AxiomResult &res)
+        : code_(code), tid_(tid), universe_(universe), cfg_(cfg), res_(res)
     {
     }
 
+    /** @return false iff a budget tripped or the thread loops. */
     bool
-    run(std::vector<Unfolding> &out)
+    run(std::vector<Value> &written, std::vector<Unfolding> *out)
     {
-        out_ = &out;
-        std::array<Value, num_regs> regs{};
-        return walk(0, regs, {}, 0);
+        written_ = &written;
+        out_ = out;
+        return walk(0, {}, 0);
     }
 
   private:
+    using Regs = std::array<Value, num_regs>;
+
     bool
-    fail(const char *why)
+    fail(std::string why)
     {
         res_.conclusive = false;
         if (res_.why_inconclusive.empty())
-            res_.why_inconclusive = why;
+            res_.why_inconclusive = std::move(why);
         return false;
     }
 
+    /**
+     * A backward jump to @p target with @p regs: false iff this path
+     * already reached @p target with the same registers.  Control flow
+     * depends only on (pc, registers), so replaying the read values
+     * between the two visits repeats the state forever: the walk has an
+     * infinite path and no step or unfolding budget can contain it.
+     */
     bool
-    walk(Pc pc, std::array<Value, num_regs> regs, std::vector<Event> events,
-         std::uint64_t steps)
+    enterLoopHead(Pc target, const Regs &regs)
+    {
+        for (const auto &[pc, r] : heads_)
+            if (pc == target && r == regs)
+                return false;
+        heads_.emplace_back(target, regs);
+        return true;
+    }
+
+    void
+    noteWrite(Value v)
+    {
+        auto it = std::lower_bound(written_->begin(), written_->end(), v);
+        if (it == written_->end() || *it != v)
+            written_->insert(it, v);
+    }
+
+    bool
+    walk(Pc pc, Regs regs, std::uint64_t steps)
     {
         for (;;) {
             if (++steps > cfg_.max_steps)
                 return fail("unfolding exceeded max_steps (program loops?)");
             if (pc >= code_.size())
-                return record(regs, events);
+                return record(regs);
             const Instruction &in = code_.at(pc);
             switch (in.op) {
             case Opcode::mov_imm:
@@ -87,19 +123,27 @@ class Unfolder
                 ++pc;
                 break;
             case Opcode::branch_eq:
-                pc = (regs[in.src] == in.imm) ? in.target : pc + 1;
-                break;
             case Opcode::branch_ne:
-                pc = (regs[in.src] != in.imm) ? in.target : pc + 1;
-                break;
-            case Opcode::jump:
+            case Opcode::jump: {
+                const bool taken =
+                    in.op == Opcode::jump ||
+                    (regs[in.src] == in.imm) == (in.op == Opcode::branch_eq);
+                if (!taken) {
+                    ++pc;
+                    break;
+                }
+                if (in.target <= pc && !enterLoopHead(in.target, regs))
+                    return fail(strprintf("thread %u loops: pc %u repeats "
+                                          "with the same registers",
+                                          unsigned{tid_}, in.target));
                 pc = in.target;
                 break;
+            }
             case Opcode::delay:
                 ++pc;
                 break;
             case Opcode::halt:
-                return record(regs, events);
+                return record(regs);
             case Opcode::store_data:
             case Opcode::sync_store: {
                 Event e;
@@ -107,43 +151,35 @@ class Unfolder
                 e.is_sync = in.op == Opcode::sync_store;
                 e.addr = in.addr;
                 e.value_written = in.use_imm ? in.imm : regs[in.src];
-                events.push_back(e);
+                noteWrite(e.value_written);
+                path_.push_back(e);
                 ++pc;
                 break;
             }
             case Opcode::load_data:
-            case Opcode::sync_load: {
-                // Branch point: the read may return any universe value.
-                for (Value v : universe_) {
-                    auto r = regs;
-                    r[in.dst] = v;
-                    auto ev = events;
-                    Event e;
-                    e.is_read = true;
-                    e.is_sync = in.op == Opcode::sync_load;
-                    e.addr = in.addr;
-                    e.value_read = v;
-                    ev.push_back(e);
-                    if (!walk(pc + 1, r, std::move(ev), steps))
-                        return false;
-                }
-                return true;
-            }
+            case Opcode::sync_load:
             case Opcode::test_and_set: {
-                for (Value v : universe_) {
-                    auto r = regs;
-                    r[in.dst] = v;
-                    auto ev = events;
-                    Event e;
-                    e.is_read = true;
-                    e.is_write = true;
-                    e.is_sync = true;
-                    e.addr = in.addr;
-                    e.value_read = v;
+                // Branch point: the read may return any universe value
+                // (a test_and_set also writes 1).
+                Event e;
+                e.is_read = true;
+                e.is_write = in.op == Opcode::test_and_set;
+                e.is_sync = in.op != Opcode::load_data;
+                e.addr = in.addr;
+                if (e.is_write) {
                     e.value_written = 1;
-                    ev.push_back(e);
-                    if (!walk(pc + 1, r, std::move(ev), steps))
+                    noteWrite(1);
+                }
+                const std::size_t path_mark = path_.size();
+                const std::size_t heads_mark = heads_.size();
+                for (Value v : universe_) {
+                    e.value_read = v;
+                    path_.push_back(e);
+                    regs[in.dst] = v;
+                    if (!walk(pc + 1, regs, steps))
                         return false;
+                    path_.resize(path_mark);
+                    heads_.resize(heads_mark);
                 }
                 return true;
             }
@@ -152,23 +188,25 @@ class Unfolder
     }
 
     bool
-    record(const std::array<Value, num_regs> &regs,
-           std::vector<Event> &events)
+    record(const Regs &regs)
     {
-        if (out_->size() >= cfg_.max_unfoldings)
+        if (++unfoldings_ > cfg_.max_unfoldings)
             return fail("thread exceeded max_unfoldings");
-        Unfolding u;
-        u.events = std::move(events);
-        u.regs = regs;
-        out_->push_back(std::move(u));
+        if (out_)
+            out_->push_back(Unfolding{path_, regs});
         return true;
     }
 
     const ThreadCode &code_;
+    const ProcId tid_;
     const std::vector<Value> &universe_;
     const AxiomCfg &cfg_;
     AxiomResult &res_;
+    std::vector<Value> *written_ = nullptr;
     std::vector<Unfolding> *out_ = nullptr;
+    std::uint64_t unfoldings_ = 0;
+    std::vector<Event> path_;                //!< the current path's events
+    std::vector<std::pair<Pc, Regs>> heads_; //!< its backward-jump states
 };
 
 /** Judge one candidate execution (one unfolding per thread). */
@@ -401,22 +439,15 @@ axiomScOutcomes(const Program &prog, const AxiomCfg &cfg)
     universe.erase(std::unique(universe.begin(), universe.end()),
                    universe.end());
 
-    std::vector<std::vector<Unfolding>> unfoldings;
+    // While it still grows, a pass only collects the written values and
+    // counts unfoldings; the Unfoldings are built once, from the
+    // converged universe.
     for (;;) {
-        unfoldings.assign(prog.numThreads(), {});
-        for (ProcId t = 0; t < prog.numThreads(); ++t) {
-            Unfolder u(prog.thread(t), universe, cfg, res);
-            if (!u.run(unfoldings[t]))
-                return res;
-        }
         std::vector<Value> next = universe;
-        for (const auto &per_thread : unfoldings)
-            for (const auto &u : per_thread)
-                for (const auto &e : u.events)
-                    if (e.is_write)
-                        next.push_back(e.value_written);
-        std::sort(next.begin(), next.end());
-        next.erase(std::unique(next.begin(), next.end()), next.end());
+        for (ProcId t = 0; t < prog.numThreads(); ++t)
+            if (!Unfolder(prog.thread(t), t, universe, cfg, res)
+                     .run(next, nullptr))
+                return res;
         if (next == universe)
             break;
         if (next.size() > cfg.max_universe) {
@@ -425,6 +456,13 @@ axiomScOutcomes(const Program &prog, const AxiomCfg &cfg)
             return res;
         }
         universe = std::move(next);
+    }
+    std::vector<std::vector<Unfolding>> unfoldings(prog.numThreads());
+    for (ProcId t = 0; t < prog.numThreads(); ++t) {
+        std::vector<Value> written = universe;
+        if (!Unfolder(prog.thread(t), t, universe, cfg, res)
+                 .run(written, &unfoldings[t]))
+            return res;
     }
 
     // Odometer over one unfolding per thread.

@@ -23,12 +23,16 @@
  *     write it read from in the coherence order.
  *
  * Being enumeration-based, the evaluator cannot handle unbounded
- * unfoldings: programs with loops (spinlocks, bounded counters) trip a
- * step or candidate budget and the result is reported *inconclusive*
- * rather than wrong.  The cross-check driver (campaign/verify.hh)
- * compares a conclusive axiomatic outcome set against the operational SC
- * explorer's and treats any difference as a bug in one of the two
- * engines.
+ * unfoldings, and reports them *inconclusive* rather than wrong.  A
+ * spin loop is caught at once: when a backward jump reaches a loop head
+ * the current path already reached with the same registers, the thread
+ * can repeat that iteration forever ("thread T loops: pc P repeats with
+ * the same registers"), which no budget can fix.  Loops whose registers
+ * change on every iteration (counters) unfold normally, within the
+ * step, unfolding and value-universe budgets.  The verify judge
+ * (campaign/verify.hh) compares a conclusive axiomatic outcome set
+ * against the operational SC explorer's and treats any difference as a
+ * bug in one of the two engines.
  */
 
 #ifndef WO_AXIOM_AXIOM_EVAL_HH
@@ -74,10 +78,10 @@ struct AxiomResult
     std::set<Outcome> outcomes;
 
     /**
-     * True when every budget held, i.e. the outcome set is exact.  A
-     * false value means some unfolding or judgement was abandoned; the
-     * outcome set is a subset of the truth and MUST NOT be compared
-     * against another engine's.
+     * True when every budget held and no thread loops, i.e. the
+     * outcome set is exact.  A false value means some unfolding or
+     * judgement was abandoned; the outcome set is a subset of the
+     * truth and MUST NOT be compared against another engine's.
      */
     bool conclusive = true;
 

@@ -260,7 +260,7 @@ CellResult::verdict() const
                                              : primary_kind);
     if (!completed && primary_kind == "materialize_error")
         return "error";
-    if (inconclusive)
+    if (!why_inconclusive.empty())
         return "inconclusive";
     if (nonsc)
         return "nonsc";
@@ -274,7 +274,7 @@ CellResult::verdict() const
 }
 
 void
-VerdictTally::add(const std::string &verdict)
+VerdictTally::add(const std::string &verdict, const std::string &why)
 {
     if (verdict == "clean") {
         ++clean;
@@ -291,6 +291,7 @@ VerdictTally::add(const std::string &verdict)
         ++livelocked;
     } else if (verdict == "inconclusive") {
         ++inconclusive;
+        ++inconclusive_why[why];
     } else if (verdict == "nonsc") {
         ++nonsc;
     } else {
@@ -311,6 +312,8 @@ VerdictTally::merge(const VerdictTally &o)
     nonsc += o.nonsc;
     for (int k = 0; k < num_violation_kinds; ++k)
         by_kind[k] += o.by_kind[k];
+    for (const auto &[why, n] : o.inconclusive_why)
+        inconclusive_why[why] += n;
 }
 
 void
@@ -330,6 +333,10 @@ VerdictTally::toJson(Json &j) const
             by.set(violationKindName(static_cast<ViolationKind>(k)),
                    Json(by_kind[k]));
     j.set("by_kind", std::move(by));
+    Json why = Json::object();
+    for (const auto &[reason, n] : inconclusive_why)
+        why.set(reason, Json(n));
+    j.set("inconclusive_why", std::move(why));
 }
 
 Json
@@ -349,8 +356,10 @@ cellResultToJson(const CellResult &r)
         j.set("shrink_us", Json(r.shrink_us));
     if (!r.primary_kind.empty())
         j.set("kind", Json(r.primary_kind));
-    if (r.inconclusive)
+    if (!r.why_inconclusive.empty()) {
         j.set("inconclusive", Json(true));
+        j.set("why", Json(r.why_inconclusive));
+    }
     if (r.nonsc)
         j.set("nonsc", Json(true));
     if (r.dpor_states > 0 || r.bfs_states > 0) {
@@ -403,7 +412,7 @@ runCell(const Cell &cell, std::uint64_t max_events, MaterializeCache *cache)
         r.run_us = static_cast<std::uint64_t>(r.wall_ms * 1000.0);
 
         r.completed = true;
-        r.inconclusive = v.inconclusive();
+        r.why_inconclusive = v.whyInconclusive();
         r.nonsc = v.nonsc();
         r.dpor_states = v.dpor.states;
         r.bfs_states = v.bfs.states;

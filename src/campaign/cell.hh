@@ -19,6 +19,7 @@
 #ifndef WO_CAMPAIGN_CELL_HH
 #define WO_CAMPAIGN_CELL_HH
 
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -194,7 +195,9 @@ struct CellResult
     double wall_ms = 0;       //!< host wall-clock cost of the cell
 
     // Verify-cell results (always false/zero for run cells).
-    bool inconclusive = false; //!< an engine budget tripped: no verdict
+    /** Non-empty iff a check had no answer (no verdict): its reason,
+     *  VerifyResult::whyInconclusive(). */
+    std::string why_inconclusive;
     bool nonsc = false;        //!< hw escaped SC (expected, not a failure)
     std::uint64_t dpor_states = 0; //!< reduced-engine states visited
     std::uint64_t bfs_states = 0;  //!< reference-engine states visited
@@ -222,10 +225,11 @@ struct CellResult
 
 /**
  * A campaign's verdict counts: every cell lands in exactly one class,
- * and hardware verdicts also count by their violation kind.  One tally
- * serves the in-process engine's workers and summary and the fleet
- * coordinator, which sees only the journaled verdict string -- so the
- * tally reads nothing else.
+ * hardware verdicts also count by their violation kind and
+ * inconclusive ones by their reason.  One tally serves the in-process
+ * engine's workers and summary and the fleet coordinator, which sees
+ * only the journaled verdict string and "why" -- so the tally reads
+ * nothing else.
  */
 struct VerdictTally
 {
@@ -238,13 +242,20 @@ struct VerdictTally
     std::uint64_t inconclusive = 0; //!< verify cells without a verdict
     std::uint64_t nonsc = 0;  //!< verify cells: hw escaped SC (expected)
     std::uint64_t by_kind[num_violation_kinds] = {}; //!< hw cells per kind
+    std::map<std::string, std::uint64_t> inconclusive_why; //!< per reason
 
-    /** Count one cell by its CellResult::verdict(). */
-    void add(const std::string &verdict);
+    /**
+     * Count one cell by its CellResult::verdict() and, when
+     * inconclusive, its why_inconclusive.
+     */
+    void add(const std::string &verdict, const std::string &why);
 
     void merge(const VerdictTally &o);
 
-    /** Set the tally's members (clean, racy, ..., by_kind) on @p j. */
+    /**
+     * Set the tally's members (clean, racy, ..., by_kind,
+     * inconclusive_why) on @p j.
+     */
     void toJson(Json &j) const;
 };
 

@@ -86,12 +86,12 @@ Ledger::open(const CampaignSpec &spec, Json meta)
 // --- recording -------------------------------------------------------
 
 void
-Ledger::count(Slot &s, const std::string &verdict, double ms,
-              std::uint64_t probes, std::uint64_t memo_hits)
+Ledger::count(Slot &s, const std::string &verdict, const std::string &why,
+              double ms, std::uint64_t probes, std::uint64_t memo_hits)
 {
     s.dpor_probes.fetch_add(probes, std::memory_order_relaxed);
     s.dpor_memo_hits.fetch_add(memo_hits, std::memory_order_relaxed);
-    s.tally.add(verdict);
+    s.tally.add(verdict, why);
     s.hw.store(s.tally.hw, std::memory_order_relaxed);
     s.lat_ms.push_back(ms);
 
@@ -111,15 +111,16 @@ void
 Ledger::recordCell(int slot, const CellResult &r)
 {
     journal_.appendCell(r);
-    count(slots_[slot], r.verdict(), r.wall_ms, r.dpor_probes,
-          r.dpor_memo_hits);
+    count(slots_[slot], r.verdict(), r.why_inconclusive, r.wall_ms,
+          r.dpor_probes, r.dpor_memo_hits);
 }
 
 void
 Ledger::recordLine(int slot, Json line)
 {
-    count(slots_[slot], line.stringAt("verdict"), line.numberAt("ms"),
-          line.uintAt("dpor_probes"), line.uintAt("dpor_memo_hits"));
+    count(slots_[slot], line.stringAt("verdict"), line.stringAt("why"),
+          line.numberAt("ms"), line.uintAt("dpor_probes"),
+          line.uintAt("dpor_memo_hits"));
     journal_.appendJson(std::move(line));
 }
 
@@ -444,10 +445,13 @@ CampaignSummary::table() const
         static_cast<unsigned long long>(errors));
     if (inconclusive > 0 || nonsc > 0)
         out += strprintf(
-            "verify: %llu inconclusive (budget-tripped), %llu non-SC "
+            "verify: %llu inconclusive, %llu non-SC "
             "(expected on counterexample machines)\n",
             static_cast<unsigned long long>(inconclusive),
             static_cast<unsigned long long>(nonsc));
+    for (const auto &[why, n] : inconclusive_why)
+        out += strprintf("  %llu inconclusive: %s\n",
+                         static_cast<unsigned long long>(n), why.c_str());
     for (const LaneSummary &l : lanes) {
         if (l.wall_ms <= 0)
             continue;

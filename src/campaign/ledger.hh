@@ -210,8 +210,8 @@ class Ledger
         std::uint64_t cum[num_lat_buckets] = {};
     };
 
-    void count(Slot &s, const std::string &verdict, double ms,
-               std::uint64_t probes, std::uint64_t memo_hits);
+    void count(Slot &s, const std::string &verdict, const std::string &why,
+               double ms, std::uint64_t probes, std::uint64_t memo_hits);
     std::uint64_t sumLive(std::atomic<std::uint64_t> Slot::*f) const;
     /** Run/skip counts of @p slot, or campaign totals (plus the cell
      *  budget and hw-failed cells) when @p slot < 0. */

@@ -107,7 +107,8 @@ judge(const Program &prog, const std::string &model_name,
     }
     r.sc = exploreOutcomesDpor(ScModel(prog), ecfg);
     if (all) {
-        // Loop-bearing programs trip the axiomatic unfolding budget,
+        // The evaluator cannot unfold a spin loop (it stops at the first
+        // repeated loop head) or a counter whose values never settle,
         // and check 2 honestly has no answer there.
         r.axiom = axiomScOutcomes(prog, cfg.axiom);
         r.axiom_sc = checkAxiom(r.axiom, r.sc);

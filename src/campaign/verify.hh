@@ -24,7 +24,8 @@
  *     model (claimedSyncModel()) or the program violates the one it
  *     claims.  Only then is the DRF0 classification run.
  *
- * A truncated, stuck or budget-tripped engine leaves its check
+ * A truncated, stuck or budget-tripped engine, or a program the
+ * axiomatic evaluator cannot unfold (a spin loop), leaves its check
  * *unknown* and the cell *inconclusive*: nothing is counted for or
  * against the contract.  Counterexample machines (wb/net/stale)
  * escaping SC is the expected result, reported as "nonsc".

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -52,6 +53,7 @@ struct JournalCellLine
     std::string key;
     std::string verdict;
     std::size_t end; //!< byte offset just past the line's newline
+    std::string why; //!< inconclusive verify cells: the judge's reason
 };
 
 /** The type=="cell" lines of a journal, in file order. */
@@ -79,7 +81,7 @@ journalCells(const std::string &path)
                        verdict && verdict->isString()
                            ? verdict->stringValue()
                            : "",
-                       pos});
+                       pos, p.value.stringAt("why")});
     }
     return out;
 }
@@ -988,6 +990,44 @@ TEST(Campaign, VerifyCellsRunCleanWithoutASeededBug)
                     l.verdict == "inconclusive")
             << l.key << ": " << l.verdict;
     }
+}
+
+TEST(Campaign, InconclusiveVerifyCellsJournalTheirReason)
+{
+    // The 17 litmus-corpus cells on sc: the looping ones have no
+    // axiomatic answer, and each such cell journals the judge's reason;
+    // the summary counts inconclusive cells per reason.
+    CampaignCfg cfg;
+    cfg.jobs = 2;
+    cfg.cells = 17;
+    cfg.out_dir = testing::TempDir() + "camp_verify_why";
+    cfg.frontier = false;
+    cfg.verify = true;
+    cfg.verify_models = {"sc"};
+    cfg.max_states = 20'000;
+    auto sum = runCampaign(cfg);
+    ASSERT_EQ(sum.ran, 17u);
+    ASSERT_GT(sum.inconclusive, 0u);
+
+    std::map<std::string, std::uint64_t> journaled;
+    std::size_t loops = 0;
+    for (const auto &l :
+         journalCells(cfg.out_dir + "/campaign.journal.jsonl")) {
+        EXPECT_EQ(l.verdict == "inconclusive", !l.why.empty())
+            << l.key << ": " << l.verdict << " (" << l.why << ")";
+        if (l.why.empty())
+            continue;
+        ++journaled[l.why];
+        loops += l.why.find("loops: pc") != std::string::npos;
+    }
+    EXPECT_EQ(journaled, sum.inconclusive_why);
+    EXPECT_GT(loops, 0u);
+    const std::string table = sum.table();
+    for (const auto &[why, n] : sum.inconclusive_why)
+        EXPECT_NE(table.find(std::to_string(n) + " inconclusive: " + why),
+                  std::string::npos)
+            << table;
+    EXPECT_EQ(table.find("budget-tripped"), std::string::npos) << table;
 }
 
 TEST(Campaign, RepeatedKeysAreClaimedOnceAndReportedAsDuplicates)

@@ -31,9 +31,11 @@
 
 #include "asm/assembler.hh"
 #include "axiom/axiom_eval.hh"
+#include "campaign/cell.hh"
 #include "campaign/verify.hh"
 #include "models/model_registry.hh"
 #include "models/sc_model.hh"
+#include "program/builder.hh"
 
 using namespace wo;
 
@@ -326,11 +328,77 @@ TEST(Axiom, LoopProgramIsHonestlyInconclusive)
     // the evaluator must say so instead of returning a partial set
     // that a caller could mistake for the outcome set.
     const Program prog = loadByName("spinlock.wo");
-    AxiomCfg cfg;
-    cfg.max_unfoldings = 64;
-    const AxiomResult ax = axiomScOutcomes(prog, cfg);
+    const AxiomResult ax = axiomScOutcomes(prog);
     EXPECT_FALSE(ax.conclusive);
     EXPECT_FALSE(ax.why_inconclusive.empty());
+}
+
+TEST(Axiom, RegisterBoundedLoopStaysConclusive)
+{
+    // A counted loop jumps backward, but its registers differ at every
+    // visit of the loop head, so it unfolds to an exact answer.  A
+    // static back-edge rule would call it inconclusive.
+    ProgramBuilder b("counted_loop", 2, 1);
+    b.thread(0)
+        .movi(1, 0)
+        .label("loop")
+        .storeReg(0, 1)
+        .addi(1, 1, 1)
+        .bne(1, 3, "loop");
+    b.thread(1).load(0, 0);
+    const Program prog = b.build();
+    const AxiomResult ax = axiomScOutcomes(prog);
+    ASSERT_TRUE(ax.conclusive) << ax.why_inconclusive;
+    ScModel sc(prog);
+    const ExploreResult op = exploreOutcomes(sc);
+    ASSERT_TRUE(op.conclusive());
+    EXPECT_EQ(ax.outcomes, op.outcomes);
+    EXPECT_EQ(ax.outcomes.size(), 3u); // thread 1 reads 0, 1 or 2
+}
+
+TEST(Axiom, VerdictTableOverLitmusCorpusAndPrograms)
+{
+    // Where the evaluator concludes it must equal operational SC.  The
+    // spinning programs repeat a loop head with the same registers and
+    // say so before unfolding anything; the counters whose written
+    // values grow with every read never settle a value universe.
+    const std::set<std::string> loops = {
+        "mp_sync",  "fig3",     "fig3_tt",  "counter2x2", "counter_tas",
+        "barrier3", "pingpong", "fig3.wo",  "spinlock.wo", "handoff.wo"};
+    const std::set<std::string> unconverged = {"racy_counter",
+                                               "dekker.wo"};
+    std::vector<std::pair<std::string, Program>> progs;
+    for (const LitmusCorpusEntry &e : litmusCorpus())
+        progs.emplace_back(e.name, e.make());
+    for (const std::string &path : corpusFiles())
+        progs.emplace_back(std::filesystem::path(path).filename().string(),
+                           load(path));
+    std::size_t conclusive = 0, looping = 0, diverging = 0;
+    for (const auto &[name, prog] : progs) {
+        const AxiomResult ax = axiomScOutcomes(prog);
+        if (loops.count(name)) {
+            ++looping;
+            EXPECT_FALSE(ax.conclusive) << name;
+            EXPECT_NE(ax.why_inconclusive.find("loops: pc"),
+                      std::string::npos)
+                << name << ": " << ax.why_inconclusive;
+            EXPECT_EQ(ax.candidates, 0u) << name;
+        } else if (unconverged.count(name)) {
+            ++diverging;
+            EXPECT_EQ(ax.why_inconclusive, "value universe did not converge")
+                << name;
+        } else {
+            ++conclusive;
+            ASSERT_TRUE(ax.conclusive) << name << ": " << ax.why_inconclusive;
+            ScModel sc(prog);
+            const ExploreResult op = exploreOutcomes(sc);
+            ASSERT_TRUE(op.conclusive()) << name;
+            EXPECT_EQ(ax.outcomes, op.outcomes) << name;
+        }
+    }
+    EXPECT_EQ(looping, loops.size());
+    EXPECT_EQ(diverging, unconverged.size());
+    EXPECT_EQ(conclusive, 13u); // 9 straight-line litmus shapes, 4 files
 }
 
 TEST(Axiom, SeededSoundnessBugIsCaughtByTheVerifyJudge)
@@ -482,10 +550,8 @@ TEST(Verify, Definition2ConfirmedWhileTheAxiomCheckIsUnknown)
     // handoff.wo spins, so the axiomatic evaluator cannot judge it;
     // the SC-subset check still confirms Definition 2 on its own
     // record, while the one-word cell verdict stays inconclusive.
-    VerifyCfg cfg;
-    cfg.axiom.max_unfoldings = 64;
     const VerifyResult r =
-        verifyProgramOnModel(loadByName("handoff.wo"), "drf0", cfg);
+        verifyProgramOnModel(loadByName("handoff.wo"), "drf0");
     EXPECT_EQ(r.engines.state, CheckState::agree) << r.detail();
     EXPECT_EQ(r.def2.state, CheckState::agree) << r.detail();
     EXPECT_EQ(r.axiom_sc.state, CheckState::unknown);

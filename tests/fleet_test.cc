@@ -357,6 +357,12 @@ expectTallyParity(const Json &fleet, const CampaignSummary &local)
         const Json *n = by->find(name);
         EXPECT_EQ(n ? n->uintValue() : 0, local.by_kind[k]) << name;
     }
+    const Json *why = fleet.find("inconclusive_why");
+    ASSERT_NE(why, nullptr);
+    std::map<std::string, std::uint64_t> fleet_why;
+    for (const auto &[reason, n] : why->members())
+        fleet_why[reason] = n.uintValue();
+    EXPECT_EQ(fleet_why, local.inconclusive_why);
 }
 
 /**
@@ -474,8 +480,9 @@ expectFleetParity(CampaignCfg sp, const std::string &name,
  * The acceptance bar: a two-worker fleet produces the same verdicts as
  * the single-process campaign on the same spec -- for run cells under
  * a seeded fault (so the shrink and dedup pipeline is exercised) and
- * for verify cells, whose budget-tripped and expected-escape verdicts
- * (inconclusive, nonsc) the fleet must count like the engine does.
+ * for verify cells, whose unanswered and expected-escape verdicts
+ * (inconclusive, nonsc) the fleet must count like the engine does,
+ * inconclusive ones per reason.
  */
 TEST(Fleet, VerdictParityWithSingleProcess)
 {
@@ -504,6 +511,7 @@ TEST(Fleet, VerdictParityWithSingleProcess)
     if (HasFatalFailure())
         return;
     EXPECT_GT(local.inconclusive, 0u);
+    EXPECT_FALSE(local.inconclusive_why.empty());
     EXPECT_GT(local.nonsc, 0u);
 }
 

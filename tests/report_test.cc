@@ -184,7 +184,7 @@ TEST(Report, FleetSeededFaultRendersWitnessAndThroughput)
 
 TEST(Report, VerifyCensusSeparatesInconclusiveAndNonSc)
 {
-    // Verify cells add two verdicts of their own: a budget-tripped
+    // Verify cells add two verdicts of their own: an unanswered
     // check (inconclusive) and an expected SC escape on a relaxed
     // machine (nonsc).  Neither is an error, and a header that records
     // inject_reserve_bug=false is no seeded fault.
