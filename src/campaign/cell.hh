@@ -262,8 +262,9 @@ struct VerdictTally
 /**
  * The journal cell-line object for @p r (without the "type" member).
  * One schema, two producers: Journal::appendCell for in-process
- * campaigns and the fleet worker's RESULT messages, so a merged fleet
- * journal is line-compatible with a single-process one.
+ * campaigns and the cells of the fleet worker's `lease_done` batches,
+ * so a merged fleet journal is line-compatible with a single-process
+ * one.
  */
 Json cellResultToJson(const CellResult &r);
 

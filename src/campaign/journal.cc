@@ -198,9 +198,6 @@ Journal::load()
             if (const Json *k = p.value.find("key"))
                 if (k->isString())
                     resume_done_.insert(k->stringValue());
-            if (const Json *ix = p.value.find("idx"))
-                if (ix->isNumber())
-                    resume_idx_.insert(ix->uintValue());
         } else if (type == "failure") {
             const std::string dedup = p.value.stringAt("dedup");
             if (dedup.empty())
@@ -402,10 +399,6 @@ Journal::writeHeader(Json meta)
 void
 Journal::appendJson(Json line)
 {
-    if (line.stringAt("type") == "cell")
-        if (const Json *k = line.find("key"))
-            if (k->isString() && resume_done_.count(k->stringValue()) == 0)
-                seen_.insert(fnv1a64(k->stringValue()));
     appendLine(line);
 }
 

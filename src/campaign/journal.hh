@@ -22,7 +22,10 @@
  * A truncated or malformed line (the crash can tear at most the tail
  * of the last batch) is ignored by the reader.
  *
- * claim() is lock-free on the worker hot path: the resume set is
+ * claim() is the one rule that decides whether a cell is still owed,
+ * for the in-process engine (per cell, as workers draw them) and the
+ * fleet coordinator (for every base index, when a campaign is added).
+ * It is lock-free on the worker hot path: the resume set is
  * snapshotted into an immutable hash set by load() before the fleet
  * starts, and the keys claimed by the current run live in an
  * insert-only atomic hash set (SeenSet below), whose single insert
@@ -212,20 +215,10 @@ class Journal
     bool schemaMismatch() const { return schema_mismatch_; }
 
     /**
-     * Base-stream indices of replayed cell lines that carried an
-     * "idx" member (fleet journals; single-process lines have none).
-     * A restarted coordinator re-leases exactly the complement.
-     */
-    const std::unordered_set<std::uint64_t> &resumeIndices() const
-    {
-        return resume_idx_;
-    }
-
-    /**
      * Append an arbitrary journal line (the fleet merge path: the
      * coordinator forwards cell records it received from workers,
-     * annotated with shard/idx).  A `"type":"cell"` line with a
-     * string "key" marks that key done exactly like appendCell().
+     * annotated with idx/shard/worker, which replay ignores).  The
+     * coordinator claim()ed each cell's key before leasing it.
      */
     void appendJson(Json line);
 
@@ -289,7 +282,6 @@ class Journal
     // Resume state: written by load() single-threaded, immutable and
     // lock-free to read once the fleet is running.
     std::unordered_set<std::string> resume_done_;
-    std::unordered_set<std::uint64_t> resume_idx_;
     Json header_;
     std::uint64_t loaded_schema_version_ = 0;
     bool schema_mismatch_ = false;

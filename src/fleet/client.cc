@@ -77,7 +77,7 @@ submitCampaign(const SubmitCfg &cfg)
         } else if (type == "progress") {
             if (cfg.quiet)
                 continue;
-            // The campaign's ledger progress document (proto v2).
+            // The campaign's ledger progress document (since proto v2).
             const Json *prog = p.value.find("progress");
             const Json *cells = prog ? prog->find("cells") : nullptr;
             if (!cells || !cells->isObject())

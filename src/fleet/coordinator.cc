@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "campaign/fuzzer.hh"
 #include "common/logging.hh"
 #include "obs/control_plane.hh"
 #include "obs/httpd.hh"
@@ -273,8 +272,6 @@ Coordinator::handleMessage(std::uint64_t conn_id, const Json &msg)
         // last_seen is already refreshed above.
     } else if (type == "submit") {
         handleSubmit(c, msg);
-    } else if (type == "result") {
-        handleResult(c, msg);
     } else if (type == "lease_done") {
         handleLeaseDone(c, msg);
     } else {
@@ -351,39 +348,66 @@ Coordinator::handleSubmit(Conn &c, const Json &msg)
     c.sock->writeLine(acc);
 }
 
-void
-Coordinator::handleResult(Conn &c, const Json &msg)
+std::string
+Coordinator::checkBatch(const Camp &camp, const Shard &shard,
+                        const Json *cells) const
 {
-    Camp *camp = findCampaign(msg.uintAt("campaign"));
-    const Json *cell = msg.find("cell");
-    if (!camp || !cell || !cell->isObject())
-        return;
-    const std::uint64_t idx = msg.uintAt("idx");
-    if (camp->ledger->done() || idx >= camp->spec.cells || camp->done[idx]) {
-        // A reassigned lease's original holder reported late: the
-        // merge is idempotent, the duplicate only counts.
-        ++camp->duplicate_results;
+    if (!cells || cells->items().size() != shard.hi - shard.lo)
+        return "not one entry per leased index";
+    for (std::size_t k = 0; k < shard.hi - shard.lo; ++k) {
+        const Json &e = cells->items()[k];
+        const std::uint64_t idx = camp.owed[shard.lo + k];
+        const Json *cell = e.find("cell");
+        if (e.uintAt("idx", ~idx) != idx || !cell || !cell->isObject() ||
+            cell->stringAt("key") != camp.fuzzer->baseCell(idx).key())
+            return strprintf("entry %zu is not index %llu's cell", k,
+                             static_cast<unsigned long long>(idx));
+    }
+    return "";
+}
+
+void
+Coordinator::handleLeaseDone(Conn &c, const Json &msg)
+{
+    const std::uint64_t lease_id = msg.uintAt("lease");
+    auto it = leases_.find(lease_id);
+    if (it == leases_.end() && lease_id > 0 && lease_id < next_lease_) {
+        // The lease ended while this batch ran and went back to the
+        // pool whole: the late copy only counts.
+        if (Camp *cp = findCampaign(msg.uintAt("campaign")))
+            ++cp->duplicate_results;
         return;
     }
-    camp->done[idx] = 1;
-    ++c.cells_done;
+    Camp *camp = it == leases_.end() ? nullptr
+                                     : findCampaign(it->second.campaign);
+    const Json *cells = msg.find("cells");
+    const std::string why =
+        !camp || it->second.conn != c.id
+            ? "a lease it does not hold"
+            : checkBatch(*camp, camp->shards[it->second.shard], cells);
+    if (!why.empty()) {
+        warn("fleet: worker '%s' sent a malformed lease_done (%s); "
+             "dropping it",
+             c.name.c_str(), why.c_str());
+        dropConn(c.id, "malformed lease_done");
+        return;
+    }
 
-    const std::size_t shard_i =
-        static_cast<std::size_t>(idx / cfg_.shard_size);
+    // Merge the batch, annotated with its fleet provenance.
+    const std::size_t shard_i = it->second.shard;
     Shard &shard = camp->shards[shard_i];
-    if (shard.remaining > 0)
-        --shard.remaining;
+    for (const Json &e : cells->items()) {
+        const std::uint64_t idx = e.uintAt("idx");
+        Json rec = *e.find("cell");
+        rec.set("type", Json("cell"));
+        rec.set("idx", Json(idx));
+        rec.set("shard", Json(static_cast<std::uint64_t>(shard_i)));
+        rec.set("worker", Json(c.name));
+        camp->ledger->recordLine(0, std::move(rec));
 
-    // Merge into the campaign ledger, annotated with the fleet
-    // provenance a resumed coordinator needs.
-    Json rec = *cell;
-    rec.set("type", Json("cell"));
-    rec.set("idx", Json(idx));
-    rec.set("shard", Json(static_cast<std::uint64_t>(shard_i)));
-    rec.set("worker", Json(c.name));
-    camp->ledger->recordLine(0, std::move(rec));
-
-    if (const Json *f = msg.find("failure"); f && f->isObject()) {
+        const Json *f = e.find("failure");
+        if (!f || !f->isObject())
+            continue;
         // The worker shrank it; the evidence re-run needs the cell,
         // which the base index rebuilds exactly.
         ShrinkOutcome s;
@@ -393,31 +417,16 @@ Coordinator::handleResult(Conn &c, const Json &msg)
             static_cast<std::size_t>(f->uintAt("orig_insns"));
         s.reproduced = f->boolAt("reproduced");
         const std::string kind = f->stringAt("kind");
-        if (camp->ledger->fileFailure(Fuzzer(camp->spec).baseCell(idx),
-                                      kind, s) &&
+        if (camp->ledger->fileFailure(camp->fuzzer->baseCell(idx), kind, s) &&
             cfg_.verbose)
             inform("fleet: campaign %llu: new %s failure (from '%s')",
                    static_cast<unsigned long long>(camp->id), kind.c_str(),
                    c.name.c_str());
     }
-
-    if (shard.remaining == 0) {
-        if (shard.state == Shard::State::leased)
-            releaseLease(shard.lease);
-        else
-            shard.state = Shard::State::done;
-    }
-    maybeCompleteCampaign(*camp);
-}
-
-void
-Coordinator::handleLeaseDone(Conn &c, const Json &msg)
-{
-    const std::uint64_t lease_id = msg.uintAt("lease");
-    auto it = leases_.find(lease_id);
-    if (it == leases_.end() || it->second.conn != c.id)
-        return; // stale: the lease was reassigned while this ran
+    c.cells_done += cells->items().size();
+    shard.state = Shard::State::done;
     releaseLease(lease_id);
+    maybeCompleteCampaign(*camp);
 }
 
 void
@@ -469,13 +478,11 @@ Coordinator::releaseLease(std::uint64_t lease_id)
     if (!cp)
         return;
     Shard &shard = cp->shards[lease.shard];
-    if (shard.lease != lease_id)
-        return; // already re-leased
-    shard.lease = 0;
-    // Whatever the holder managed before the lease ended is merged
-    // already; the remainder goes back to the pending pool.
-    shard.state = shard.remaining == 0 ? Shard::State::done
-                                       : Shard::State::pending;
+    // An unmerged lease goes back to the pending pool whole.
+    if (shard.state != Shard::State::done) {
+        shard.state = Shard::State::pending;
+        cp->pending.push_back(lease.shard);
+    }
 }
 
 Coordinator::Camp *
@@ -515,16 +522,10 @@ Coordinator::grantLeases()
         if (c->role != Role::worker || c->dead || c->draining)
             continue;
         while (static_cast<int>(c->leases.size()) < cfg_.max_outstanding) {
-            Shard *shard = nullptr;
-            std::size_t shard_i = 0;
-            for (std::size_t i = 0; i < camp->shards.size(); ++i)
-                if (camp->shards[i].state == Shard::State::pending) {
-                    shard = &camp->shards[i];
-                    shard_i = i;
-                    break;
-                }
-            if (!shard)
+            if (camp->pending.empty())
                 return; // the lattice is fully leased or done
+            const std::size_t shard_i = camp->pending.front();
+            Shard &shard = camp->shards[shard_i];
 
             const std::uint64_t lease_id = next_lease_++;
             Json msg = fleetMsg("lease");
@@ -533,16 +534,15 @@ Coordinator::grantLeases()
             msg.set("shard", Json(static_cast<std::uint64_t>(shard_i)));
             msg.set("spec", campaignSpecToJson(camp->spec));
             Json indices = Json::array();
-            for (std::uint64_t i = shard->lo; i < shard->hi; ++i)
-                if (!camp->done[i])
-                    indices.push(Json(i));
+            for (std::size_t i = shard.lo; i < shard.hi; ++i)
+                indices.push(Json(camp->owed[i]));
             msg.set("indices", std::move(indices));
             if (!c->sock->writeLine(msg)) {
                 dropConn(id, "lease write failed");
                 break;
             }
-            shard->state = Shard::State::leased;
-            shard->lease = lease_id;
+            camp->pending.pop_front();
+            shard.state = Shard::State::leased;
             Lease lease;
             lease.id = lease_id;
             lease.campaign = camp->id;
@@ -552,11 +552,10 @@ Coordinator::grantLeases()
             c->leases.push_back(lease_id);
             if (cfg_.verbose)
                 inform("fleet: lease %llu (campaign %llu shard %zu, "
-                       "%llu cells) -> '%s'",
+                       "%zu cells) -> '%s'",
                        static_cast<unsigned long long>(lease_id),
                        static_cast<unsigned long long>(camp->id), shard_i,
-                       static_cast<unsigned long long>(shard->remaining),
-                       c->name.c_str());
+                       shard.hi - shard.lo, c->name.c_str());
         }
     }
 }
@@ -660,25 +659,6 @@ Coordinator::newLedger(std::uint64_t id) const
     return std::make_unique<Ledger>(1, dir, "", jcfg);
 }
 
-void
-Coordinator::layoutShards(Camp &camp) const
-{
-    const std::size_t nshards = static_cast<std::size_t>(
-        (camp.spec.cells + cfg_.shard_size - 1) / cfg_.shard_size);
-    camp.shards.resize(nshards);
-    for (std::size_t i = 0; i < nshards; ++i) {
-        Shard &s = camp.shards[i];
-        s.lo = i * cfg_.shard_size;
-        s.hi = std::min<std::uint64_t>(s.lo + cfg_.shard_size,
-                                       camp.spec.cells);
-        for (std::uint64_t idx = s.lo; idx < s.hi; ++idx)
-            if (!camp.done[idx])
-                ++s.remaining;
-        if (s.remaining == 0)
-            s.state = Shard::State::done;
-    }
-}
-
 Coordinator::Camp &
 Coordinator::addCampaign(std::uint64_t id, CampaignSpec spec,
                          std::unique_ptr<Ledger> ledger)
@@ -686,21 +666,31 @@ Coordinator::addCampaign(std::uint64_t id, CampaignSpec spec,
     auto camp = std::make_unique<Camp>();
     camp->id = id;
     camp->spec = std::move(spec);
+    camp->fuzzer = std::make_unique<Fuzzer>(camp->spec);
     Json meta = Json::object(); // the header, if the journal is fresh
     meta.set("fleet", Json(true));
     meta.set("campaign_id", Json(id));
     meta.set("spec", campaignSpecToJson(camp->spec));
     ledger->open(camp->spec, std::move(meta));
     camp->ledger = std::move(ledger);
-    // A replayed journal's indices are merged already: only the
-    // complement is leased.
-    camp->done.assign(camp->spec.cells, 0);
-    for (std::uint64_t idx : camp->ledger->journal().resumeIndices())
-        if (idx < camp->spec.cells && !camp->done[idx]) {
-            camp->done[idx] = 1;
-            camp->ledger->recordSkip(0, KeyClaim::resumed);
-        }
-    layoutShards(*camp);
+    // The in-process engine's claim rule, applied up front: the lowest
+    // index of a key owns it, and only fresh keys are owed.
+    for (std::uint64_t idx = 0; idx < camp->spec.cells; ++idx) {
+        const KeyClaim claim = camp->ledger->journal().claim(
+            camp->fuzzer->baseCell(idx).key());
+        if (claim == KeyClaim::fresh)
+            camp->owed.push_back(idx);
+        else
+            camp->ledger->recordSkip(0, claim);
+    }
+    for (std::size_t lo = 0; lo < camp->owed.size(); lo += cfg_.shard_size) {
+        Shard shard;
+        shard.lo = lo;
+        shard.hi = std::min<std::size_t>(lo + cfg_.shard_size,
+                                         camp->owed.size());
+        camp->pending.push_back(camp->shards.size());
+        camp->shards.push_back(shard);
+    }
     next_campaign_ = std::max(next_campaign_, id + 1);
     camps_.push_back(std::move(camp));
     return *camps_.back();
@@ -930,7 +920,6 @@ Coordinator::metricsJson() const
                 Json s = Json::object();
                 s.set("state",
                       Json(static_cast<int>(cp->shards[i].state)));
-                s.set("remaining", Json(cp->shards[i].remaining));
                 c.set(strprintf("shard{shard=\"%zu\"}", i),
                       std::move(s));
             }

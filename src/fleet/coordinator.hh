@@ -5,37 +5,46 @@
  * One coordinator owns a TCP endpoint speaking the fleet protocol
  * (proto.hh), a queue of submitted campaigns, and the merged campaign
  * journal of whichever campaign is running.  Campaigns execute
- * serially in submission order; each one's program x policy x seed
- * lattice -- the deterministic base stream of fuzzer.hh, a pure
- * function of (seed, index) -- is cut into fixed-size *shards* of
- * consecutive base indices, and shards are handed to workers as
- * *leases*.  Backpressure is the lease count: a worker never holds
- * more than `max_outstanding` leases, so a slow worker bounds its own
- * queue instead of hoarding the lattice.
+ * serially in submission order.  When a campaign is added (fresh or
+ * resumed) the coordinator walks its program x policy x seed lattice
+ * -- the deterministic base stream of fuzzer.hh, a pure function of
+ * (seed, index) -- once, and claims each index's cell key through
+ * Journal::claim(), the rule the in-process engine applies per cell:
+ * a key a replayed journal holds is *resumed*, a key an earlier index
+ * already claimed is a *duplicate*, and only the fresh indices are
+ * owed.  Those are cut into fixed-size *shards* of consecutive fresh
+ * indices, and shards are handed to workers as *leases*.  Backpressure
+ * is the lease count: a worker never holds more than `max_outstanding`
+ * leases, so a slow worker bounds its own queue instead of hoarding
+ * the lattice.
  *
- * Fault tolerance is lease reassignment + an idempotent merge:
+ * A lease is the unit of claim, run, merge and reassignment:
  *
- *  - every RESULT is applied at most once per base index (a stale
- *    result from a lease that was already reassigned and re-run is
- *    dropped), then appended to the campaign journal through the
- *    group-commit writer (journal.hh), annotated with its shard,
- *    index and worker -- the commit point is the flushed batch, same
- *    crash contract as the single-process campaign;
- *  - a worker that dies (socket EOF) or goes silent past
- *    `lease_timeout_ms` (heartbeats count) has its leases' shards
- *    returned to the pending pool and re-leased, minus the indices
- *    already merged, so a SIGKILLed worker loses zero cells;
+ *  - the worker answers a lease with one `lease_done` carrying every
+ *    cell of it.  The batch is checked whole first (this connection
+ *    holds the lease, its entries are the lease's indices in lease
+ *    order, and each cell carries the key claimed for its index), then
+ *    merged: each cell goes through the group-commit journal writer
+ *    (journal.hh), annotated with its index, shard and worker -- the
+ *    commit point is the flushed batch, same crash contract as the
+ *    single-process campaign;
+ *  - a lease that ends without a valid `lease_done` -- its worker dies
+ *    (socket EOF), goes silent past `lease_timeout_ms` (heartbeats
+ *    count) or sends a malformed batch (which drops the connection) --
+ *    returns whole to the pending pool and is re-leased, so a
+ *    SIGKILLed worker loses zero cells.  A late `lease_done` for a
+ *    lease that is no longer current only counts `duplicate_results`;
  *  - a restarted coordinator (`--resume`) replays the journals under
  *    its out-dir: the header line rebuilds each campaign's spec, the
- *    cell lines' `idx` members rebuild the done set, and exactly the
- *    uncommitted indices are re-leased (Journal::resumeIndices()).
+ *    cell lines' keys are the resumed set of the claim walk, and
+ *    exactly the keys not journaled yet are leased.
  *
  * Each campaign records into its own ledger (campaign/ledger.hh), the
  * same one the single-process campaign uses, driven from the pump
  * with a single slot: tally, latency, journaling, failure filing and
  * the summary are that code, not a copy.  Shrinking runs on the
- * worker that caught the violation; the RESULT carries the minimized
- * `.wo` text back, and the ledger deduplicates it fleet-wide by
+ * worker that caught the violation; its batch entry carries the
+ * minimized `.wo` text back, and the ledger deduplicates it fleet-wide by
  * verdict kind + shrunk-program hash, so a bug found by many workers
  * is still reported once.  The first of each class gets its evidence
  * bundle here: the coordinator rebuilds the cell from its base index
@@ -60,6 +69,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/fuzzer.hh"
 #include "campaign/ledger.hh"
 #include "fleet/proto.hh"
 
@@ -188,19 +198,19 @@ class Coordinator
     struct Shard
     {
         enum class State : std::uint8_t { pending, leased, done };
-        std::uint64_t lo = 0, hi = 0; //!< base-index range [lo, hi)
+        std::size_t lo = 0, hi = 0; //!< range [lo, hi) of Camp::owed
         State state = State::pending;
-        std::uint64_t lease = 0;    //!< current lease id when leased
-        std::uint64_t remaining = 0; //!< indices not yet merged
     };
 
     struct Camp
     {
         std::uint64_t id = 0;
         CampaignSpec spec;
+        std::unique_ptr<Fuzzer> fuzzer; //!< the spec's base stream
         std::unique_ptr<Ledger> ledger; //!< one slot, driven by the pump
-        std::vector<std::uint8_t> done; //!< per base index
+        std::vector<std::uint64_t> owed; //!< fresh-claimed base indices
         std::vector<Shard> shards;
+        std::deque<std::size_t> pending; //!< pending shard ids, FIFO
         std::uint64_t duplicate_results = 0; //!< stale-lease drops
         std::uint64_t reassigned_leases = 0;
         std::uint64_t client_conn = 0; //!< 0 = detached/local submit
@@ -232,7 +242,6 @@ class Coordinator
     void handleMessage(std::uint64_t conn_id, const Json &msg);
     void handleHello(Conn &c, const Json &msg);
     void handleSubmit(Conn &c, const Json &msg);
-    void handleResult(Conn &c, const Json &msg);
     void handleLeaseDone(Conn &c, const Json &msg);
     void dropConn(std::uint64_t conn_id, const char *why);
     void releaseLease(std::uint64_t lease_id);
@@ -245,12 +254,14 @@ class Coordinator
     void resumeFromOutDir();
     /** The ledger of campaign @p id, under <out_dir>/c<id>. */
     std::unique_ptr<Ledger> newLedger(std::uint64_t id) const;
-    /** Open @p ledger (fresh, or replayed on resume) and lease the
-     *  campaign's uncommitted indices. */
+    /** Open @p ledger (fresh, or replayed on resume), claim every
+     *  base index's key and cut the fresh ones into pending shards. */
     Camp &addCampaign(std::uint64_t id, CampaignSpec spec,
                       std::unique_ptr<Ledger> ledger);
-    /** Cut the lattice into shards; done indices are not re-leased. */
-    void layoutShards(Camp &camp) const;
+    /** Why @p cells is not @p shard's batch ("" when it is): one entry
+     *  per leased index, in lease order, each carrying its claimed key. */
+    std::string checkBatch(const Camp &camp, const Shard &shard,
+                           const Json *cells) const;
     Camp *activeCampaign();
     Camp *findCampaign(std::uint64_t id);
     int aliveWorkers() const;

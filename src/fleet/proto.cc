@@ -128,13 +128,15 @@ LineConn::Read
 LineConn::readLine(std::string &out, int timeout_ms)
 {
     for (;;) {
-        const std::size_t eol = buf_.find('\n');
+        const std::size_t eol = buf_.find('\n', scanned_);
         if (eol != std::string::npos) {
             out.assign(buf_, 0, eol);
             buf_.erase(0, eol + 1);
+            scanned_ = 0;
             return Read::line;
         }
-        if (fd_ < 0)
+        scanned_ = buf_.size();
+        if (fd_ < 0 || scanned_ > fleet_max_line_bytes)
             return Read::closed;
         pollfd pfd = {fd_, POLLIN, 0};
         const int pr = ::poll(&pfd, 1, timeout_ms);

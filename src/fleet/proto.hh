@@ -21,10 +21,9 @@
  *   accepted   coord -> client {campaign}
  *   lease      coord -> worker {campaign, lease, shard, spec,
  *                               indices:[...]}
- *   result     worker -> coord {campaign, lease, idx, cell:{...},
- *                               failure?:{kind, wo_text, insns,
- *                                          orig_insns, reproduced}}
- *   lease_done worker -> coord {campaign, lease}
+ *   lease_done worker -> coord {campaign, lease, cells:[{idx,
+ *                               cell:{...}, failure?:{kind, wo_text,
+ *                               insns, orig_insns, reproduced}}, ...]}
  *   heartbeat  worker -> coord {}
  *   progress   coord -> client {campaign, progress:{cells:{...}, ...}}
  *   done       coord -> client {campaign, hardware_clean, summary}
@@ -34,13 +33,15 @@
  * JSON codec: the deterministic base stream (fuzzer.hh) is a pure
  * function of (seed, index), so a lease only needs the spec plus a list
  * of base indices -- workers regenerate the exact cells the coordinator
- * sharded, and a resumed coordinator can re-lease precisely the
- * uncommitted indices recorded in its journal.
+ * sharded.  A lease is also the unit of reply: the worker answers it
+ * with one `lease_done` carrying every cell of the lease, and the
+ * coordinator merges the batch whole or not at all.
  */
 
 #ifndef WO_FLEET_PROTO_HH
 #define WO_FLEET_PROTO_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -52,7 +53,11 @@
 namespace wo {
 
 /** Bump on any wire-visible change; hello carries it both ways. */
-constexpr std::uint64_t fleet_proto_version = 2;
+constexpr std::uint64_t fleet_proto_version = 3;
+
+/** A pending line longer than this makes LineConn::readLine() give up
+ *  on the peer (a lease batch is tens of KB). */
+constexpr std::size_t fleet_max_line_bytes = std::size_t{64} << 20;
 
 /** A parsed `host:port` endpoint (the `--connect` surface). */
 struct HostPort
@@ -111,7 +116,8 @@ class LineConn
         closed,  //!< EOF or a socket error; no more lines will come
     };
 
-    /** Next line, waiting at most @p timeout_ms (-1 = forever). */
+    /** Next line, waiting at most @p timeout_ms (-1 = forever).
+     *  `closed` too once a pending line passes fleet_max_line_bytes. */
     Read readLine(std::string &out, int timeout_ms);
 
     /** Send @p msg as one line.  False when the peer is gone. */
@@ -132,6 +138,7 @@ class LineConn
   private:
     int fd_;
     std::string buf_;   //!< bytes received past the last full line
+    std::size_t scanned_ = 0; //!< prefix of buf_ known to hold no '\n'
     std::mutex write_mu_;
 };
 

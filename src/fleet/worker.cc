@@ -161,6 +161,9 @@ FleetWorker::executeLease(const Json &msg)
 
     const Fuzzer fuzzer(spec);
 
+    // Slot results land at their cursor position, so the batch is
+    // in lease order however the slots interleave.
+    std::vector<Json> cells(indices.size());
     std::atomic<std::size_t> cursor{0};
     auto slot_fn = [&](int slot) {
         MaterializeCache &cache = caches_[static_cast<std::size_t>(slot)];
@@ -178,11 +181,9 @@ FleetWorker::executeLease(const Json &msg)
             const ShrunkCellRun out =
                 runAndShrinkCell(fuzzer.baseCell(idx), spec, &cache);
 
-            Json result = fleetMsg("result");
-            result.set("campaign", Json(campaign));
-            result.set("lease", Json(lease));
-            result.set("idx", Json(idx));
-            result.set("cell", cellResultToJson(out.run.result));
+            Json entry = Json::object();
+            entry.set("idx", Json(idx));
+            entry.set("cell", cellResultToJson(out.run.result));
             if (out.failure) {
                 Json failure = Json::object();
                 failure.set("kind", Json(out.run.result.primary_kind));
@@ -194,10 +195,9 @@ FleetWorker::executeLease(const Json &msg)
                             Json(static_cast<std::uint64_t>(
                                 out.failure->orig_instructions)));
                 failure.set("reproduced", Json(out.failure->reproduced));
-                result.set("failure", std::move(failure));
+                entry.set("failure", std::move(failure));
             }
-            if (!conn_->writeLine(result))
-                return; // severed mid-lease; the lease gets reassigned
+            cells[at] = std::move(entry);
             cells_run_.fetch_add(1, std::memory_order_relaxed);
         }
     };
@@ -217,10 +217,14 @@ FleetWorker::executeLease(const Json &msg)
             t.join();
     }
     if (stop_.load(std::memory_order_relaxed))
-        return;
+        return; // an unanswered lease returns whole to the pending pool
+    Json batch = Json::array();
+    for (Json &entry : cells)
+        batch.push(std::move(entry));
     Json done = fleetMsg("lease_done");
     done.set("campaign", Json(campaign));
     done.set("lease", Json(lease));
+    done.set("cells", std::move(batch));
     conn_->writeLine(done);
 }
 

@@ -9,11 +9,11 @@
  * (seed, index) the worker regenerates exactly the cells the
  * coordinator sharded -- no program bytes cross the wire.  Indices of
  * one lease run jobs-wide over an atomic cursor, every slot keeping a
- * persistent materialization cache across leases; each finished cell
- * streams back as one RESULT line, and a hardware verdict is shrunk
- * locally (ddmin, campaign/shrink.hh) so the line carries the
- * minimized `.wo` reproducer as evidence.  A heartbeat thread keeps
- * the lease alive while long cells run.
+ * persistent materialization cache across leases; the finished lease
+ * goes back as one `lease_done` line carrying every cell, and a
+ * hardware verdict is shrunk locally (ddmin, campaign/shrink.hh) so
+ * its entry carries the minimized `.wo` reproducer as evidence.  A
+ * heartbeat thread keeps the lease alive while long cells run.
  *
  * Lease execution is deliberately single-flight: the socket is the
  * lease queue (the coordinator's max_outstanding bound keeps it

@@ -475,36 +475,6 @@ TEST(Journal, SchemaMismatchIsFlaggedButStillReplays)
     EXPECT_TRUE(j.done("old1"));
 }
 
-TEST(Journal, FleetIdxLinesBuildTheResumeIndexSet)
-{
-    const std::string path = testing::TempDir() + "journal_idx.jsonl";
-    std::remove(path.c_str());
-    {
-        Journal j(path);
-        ASSERT_TRUE(j.open(true));
-        j.writeHeader(Json::object());
-        for (std::uint64_t i : {0ull, 3ull, 17ull}) {
-            Json line = Json::object();
-            line.set("type", Json("cell"));
-            line.set("key", Json("k" + std::to_string(i)));
-            line.set("idx", Json(i));
-            j.appendJson(std::move(line));
-        }
-        // A single-process line (no idx) marks its key done but adds
-        // no resume index.
-        CellResult r;
-        r.key = "plain";
-        j.appendCell(r);
-    }
-    Journal j2(path);
-    j2.load();
-    EXPECT_EQ(j2.doneCells(), 4u);
-    const auto &idx = j2.resumeIndices();
-    EXPECT_EQ(idx.size(), 3u);
-    EXPECT_TRUE(idx.count(0) && idx.count(3) && idx.count(17));
-    EXPECT_TRUE(j2.done("plain"));
-}
-
 // -------------------------------------------------------- the shrinker
 
 /** The seeded-fault witness from the monitor suite, plus dead weight

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -29,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign/fuzzer.hh"
 #include "campaign/journal.hh"
 #include "campaign/scheduler.hh"
 #include "fleet/client.hh"
@@ -56,67 +58,11 @@ slurp(const std::string &path)
     return out;
 }
 
-/** key -> (verdict, outcome signature) for a journal's cell lines. */
-std::map<std::string, std::pair<std::string, std::string>>
-journalVerdicts(const std::string &path)
+/** The cell lines of a journal, in journal order. */
+std::vector<Json>
+journalCells(const std::string &path)
 {
-    std::map<std::string, std::pair<std::string, std::string>> out;
-    const std::string text = slurp(path);
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            break;
-        const std::string_view line(text.data() + pos, eol - pos);
-        pos = eol + 1;
-        JsonParseResult p = jsonParse(line);
-        if (!p.ok || !p.value.isObject())
-            continue;
-        const Json *type = p.value.find("type");
-        if (!type || !type->isString() ||
-            type->stringValue() != "cell")
-            continue;
-        const Json *key = p.value.find("key");
-        const Json *verdict = p.value.find("verdict");
-        const Json *sig = p.value.find("sig");
-        if (!key || !key->isString())
-            continue;
-        out[key->stringValue()] = {
-            verdict && verdict->isString() ? verdict->stringValue()
-                                           : "",
-            sig && sig->isString() ? sig->stringValue() : ""};
-    }
-    return out;
-}
-
-/** The base-stream indices a fleet journal's cell lines carry. */
-std::set<std::uint64_t>
-journalIndices(const std::string &path)
-{
-    std::set<std::uint64_t> out;
-    const std::string text = slurp(path);
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            break;
-        const std::string_view line(text.data() + pos, eol - pos);
-        pos = eol + 1;
-        JsonParseResult p = jsonParse(line);
-        if (!p.ok || !p.value.isObject())
-            continue;
-        const Json *idx = p.value.find("idx");
-        if (idx && idx->isNumber())
-            out.insert(idx->uintValue());
-    }
-    return out;
-}
-
-/** The hw:* cell lines of a journal that carry no shrink_us. */
-std::vector<std::string>
-unshrunkHwCells(const std::string &path)
-{
-    std::vector<std::string> out;
+    std::vector<Json> out;
     const std::string text = slurp(path);
     std::size_t pos = 0;
     while (pos < text.size()) {
@@ -126,12 +72,86 @@ unshrunkHwCells(const std::string &path)
         JsonParseResult p =
             jsonParse(std::string_view(text.data() + pos, eol - pos));
         pos = eol + 1;
-        if (p.ok && p.value.stringAt("type") == "cell" &&
-            p.value.stringAt("verdict").rfind("hw:", 0) == 0 &&
-            p.value.uintAt("shrink_us") == 0)
-            out.push_back(p.value.stringAt("key"));
+        if (p.ok && p.value.stringAt("type") == "cell")
+            out.push_back(std::move(p.value));
     }
     return out;
+}
+
+/** key -> (verdict, outcome signature) for a journal's cell lines. */
+std::map<std::string, std::pair<std::string, std::string>>
+journalVerdicts(const std::string &path)
+{
+    std::map<std::string, std::pair<std::string, std::string>> out;
+    for (const Json &c : journalCells(path))
+        out[c.stringAt("key")] = {c.stringAt("verdict"), c.stringAt("sig")};
+    return out;
+}
+
+/** How many cell lines of a journal carry each key. */
+std::map<std::string, std::uint64_t>
+journalKeyCounts(const std::string &path)
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const Json &c : journalCells(path))
+        ++out[c.stringAt("key")];
+    return out;
+}
+
+/** The hw:* cell lines of a journal that carry no shrink_us. */
+std::vector<std::string>
+unshrunkHwCells(const std::string &path)
+{
+    std::vector<std::string> out;
+    for (const Json &c : journalCells(path))
+        if (c.stringAt("verdict").rfind("hw:", 0) == 0 &&
+            c.uintAt("shrink_us") == 0)
+            out.push_back(c.stringAt("key"));
+    return out;
+}
+
+/** The cell key of each base index of @p spec's stream. */
+std::vector<std::string>
+streamKeys(const CampaignSpec &spec)
+{
+    const Fuzzer fuzzer(spec);
+    std::vector<std::string> keys;
+    for (std::uint64_t i = 0; i < spec.cells; ++i)
+        keys.push_back(fuzzer.baseCell(i).key());
+    return keys;
+}
+
+/**
+ * The claim contract, stated in keys: every distinct key of @p spec's
+ * stream is journaled at @p journal exactly once and nothing else is,
+ * and @p summary accounts for every base index once.
+ */
+void
+expectEachKeyOnce(const CampaignSpec &spec, const std::string &journal,
+                  const Json &summary)
+{
+    std::map<std::string, std::uint64_t> want;
+    for (const std::string &k : streamKeys(spec))
+        want[k] = 1;
+    EXPECT_EQ(journalKeyCounts(journal), want);
+    EXPECT_EQ(summary.uintAt("ran") + summary.uintAt("resumed") +
+                  summary.uintAt("duplicate"),
+              spec.cells);
+}
+
+/** Poll until @p coord's first campaign has merged @p n run cells. */
+bool
+waitMerged(const Coordinator &coord, std::uint64_t n)
+{
+    for (int i = 0; i < 20'000; ++i) {
+        const Json progress = coord.progressJson();
+        const Json *camps = progress.find("campaigns");
+        if (camps && !camps->items().empty() &&
+            camps->items()[0].find("cells")->uintAt("ran") >= n)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
 }
 
 /** The failure files (reproducers and evidence) under @p dir. */
@@ -175,6 +195,29 @@ struct WorkerThread
             thread.join();
     }
 };
+
+/** A hand-rolled worker named @p name, past its handshake with the
+ *  coordinator on @p port (null when the handshake fails). */
+std::unique_ptr<LineConn>
+handRolledWorker(std::uint16_t port, const char *name)
+{
+    std::string err;
+    const int fd = fleetConnect({"127.0.0.1", port}, &err);
+    if (fd < 0)
+        return nullptr;
+    auto conn = std::make_unique<LineConn>(fd);
+    Json hello = fleetMsg("hello");
+    hello.set("proto", Json(fleet_proto_version));
+    hello.set("role", Json("worker"));
+    hello.set("name", Json(name));
+    hello.set("jobs", Json(std::uint64_t{1}));
+    std::string line;
+    if (!conn->writeLine(hello) ||
+        conn->readLine(line, 10'000) != LineConn::Read::line ||
+        fleetMsgType(jsonParse(line).value) != "hello_ok")
+        return nullptr;
+    return conn;
+}
 
 // --- protocol --------------------------------------------------------
 
@@ -327,6 +370,37 @@ TEST(FleetProto, LineConnFramesAndSevers)
     ::close(lfd);
 }
 
+TEST(FleetProto, OverlongLineReadsClosed)
+{
+    std::string err;
+    std::uint16_t port = 0;
+    const int lfd = fleetListen("127.0.0.1", 0, &port, &err);
+    ASSERT_GE(lfd, 0) << err;
+    const int cfd = fleetConnect({"127.0.0.1", port}, &err);
+    ASSERT_GE(cfd, 0) << err;
+    const int afd = ::accept(lfd, nullptr, nullptr);
+    ASSERT_GE(afd, 0);
+    LineConn server(afd);
+
+    // A peer that streams past the cap and never ends its line.
+    std::thread peer([cfd] {
+        const std::string chunk(std::size_t{1} << 20, 'x');
+        for (std::size_t sent = 0; sent <= fleet_max_line_bytes;) {
+            const ssize_t n =
+                ::send(cfd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+            if (n <= 0)
+                return;
+            sent += static_cast<std::size_t>(n);
+        }
+    });
+    std::string line;
+    EXPECT_EQ(server.readLine(line, 10'000), LineConn::Read::closed);
+    server.closeNow(); // unread bytes remain: the close resets the peer
+    peer.join();
+    ::close(cfd);
+    ::close(lfd);
+}
+
 // --- fleet end to end ------------------------------------------------
 
 /** Every verdict-tally field of a fleet summary equals @p local's. */
@@ -372,7 +446,8 @@ expectTallyParity(const Json &fleet, const CampaignSummary &local)
  * the same failure files (reproducers plus evidence bundles) and a
  * stamped shrink_us on every hardware cell line.  `frontier = false`
  * makes the executed cell set a pure function of (seed, cells) on
- * both sides.
+ * both sides, and both sides claim it by key: a key the stream repeats
+ * runs once and counts as a duplicate, and no key is journaled twice.
  */
 void
 expectFleetParity(CampaignCfg sp, const std::string &name,
@@ -382,7 +457,7 @@ expectFleetParity(CampaignCfg sp, const std::string &name,
     sp.frontier = false;
     sp.out_dir = freshDir(name + "_sp");
     local = runCampaign(sp);
-    ASSERT_EQ(local.ran, sp.cells);
+    ASSERT_EQ(local.ran + local.duplicates, sp.cells);
 
     CoordinatorCfg ccfg;
     ccfg.out_dir = freshDir(name + "_fl");
@@ -410,7 +485,7 @@ expectFleetParity(CampaignCfg sp, const std::string &name,
         journalVerdicts(sp.out_dir + "/campaign.journal.jsonl");
     const auto fl_cells = journalVerdicts(
         ccfg.out_dir + "/c1/campaign.journal.jsonl");
-    ASSERT_EQ(sp_cells.size(), sp.cells);
+    ASSERT_EQ(sp_cells.size(), local.ran);
     // Same key set, same verdict and same outcome signature per key.
     EXPECT_EQ(fl_cells, sp_cells);
 
@@ -457,9 +532,16 @@ expectFleetParity(CampaignCfg sp, const std::string &name,
                             << (a ? "fleet" : "in-process") << ")";
         EXPECT_EQ(a->isNumber(), b->isNumber()) << key;
     }
-    for (const char *key : {"ran", "resumed", "hw", "unique_failures"})
+    for (const char *key :
+         {"ran", "resumed", "duplicate", "hw", "unique_failures"})
         EXPECT_EQ(fl_sum.value.uintAt(key), sp_sum.value.uintAt(key))
             << key;
+    // Each side journals every distinct key once and counts every
+    // index once.
+    expectEachKeyOnce(spec, sp.out_dir + "/campaign.journal.jsonl",
+                      sp_sum.value);
+    expectEachKeyOnce(spec, ccfg.out_dir + "/c1/campaign.journal.jsonl",
+                      fl_sum.value);
     EXPECT_EQ(fl_sum.value.boolAt("hardware_clean"),
               sp_sum.value.boolAt("hardware_clean"));
     EXPECT_GT(fl_sum.value.numberAt("cells_per_sec"), 0.0);
@@ -513,12 +595,26 @@ TEST(Fleet, VerdictParityWithSingleProcess)
     EXPECT_GT(local.inconclusive, 0u);
     EXPECT_FALSE(local.inconclusive_why.empty());
     EXPECT_GT(local.nonsc, 0u);
+
+    // A random verify stream repeats its deterministic programs: the
+    // fleet must skip the repeats the way the engine does, not run and
+    // journal them again.
+    CampaignCfg repeats;
+    repeats.seed = 3;
+    repeats.cells = 40;
+    repeats.verify = true;
+    repeats.verify_models = {"drf0"};
+    repeats.max_states = 2'000;
+    expectFleetParity(repeats, "fleet_parity_repeats", local);
+    if (HasFatalFailure())
+        return;
+    EXPECT_GT(local.duplicates, 0u);
 }
 
 /**
  * Kill one of two workers mid-campaign: its leases are reassigned and
- * the lattice still completes with every base index merged exactly
- * once (the idempotent-merge half of the crash contract).
+ * the lattice still completes with every distinct key merged exactly
+ * once (the whole-lease-merge half of the crash contract).
  */
 TEST(Fleet, WorkerKillReassignsLeases)
 {
@@ -554,15 +650,11 @@ TEST(Fleet, WorkerKillReassignsLeases)
     ASSERT_TRUE(coord.waitCampaign(id, 180'000, &summary));
     coord.stop();
 
-    // Zero lost cells: every base index merged, exactly once each
-    // (stale duplicates from the dead worker's lease are dropped, not
-    // journaled twice).
-    const auto idx = journalIndices(
-        ccfg.out_dir + "/c1/campaign.journal.jsonl");
-    EXPECT_EQ(idx.size(), cells);
-    EXPECT_EQ(*idx.begin(), 0u);
-    EXPECT_EQ(*idx.rbegin(), cells - 1);
-    EXPECT_EQ(summary.find("ran")->uintValue(), cells);
+    // Zero lost cells: every distinct key merged exactly once (the
+    // dead worker's unanswered leases rerun whole elsewhere).
+    expectEachKeyOnce(spec, ccfg.out_dir + "/c1/campaign.journal.jsonl",
+                      summary);
+    EXPECT_EQ(summary.uintAt("resumed"), 0u);
     EXPECT_GE(summary.find("reassigned_leases")->uintValue(), 1u);
     EXPECT_TRUE(summary.find("hardware_clean")->boolValue());
 }
@@ -583,19 +675,9 @@ TEST(Fleet, SilentWorkerForfeitsLeases)
 
     // A hand-rolled worker that handshakes, accepts leases, and then
     // never says another word.
-    std::string err;
-    const int fd = fleetConnect({"127.0.0.1", coord.port()}, &err);
-    ASSERT_GE(fd, 0) << err;
-    LineConn mute(fd);
-    Json hello = fleetMsg("hello");
-    hello.set("proto", Json(fleet_proto_version));
-    hello.set("role", Json("worker"));
-    hello.set("name", Json("mute"));
-    hello.set("jobs", Json(std::uint64_t{1}));
-    ASSERT_TRUE(mute.writeLine(hello));
-    std::string line;
-    ASSERT_EQ(mute.readLine(line, 10'000), LineConn::Read::line);
-    ASSERT_EQ(fleetMsgType(jsonParse(line).value), "hello_ok");
+    const std::unique_ptr<LineConn> mute =
+        handRolledWorker(coord.port(), "mute");
+    ASSERT_TRUE(mute);
 
     WorkerCfg wcfg;
     wcfg.connect = {"127.0.0.1", coord.port()};
@@ -613,31 +695,134 @@ TEST(Fleet, SilentWorkerForfeitsLeases)
     ASSERT_TRUE(coord.waitCampaign(id, 60'000, &summary));
     coord.stop();
 
-    EXPECT_EQ(summary.find("ran")->uintValue(), 96u);
+    expectEachKeyOnce(spec, ccfg.out_dir + "/c1/campaign.journal.jsonl",
+                      summary);
+    EXPECT_EQ(summary.uintAt("resumed"), 0u);
     EXPECT_GE(summary.find("reassigned_leases")->uintValue(), 1u);
-    EXPECT_EQ(journalIndices(
-                  ccfg.out_dir + "/c1/campaign.journal.jsonl")
-                  .size(),
-              96u);
+}
+
+/**
+ * A lease is merged whole or not at all.  Hand-rolled workers answer
+ * their first lease with a batch that is wrong in one way each: the
+ * coordinator journals none of it, drops the connection and reassigns
+ * its leases, and a live worker then finishes the campaign with the
+ * in-process counts.
+ */
+TEST(Fleet, MalformedLeaseDoneIsRejected)
+{
+    CoordinatorCfg ccfg;
+    ccfg.out_dir = freshDir("fleet_malformed");
+    ccfg.shard_size = 8;
+    ccfg.sync_every = 1;
+    Coordinator coord(ccfg);
+    ASSERT_TRUE(coord.start()) << coord.lastError();
+    const std::string journal = ccfg.out_dir + "/c1/campaign.journal.jsonl";
+
+    CampaignCfg spec;
+    spec.seed = 11;
+    spec.cells = 48;
+    spec.shrink = false;
+    const std::vector<std::string> keys = streamKeys(spec);
+    const std::uint64_t id = coord.submitLocal(spec);
+
+    // Each spoils a well-formed answer in one way.
+    using Corrupt = void (*)(Json &done, std::vector<Json> &cells);
+    const std::pair<const char *, Corrupt> bad[] = {
+        {"a lease it does not hold",
+         [](Json &done, std::vector<Json> &) {
+             done.set("lease", Json(done.uintAt("lease") + 1000));
+         }},
+        {"an index outside its lease",
+         [](Json &, std::vector<Json> &cells) {
+             cells[0].set("idx", Json(std::uint64_t{1'000'000}));
+         }},
+        {"an entry that is not an object",
+         [](Json &, std::vector<Json> &cells) {
+             cells[0] = Json(std::uint64_t{7});
+         }},
+        {"a cell with the wrong key",
+         [](Json &, std::vector<Json> &cells) {
+             cells[0].find("cell")->set("key", Json("bogus"));
+         }},
+    };
+    for (const auto &[what, corrupt] : bad) {
+        const std::unique_ptr<LineConn> mute =
+            handRolledWorker(coord.port(), "mute");
+        ASSERT_TRUE(mute) << what;
+        std::string line;
+        ASSERT_EQ(mute->readLine(line, 10'000), LineConn::Read::line)
+            << what;
+        const Json lease = jsonParse(line).value;
+        ASSERT_EQ(fleetMsgType(lease), "lease") << what;
+
+        std::vector<Json> cells;
+        for (const Json &i : lease.find("indices")->items()) {
+            Json cell = Json::object();
+            cell.set("key", Json(keys[i.uintValue()]));
+            Json entry = Json::object();
+            entry.set("idx", i);
+            entry.set("cell", std::move(cell));
+            cells.push_back(std::move(entry));
+        }
+        Json done = fleetMsg("lease_done");
+        done.set("campaign", Json(id));
+        done.set("lease", Json(lease.uintAt("lease")));
+        corrupt(done, cells);
+        Json batch = Json::array();
+        for (Json &e : cells)
+            batch.push(std::move(e));
+        done.set("cells", std::move(batch));
+        ASSERT_TRUE(mute->writeLine(done)) << what;
+
+        // The coordinator hangs up (its second lease may come first).
+        LineConn::Read r;
+        while ((r = mute->readLine(line, 10'000)) == LineConn::Read::line) {
+        }
+        EXPECT_EQ(r, LineConn::Read::closed) << what;
+    }
+
+    WorkerCfg wcfg;
+    wcfg.connect = {"127.0.0.1", coord.port()};
+    wcfg.name = "live";
+    wcfg.heartbeat_ms = 100;
+    WorkerThread live(wcfg);
+    Json summary;
+    ASSERT_TRUE(coord.waitCampaign(id, 60'000, &summary));
+    coord.stop();
+
+    EXPECT_GE(summary.uintAt("reassigned_leases"), std::size(bad));
+    for (const Json &c : journalCells(journal))
+        EXPECT_EQ(c.stringAt("worker"), "live") << c.stringAt("key");
+    expectEachKeyOnce(spec, journal, summary);
+
+    spec.jobs = 2;
+    spec.frontier = false;
+    spec.out_dir = freshDir("fleet_malformed_sp");
+    const CampaignSummary local = runCampaign(spec);
+    EXPECT_EQ(summary.uintAt("ran"), local.ran);
+    EXPECT_EQ(summary.uintAt("duplicate"), local.duplicates);
+    expectTallyParity(summary, local);
 }
 
 /**
  * Kill the coordinator mid-campaign, then start a fresh one with
  * --resume on the same out-dir: the merged journal's header rebuilds
- * the spec, its cell lines rebuild the done set, and exactly the
- * uncommitted indices run -- resumed + ran == cells with no rerun.
+ * the spec, its cell keys are the resumed claims, and exactly the keys
+ * not journaled yet run -- nothing journaled runs again.
  */
 TEST(Fleet, CoordinatorRestartResumes)
 {
-    const std::uint64_t cells = 3000;
     const std::string out_dir = freshDir("fleet_resume");
+    const std::string journal = out_dir + "/c1/campaign.journal.jsonl";
 
     CampaignSpec spec;
     spec.seed = 5;
-    spec.cells = cells;
+    spec.cells = 3000;
     spec.shrink = false;
+    const std::vector<std::string> keys = streamKeys(spec);
+    const std::set<std::string> distinct(keys.begin(), keys.end());
 
-    std::uint64_t committed = 0;
+    std::set<std::string> committed;
     {
         CoordinatorCfg ccfg;
         ccfg.out_dir = out_dir;
@@ -652,19 +837,16 @@ TEST(Fleet, CoordinatorRestartResumes)
         ASSERT_TRUE(first.waitForWorkers(1, 10'000));
         first.submitLocal(spec);
 
-        for (int i = 0; i < 20'000 && w.worker.cellsRun() < 64; ++i)
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ASSERT_GE(w.worker.cellsRun(), 64u);
+        ASSERT_TRUE(waitMerged(first, 64));
         first.kill(); // SIGKILL stand-in: no drain, no graceful close
         ASSERT_EQ(first.campaignsCompleted(), 0)
             << "campaign finished before the kill; nothing to resume";
         w.worker.kill();
 
-        committed = journalIndices(
-                        out_dir + "/c1/campaign.journal.jsonl")
-                        .size();
-        ASSERT_GT(committed, 0u);
-        ASSERT_LT(committed, cells);
+        for (const auto &[key, n] : journalKeyCounts(journal))
+            committed.insert(key);
+        ASSERT_GT(committed.size(), 0u);
+        ASSERT_LT(committed.size(), distinct.size());
     }
 
     CoordinatorCfg rcfg;
@@ -683,13 +865,15 @@ TEST(Fleet, CoordinatorRestartResumes)
     ASSERT_TRUE(second.waitCampaign(1, 180'000, &summary));
     second.stop();
 
-    // Only the complement re-ran; the journaled prefix was honored.
-    EXPECT_EQ(summary.find("resumed")->uintValue(), committed);
-    EXPECT_EQ(summary.find("ran")->uintValue(), cells - committed);
-    EXPECT_LE(w.worker.cellsRun(), cells - committed);
-    EXPECT_EQ(journalIndices(out_dir + "/c1/campaign.journal.jsonl")
-                  .size(),
-              cells);
+    // Every index whose key the first run journaled is resumed, and
+    // only the other keys ran.
+    std::uint64_t resumed = 0;
+    for (const std::string &k : keys)
+        resumed += committed.count(k);
+    EXPECT_EQ(summary.uintAt("resumed"), resumed);
+    EXPECT_EQ(summary.uintAt("ran"), distinct.size() - committed.size());
+    EXPECT_EQ(w.worker.cellsRun(), summary.uintAt("ran"));
+    expectEachKeyOnce(spec, journal, summary);
     EXPECT_TRUE(summary.find("hardware_clean")->boolValue());
 }
 
