@@ -1,7 +1,11 @@
 /**
  * @file
- * Throughput scaling of the campaign engine: the same fixed cell
- * budget fanned over 1, 2, 4 and 8 workers.  Cells are embarrassingly
+ * Throughput scaling of the campaign engine: the same cell budget
+ * fanned over 1, 2, 4 and 8 workers.  The budget is sized by wall time,
+ * not fixed: a short calibration run measures the 1-worker rate, and
+ * every row then runs the cells one worker needs for target_wall_s,
+ * so fixed costs (thread start, journal open and close) stay small
+ * next to the measured work however fast a cell gets.  Cells are embarrassingly
  * parallel (each is an independent simulated run), so cells/sec should
  * scale close to linearly with the worker count on a multi-core host;
  * the artifact records the absolute rates, the speedups and the
@@ -14,6 +18,7 @@
  * gate on the hardware actually present.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -25,11 +30,14 @@
 namespace wo {
 namespace {
 
-constexpr std::uint64_t cells = 2000;
 constexpr int worker_counts[] = {1, 2, 4, 8};
+/** Wall time the 1-worker row is sized to. */
+constexpr double target_wall_s = 1.5;
+/** Cells of the calibration run (and the budget's floor). */
+constexpr std::uint64_t calibration_cells = 2000;
 
 CampaignSummary
-runAt(int jobs, const std::string &tag)
+runAt(int jobs, std::uint64_t cells, const std::string &tag)
 {
     CampaignCfg cfg;
     cfg.jobs = jobs;
@@ -54,13 +62,21 @@ main()
     using namespace wo;
 
     const unsigned hw = std::thread::hardware_concurrency();
-    std::printf("== campaign throughput: %llu cells at 1/2/4/8 workers "
-                "(%u hardware threads) ==\n",
-                static_cast<unsigned long long>(cells), hw);
+    // The first run pays the cold start (page faults, the heap's first
+    // growth); the second one's rate sizes the budget.
+    runAt(1, calibration_cells, "calibrate");
+    const CampaignSummary probe =
+        runAt(1, calibration_cells, "calibrate");
+    const std::uint64_t cells = std::max(
+        calibration_cells,
+        static_cast<std::uint64_t>(probe.cells_per_sec * target_wall_s));
+    std::printf("== campaign throughput: %llu cells (%.1f s at one "
+                "worker) at 1/2/4/8 workers (%u hardware threads) ==\n",
+                static_cast<unsigned long long>(cells), target_wall_s, hw);
 
     std::vector<CampaignSummary> sums;
     for (int jobs : worker_counts)
-        sums.push_back(runAt(jobs, strprintf("j%d", jobs)));
+        sums.push_back(runAt(jobs, cells, strprintf("j%d", jobs)));
     const CampaignSummary &s1 = sums[0];
     const auto speedup = [&](const CampaignSummary &s) {
         return s.wall_s > 0 ? s1.wall_s / s.wall_s : 0.0;
@@ -95,6 +111,7 @@ main()
 
     Json payload = Json::object();
     payload.set("cells", Json(cells));
+    payload.set("target_wall_s", Json(target_wall_s));
     payload.set("hw_threads", Json(static_cast<std::uint64_t>(hw)));
     for (std::size_t i = 0; i < sums.size(); ++i) {
         const std::string p = strprintf("jobs%d_", worker_counts[i]);

@@ -3,7 +3,10 @@
  * Throughput of the distributed fleet against the in-process campaign
  * on the same lattice: the identical (seed, cells) base stream run
  * single-process (the zero-overhead baseline), then through a
- * coordinator with 1, 2 and 4 in-process workers.  The 1-worker fleet
+ * coordinator with 1, 2 and 4 in-process workers.  The cell budget is
+ * sized by wall time: a calibration run measures the in-process rate,
+ * and every row runs the cells the in-process baseline needs for
+ * target_wall_s.  The 1-worker fleet
  * column prices the coordination tax -- protocol framing, the lease
  * round-trips and the journal merge -- and the multi-worker columns
  * price its scaling.  On a single-core host extra workers only
@@ -12,6 +15,7 @@
  * oversubscribed rows the same way they do for the campaign bench.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <chrono>
 #include <thread>
@@ -26,8 +30,11 @@
 namespace wo {
 namespace {
 
-constexpr std::uint64_t cells = 2000;
 constexpr int worker_counts[] = {1, 2, 4};
+/** Wall time the in-process baseline row is sized to. */
+constexpr double target_wall_s = 1.5;
+/** Cells of the calibration run (and the budget's floor). */
+constexpr std::uint64_t calibration_cells = 2000;
 
 struct FleetRun
 {
@@ -36,7 +43,7 @@ struct FleetRun
 };
 
 CampaignSpec
-benchSpec()
+benchSpec(std::uint64_t cells)
 {
     CampaignSpec spec;
     spec.seed = 7;
@@ -47,7 +54,7 @@ benchSpec()
 }
 
 FleetRun
-runFleetAt(int workers, const std::string &tag)
+runFleetAt(int workers, std::uint64_t cells, const std::string &tag)
 {
     CoordinatorCfg ccfg;
     ccfg.out_dir = "bench-fleet-out/" + tag;
@@ -68,7 +75,7 @@ runFleetAt(int workers, const std::string &tag)
         wo_panic("bench_fleet: workers never connected");
 
     const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t id = coord.submitLocal(benchSpec());
+    const std::uint64_t id = coord.submitLocal(benchSpec(cells));
     Json summary;
     if (!coord.waitCampaign(id, 0, &summary))
         wo_panic("bench_fleet: campaign never completed");
@@ -90,12 +97,12 @@ runFleetAt(int workers, const std::string &tag)
 }
 
 FleetRun
-runLocal()
+runLocal(std::uint64_t cells, const std::string &tag)
 {
     CampaignCfg cfg;
     cfg.jobs = 1;
     cfg.cells = cells;
-    cfg.out_dir = "bench-fleet-out/local";
+    cfg.out_dir = "bench-fleet-out/" + tag;
     cfg.seed = 7;
     cfg.max_events = 200'000;
     cfg.shrink = false;
@@ -116,14 +123,22 @@ main()
     using namespace wo;
 
     const unsigned hw = std::thread::hardware_concurrency();
-    std::printf("== fleet throughput: %llu cells, in-process baseline "
-                "vs 1/2/4 fleet workers (%u hardware threads) ==\n",
-                static_cast<unsigned long long>(cells), hw);
+    // The first run pays the cold start (page faults, the heap's first
+    // growth); the second one's rate sizes the budget.
+    runLocal(calibration_cells, "calibrate");
+    const FleetRun probe = runLocal(calibration_cells, "calibrate");
+    const std::uint64_t cells = std::max(
+        calibration_cells,
+        static_cast<std::uint64_t>(probe.cells_per_sec * target_wall_s));
+    std::printf("== fleet throughput: %llu cells (%.1f s in process), "
+                "in-process baseline vs 1/2/4 fleet workers (%u hardware "
+                "threads) ==\n",
+                static_cast<unsigned long long>(cells), target_wall_s, hw);
 
-    const FleetRun local = runLocal();
+    const FleetRun local = runLocal(cells, "local");
     std::vector<FleetRun> runs;
     for (int n : worker_counts)
-        runs.push_back(runFleetAt(n, strprintf("w%d", n)));
+        runs.push_back(runFleetAt(n, cells, strprintf("w%d", n)));
 
     const auto oversub = [&](int workers) {
         // The coordinator's pump thread is near-idle, so only the
@@ -152,6 +167,7 @@ main()
 
     Json payload = Json::object();
     payload.set("cells", Json(cells));
+    payload.set("target_wall_s", Json(target_wall_s));
     payload.set("hw_threads", Json(static_cast<std::uint64_t>(hw)));
     payload.set("local_wall_s", Json(local.wall_s));
     payload.set("local_cells_per_sec", Json(local.cells_per_sec));

@@ -17,7 +17,7 @@ build="$root/build-release"
 all_benches=(
     fig1_configs fig2_drf0 fig3_stall sweep_latency sweep_syncratio
     sweep_mlp sweep_procs bench_spinning bench_monitor bench_kernel
-    bench_explore bench_campaign bench_profiler
+    bench_explore bench_campaign bench_fleet bench_profiler
 )
 benches=("${@:-${all_benches[@]}}")
 

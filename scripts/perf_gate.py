@@ -20,11 +20,17 @@ import sys
 # (artifact file, metric key, human name) -- the gated trajectory.
 GATED = [
     ("BENCH_campaign.json", "jobs1_cells_per_sec", "campaign cells/sec"),
+    ("BENCH_campaign.json", "jobs2_cells_per_sec",
+     "campaign cells/sec (2 workers)"),
     ("BENCH_campaign.json", "jobs4_cells_per_sec",
      "campaign cells/sec (4 workers)"),
     ("BENCH_kernel.json", "ticks_per_sec", "kernel ticks/sec"),
     ("BENCH_fleet.json", "workers1_cells_per_sec",
      "fleet cells/sec (1 worker)"),
+    ("BENCH_fleet.json", "workers2_cells_per_sec",
+     "fleet cells/sec (2 workers)"),
+    ("BENCH_fleet.json", "workers4_cells_per_sec",
+     "fleet cells/sec (4 workers)"),
     ("BENCH_explore.json", "dpor_states_per_sec",
      "explore DPOR states/sec"),
     ("BENCH_explore.json", "dpor_reduction_ratio",

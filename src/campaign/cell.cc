@@ -1,6 +1,7 @@
 #include "cell.hh"
 
 #include <chrono>
+#include <cstdio>
 
 #include "campaign/verify.hh"
 #include "common/logging.hh"
@@ -17,7 +18,10 @@ fnv1aHex(const std::string &text)
         h ^= c;
         h *= 0x100000001b3ULL;
     }
-    return strprintf("%016llx", static_cast<unsigned long long>(h));
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return std::string(hex, 16);
 }
 
 bool
@@ -371,9 +375,22 @@ cellResultToJson(const CellResult &r)
     return j;
 }
 
-CellRun
-runCell(const Cell &cell, std::uint64_t max_events, MaterializeCache *cache)
+System &
+CellContext::machine(const Program &prog, const SystemCfg &cfg)
 {
+    if (sys_)
+        sys_->reset(prog, cfg);
+    else
+        sys_ = std::make_unique<System>(prog, cfg);
+    return *sys_;
+}
+
+CellRun
+runCell(const Cell &cell, std::uint64_t max_events, CellContext *ctx)
+{
+    CellContext local;
+    if (!ctx)
+        ctx = &local;
     CellRun run;
     CellResult &r = run.result;
     r.key = cell.key();
@@ -385,7 +402,7 @@ runCell(const Cell &cell, std::uint64_t max_events, MaterializeCache *cache)
     {
         Timeline::Scope mat_span(tl, SpanKind::materialize);
         const auto m0 = std::chrono::steady_clock::now();
-        m = materializeCell(cell, cache);
+        m = materializeCell(cell, &ctx->cache);
         r.mat_us = static_cast<std::uint64_t>(
             std::chrono::duration<double, std::micro>(
                 std::chrono::steady_clock::now() - m0)
@@ -436,7 +453,7 @@ runCell(const Cell &cell, std::uint64_t max_events, MaterializeCache *cache)
 
     Timeline::Scope run_span(tl, SpanKind::run);
     const auto t0 = std::chrono::steady_clock::now();
-    System sys(*run.program, cell.systemCfg(max_events));
+    System &sys = ctx->machine(*run.program, cell.systemCfg(max_events));
     for (const auto &w : run.warm)
         sys.warmShared(w.addr, w.procs);
     SystemResult sr = sys.run();
@@ -449,7 +466,10 @@ runCell(const Cell &cell, std::uint64_t max_events, MaterializeCache *cache)
     r.deadlocked = sr.deadlocked;
     r.livelocked = sr.livelocked;
     r.finish_tick = sr.finish_tick;
-    r.outcome_sig = fnv1aHex(sr.outcome.toString());
+    std::string &text = ctx->scratch();
+    text.clear();
+    sr.outcome.appendTo(text);
+    r.outcome_sig = fnv1aHex(text);
 
     const Monitor *mon = sys.monitor();
     MonitorSummary s = mon->summary();

@@ -20,6 +20,7 @@
 #define WO_CAMPAIGN_CELL_HH
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -269,11 +270,39 @@ struct VerdictTally
 Json cellResultToJson(const CellResult &r);
 
 /**
+ * What one campaign worker keeps from cell to cell: its
+ * materialization cache and one timed machine.  The machine is built
+ * on the worker's first run cell (a worker that never runs one, like
+ * an empty campaign's, pays nothing) and re-armed with
+ * System::reset() for every later one, so a warmed run cell builds,
+ * simulates and tears down nothing.  Owned by one thread: the
+ * in-process engine's worker and the fleet worker's slot each hold
+ * one.
+ */
+class CellContext
+{
+  public:
+    MaterializeCache cache;
+
+    /** The machine re-armed for @p prog under @p cfg. */
+    System &machine(const Program &prog, const SystemCfg &cfg);
+
+    /** Reused text buffer (the outcome signature's source). */
+    std::string &scratch() { return scratch_; }
+
+  private:
+    std::unique_ptr<System> sys_;
+    std::string scratch_;
+};
+
+/**
  * Run one cell to a verdict: materialize, then either simulate under
  * the online monitor (run cells) or judge with the dual-engine
  * verifier (verify cells), and reduce.  Materialization errors surface
  * as a failed cell with verdict "deadlock" never -- they produce hw ==
  * 0, completed == false and primary_kind == "materialize_error".
+ * With @p ctx the cell reuses the worker's cache and machine; without
+ * one it builds both afresh.  The verdict is the same either way.
  */
 struct CellRun
 {
@@ -283,7 +312,7 @@ struct CellRun
 };
 
 CellRun runCell(const Cell &cell, std::uint64_t max_events,
-                MaterializeCache *cache = nullptr);
+                CellContext *ctx = nullptr);
 
 /** 64-bit FNV-1a over @p text, rendered as 16 hex digits. */
 std::string fnv1aHex(const std::string &text);

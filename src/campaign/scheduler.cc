@@ -143,7 +143,7 @@ Engine::worker(int w)
     Timeline::setCurrent(&tl);
     tl.markStart();
     Profiler::ThreadGuard prof_guard(tl.lane());
-    MaterializeCache cache; // worker-owned: lookups never synchronize
+    CellContext ctx; // worker-owned: cache and machine never synchronize
     Rng rng(cfg.seed * 7919 + static_cast<std::uint64_t>(w) + 1);
     while (!timeUp()) {
         // idle covers everything between finishing one cell and
@@ -173,7 +173,7 @@ Engine::worker(int w)
             continue;
         }
         idle_span.close();
-        ShrunkCellRun out = runAndShrinkCell(cell, cfg, &cache);
+        ShrunkCellRun out = runAndShrinkCell(cell, cfg, &ctx);
         // Novelty is still tracked with the frontier off (the summary
         // reports it), but earned mutants go nowhere: no ticket would
         // ever pop them.

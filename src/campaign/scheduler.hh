@@ -23,11 +23,9 @@
  *
  * The per-cell hot path takes no global lock: the journal group-commits from
  * a dedicated writer thread (see journal.hh), resume lookups read an
- * immutable snapshot, and each worker owns a materialization cache
- * and its own ledger slot.  That does not make throughput scale with
- * --jobs by itself: measured on 4 hardware threads, 1 / 2 / 4 workers
- * ran 18.5k / 18.5k / 18.0k cells/s, held back by per-cell allocation
- * in the C library (ROADMAP.md, Open item 1).
+ * immutable snapshot, and each worker owns a cell context (its
+ * materialization cache and one reusable machine, see cell.hh) and its
+ * own ledger slot.
  */
 
 #ifndef WO_CAMPAIGN_SCHEDULER_HH

@@ -343,9 +343,9 @@ shrinkCellFailure(const Cell &cell, const CellRun &run,
 
 ShrunkCellRun
 runAndShrinkCell(const Cell &cell, const CampaignSpec &spec,
-                 MaterializeCache *cache)
+                 CellContext *ctx)
 {
-    ShrunkCellRun out{runCell(cell, spec.max_events, cache), {}};
+    ShrunkCellRun out{runCell(cell, spec.max_events, ctx), {}};
     if (!out.run.result.hardwareFailure())
         return out;
     Timeline::Scope span(Timeline::current(), SpanKind::shrink);

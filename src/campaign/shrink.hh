@@ -118,7 +118,7 @@ struct ShrunkCellRun
  * cannot be named (the cell verdict stays the evidence).
  */
 ShrunkCellRun runAndShrinkCell(const Cell &cell, const CampaignSpec &spec,
-                               MaterializeCache *cache);
+                               CellContext *ctx);
 
 /**
  * Write the evidence bundle of a shrunk failure of @p cell beside its

@@ -9,15 +9,43 @@ Cache::Cache(NodeId id, NodeId dir, ProcId procs, EventQueue &eq,
              Network &net, CacheClient *client, Addr n_locs,
              const CacheCfg &cfg)
     : id_(id), dir_(dir), eq_(eq), net_(net), client_(client), cfg_(cfg),
-      lines_(n_locs), stats_(strprintf("cache%u", id))
+      stats_(strprintf("cache%u", id))
 {
     (void)procs;
+    reset(dir, client, n_locs, cfg);
+}
+
+void
+Cache::reset(NodeId dir, CacheClient *client, Addr n_locs,
+             const CacheCfg &cfg)
+{
+    dir_ = dir;
+    client_ = client;
+    cfg_ = cfg;
+    n_locs_ = n_locs;
+    lines_.assign(n_locs, Line{});
+    if (mshrs_.size() < n_locs)
+        mshrs_.resize(n_locs);
+    for (Mshr &m : mshrs_) {
+        m.live = false;
+        m.queued_reqs.clear();
+        m.queued_fwds.clear();
+    }
+    live_mshrs_ = 0;
+    reserved_.clear();
+    counter_ = 0;
+    misses_in_flight_ = 0;
+    reserved_window_misses_ = 0;
+    deferred_.clear();
+    deferred_pos_ = 0;
+    stalled_.clear();
+    ctr_.clear();
 }
 
 Value
 Cache::lineValue(Addr addr) const
 {
-    wo_assert(addr < lines_.size(), "addr %u out of range", addr);
+    wo_assert(addr < n_locs_, "addr %u out of range", addr);
     wo_assert(lines_[addr].st != LineState::invalid,
               "reading invalid line %u", addr);
     return lines_[addr].value;
@@ -26,27 +54,27 @@ Cache::lineValue(Addr addr) const
 bool
 Cache::holdsModified(Addr addr) const
 {
-    wo_assert(addr < lines_.size(), "addr %u out of range", addr);
+    wo_assert(addr < n_locs_, "addr %u out of range", addr);
     return lines_[addr].st == LineState::modified;
 }
 
 void
 Cache::warmShared(Addr addr, Value v)
 {
-    wo_assert(addr < lines_.size(), "addr %u out of range", addr);
-    wo_assert(lines_[addr].st == LineState::invalid && mshrs_.empty(),
+    wo_assert(addr < n_locs_, "addr %u out of range", addr);
+    wo_assert(lines_[addr].st == LineState::invalid && live_mshrs_ == 0,
               "warming a live cache");
-    lines_[addr] = Line{LineState::shared, v};
+    lines_[addr].st = LineState::shared;
+    lines_[addr].value = v;
 }
 
 void
 Cache::access(const CacheReq &req)
 {
-    auto it = mshrs_.find(req.addr);
-    if (it != mshrs_.end()) {
+    if (Mshr *m = mshr(req.addr)) {
         // A transaction for this address is in flight: keep same-address
         // program order by queueing behind it.
-        it->second.queued_reqs.push_back(req);
+        m->queued_reqs.push_back(req);
         return;
     }
     // Once the bounded-miss throttle has deferred anything, every later
@@ -55,7 +83,7 @@ Cache::access(const CacheReq &req)
     // po-earlier writes sit invisible in the deferral queue (counter
     // zero, no reserve bit), breaking condition 5.  Found by the
     // randomized soak; see tests/soak_test.cc.
-    if (!deferred_.empty()) {
+    if (deferred_pos_ < deferred_.size()) {
         deferred_.push_back(req);
         return;
     }
@@ -71,7 +99,7 @@ Cache::start(const CacheReq &req)
 
     if (!as_write) {
         if (line.st != LineState::invalid) {
-            stats_.counter("read_hits").inc();
+            ctr_[st_read_hits].inc();
             commit(req, cfg_.hit_latency, /*performed_now=*/true);
         } else {
             sendMiss(req, /*exclusive=*/false);
@@ -83,9 +111,9 @@ Cache::start(const CacheReq &req)
         // MESI silent upgrade: an exclusive-clean line becomes modified
         // with no protocol traffic.
         if (line.st == LineState::exclusive_clean)
-            stats_.counter("silent_upgrades").inc();
+            ctr_[st_silent_upgrades].inc();
         line.st = LineState::modified;
-        stats_.counter("write_hits").inc();
+        ctr_[st_write_hits].inc();
         commit(req, cfg_.hit_latency, /*performed_now=*/true);
         return;
     }
@@ -108,8 +136,11 @@ Cache::commit(const CacheReq &req, Tick delay, bool performed_now)
     const bool write_path =
         req.write || (req.is_sync && !cfg_.sync_reads_as_reads);
     if (req.is_sync && write_path && counter_ > 0) {
-        reserved_.insert(req.addr);
-        stats_.counter("reservations").inc();
+        if (!line.reserved) {
+            line.reserved = true;
+            reserved_.push_back(req.addr);
+        }
+        ctr_[st_reservations].inc();
         if (Obs *obs = eq_.obs())
             obs->reserveSet(id_, req.addr, eq_.now());
     }
@@ -141,19 +172,21 @@ Cache::sendMiss(const CacheReq &req, bool exclusive)
     if (cfg_.reserved_miss_limit >= 0 && !reserved_.empty() &&
         reserved_window_misses_ >= cfg_.reserved_miss_limit) {
         deferred_.push_back(req);
-        stats_.counter("throttled_misses").inc();
+        ctr_[st_throttled_misses].inc();
         return;
     }
     if (!reserved_.empty())
         ++reserved_window_misses_;
-    Mshr m;
+    Mshr &m = mshrs_[req.addr];
+    wo_assert(!m.live, "second MSHR for line %u at cache %u", req.addr, id_);
+    m.live = true;
     m.req = req;
     m.want_exclusive = exclusive;
     m.issued = eq_.now();
-    mshrs_.emplace(req.addr, std::move(m));
+    ++live_mshrs_;
     ++counter_;
     ++misses_in_flight_;
-    stats_.counter(exclusive ? "write_misses" : "read_misses").inc();
+    ctr_[exclusive ? st_write_misses : st_read_misses].inc();
     if (Obs *obs = eq_.obs()) {
         obs->reqMiss(id_, req.id);
         obs->counterChanged(id_, counter_, eq_.now());
@@ -180,10 +213,12 @@ Cache::decrementCounter()
         // observable -- unless the seeded fault drops the clear.
         if (!reserved_.empty()) {
             if (cfg_.bug_drop_reserve_clear) {
-                stats_.counter("dropped_reserve_clears").inc();
+                ctr_[st_dropped_reserve_clears].inc();
             } else {
+                for (Addr a : reserved_)
+                    lines_[a].reserved = false;
                 reserved_.clear();
-                stats_.counter("reserve_clears").inc();
+                ctr_[st_reserve_clears].inc();
                 if (Obs *obs = eq_.obs())
                     obs->reserveCleared(id_, eq_.now());
             }
@@ -192,10 +227,12 @@ Cache::decrementCounter()
             obs->counterChanged(id_, counter_, eq_.now());
         reserved_window_misses_ = 0;
         // Queue-mode stalled requests are serviced now.
-        std::deque<Message> stalled;
-        stalled.swap(stalled_);
-        for (const Message &m : stalled)
-            serveForward(m);
+        if (!stalled_.empty()) {
+            replay_stalled_.swap(stalled_);
+            for (const Message &m : replay_stalled_)
+                serveForward(m);
+            replay_stalled_.clear();
+        }
     } else if (Obs *obs = eq_.obs()) {
         obs->counterChanged(id_, counter_, eq_.now());
     }
@@ -205,21 +242,21 @@ Cache::decrementCounter()
 void
 Cache::drainDeferred()
 {
-    while (!deferred_.empty()) {
+    while (deferred_pos_ < deferred_.size()) {
         const bool throttled =
             cfg_.reserved_miss_limit >= 0 && !reserved_.empty() &&
             reserved_window_misses_ >= cfg_.reserved_miss_limit;
         if (throttled)
             return;
-        CacheReq req = deferred_.front();
-        deferred_.pop_front();
+        const CacheReq req = deferred_[deferred_pos_++];
         // Re-enter through access() so MSHR queueing stays correct.
-        auto it = mshrs_.find(req.addr);
-        if (it != mshrs_.end())
-            it->second.queued_reqs.push_back(req);
+        if (Mshr *m = mshr(req.addr))
+            m->queued_reqs.push_back(req);
         else
             start(req);
     }
+    deferred_.clear();
+    deferred_pos_ = 0;
 }
 
 bool
@@ -228,22 +265,20 @@ Cache::mustStall(const Message &msg) const
     // A reserved line is never given away; see the file comment.  Only
     // synchronization requests are expected here in DRF0 programs, but the
     // conservative rule also protects against racy data traffic.
-    (void)msg;
-    return reserved_.count(msg.addr) > 0;
+    return lines_[msg.addr].reserved;
 }
 
 void
 Cache::serveForward(const Message &msg)
 {
-    auto it = mshrs_.find(msg.addr);
-    if (it != mshrs_.end()) {
+    if (Mshr *m = mshr(msg.addr)) {
         // Our own data has not arrived yet (cross-channel race); serve the
         // forward once it does.
-        it->second.queued_fwds.push_back(msg);
+        m->queued_fwds.push_back(msg);
         return;
     }
     if (mustStall(msg)) {
-        stats_.counter("reserve_stalls").inc();
+        ctr_[st_reserve_stalls].inc();
         // The requester's pending miss is now reserve-blocked; let the
         // profiler attribute that processor's wait to the reserve bit.
         if (Obs *obs = eq_.obs())
@@ -303,11 +338,16 @@ Cache::serveForward(const Message &msg)
 void
 Cache::handleData(const Message &msg)
 {
-    auto it = mshrs_.find(msg.addr);
-    wo_assert(it != mshrs_.end(), "data for %u with no MSHR at cache %u",
-              msg.addr, id_);
-    Mshr m = std::move(it->second);
-    mshrs_.erase(it);
+    Mshr *mp = mshr(msg.addr);
+    wo_assert(mp, "data for %u with no MSHR at cache %u", msg.addr, id_);
+    // Retire the MSHR; its queues are replayed below, after the commit
+    // (a queued request may allocate the address's MSHR afresh).
+    Mshr &m = *mp;
+    m.live = false;
+    --live_mshrs_;
+    const CacheReq req = m.req;
+    replay_reqs_.swap(m.queued_reqs);
+    replay_fwds_.swap(m.queued_fwds);
     --misses_in_flight_;
     stats_.histogram(m.want_exclusive ? "write_miss_latency"
                                       : "read_miss_latency")
@@ -329,35 +369,34 @@ Cache::handleData(const Message &msg)
             decrementCounter();
         } else {
             performed_now = false;
-            wo_assert(!mem_ack_wait_.count(msg.addr),
+            wo_assert(!line.awaits_mem_ack,
                       "two pending MemAcks for line %u", msg.addr);
-            mem_ack_wait_[msg.addr] = m.req.id;
+            line.awaits_mem_ack = true;
+            line.mem_ack_req = req.id;
         }
     }
-    commit(m.req, 0, performed_now);
+    commit(req, 0, performed_now);
 
     // Same-address requests queued behind the miss run now, as hits (or a
     // fresh upgrade miss if we only obtained a shared copy).
-    std::deque<CacheReq> queued;
-    queued.swap(m.queued_reqs);
-    for (const CacheReq &r : queued)
+    for (const CacheReq &r : replay_reqs_)
         access(r);
+    replay_reqs_.clear();
 
     // Forwards that raced ahead of our data are served last.
-    std::deque<Message> fwds;
-    fwds.swap(m.queued_fwds);
-    for (const Message &f : fwds)
+    for (const Message &f : replay_fwds_)
         serveForward(f);
+    replay_fwds_.clear();
 }
 
 void
 Cache::handleMemAck(const Message &msg)
 {
-    auto it = mem_ack_wait_.find(msg.addr);
-    wo_assert(it != mem_ack_wait_.end(),
+    Line &line = lines_[msg.addr];
+    wo_assert(line.awaits_mem_ack,
               "unexpected MemAck for line %u at cache %u", msg.addr, id_);
-    const std::uint64_t rid = it->second;
-    mem_ack_wait_.erase(it);
+    const std::uint64_t rid = line.mem_ack_req;
+    line.awaits_mem_ack = false;
     decrementCounter();
     CacheClient *client = client_;
     eq_.schedule(0,
@@ -377,7 +416,7 @@ Cache::handleInv(const Message &msg)
               "invalidation for exclusive line %u at cache %u", msg.addr,
               id_);
     line.st = LineState::invalid;
-    stats_.counter("invalidations").inc();
+    ctr_[st_invalidations].inc();
     Message ack;
     ack.type = MsgType::inv_ack;
     ack.src = id_;
@@ -390,11 +429,10 @@ Cache::handleInv(const Message &msg)
 void
 Cache::handleNack(const Message &msg)
 {
-    auto it = mshrs_.find(msg.addr);
-    wo_assert(it != mshrs_.end(), "nack for %u with no MSHR at cache %u",
-              msg.addr, id_);
-    Mshr &m = it->second;
-    stats_.counter("nacks").inc();
+    Mshr *mp = mshr(msg.addr);
+    wo_assert(mp, "nack for %u with no MSHR at cache %u", msg.addr, id_);
+    Mshr &m = *mp;
+    ctr_[st_nacks].inc();
     if (Obs *obs = eq_.obs())
         obs->reqNack(id_, m.req.id);
     // The miss failed for now: it no longer counts as outstanding, which
@@ -411,8 +449,8 @@ Cache::handleNack(const Message &msg)
                  },
                  [this, addr, exclusive, is_sync] {
                      // The MSHR is still allocated; re-send the request.
-                     wo_assert(mshrs_.count(addr),
-                               "retry without MSHR for %u", addr);
+                     wo_assert(mshr(addr), "retry without MSHR for %u",
+                               addr);
                      ++counter_;
                      ++misses_in_flight_;
                      if (Obs *obs = eq_.obs())

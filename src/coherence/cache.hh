@@ -28,9 +28,6 @@
 #ifndef WO_COHERENCE_CACHE_HH
 #define WO_COHERENCE_CACHE_HH
 
-#include <deque>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "coherence/message.hh"
@@ -118,6 +115,15 @@ class Cache : public MsgHandler
     Cache(NodeId id, NodeId dir, ProcId procs, EventQueue &eq, Network &net,
           CacheClient *client, Addr n_locs, const CacheCfg &cfg);
 
+    /**
+     * Back to a new, cold cache of @p n_locs lines under @p cfg: no
+     * miss, reserve bit or queued work, counter zero, statistics
+     * cleared.  Storage capacity survives.  The event queue must have
+     * been reset too (pending callbacks capture this cache).
+     */
+    void reset(NodeId dir, CacheClient *client, Addr n_locs,
+               const CacheCfg &cfg);
+
     /** CPU entry point: start a memory request. */
     void access(const CacheReq &req);
 
@@ -134,7 +140,10 @@ class Cache : public MsgHandler
     int counter() const { return counter_; }
 
     /** Is @p addr currently reserved here? */
-    bool isReserved(Addr addr) const { return reserved_.count(addr) > 0; }
+    bool isReserved(Addr addr) const
+    {
+        return addr < n_locs_ && lines_[addr].reserved;
+    }
 
     /** Local line value (for final-state assembly); line must be valid. */
     Value lineValue(Addr addr) const;
@@ -158,22 +167,34 @@ class Cache : public MsgHandler
     {
         LineState st = LineState::invalid;
         Value value = 0;
+        bool reserved = false;      //!< reserve bit (see reserved_)
+        bool awaits_mem_ack = false; //!< mem_ack_req awaits its MemAck
+        std::uint64_t mem_ack_req = 0;
     };
 
     /**
      * Miss bookkeeping for one address.  The MSHR lives from the first
      * GetS/GetX until the data arrives (surviving NACK/retry cycles);
      * the wait for a MemAck after the data is tracked separately in
-     * mem_ack_wait_ because the line is already usable then.
+     * the line because the line is already usable then.
      */
     struct Mshr
     {
+        bool live = false;
         CacheReq req;
         bool want_exclusive = false;
-        Tick issued = 0;                  //!< first GetS/GetX send time
-        std::deque<CacheReq> queued_reqs; //!< same-address CPU requests
-        std::deque<Message> queued_fwds;  //!< forwards pending our data
+        Tick issued = 0;                   //!< first GetS/GetX send time
+        std::vector<CacheReq> queued_reqs; //!< same-address CPU requests
+        std::vector<Message> queued_fwds;  //!< forwards pending our data
     };
+
+    /** The live MSHR of @p addr, or nullptr. */
+    Mshr *
+    mshr(Addr addr)
+    {
+        Mshr &m = mshrs_[addr];
+        return m.live ? &m : nullptr;
+    }
 
     /** Dispatch a request against the current line state. */
     void start(const CacheReq &req);
@@ -211,16 +232,47 @@ class Cache : public MsgHandler
     Network &net_;
     CacheClient *client_;
     CacheCfg cfg_;
+    Addr n_locs_ = 0;
     std::vector<Line> lines_;
-    std::map<Addr, Mshr> mshrs_;
-    std::map<Addr, std::uint64_t> mem_ack_wait_; //!< req awaiting MemAck
-    std::set<Addr> reserved_;
+    /** One per address, at least n_locs_ (a reset to fewer keeps the
+     *  rest for their queue capacity). */
+    std::vector<Mshr> mshrs_;
+    int live_mshrs_ = 0;
+    std::vector<Addr> reserved_; //!< addresses with the reserve bit set
     int counter_ = 0;
     int misses_in_flight_ = 0;
     int reserved_window_misses_ = 0; //!< misses sent while reserved
-    std::deque<CacheReq> deferred_; //!< throttled misses awaiting issue
-    std::deque<Message> stalled_;   //!< queue-mode stalled forwards
+    /** Throttled misses awaiting issue, FIFO from deferred_pos_. */
+    std::vector<CacheReq> deferred_;
+    std::size_t deferred_pos_ = 0;
+    std::vector<Message> stalled_;   //!< queue-mode stalled forwards
+    // Lists being replayed, swapped out of their owner so the replay
+    // may queue afresh; they keep the capacity for the next replay.
+    std::vector<CacheReq> replay_reqs_;
+    std::vector<Message> replay_fwds_;
+    std::vector<Message> replay_stalled_;
     StatGroup stats_;
+    static constexpr CounterHandles<12>::Names stat_names = {
+        "read_hits",       "silent_upgrades",        "write_hits",
+        "reservations",    "throttled_misses",       "write_misses",
+        "read_misses",     "dropped_reserve_clears", "reserve_clears",
+        "reserve_stalls",  "invalidations",          "nacks"};
+    enum : std::size_t
+    {
+        st_read_hits,
+        st_silent_upgrades,
+        st_write_hits,
+        st_reservations,
+        st_throttled_misses,
+        st_write_misses,
+        st_read_misses,
+        st_dropped_reserve_clears,
+        st_reserve_clears,
+        st_reserve_stalls,
+        st_invalidations,
+        st_nacks,
+    };
+    CounterHandles<12> ctr_{stats_, stat_names};
 };
 
 } // namespace wo

@@ -1,5 +1,7 @@
 #include "directory.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace wo {
@@ -8,29 +10,62 @@ Directory::Directory(NodeId id, Network &net, std::vector<Value> initial,
                      const DirectoryCfg &cfg)
     : id_(id), net_(net), cfg_(cfg), stats_("dir")
 {
-    lines_.resize(initial.size());
-    for (std::size_t a = 0; a < initial.size(); ++a)
-        lines_[a].mem = initial[a];
+    reset(id, initial, cfg);
+}
+
+void
+Directory::reset(NodeId id, const std::vector<Value> &initial,
+                 const DirectoryCfg &cfg)
+{
+    id_ = id;
+    cfg_ = cfg;
+    nlocs_ = static_cast<Addr>(initial.size());
+    if (lines_.size() < initial.size())
+        lines_.resize(initial.size());
+    for (std::size_t a = 0; a < initial.size(); ++a) {
+        DirLine &l = lines_[a];
+        l.st = LineState::uncached;
+        l.sharers.clear();
+        l.owner = invalid_proc;
+        l.mem = initial[a];
+        l.busy = false;
+        l.collecting = false;
+        l.acks_needed = 0;
+        l.acks_got = 0;
+        l.writer = invalid_proc;
+        l.data_deferred = false;
+        l.waiting.clear();
+        l.waiting_pos = 0;
+    }
+    ctr_.clear();
 }
 
 Directory::DirLine &
 Directory::line(Addr addr)
 {
-    wo_assert(addr < lines_.size(), "dir line %u out of range", addr);
+    wo_assert(addr < nlocs_, "dir line %u out of range", addr);
     return lines_[addr];
+}
+
+void
+Directory::addSharer(DirLine &l, NodeId node)
+{
+    auto it = std::lower_bound(l.sharers.begin(), l.sharers.end(), node);
+    if (it == l.sharers.end() || *it != node)
+        l.sharers.insert(it, node);
 }
 
 Value
 Directory::memoryValue(Addr addr) const
 {
-    wo_assert(addr < lines_.size(), "dir line %u out of range", addr);
+    wo_assert(addr < nlocs_, "dir line %u out of range", addr);
     return lines_[addr].mem;
 }
 
 NodeId
 Directory::ownerOf(Addr addr) const
 {
-    wo_assert(addr < lines_.size(), "dir line %u out of range", addr);
+    wo_assert(addr < nlocs_, "dir line %u out of range", addr);
     return lines_[addr].st == LineState::exclusive ? lines_[addr].owner
                                                    : invalid_proc;
 }
@@ -38,19 +73,18 @@ Directory::ownerOf(Addr addr) const
 bool
 Directory::quiescent() const
 {
-    for (const auto &l : lines_)
-        if (l.busy || l.collecting || !l.waiting.empty())
-            return false;
-    return true;
+    return busyLines() == 0;
 }
 
 std::uint64_t
 Directory::busyLines() const
 {
     std::uint64_t n = 0;
-    for (const auto &l : lines_)
-        if (l.busy || l.collecting || !l.waiting.empty())
+    for (Addr a = 0; a < nlocs_; ++a) {
+        const DirLine &l = lines_[a];
+        if (l.busy || l.collecting || l.queued())
             ++n;
+    }
     return n;
 }
 
@@ -60,7 +94,7 @@ Directory::warmSharer(Addr addr, NodeId node)
     DirLine &l = line(addr);
     wo_assert(l.st != LineState::exclusive, "warming an exclusive line");
     l.st = LineState::shared;
-    l.sharers.insert(node);
+    addSharer(l, node);
 }
 
 void
@@ -73,7 +107,7 @@ Directory::handleGetS(const Message &msg)
         l.waiting.push_back(msg);
         return;
     }
-    stats_.counter("get_s").inc();
+    ctr_[st_get_s].inc();
     switch (l.st) {
       case LineState::uncached:
         if (cfg_.grant_exclusive_clean) {
@@ -93,7 +127,7 @@ Directory::handleGetS(const Message &msg)
         [[fallthrough]];
       case LineState::shared: {
         l.st = LineState::shared;
-        l.sharers.insert(msg.src);
+        addSharer(l, msg.src);
         Message d;
         d.type = MsgType::data_s;
         d.src = id_;
@@ -128,7 +162,7 @@ Directory::handleGetX(const Message &msg)
         l.waiting.push_back(msg);
         return;
     }
-    stats_.counter("get_x").inc();
+    ctr_[st_get_x].inc();
     switch (l.st) {
       case LineState::uncached: {
         l.st = LineState::exclusive;
@@ -144,8 +178,9 @@ Directory::handleGetX(const Message &msg)
         break;
       }
       case LineState::shared: {
-        std::set<NodeId> others = l.sharers;
-        others.erase(msg.src);
+        std::vector<NodeId> &others = others_;
+        others = l.sharers;
+        std::erase(others, msg.src);
         l.st = LineState::exclusive;
         l.owner = msg.src;
         l.sharers.clear();
@@ -211,7 +246,9 @@ Directory::handleWbData(const Message &msg)
     // The old owner downgraded to shared; the requester joins it.
     l.mem = msg.value;
     l.st = LineState::shared;
-    l.sharers = {msg.src, msg.requester};
+    l.sharers.clear();
+    addSharer(l, msg.src);
+    addSharer(l, msg.requester);
     l.owner = invalid_proc;
     Message d;
     d.type = MsgType::data_s;
@@ -273,7 +310,7 @@ Directory::handleNack(const Message &msg)
     // transaction and bounce the requester.
     DirLine &l = line(msg.addr);
     wo_assert(l.busy, "owner Nack for idle line %u", msg.addr);
-    stats_.counter("nacks_relayed").inc();
+    ctr_[st_nacks_relayed].inc();
     Message n;
     n.type = MsgType::nack;
     n.src = id_;
@@ -288,10 +325,13 @@ Directory::unblock(Addr addr)
 {
     DirLine &l = line(addr);
     l.busy = false;
-    while (!l.busy && !l.collecting && !l.waiting.empty()) {
-        Message m = l.waiting.front();
-        l.waiting.pop_front();
+    while (!l.busy && !l.collecting && l.queued()) {
+        const Message m = l.waiting[l.waiting_pos++];
         receive(m);
+    }
+    if (!l.queued()) {
+        l.waiting.clear();
+        l.waiting_pos = 0;
     }
 }
 

@@ -18,8 +18,6 @@
 #ifndef WO_COHERENCE_DIRECTORY_HH
 #define WO_COHERENCE_DIRECTORY_HH
 
-#include <deque>
-#include <set>
 #include <vector>
 
 #include "coherence/message.hh"
@@ -63,6 +61,14 @@ class Directory : public MsgHandler
     Directory(NodeId id, Network &net, std::vector<Value> initial,
               const DirectoryCfg &cfg = {});
 
+    /**
+     * Back to a new directory at node @p id over @p initial: every
+     * line uncached with its initial value, nothing in flight, the
+     * statistics cleared.  Per-line storage capacity survives.
+     */
+    void reset(NodeId id, const std::vector<Value> &initial,
+               const DirectoryCfg &cfg);
+
     /** Protocol entry point. */
     void receive(const Message &msg) override;
 
@@ -90,7 +96,7 @@ class Directory : public MsgHandler
     struct DirLine
     {
         LineState st = LineState::uncached;
-        std::set<NodeId> sharers;
+        std::vector<NodeId> sharers; //!< ascending, no duplicates
         NodeId owner = invalid_proc;
         Value mem = 0;
         bool busy = false;
@@ -100,8 +106,15 @@ class Directory : public MsgHandler
         int acks_got = 0;
         NodeId writer = invalid_proc;
         bool data_deferred = false; //!< grant withheld until acks collected
-        std::deque<Message> waiting;
+        /** Requests serialized behind the transaction, FIFO from
+         *  waiting_pos (the vector keeps its capacity when drained). */
+        std::vector<Message> waiting;
+        std::size_t waiting_pos = 0;
+
+        bool queued() const { return waiting_pos < waiting.size(); }
     };
+
+    static void addSharer(DirLine &l, NodeId node);
 
     void handleGetS(const Message &msg);
     void handleGetX(const Message &msg);
@@ -118,8 +131,15 @@ class Directory : public MsgHandler
     NodeId id_;
     Network &net_;
     DirectoryCfg cfg_;
+    /** At least nlocs_ lines; a reset to fewer keeps the rest. */
     std::vector<DirLine> lines_;
+    Addr nlocs_ = 0;
+    std::vector<NodeId> others_; //!< handleGetX scratch
     StatGroup stats_;
+    CounterHandles<3> ctr_{stats_, stat_names};
+    static constexpr CounterHandles<3>::Names stat_names = {
+        "get_s", "get_x", "nacks_relayed"};
+    enum : std::size_t { st_get_s, st_get_x, st_nacks_relayed };
 };
 
 } // namespace wo

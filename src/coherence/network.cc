@@ -1,6 +1,7 @@
 #include "network.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "common/logging.hh"
 #include "obs/obs.hh"
@@ -10,6 +11,33 @@ namespace wo {
 Network::Network(EventQueue &eq, const NetworkCfg &cfg)
     : eq_(eq), cfg_(cfg), rng_(cfg.seed), stats_("net")
 {
+}
+
+const CounterHandles<Network::num_msg_types + 1>::Names &
+Network::statNames()
+{
+    static const auto names = [] {
+        static std::string text[num_msg_types];
+        CounterHandles<num_msg_types + 1>::Names n{"messages"};
+        for (std::size_t t = 0; t < num_msg_types; ++t) {
+            text[t] = std::string("msg.") +
+                      msgTypeName(static_cast<MsgType>(t));
+            n[t + 1] = text[t].c_str();
+        }
+        return n;
+    }();
+    return names;
+}
+
+void
+Network::reset(const NetworkCfg &cfg)
+{
+    cfg_ = cfg;
+    rng_ = Rng(cfg.seed);
+    handlers_.clear();
+    std::fill(last_delivery_.begin(), last_delivery_.end(), 0);
+    in_flight_ = 0;
+    ctr_.clear();
 }
 
 void
@@ -24,7 +52,16 @@ Network::attach(NodeId id, MsgHandler *handler)
 Tick
 Network::nextDepartureSlot(NodeId src, NodeId dst, Tick earliest)
 {
-    Tick &last = last_delivery_[{src, dst}];
+    const std::size_t need = std::max<std::size_t>(src, dst) + 1;
+    if (need > nodes_) {
+        std::vector<Tick> grown(need * need, 0);
+        for (std::size_t s = 0; s < nodes_; ++s)
+            std::copy_n(last_delivery_.begin() + s * nodes_, nodes_,
+                        grown.begin() + s * need);
+        last_delivery_ = std::move(grown);
+        nodes_ = need;
+    }
+    Tick &last = last_delivery_[src * nodes_ + dst];
     Tick slot = std::max(earliest, last + 1);
     last = slot;
     return slot;
@@ -36,8 +73,8 @@ Network::send(Message msg)
     wo_assert(msg.dst < handlers_.size() && handlers_[msg.dst],
               "message to unattached node %u: %s", msg.dst,
               msg.toString().c_str());
-    stats_.counter("messages").inc();
-    stats_.counter(std::string("msg.") + msgTypeName(msg.type)).inc();
+    ctr_[0].inc();
+    ctr_[1 + static_cast<std::size_t>(msg.type)].inc();
     Tick delay = cfg_.hop_latency;
     if (cfg_.jitter > 0)
         delay += rng_.below(cfg_.jitter + 1);

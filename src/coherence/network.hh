@@ -12,7 +12,6 @@
 #define WO_COHERENCE_NETWORK_HH
 
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "coherence/message.hh"
@@ -50,6 +49,14 @@ class Network
      */
     Network(EventQueue &eq, const NetworkCfg &cfg);
 
+    /**
+     * Back to a new network under @p cfg: no nodes attached, nothing
+     * on the wire, the jitter stream reseeded and the statistics
+     * cleared.  Storage capacity survives.  The event queue must have
+     * been reset too (deliveries in flight capture this network).
+     */
+    void reset(const NetworkCfg &cfg);
+
     /** Register the handler for node @p id (must outlive the network). */
     void attach(NodeId id, MsgHandler *handler);
 
@@ -69,14 +76,22 @@ class Network
     /** FIFO delivery within a pair despite jitter. */
     Tick nextDepartureSlot(NodeId src, NodeId dst, Tick earliest);
 
+    /** Counter slots: "messages", then "msg.<type>" per MsgType. */
+    static constexpr std::size_t num_msg_types =
+        static_cast<std::size_t>(MsgType::nack) + 1;
+    static const CounterHandles<num_msg_types + 1>::Names &statNames();
+
     EventQueue &eq_;
     NetworkCfg cfg_;
     Rng rng_;
     std::vector<MsgHandler *> handlers_;
-    // Last scheduled delivery tick per (src,dst) pair, to keep FIFO order.
-    std::map<std::pair<NodeId, NodeId>, Tick> last_delivery_;
+    // Last scheduled delivery tick per (src,dst) pair, to keep FIFO
+    // order: a nodes_ x nodes_ matrix, grown when a new node id shows.
+    std::vector<Tick> last_delivery_;
+    std::size_t nodes_ = 0;
     std::uint64_t in_flight_ = 0; //!< sent, not yet delivered
     StatGroup stats_;
+    CounterHandles<num_msg_types + 1> ctr_{stats_, statNames()};
 };
 
 } // namespace wo

@@ -11,9 +11,11 @@
 #ifndef WO_COMMON_STATS_HH
 #define WO_COMMON_STATS_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace wo {
@@ -101,24 +103,50 @@ class Histogram
     mutable bool sorted_ = true;
 };
 
-/** A named collection of counters and histograms with a text dump. */
+/**
+ * A named collection of counters and histograms with a text dump.
+ *
+ * A statistic exists from its first lookup: dumps list exactly the
+ * statistics looked up since construction or the last clear().  The
+ * lookups are transparent (a string literal costs no std::string), and
+ * clear() parks the entries instead of freeing them, so a component
+ * reused across runs re-creates its statistics without allocating.
+ * References returned by counter() and histogram() stay valid until
+ * the next clear().
+ */
 class StatGroup
 {
   public:
+    /** Ordered by name, looked up by any string-like key. */
+    template <typename T>
+    using Map = std::map<std::string, T, std::less<>>;
+
     /** Construct a group labelled @p name (appears in dumps). */
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
     /** Find or create the counter @p name. */
-    Counter &counter(const std::string &name) { return counters_[name]; }
+    Counter &counter(std::string_view name)
+    {
+        return lookup(counters_, parked_counters_, name);
+    }
 
     /** Find or create the histogram @p name. */
-    Histogram &histogram(const std::string &name) { return hists_[name]; }
+    Histogram &histogram(std::string_view name)
+    {
+        return lookup(hists_, parked_hists_, name);
+    }
 
     /** Group label. */
     const std::string &name() const { return name_; }
 
     /** Reset every statistic in the group. */
     void resetAll();
+
+    /**
+     * Drop every statistic, as if the group were new.  The entries are
+     * parked zeroed and revived by the next lookup of their name.
+     */
+    void clear();
 
     /**
      * Render all statistics as "group.stat value" lines.
@@ -131,21 +159,71 @@ class StatGroup
     std::string dump() const;
 
     /** Read access for formatters. */
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
+    const Map<Counter> &counters() const { return counters_; }
 
     /** Read access for formatters. */
-    const std::map<std::string, Histogram> &histograms() const
+    const Map<Histogram> &histograms() const { return hists_; }
+
+  private:
+    template <typename T>
+    static T &
+    lookup(Map<T> &live, Map<T> &parked, std::string_view name)
     {
-        return hists_;
+        auto it = live.find(name);
+        if (it != live.end())
+            return it->second;
+        auto p = parked.find(name);
+        if (p != parked.end())
+            return live.insert(parked.extract(p)).position->second;
+        return live.emplace(std::string(name), T{}).first->second;
+    }
+
+    std::string name_;
+    Map<Counter> counters_;
+    Map<Histogram> hists_;
+    Map<Counter> parked_counters_; //!< cleared, awaiting a lookup
+    Map<Histogram> parked_hists_;
+};
+
+/**
+ * Counter handles over one group for a component's hot path: slot i
+ * stands for the counter names[i].  Its first use looks the name up
+ * (creating the counter, exactly as StatGroup::counter would, so a
+ * dump still lists only counters in use); later uses are one load.
+ * clear() clears the group and forgets the handles.
+ */
+template <std::size_t N>
+class CounterHandles
+{
+  public:
+    using Names = std::array<const char *, N>;
+
+    /** @p names must outlive the handles (a static table). */
+    CounterHandles(StatGroup &group, const Names &names)
+        : group_(group), names_(names)
+    {
+    }
+
+    Counter &
+    operator[](std::size_t i)
+    {
+        Counter *&c = slots_[i];
+        if (!c) [[unlikely]]
+            c = &group_.counter(names_[i]);
+        return *c;
+    }
+
+    void
+    clear()
+    {
+        group_.clear();
+        slots_.fill(nullptr);
     }
 
   private:
-    std::string name_;
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Histogram> hists_;
+    StatGroup &group_;
+    const Names &names_;
+    std::array<Counter *, N> slots_{};
 };
 
 } // namespace wo

@@ -15,6 +15,23 @@ EventQueue::EventQueue()
 }
 
 void
+EventQueue::reset()
+{
+    for (Bucket &b : wheel_) {
+        b.events.clear();
+        b.pos = 0;
+    }
+    std::fill(occupied_.begin(), occupied_.end(), 0);
+    overflow_.clear();
+    now_ = 0;
+    next_seq_ = 0;
+    executed_ = 0;
+    pending_ = 0;
+    wheel_base_ = 0;
+    wheel_pending_ = 0;
+}
+
+void
 EventQueue::markOccupied(std::size_t idx)
 {
     occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);

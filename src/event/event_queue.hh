@@ -107,8 +107,16 @@ class EventQueue
     std::uint64_t runUntil(const std::function<bool()> &done,
                            std::uint64_t max_events = 50'000'000);
 
-    /** Total events executed over the queue's lifetime. */
+    /** Total events executed since construction or the last reset(). */
     std::uint64_t executed() const { return executed_; }
+
+    /**
+     * Drop every pending event and rewind time, the sequence and the
+     * executed count to zero, as in a new queue.  Bucket capacity (the
+     * event arena) survives, so a reused queue schedules its next run
+     * without allocating.  The attached hub is kept.
+     */
+    void reset();
 
   private:
     /** Ticks covered by the bucket wheel (one bucket per tick). */

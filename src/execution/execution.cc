@@ -1,5 +1,6 @@
 #include "execution.hh"
 
+#include <cstdio>
 #include <set>
 #include <tuple>
 
@@ -9,7 +10,7 @@ namespace wo {
 
 Execution::Execution(ProcId num_procs, Addr num_locations,
                      std::vector<Value> initial)
-    : per_proc_(num_procs), initial_(std::move(initial))
+    : nprocs_(num_procs), per_proc_(num_procs), initial_(std::move(initial))
 {
     if (initial_.empty())
         initial_.resize(num_locations, 0);
@@ -18,11 +19,23 @@ Execution::Execution(ProcId num_procs, Addr num_locations,
               num_locations);
 }
 
+void
+Execution::reset(ProcId num_procs, const std::vector<Value> &initial)
+{
+    ops_.clear();
+    nprocs_ = num_procs;
+    if (per_proc_.size() < num_procs)
+        per_proc_.resize(num_procs);
+    for (auto &ids : per_proc_)
+        ids.clear();
+    initial_.assign(initial.begin(), initial.end());
+}
+
 OpId
 Execution::append(ProcId proc, Addr addr, AccessKind kind, Value value_read,
                   Value value_written, Tick commit_tick)
 {
-    wo_assert(proc < per_proc_.size(), "proc %u out of range", proc);
+    wo_assert(proc < nprocs_, "proc %u out of range", proc);
     wo_assert(addr < initial_.size(), "addr %u out of range", addr);
     MemoryOp op;
     op.id = static_cast<OpId>(ops_.size());
@@ -41,7 +54,7 @@ Execution::append(ProcId proc, Addr addr, AccessKind kind, Value value_read,
 const std::vector<OpId> &
 Execution::procOps(ProcId p) const
 {
-    wo_assert(p < per_proc_.size(), "proc %u out of range", p);
+    wo_assert(p < nprocs_, "proc %u out of range", p);
     return per_proc_[p];
 }
 
@@ -101,18 +114,27 @@ std::string
 Outcome::toString() const
 {
     std::string out;
+    appendTo(out);
+    return out;
+}
+
+void
+Outcome::appendTo(std::string &out) const
+{
+    char buf[96];
     for (std::size_t p = 0; p < regs.size(); ++p) {
         for (std::size_t r = 0; r < regs[p].size(); ++r) {
             if (regs[p][r] != 0)
-                out += strprintf("P%zu:r%zu=%lld ", p, r,
-                                 static_cast<long long>(regs[p][r]));
+                out.append(buf, static_cast<std::size_t>(std::snprintf(
+                                    buf, sizeof buf, "P%zu:r%zu=%lld ", p,
+                                    r, static_cast<long long>(regs[p][r]))));
         }
     }
     out += "| mem:";
     for (std::size_t a = 0; a < memory.size(); ++a)
-        out += strprintf(" [%zu]=%lld", a,
-                         static_cast<long long>(memory[a]));
-    return out;
+        out.append(buf, static_cast<std::size_t>(std::snprintf(
+                            buf, sizeof buf, " [%zu]=%lld", a,
+                            static_cast<long long>(memory[a]))));
 }
 
 } // namespace wo

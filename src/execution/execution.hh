@@ -41,8 +41,16 @@ class Execution
     OpId append(ProcId proc, Addr addr, AccessKind kind, Value value_read,
                 Value value_written, Tick commit_tick = 0);
 
+    /**
+     * Empty the record for a new run of @p num_procs processors over
+     * @p initial (one value per location), as if newly constructed.
+     * Storage capacity survives, so a reused record appends without
+     * allocating once it has seen a run as large.
+     */
+    void reset(ProcId num_procs, const std::vector<Value> &initial);
+
     /** Number of processors. */
-    ProcId numProcs() const { return static_cast<ProcId>(per_proc_.size()); }
+    ProcId numProcs() const { return nprocs_; }
 
     /** Number of shared locations. */
     Addr numLocations() const
@@ -77,6 +85,9 @@ class Execution
 
   private:
     std::vector<MemoryOp> ops_;
+    ProcId nprocs_ = 0;
+    /** At least nprocs_ entries: a reset to fewer processors keeps the
+     *  rest (empty) for their capacity. */
     std::vector<std::vector<OpId>> per_proc_;
     std::vector<Value> initial_;
 };
@@ -100,6 +111,9 @@ struct Outcome
 
     /** e.g. "P0:r0=1 P1:r0=0 | mem: x=1 y=1" (zero registers elided). */
     std::string toString() const;
+
+    /** Append toString()'s text to @p out (reusing its capacity). */
+    void appendTo(std::string &out) const;
 };
 
 } // namespace wo

@@ -13,7 +13,7 @@ FleetWorker::FleetWorker(WorkerCfg cfg) : cfg_(std::move(cfg))
 {
     if (cfg_.jobs < 1)
         cfg_.jobs = 1;
-    caches_.resize(static_cast<std::size_t>(cfg_.jobs));
+    slots_.resize(static_cast<std::size_t>(cfg_.jobs));
 }
 
 FleetWorker::~FleetWorker()
@@ -166,7 +166,7 @@ FleetWorker::executeLease(const Json &msg)
     std::vector<Json> cells(indices.size());
     std::atomic<std::size_t> cursor{0};
     auto slot_fn = [&](int slot) {
-        MaterializeCache &cache = caches_[static_cast<std::size_t>(slot)];
+        CellContext &ctx = slots_[static_cast<std::size_t>(slot)];
         for (;;) {
             if (stop_.load(std::memory_order_relaxed))
                 return;
@@ -179,7 +179,7 @@ FleetWorker::executeLease(const Json &msg)
             // travels, and the coordinator derives the failure identity
             // from exactly this text.
             const ShrunkCellRun out =
-                runAndShrinkCell(fuzzer.baseCell(idx), spec, &cache);
+                runAndShrinkCell(fuzzer.baseCell(idx), spec, &ctx);
 
             Json entry = Json::object();
             entry.set("idx", Json(idx));

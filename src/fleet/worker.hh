@@ -93,8 +93,9 @@ class FleetWorker
     std::unique_ptr<LineConn> conn_;
     std::mutex conn_mu_; //!< guards conn_ creation vs kill()
 
-    /** Per-slot materialization caches, persistent across leases. */
-    std::vector<MaterializeCache> caches_;
+    /** Per-slot cell contexts (cache + machine), persistent across
+     *  leases. */
+    std::vector<CellContext> slots_;
 
     std::atomic<bool> stop_{false};
     std::atomic<std::uint64_t> cells_run_{0};

@@ -25,6 +25,9 @@ class VectorClock
     /** An all-zero clock over @p procs processors. */
     explicit VectorClock(ProcId procs) : c_(procs, 0) {}
 
+    /** Zero the clock over @p procs processors, keeping its storage. */
+    void reset(ProcId procs) { c_.assign(procs, 0); }
+
     /** Component for processor @p p. */
     std::uint32_t operator[](ProcId p) const { return c_[p]; }
 

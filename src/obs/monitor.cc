@@ -48,19 +48,55 @@ std::string MonitorViolation::toString() const
 
 Monitor::Monitor(ProcId nprocs, Addr nlocs, std::vector<Value> initial,
                  const MonitorCfg &cfg)
-    : nprocs_(nprocs), cfg_(cfg), exec_(nprocs, nlocs, std::move(initial)),
-      proc_clock_(nprocs, VectorClock(nprocs)), locs_(nlocs),
-      counter_(nprocs, 0), reserve_bits_(nprocs, 0)
+    : nprocs_(nprocs), cfg_(cfg), exec_(nprocs, nlocs, std::move(initial))
 {
-    for (LocState &l : locs_) {
-        l.lastw.resize(nprocs);
-        l.lastr.resize(nprocs);
+    rewind(nprocs, nlocs);
+}
+
+void Monitor::reset(ProcId nprocs, Addr nlocs,
+                    const std::vector<Value> &initial, const MonitorCfg &cfg)
+{
+    wo_assert(initial.size() == nlocs, "monitor: %zu initial values for %u "
+              "locations", initial.size(), nlocs);
+    cfg_ = cfg;
+    exec_.reset(nprocs, initial);
+    rewind(nprocs, nlocs);
+}
+
+void Monitor::rewind(ProcId nprocs, Addr nlocs)
+{
+    nprocs_ = nprocs;
+    proc_clock_.resize(nprocs);
+    for (VectorClock &c : proc_clock_)
+        c.reset(nprocs);
+    nlocs_ = nlocs;
+    if (locs_.size() < nlocs)
+        locs_.resize(nlocs);
+    for (Addr a = 0; a < nlocs; ++a) {
+        LocState &l = locs_[a];
+        l.lastw.assign(nprocs, LastOp{});
+        l.lastr.assign(nprocs, LastOp{});
+        l.nfrontier = 0;
+        l.written_values.clear();
+        l.chan.reset(nprocs);
+        l.last_write_commit = 0;
+        l.raced = false;
+        l.pending_stale.clear();
     }
+    counter_.assign(nprocs, 0);
+    reserve_bits_.assign(nprocs, 0);
+    violations_.clear();
+    total_ = 0;
+    hardware_ = 0;
+    races_ = 0;
+    std::fill(std::begin(by_kind_), std::end(by_kind_), 0);
+    first_tick_ = max_tick;
+    finalized_ = false;
 }
 
 Monitor::LocState &Monitor::loc(Addr a)
 {
-    wo_assert(a < locs_.size(), "monitor: location %u out of range", a);
+    wo_assert(a < nlocs_, "monitor: location %u out of range", a);
     return locs_[a];
 }
 
@@ -87,17 +123,16 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
 
     // The HbRelation construction, one op at a time: tick the issuer's
     // clock, then receive/publish through the location's sync channel.
-    VectorClock vc = proc_clock_[p];
+    VectorClock &vc = vc_;
+    vc = proc_clock_[p];
     vc[p] += 1;
+    LocState &l = loc(addr);
     if (op.isSync()) {
-        auto chan = chan_.try_emplace(addr, VectorClock(nprocs_)).first;
-        vc.join(chan->second);
+        vc.join(l.chan);
         if (cfg_.flavor == HbRelation::SyncFlavor::drf0 ||
             kind != AccessKind::sync_read)
-            chan->second.join(vc);
+            l.chan.join(vc);
     }
-
-    LocState &l = loc(addr);
 
     // Race check first: a conflicting earlier op a races with this op
     // iff a is not hb-before it, i.e. a's own clock component exceeds
@@ -120,7 +155,8 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
         v.addr = addr;
         v.op_a = a.id;
         v.op_b = id;
-        v.detail = a.toString() + " races with " + op.toString();
+        if (recording())
+            v.detail = a.toString() + " races with " + op.toString();
         l.raced = true;
         // The contract is void here: any stale-read suspicion held
         // against this location was (or may have been) the race's own
@@ -143,7 +179,8 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
     if (op.isRead() && !l.raced) {
         const WriteRec *best = nullptr;
         bool ambiguous = false;
-        for (const WriteRec &w : l.frontier) {
+        for (std::size_t i = 0; i < l.nfrontier; ++i) {
+            const WriteRec &w = l.frontier[i];
             if (w.clock[w.proc] > vc[w.proc])
                 continue; // not hb-before this read
             if (best)
@@ -176,7 +213,8 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
             // and is raised at the violating cycle.
             const bool known_value =
                 value_read == exec_.initialValue(addr) ||
-                l.written_values.count(value_read) > 0;
+                std::binary_search(l.written_values.begin(),
+                                   l.written_values.end(), value_read);
             if (known_value)
                 raise(std::move(v));
             else
@@ -207,14 +245,27 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
     if (op.isRead())
         l.lastr[p] = {vc[p], id};
     if (op.isWrite()) {
-        l.written_values.insert(value_written);
+        auto at = std::lower_bound(l.written_values.begin(),
+                                   l.written_values.end(), value_written);
+        if (at == l.written_values.end() || *at != value_written)
+            l.written_values.insert(at, value_written);
         l.lastw[p] = {vc[p], id};
-        std::erase_if(l.frontier, [&](const WriteRec &w) {
-            return w.clock.leq(vc); // dominated by the new write
-        });
-        l.frontier.push_back({id, p, value_written, vc});
+        // Drop the writes the new one dominates, in place and in order;
+        // dropped records keep their clock storage past nfrontier.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < l.nfrontier; ++i)
+            if (!l.frontier[i].clock.leq(vc))
+                std::swap(l.frontier[kept++], l.frontier[i]);
+        if (kept == l.frontier.size())
+            l.frontier.emplace_back();
+        WriteRec &w = l.frontier[kept];
+        w.id = id;
+        w.proc = p;
+        w.value = value_written;
+        w.clock = vc;
+        l.nfrontier = kept + 1;
     }
-    proc_clock_[p] = std::move(vc);
+    std::swap(proc_clock_[p], vc);
 }
 
 void Monitor::counterChanged(ProcId p, int value, Tick now)
@@ -280,7 +331,8 @@ void Monitor::finalize(Tick now, bool completed,
     // A completed run has retired every write, so a still-unexplained
     // read value on a race-free location really came from nowhere (or
     // from an hb-ordered future write): confirm the deferred verdicts.
-    for (LocState &l : locs_) {
+    for (Addr a = 0; a < nlocs_; ++a) {
+        LocState &l = locs_[a];
         if (!l.raced)
             for (MonitorViolation &v : l.pending_stale)
                 raise(std::move(v));

@@ -39,8 +39,6 @@
 #ifndef WO_OBS_MONITOR_HH
 #define WO_OBS_MONITOR_HH
 
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -159,6 +157,15 @@ class Monitor
     Monitor(ProcId nprocs, Addr nlocs, std::vector<Value> initial,
             const MonitorCfg &cfg = {});
 
+    /**
+     * Back to a new monitor (same parameters as the constructor, with
+     * @p initial never empty): no op, clock, finding or report.
+     * Storage capacity survives, so a reused monitor follows its next
+     * run without allocating once it has seen one as large.
+     */
+    void reset(ProcId nprocs, Addr nlocs, const std::vector<Value> &initial,
+               const MonitorCfg &cfg);
+
     // ---- hooks (via Obs) ---------------------------------------------
 
     /** One memory operation retired, with full detail. */
@@ -259,8 +266,14 @@ class Monitor
     struct LocState
     {
         std::vector<LastOp> lastw, lastr; //!< per processor
-        std::vector<WriteRec> frontier;   //!< non-dominated writes
-        std::set<Value> written_values;   //!< every value retired here
+        /** The first nfrontier entries are the non-dominated writes;
+         *  the rest keep their clocks' storage for reuse. */
+        std::vector<WriteRec> frontier;
+        std::size_t nfrontier = 0;
+        /** Every value retired here, ascending, no duplicates. */
+        std::vector<Value> written_values;
+        /** A sync channel: the clock sync ops here publish to. */
+        VectorClock chan;
         Tick last_write_commit = 0;
         bool raced = false; //!< a race touched this location: the DRF0
                             //!< contract is void here, hardware checks off
@@ -279,15 +292,27 @@ class Monitor
         std::vector<MonitorViolation> pending_stale;
     };
 
+    /** Clear every finding and all incremental state (not exec_). */
+    void rewind(ProcId nprocs, Addr nlocs);
+
     LocState &loc(Addr a);
     void raise(MonitorViolation v);
+
+    /**
+     * Will the next raise() be recorded?  Witness text is formatted
+     * only for violations that are kept: a racy program can raise a
+     * race at nearly every op, and all but max_recorded only count.
+     */
+    bool recording() const { return violations_.size() < cfg_.max_recorded; }
 
     ProcId nprocs_;
     MonitorCfg cfg_;
     Execution exec_;
     std::vector<VectorClock> proc_clock_;
-    std::map<Addr, VectorClock> chan_; //!< per-location sync channels
+    VectorClock vc_; //!< opRetired's working clock
+    /** At least nlocs_ entries: a reset to fewer keeps the rest. */
     std::vector<LocState> locs_;
+    Addr nlocs_ = 0;
     std::vector<int> counter_;               //!< last seen, per proc
     std::vector<std::uint32_t> reserve_bits_; //!< held bits, per proc
 

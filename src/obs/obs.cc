@@ -1,5 +1,8 @@
 #include "obs.hh"
 
+#include <algorithm>
+#include <type_traits>
+
 #include "common/logging.hh"
 #include "obs/monitor.hh"
 #include "obs/trace_writer.hh"
@@ -40,22 +43,57 @@ opSideName(OpSide s)
     return "?";
 }
 
-Obs::Obs(ProcId nprocs) : nprocs_(nprocs)
+Obs::ProcState::ProcState(ProcId p) : stall(strprintf("cpu%u.stall", p))
 {
-    stall_groups_.reserve(nprocs);
-    for (ProcId p = 0; p < nprocs; ++p) {
-        stall_groups_.emplace_back(strprintf("cpu%u.stall", p));
-        // Pre-create every bucket plus the summaries so each dump has
-        // the full schema and buckets provably sum to the total even
-        // when a bucket never fires.
-        StatGroup &g = stall_groups_.back();
-        for (int b = 0; b < num_stall_buckets; ++b)
-            g.counter(stallBucketName(static_cast<StallBucket>(b)));
-        g.counter("total");
-        g.counter("data");
-        g.counter("release");
-        g.counter("acquire");
+    // Pre-create every bucket plus the summaries so each dump has the
+    // full schema and buckets provably sum to the total even when a
+    // bucket never fires.  Map nodes never move, so the handles hold.
+    for (int b = 0; b < num_stall_buckets; ++b)
+        bucket[b] = &stall.counter(stallBucketName(static_cast<StallBucket>(b)));
+    total = &stall.counter("total");
+    for (int k = 0; k < 3; ++k)
+        side[k] = &stall.counter(opSideName(static_cast<OpSide>(k)));
+}
+
+// procs_ grows by moving: the counter handles must move with their map.
+static_assert(std::is_nothrow_move_constructible_v<StatGroup>);
+
+Obs::ReqFacts &
+Obs::ProcState::factsOf(std::uint64_t req)
+{
+    for (ReqFacts &f : facts)
+        if (f.req == req)
+            return f;
+    facts.push_back({.req = req});
+    return facts.back();
+}
+
+Obs::Obs(ProcId nprocs)
+{
+    reset(nprocs);
+}
+
+void
+Obs::reset(ProcId nprocs)
+{
+    nprocs_ = nprocs;
+    trace_enabled_ = false;
+    monitor_ = nullptr;
+    recorder_ = nullptr;
+    sampler_ = nullptr;
+    mirrored_violations_ = 0;
+    procs_.reserve(nprocs);
+    while (procs_.size() < nprocs)
+        procs_.emplace_back(static_cast<ProcId>(procs_.size()));
+    for (ProcState &ps : procs_) {
+        ps.stall.resetAll();
+        ps.facts.clear();
+        std::fill(ps.reserve_held.begin(), ps.reserve_held.end(), 0);
     }
+    unfinished_ops_ = 0;
+    records_.clear();
+    fire_labels_.clear();
+    fire_label_ids_.clear();
 }
 
 void
@@ -139,7 +177,15 @@ void
 Obs::opPerform(ProcId p, std::uint64_t req, Tick now)
 {
     --unfinished_ops_;
-    facts_.erase({p, req});
+    if (p < nprocs_) {
+        std::vector<ReqFacts> &facts = procs_[p].facts;
+        for (ReqFacts &f : facts)
+            if (f.req == req) {
+                f = facts.back();
+                facts.pop_back();
+                break;
+            }
+    }
     if (recording())
         record({.kind = FlightKind::perform, .proc = p, .t = now, .req = req});
 }
@@ -201,19 +247,26 @@ Obs::reserveCleared(ProcId p, Tick now)
 void
 Obs::reqMiss(ProcId p, std::uint64_t req)
 {
-    facts_[{p, req}].missed = true;
+    wo_assert(p < nprocs_, "miss for unknown cpu %u", p);
+    procs_[p].factsOf(req).missed = true;
 }
 
 void
 Obs::reqNack(ProcId p, std::uint64_t req)
 {
-    facts_[{p, req}].nacked = true;
+    wo_assert(p < nprocs_, "nack for unknown cpu %u", p);
+    procs_[p].factsOf(req).nacked = true;
 }
 
 void
 Obs::reserveHold(ProcId requester, Addr addr)
 {
-    reserve_held_[{requester, addr}] = true;
+    wo_assert(requester < nprocs_, "reserve hold for unknown cpu %u",
+              requester);
+    std::vector<std::uint8_t> &held = procs_[requester].reserve_held;
+    if (held.size() <= addr)
+        held.resize(addr + 1, 0);
+    held[addr] = 1;
 }
 
 StallBucket
@@ -229,14 +282,18 @@ Obs::classify(ProcId p, std::uint64_t req, Addr addr, StallPhase phase)
       case StallPhase::commit_wait:
         break;
     }
-    auto f = facts_.find({p, req});
-    auto h = reserve_held_.find({p, addr});
-    const bool held = h != reserve_held_.end();
+    ProcState &ps = procs_[p];
+    const ReqFacts *f = nullptr;
+    for (const ReqFacts &x : ps.facts)
+        if (x.req == req)
+            f = &x;
+    const bool held =
+        addr < ps.reserve_held.size() && ps.reserve_held[addr];
     if (held)
-        reserve_held_.erase(h);
-    if ((f != facts_.end() && f->second.nacked) || held)
+        ps.reserve_held[addr] = 0;
+    if ((f && f->nacked) || held)
         return StallBucket::reserve_wait;
-    if (f != facts_.end() && f->second.missed)
+    if (f && f->missed)
         return StallBucket::cache_miss;
     return StallBucket::hit_latency;
 }
@@ -247,13 +304,13 @@ Obs::stall(ProcId p, std::uint64_t req, Addr addr, StallPhase phase,
 {
     if (to <= from)
         return;
-    wo_assert(p < stall_groups_.size(), "stall for unknown cpu %u", p);
+    wo_assert(p < nprocs_, "stall for unknown cpu %u", p);
     const StallBucket bucket = classify(p, req, addr, phase);
     const Tick cycles = to - from;
-    StatGroup &g = stall_groups_[p];
-    g.counter(stallBucketName(bucket)).inc(cycles);
-    g.counter("total").inc(cycles);
-    g.counter(opSideName(side)).inc(cycles);
+    ProcState &ps = procs_[p];
+    ps.bucket[static_cast<int>(bucket)]->inc(cycles);
+    ps.total->inc(cycles);
+    ps.side[static_cast<int>(side)]->inc(cycles);
 
     if (recording())
         record({.kind = FlightKind::stall,
@@ -265,17 +322,17 @@ Obs::stall(ProcId p, std::uint64_t req, Addr addr, StallPhase phase,
 const StatGroup &
 Obs::stallStats(ProcId p) const
 {
-    wo_assert(p < stall_groups_.size(), "no stall stats for cpu %u", p);
-    return stall_groups_[p];
+    wo_assert(p < nprocs_, "no stall stats for cpu %u", p);
+    return procs_[p].stall;
 }
 
 std::vector<const StatGroup *>
 Obs::stallGroups() const
 {
     std::vector<const StatGroup *> out;
-    out.reserve(stall_groups_.size());
-    for (const auto &g : stall_groups_)
-        out.push_back(&g);
+    out.reserve(nprocs_);
+    for (ProcId p = 0; p < nprocs_; ++p)
+        out.push_back(&procs_[p].stall);
     return out;
 }
 

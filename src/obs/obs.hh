@@ -40,7 +40,6 @@
 #ifndef WO_OBS_OBS_HH
 #define WO_OBS_OBS_HH
 
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -107,6 +106,13 @@ class Obs
   public:
     /** @param nprocs processor count (sizes the per-CPU stall groups) */
     explicit Obs(ProcId nprocs);
+
+    /**
+     * Back to a new hub over @p nprocs processors: trace off, nothing
+     * attached, every record, fact and stall counter cleared.  Storage
+     * capacity survives, so a reused hub records without allocating.
+     */
+    void reset(ProcId nprocs);
 
     /** Turn the structured trace on, event-queue firings included. */
     void enableTrace() { trace_enabled_ = true; }
@@ -225,10 +231,31 @@ class Obs
     std::uint64_t unfinishedOps() const { return unfinished_ops_; }
 
   private:
+    /** What happened to one request on its way (see classify). */
     struct ReqFacts
     {
+        std::uint64_t req = 0;
         bool missed = false;
         bool nacked = false;
+    };
+
+    /** Everything the hub keeps per processor. */
+    struct ProcState
+    {
+        explicit ProcState(ProcId p);
+
+        StatGroup stall;            //!< "cpu<p>.stall"
+        Counter *bucket[num_stall_buckets]; //!< into stall, by bucket
+        Counter *total;
+        Counter *side[3];           //!< by OpSide
+        /** Facts of requests not yet performed, unordered. */
+        std::vector<ReqFacts> facts;
+        /** By address: this processor's miss is held at a remote
+         *  reserved line (queue stall mode). */
+        std::vector<std::uint8_t> reserve_held;
+
+        /** The facts of @p req, created empty on first use. */
+        ReqFacts &factsOf(std::uint64_t req);
     };
 
     /** Does any sink (trace or ring) take records? */
@@ -243,16 +270,15 @@ class Obs
     /** Mirror monitor violations raised since last call into the ring. */
     void mirrorViolations(Tick now);
 
-    ProcId nprocs_;
+    ProcId nprocs_ = 0;
     bool trace_enabled_ = false;
     Monitor *monitor_ = nullptr;
     FlightRecorder *recorder_ = nullptr;
     const Sampler *sampler_ = nullptr;
     std::uint64_t mirrored_violations_ = 0;
 
-    std::vector<StatGroup> stall_groups_; //!< one per processor
-    std::map<std::pair<ProcId, std::uint64_t>, ReqFacts> facts_;
-    std::map<std::pair<ProcId, Addr>, bool> reserve_held_;
+    /** At least nprocs_ entries: a reset to fewer keeps the rest. */
+    std::vector<ProcState> procs_;
     std::uint64_t unfinished_ops_ = 0;
 
     std::vector<FlightEvent> records_; //!< the full trace (tracing only)

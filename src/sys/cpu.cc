@@ -31,18 +31,77 @@ sideOf(AccessKind k)
 
 Cpu::Cpu(ProcId id, const Program &prog, EventQueue &eq,
          OrderingPolicy policy, Execution *exec, const CpuCfg &cfg)
-    : id_(id), prog_(prog), code_(prog.thread(id)), eq_(eq),
-      policy_(policy), exec_(exec), cfg_(cfg),
-      stats_(strprintf("cpu%u", id))
+    : id_(id), code_(&prog.thread(id)), eq_(eq), policy_(policy),
+      exec_(exec), cfg_(cfg), stats_(strprintf("cpu%u", id))
 {
+    reset(prog, policy, exec, cfg);
+}
+
+void
+Cpu::reset(const Program &prog, OrderingPolicy policy, Execution *exec,
+           const CpuCfg &cfg)
+{
+    code_ = &prog.thread(id_);
+    policy_ = policy;
+    exec_ = exec;
+    cfg_ = cfg;
+    cache_ = nullptr;
+    pc_ = 0;
+    regs_ = {};
+    halted_ = false;
+    finish_tick_ = 0;
+    step_scheduled_ = false;
+    waiting_issue_ = false;
+    issue_wait_mlp_ = false;
+    wait_started_ = 0;
+    blocked_on_ = 0;
+    blocked_ = false;
+    block_started_ = 0;
+    next_req_ = 1;
+    oldest_ = 1;
+    next_retire_ = 1;
+    if (pending_.empty())
+        pending_.resize(8);
+    for (Pending &p : pending_)
+        p.live = false;
+    timings_.clear();
+    ctr_.clear();
+}
+
+Cpu::Pending &
+Cpu::addPending(std::uint64_t id)
+{
+    if (id - oldest_ >= pending_.size()) {
+        // The window outgrew the ring: double it, re-placing every id.
+        std::vector<Pending> grown(pending_.size() * 2);
+        for (std::uint64_t i = oldest_; i < id; ++i)
+            grown[i & (grown.size() - 1)] =
+                pending_[i & (pending_.size() - 1)];
+        pending_.swap(grown);
+    }
+    Pending &p = pending_[id & (pending_.size() - 1)];
+    p = Pending{};
+    p.live = true;
+    return p;
+}
+
+void
+Cpu::dropPending(std::uint64_t id)
+{
+    pending_[id & (pending_.size() - 1)].live = false;
+    while (oldest_ < next_req_ &&
+           !pending_[oldest_ & (pending_.size() - 1)].live)
+        ++oldest_;
 }
 
 int
 Cpu::countOutstanding() const
 {
     int n = 0;
-    for (const auto &kv : pending_)
-        n += !kv.second.performed;
+    for (std::uint64_t id = oldest_; id < next_req_; ++id) {
+        const Pending &p = pending_[id & (pending_.size() - 1)];
+        n += p.live && !p.performed;
+    }
     return n;
 }
 
@@ -68,9 +127,11 @@ Cpu::wake(Tick delay)
 bool
 Cpu::anyOutstanding() const
 {
-    for (const auto &kv : pending_)
-        if (!kv.second.performed)
+    for (std::uint64_t id = oldest_; id < next_req_; ++id) {
+        const Pending &p = pending_[id & (pending_.size() - 1)];
+        if (p.live && !p.performed)
             return true;
+    }
     return false;
 }
 
@@ -134,7 +195,7 @@ Cpu::step()
         return;
     if (blocked_)
         return; // a callback will wake us
-    const Instruction &i = code_.at(pc_);
+    const Instruction &i = code_->at(pc_);
     switch (i.op) {
       case Opcode::mov_imm:
         regs_[i.dst] = i.imm;
@@ -165,7 +226,7 @@ Cpu::step()
         return;
       case Opcode::delay:
         ++pc_;
-        stats_.counter("work_cycles").inc(static_cast<std::uint64_t>(i.imm));
+        ctr_[st_work_cycles].inc(static_cast<std::uint64_t>(i.imm));
         wake(static_cast<Tick>(i.imm) + 1);
         return;
       case Opcode::halt:
@@ -182,7 +243,7 @@ Cpu::step()
         wait_started_ = eq_.now();
     }
     if (!canIssue(i)) {
-        stats_.counter("issue_stall_polls").inc();
+        ctr_[st_issue_stall_polls].inc();
         // Remember which gate failed so the stall profiler can bucket
         // the wait when it finally ends.
         issue_wait_mlp_ = cfg_.max_outstanding > 0 &&
@@ -190,8 +251,8 @@ Cpu::step()
         return; // onCommit/onGloballyPerformed will wake us
     }
     const Tick reached = wait_started_;
-    stats_.counter(i.isSync() ? "sync_issue_stall_cycles"
-                              : "data_issue_stall_cycles")
+    ctr_[i.isSync() ? st_sync_issue_stall_cycles
+                    : st_data_issue_stall_cycles]
         .inc(eq_.now() - reached);
     if (Obs *obs = eq_.obs()) {
         obs->stall(id_, 0, i.addr,
@@ -213,7 +274,7 @@ Cpu::step()
                          ? 1
                          : (i.use_imm ? i.imm : regs_[i.src]);
 
-    Pending p;
+    Pending &p = addPending(req.id);
     p.pc = pc_;
     p.is_sync = req.is_sync;
     p.has_read = req.read;
@@ -224,15 +285,13 @@ Cpu::step()
     p.timing_idx = timings_.size();
     timings_.push_back(OpTiming{id_, pc_, p.kind, i.addr, reached,
                                 eq_.now(), 0, 0});
-    stats_.counter(i.isSync() ? "sync_ops" : "data_ops").inc();
+    ctr_[i.isSync() ? st_sync_ops : st_data_ops].inc();
 
     const bool wait_perf = blocksUntilPerformed(i);
     const bool wait_commit = blocksUntilCommit(i) || wait_perf;
     p.blocks_pipeline = wait_commit;
     p.wait_performed = wait_perf;
 
-    retire_queue_.push_back(req.id);
-    pending_.emplace(req.id, p);
     if (Obs *obs = eq_.obs())
         obs->opIssue(id_, req.id, accessKindName(p.kind), i.addr, pc_,
                      reached, eq_.now());
@@ -251,10 +310,11 @@ Cpu::step()
 void
 Cpu::retire()
 {
-    while (retire_pos_ < retire_queue_.size()) {
-        auto it = pending_.find(retire_queue_[retire_pos_]);
-        wo_assert(it != pending_.end(), "retire queue out of sync");
-        Pending &p = it->second;
+    while (next_retire_ < next_req_) {
+        const std::uint64_t id = next_retire_;
+        Pending *pp = findPending(id);
+        wo_assert(pp, "retire queue out of sync");
+        Pending &p = *pp;
         if (!p.committed)
             return;
         if (exec_) {
@@ -262,22 +322,22 @@ Cpu::retire()
                           p.wvalue, timings_[p.timing_idx].committed);
         }
         if (Obs *obs = eq_.obs())
-            obs->opRetire(id_, it->first, eq_.now(), p.addr, p.kind,
+            obs->opRetire(id_, id, eq_.now(), p.addr, p.kind,
                           p.has_read ? p.rvalue : 0, p.wvalue,
                           timings_[p.timing_idx].committed);
         p.retired = true;
-        ++retire_pos_;
+        ++next_retire_;
         if (p.performed)
-            pending_.erase(it);
+            dropPending(id);
     }
 }
 
 void
 Cpu::onCommit(std::uint64_t id, Value read_value)
 {
-    auto it = pending_.find(id);
-    wo_assert(it != pending_.end(), "commit for unknown request");
-    Pending &p = it->second;
+    Pending *pp = findPending(id);
+    wo_assert(pp, "commit for unknown request");
+    Pending &p = *pp;
     wo_assert(!p.committed, "double commit for request");
     p.committed = true;
     p.rvalue = read_value;
@@ -289,8 +349,7 @@ Cpu::onCommit(std::uint64_t id, Value read_value)
     // Unblock decisions read p before retire(), which may erase it.
     if (blocked_ && blocked_on_ == id && !p.wait_performed) {
         blocked_ = false;
-        stats_.counter(p.is_sync ? "sync_commit_stall_cycles"
-                                 : "read_stall_cycles")
+        ctr_[p.is_sync ? st_sync_commit_stall_cycles : st_read_stall_cycles]
             .inc(eq_.now() - block_started_);
         if (Obs *obs = eq_.obs())
             obs->stall(id_, id, p.addr, StallPhase::commit_wait,
@@ -306,16 +365,16 @@ Cpu::onCommit(std::uint64_t id, Value read_value)
 void
 Cpu::onGloballyPerformed(std::uint64_t id)
 {
-    auto it = pending_.find(id);
-    wo_assert(it != pending_.end(), "perform for unknown request");
-    Pending &p = it->second;
+    Pending *pp = findPending(id);
+    wo_assert(pp, "perform for unknown request");
+    Pending &p = *pp;
     wo_assert(!p.performed, "double perform for request");
     p.performed = true;
     timings_[p.timing_idx].performed = eq_.now();
     if (blocked_ && blocked_on_ == id && p.wait_performed) {
         blocked_ = false;
-        stats_.counter(p.is_sync ? "sync_perform_stall_cycles"
-                                 : "perform_stall_cycles")
+        ctr_[p.is_sync ? st_sync_perform_stall_cycles
+                       : st_perform_stall_cycles]
             .inc(eq_.now() - block_started_);
         if (Obs *obs = eq_.obs()) {
             // Split the blocked interval at the commit point: up to the
@@ -345,12 +404,9 @@ Cpu::onGloballyPerformed(std::uint64_t id)
 void
 Cpu::cleanup(std::uint64_t id)
 {
-    auto it = pending_.find(id);
-    if (it == pending_.end())
-        return;
-    const Pending &p = it->second;
-    if (p.committed && p.performed && p.retired)
-        pending_.erase(it);
+    const Pending *p = findPending(id);
+    if (p && p->committed && p->performed && p->retired)
+        dropPending(id);
 }
 
 } // namespace wo

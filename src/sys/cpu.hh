@@ -15,7 +15,6 @@
 #ifndef WO_SYS_CPU_HH
 #define WO_SYS_CPU_HH
 
-#include <map>
 #include <vector>
 
 #include "coherence/cache.hh"
@@ -67,6 +66,16 @@ class Cpu : public CacheClient
     Cpu(ProcId id, const Program &prog, EventQueue &eq,
         OrderingPolicy policy, Execution *exec, const CpuCfg &cfg = {});
 
+    /**
+     * Back to a processor about to boot thread id() of @p prog (which
+     * must outlive the run): pc and registers zero, nothing issued,
+     * timings and statistics cleared.  Storage capacity survives.
+     * The event queue must have been reset too, and the cache is
+     * attached afresh.
+     */
+    void reset(const Program &prog, OrderingPolicy policy, Execution *exec,
+               const CpuCfg &cfg);
+
     /** Late-bind the cache (construction order). */
     void attachCache(Cache *cache) { cache_ = cache; }
 
@@ -99,6 +108,7 @@ class Cpu : public CacheClient
     /** An issued request the processor still tracks. */
     struct Pending
     {
+        bool live = false; //!< issued and not yet dropped
         Pc pc = 0;
         std::size_t timing_idx = 0;
         bool committed = false;
@@ -140,9 +150,24 @@ class Cpu : public CacheClient
     /** Drop a request once committed, performed and retired. */
     void cleanup(std::uint64_t id);
 
+    /** The tracked request @p id, or nullptr once dropped. */
+    Pending *
+    findPending(std::uint64_t id)
+    {
+        if (id < oldest_ || id >= next_req_)
+            return nullptr;
+        Pending &p = pending_[id & (pending_.size() - 1)];
+        return p.live ? &p : nullptr;
+    }
+
+    /** Track a newly issued request @p id (== next_req_ - 1). */
+    Pending &addPending(std::uint64_t id);
+
+    /** Stop tracking request @p id. */
+    void dropPending(std::uint64_t id);
+
     ProcId id_;
-    const Program &prog_;
-    const ThreadCode &code_;
+    const ThreadCode *code_;
     EventQueue &eq_;
     OrderingPolicy policy_;
     Execution *exec_;
@@ -161,14 +186,35 @@ class Cpu : public CacheClient
     bool blocked_ = false;
     Tick block_started_ = 0;
 
+    // Request ids count up from 1 in issue (= program) order.  The
+    // tracked window [oldest_, next_req_) lives in a power-of-two ring
+    // indexed by id; next_retire_ is the first id not yet retired.
     std::uint64_t next_req_ = 1;
-    std::map<std::uint64_t, Pending> pending_;
-    // Retirement: program-order list of request ids; retire_pos_ is the
-    // first not-yet-retired entry.
-    std::vector<std::uint64_t> retire_queue_;
-    std::size_t retire_pos_ = 0;
+    std::uint64_t oldest_ = 1;
+    std::uint64_t next_retire_ = 1;
+    std::vector<Pending> pending_;
     std::vector<OpTiming> timings_;
     StatGroup stats_;
+    static constexpr CounterHandles<10>::Names stat_names = {
+        "work_cycles",          "issue_stall_polls",
+        "sync_issue_stall_cycles", "data_issue_stall_cycles",
+        "sync_ops",             "data_ops",
+        "sync_commit_stall_cycles", "read_stall_cycles",
+        "sync_perform_stall_cycles", "perform_stall_cycles"};
+    enum : std::size_t
+    {
+        st_work_cycles,
+        st_issue_stall_polls,
+        st_sync_issue_stall_cycles,
+        st_data_issue_stall_cycles,
+        st_sync_ops,
+        st_data_ops,
+        st_sync_commit_stall_cycles,
+        st_read_stall_cycles,
+        st_sync_perform_stall_cycles,
+        st_perform_stall_cycles,
+    };
+    CounterHandles<10> ctr_{stats_, stat_names};
 };
 
 } // namespace wo

@@ -35,61 +35,86 @@ SystemResult::stall_stat_total(const std::string &name) const
 }
 
 System::System(const Program &prog, const SystemCfg &cfg)
-    : prog_(prog), cfg_(cfg)
 {
+    reset(prog, cfg);
+}
+
+void
+System::reset(const Program &prog, const SystemCfg &cfg)
+{
+    prog_ = &prog;
+    cfg_ = cfg;
     const ProcId procs = prog.numThreads();
+    const Addr nlocs = prog.numLocations();
     const NodeId dir_id = procs;
     cfg_.cache.sync_reads_as_reads =
         cfg_.policy == OrderingPolicy::wo_drf0_ro;
 
-    obs_ = std::make_unique<Obs>(procs);
+    eq_.reset();
+    obs_.reset(procs);
     if (cfg_.trace)
-        obs_->enableTrace();
+        obs_.enableTrace();
+    monitor_ = nullptr;
     if (cfg_.monitor) {
         MonitorCfg mc;
         mc.flavor = cfg_.policy == OrderingPolicy::wo_drf0_ro
                         ? HbRelation::SyncFlavor::weak_sync_read
                         : HbRelation::SyncFlavor::drf0;
-        monitor_ = std::make_unique<Monitor>(procs, prog.numLocations(),
-                                             prog.initialMemory(), mc);
-        obs_->attachMonitor(monitor_.get());
+        if (monitor_store_)
+            monitor_store_->reset(procs, nlocs, prog.initialMemory(), mc);
+        else
+            monitor_store_ = std::make_unique<Monitor>(
+                procs, nlocs, prog.initialMemory(), mc);
+        monitor_ = monitor_store_.get();
+        obs_.attachMonitor(monitor_);
     }
     // A failure dump without the full trace reads the ring.
+    recorder_.reset();
     if (cfg_.flight_recorder || (!cfg_.dump_on_fail.empty() && !cfg_.trace)) {
         recorder_ =
             std::make_unique<FlightRecorder>(cfg_.flight_recorder_capacity);
-        obs_->attachRecorder(recorder_.get());
+        obs_.attachRecorder(recorder_.get());
     }
-    eq_.setObs(obs_.get());
+    eq_.setObs(&obs_);
+    evidence_dumped_ = false;
 
-    net_ = std::make_unique<Network>(eq_, cfg_.net);
-    dir_ = std::make_unique<Directory>(dir_id, *net_,
-                                       prog.initialMemory(), cfg_.dir);
-    net_->attach(dir_id, dir_.get());
-    exec_ = std::make_unique<Execution>(procs, prog.numLocations(),
-                                        prog.initialMemory());
+    net_.reset(cfg_.net);
+    dir_.reset(dir_id, prog.initialMemory(), cfg_.dir);
+    net_.attach(dir_id, &dir_);
+    exec_.reset(procs, prog.initialMemory());
+    cpus_.clear();
+    caches_.clear();
     for (ProcId p = 0; p < procs; ++p) {
-        cpus_.push_back(std::make_unique<Cpu>(p, prog, eq_, cfg_.policy,
-                                              exec_.get(), cfg_.cpu));
-        caches_.push_back(std::make_unique<Cache>(
-            p, dir_id, procs, eq_, *net_, cpus_.back().get(),
-            prog.numLocations(), cfg_.cache));
-        cpus_.back()->attachCache(caches_.back().get());
-        net_->attach(p, caches_.back().get());
+        if (p == cpu_pool_.size()) {
+            cpu_pool_.push_back(std::make_unique<Cpu>(
+                p, prog, eq_, cfg_.policy, &exec_, cfg_.cpu));
+            cache_pool_.push_back(std::make_unique<Cache>(
+                p, dir_id, procs, eq_, net_, cpu_pool_[p].get(), nlocs,
+                cfg_.cache));
+        } else {
+            cpu_pool_[p]->reset(prog, cfg_.policy, &exec_, cfg_.cpu);
+            cache_pool_[p]->reset(dir_id, cpu_pool_[p].get(), nlocs,
+                                  cfg_.cache);
+        }
+        cpus_.push_back(cpu_pool_[p].get());
+        caches_.push_back(cache_pool_[p].get());
+        cpus_.back()->attachCache(caches_.back());
+        net_.attach(p, caches_.back());
     }
 
+    sampler_.reset();
     if (cfg_.sample_interval > 0) {
         sampler_ = std::make_unique<Sampler>(cfg_.sample_interval);
         for (ProcId p = 0; p < procs; ++p) {
             sampler_->addProbe(
                 strprintf("cpu%u.outstanding", p),
-                [c = caches_[p].get()]() -> std::uint64_t {
+                [c = caches_[p]]() -> std::uint64_t {
                     const int v = c->counter();
                     return v > 0 ? static_cast<std::uint64_t>(v) : 0;
                 });
             auto bucketProbe = [this, p](const char *name) {
                 return [this, p, name]() -> std::uint64_t {
-                    const auto &m = obs_->stallStats(p).counters();
+                    const auto &m = obs_.stallStats(p).counters();
                     auto it = m.find(name);
                     return it == m.end() ? 0 : it->second.value();
                 };
@@ -103,13 +128,13 @@ System::System(const Program &prog, const SystemCfg &cfg)
             sampler_->addProbe(strprintf("cpu%u.stall.total", p),
                                bucketProbe("total"));
         }
-        sampler_->addProbe("net.in_flight", [n = net_.get()] {
+        sampler_->addProbe("net.in_flight", [n = &net_] {
             return n->inFlight();
         });
-        sampler_->addProbe("dir.busy_lines", [d = dir_.get()] {
+        sampler_->addProbe("dir.busy_lines", [d = &dir_] {
             return d->busyLines();
         });
-        obs_->attachSampler(sampler_.get());
+        obs_.attachSampler(sampler_.get());
     }
 }
 
@@ -119,21 +144,21 @@ void
 System::warmShared(Addr addr, const std::vector<ProcId> &procs)
 {
     for (ProcId p : procs) {
-        caches_[p]->warmShared(addr, prog_.initialValue(addr));
-        dir_->warmSharer(addr, p);
+        caches_[p]->warmShared(addr, prog_->initialValue(addr));
+        dir_.warmSharer(addr, p);
     }
 }
 
 std::vector<Value>
 System::finalMemory() const
 {
-    std::vector<Value> mem(prog_.numLocations());
-    for (Addr a = 0; a < prog_.numLocations(); ++a) {
-        const NodeId owner = dir_->ownerOf(a);
+    std::vector<Value> mem(prog_->numLocations());
+    for (Addr a = 0; a < prog_->numLocations(); ++a) {
+        const NodeId owner = dir_.ownerOf(a);
         if (owner != invalid_proc && caches_[owner]->holdsModified(a))
             mem[a] = caches_[owner]->lineValue(a);
         else
-            mem[a] = dir_->memoryValue(a);
+            mem[a] = dir_.memoryValue(a);
     }
     return mem;
 }
@@ -151,7 +176,7 @@ System::dumpEvidence(const char *why)
     const std::string trace =
         recorder_ ? recorder_->chromeTraceJson(
                         static_cast<ProcId>(cpus_.size()))
-                  : obs_->chromeTraceJson();
+                  : obs_.chromeTraceJson();
     writeFile(prefix + ".trace.json", trace);
     if (monitor_) {
         // A livelocked spin can retire millions of ops; rendering the
@@ -209,7 +234,7 @@ System::run()
             for (ProcId p = 0; p < cpus_.size(); ++p) {
                 finish_so_far =
                     std::max(finish_so_far, cpus_[p]->finishTick());
-                const auto &m = obs_->stallStats(p).counters();
+                const auto &m = obs_.stallStats(p).counters();
                 const char *top = "none";
                 std::uint64_t top_cycles = 0;
                 for (int b = 0; b < num_stall_buckets; ++b) {
@@ -231,7 +256,7 @@ System::run()
                  "running '%s' (%s); finish tick so far %llu;%s",
                  static_cast<unsigned long long>(events),
                  static_cast<unsigned long long>(eq_.now()),
-                 prog_.name().c_str(), policyName(cfg_.policy),
+                 prog_->name().c_str(), policyName(cfg_.policy),
                  static_cast<unsigned long long>(finish_so_far),
                  snap.c_str());
             break;
@@ -258,7 +283,7 @@ System::run()
     r.weak_sync_read_policy = cfg_.policy == OrderingPolicy::wo_drf0_ro;
 
     if (monitor_) {
-        monitor_->finalize(eq_.now(), r.completed, obs_->unfinishedOps());
+        monitor_->finalize(eq_.now(), r.completed, obs_.unfinishedOps());
         r.monitor_violations = monitor_->totalViolations();
         r.monitor_hw_violations = monitor_->hardwareViolations();
         r.monitor_races = monitor_->races();
@@ -289,7 +314,7 @@ System::run()
     if (!cfg_.collect_stats)
         return r;
 
-    r.execution = *exec_;
+    r.execution = exec_;
     for (auto &cpu : cpus_)
         r.timings.push_back(cpu->timings());
 
@@ -301,7 +326,7 @@ System::run()
         r.cpu_counters.push_back(std::move(counters));
     }
     for (ProcId p = 0; p < cpus_.size(); ++p) {
-        const StatGroup &g = obs_->stallStats(p);
+        const StatGroup &g = obs_.stallStats(p);
         r.stats += g.dump();
         std::map<std::string, std::uint64_t> counters;
         for (const auto &kv : g.counters())
@@ -310,13 +335,13 @@ System::run()
     }
     for (auto &cache : caches_)
         r.stats += cache->stats().dump();
-    r.stats += dir_->stats().dump();
-    r.stats += net_->stats().dump();
+    r.stats += dir_.stats().dump();
+    r.stats += net_.stats().dump();
 
     // The unified machine-readable view: run metadata plus every
     // component group mounted in one hierarchical namespace.
     MetricsRegistry reg;
-    reg.set("run.program", Json(prog_.name()));
+    reg.set("run.program", Json(prog_->name()));
     reg.set("run.policy", Json(policyName(cfg_.policy)));
     reg.set("run.completed", Json(r.completed));
     reg.set("run.deadlocked", Json(r.deadlocked));
@@ -326,12 +351,12 @@ System::run()
     reg.set("run.events", Json(eq_.executed()));
     for (ProcId p = 0; p < cpus_.size(); ++p) {
         reg.addGroup(strprintf("cpu%u", p), cpus_[p]->stats());
-        reg.addGroup(strprintf("cpu%u.stall", p), obs_->stallStats(p));
+        reg.addGroup(strprintf("cpu%u.stall", p), obs_.stallStats(p));
     }
     for (ProcId p = 0; p < caches_.size(); ++p)
         reg.addGroup(strprintf("cache%u", p), caches_[p]->stats());
-    reg.addGroup("dir", dir_->stats());
-    reg.addGroup("net", net_->stats());
+    reg.addGroup("dir", dir_.stats());
+    reg.addGroup("net", net_.stats());
     if (monitor_)
         reg.set("monitor", monitor_->toJson());
     if (recorder_) {

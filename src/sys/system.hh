@@ -131,17 +131,47 @@ struct SystemResult
     std::vector<std::map<std::string, std::uint64_t>> stall_counters;
 };
 
-/** The machine. */
+/**
+ * The machine.
+ *
+ * One System can run many programs: reset() re-arms it for the next
+ * (program, configuration) pair, and a run after reset() produces
+ * exactly the SystemResult, statistics, monitor report and
+ * eventQueue().executed() of a freshly constructed System -- the
+ * constructor is an empty machine plus reset(), so there is only one
+ * set-up path.  What survives a reset is storage capacity alone: the
+ * event wheel's buckets, the per-address tables of the caches, the
+ * directory and the monitor, the processors' request rings, parked
+ * statistics entries, and the Cpu/Cache objects of the widest program
+ * seen (a narrower one uses a prefix).  No simulated state, event,
+ * statistic value, monitor finding or evidence flag survives, and
+ * none may: a warmed machine must be indistinguishable from a new
+ * one.  The debugging attachments (flight recorder, sampler,
+ * profiler) are rebuilt for every run that asks for them.  Campaign workers keep one System each, so a warmed cell
+ * schedules, simulates and monitors without touching the heap.
+ */
 class System
 {
   public:
     /**
-     * @param prog the program to run (must outlive the system)
+     * @param prog the program to run (must outlive the run)
      * @param cfg  configuration; cache.sync_reads_as_reads is forced to
      *             match the policy (wo_drf0_ro)
      */
     System(const Program &prog, const SystemCfg &cfg);
     ~System();
+
+    // Components and pending events hold this machine's addresses.
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
+
+    /**
+     * Re-arm the machine for @p prog under @p cfg, as if newly
+     * constructed (see the class comment).  @p prog must outlive the
+     * next run; the previous program may already be gone.  Pending
+     * events of an unfinished run (deadlock, livelock) are dropped.
+     */
+    void reset(const Program &prog, const SystemCfg &cfg);
 
     /** Run to completion (or deadlock/livelock) and collect results. */
     SystemResult run();
@@ -155,15 +185,15 @@ class System
 
     /** Component access for white-box tests. */
     Cache &cache(ProcId p) { return *caches_[p]; }
-    Directory &directory() { return *dir_; }
+    Directory &directory() { return dir_; }
     Cpu &cpu(ProcId p) { return *cpus_[p]; }
     EventQueue &eventQueue() { return eq_; }
 
     /** The observability hub (trace export, stall attribution). */
-    const Obs &obs() const { return *obs_; }
+    const Obs &obs() const { return obs_; }
 
     /** The online monitor, or nullptr when cfg.monitor is off. */
-    const Monitor *monitor() const { return monitor_.get(); }
+    const Monitor *monitor() const { return monitor_; }
 
     /** The flight recorder, or nullptr when none is attached (see
      *  SystemCfg::flight_recorder and SystemCfg::dump_on_fail). */
@@ -182,19 +212,23 @@ class System
      */
     void dumpEvidence(const char *why);
 
-    const Program &prog_;
+    const Program *prog_ = nullptr;
     SystemCfg cfg_;
     EventQueue eq_;
-    std::unique_ptr<Obs> obs_;
-    std::unique_ptr<Monitor> monitor_;
+    Obs obs_{0};
+    std::unique_ptr<Monitor> monitor_store_; //!< kept across resets
+    Monitor *monitor_ = nullptr;             //!< this run's, or nullptr
     std::unique_ptr<FlightRecorder> recorder_;
     std::unique_ptr<Sampler> sampler_;
     bool evidence_dumped_ = false;
-    std::unique_ptr<Network> net_;
-    std::unique_ptr<Directory> dir_;
-    std::vector<std::unique_ptr<Cache>> caches_;
-    std::vector<std::unique_ptr<Cpu>> cpus_;
-    std::unique_ptr<Execution> exec_;
+    Network net_{eq_, NetworkCfg{}};
+    Directory dir_{0, net_, {}};
+    Execution exec_{0, 0};
+    // Every processor/cache ever needed; this run's are a prefix.
+    std::vector<std::unique_ptr<Cpu>> cpu_pool_;
+    std::vector<std::unique_ptr<Cache>> cache_pool_;
+    std::vector<Cpu *> cpus_;     //!< this run's processors
+    std::vector<Cache *> caches_; //!< this run's caches
 };
 
 } // namespace wo

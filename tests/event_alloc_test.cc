@@ -1,13 +1,15 @@
 /**
  * @file
- * Steady-state allocation audit of the event kernel and the
- * observability hub's per-op hooks.
+ * Steady-state allocation audit of the event kernel, the observability
+ * hub's per-op hooks and whole campaign cells.
  *
  * The calendar queue recycles its bucket vectors and the callback/label
  * slots store captures inline, so after a warm-up phase that grows the
  * arena to its working-set size, scheduling and firing events must
  * perform zero heap allocations; an untraced hub must not allocate per
- * operation either.  This binary replaces the global
+ * operation either.  A campaign worker re-arms one machine for every
+ * cell, so a warmed run cell allocates only for its result and its
+ * program, under a fixed budget.  This binary replaces the global
  * operator new/delete with counting versions and measures the delta
  * across a controlled region -- which is why the audit lives in its own
  * test executable rather than inside event_test.
@@ -19,6 +21,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "campaign/fuzzer.hh"
 #include "event/event_queue.hh"
 #include "obs/obs.hh"
 
@@ -157,6 +160,36 @@ TEST(ObsAllocation, UntracedOpHooksDoNotAllocate)
     EXPECT_EQ(g_allocs - allocs_before, 0u)
         << "an untraced op lifecycle touched the heap";
     EXPECT_EQ(obs.unfinishedOps(), 0u);
+}
+
+TEST(CellAllocation, WarmedRunCellsStayUnderBudget)
+{
+    // The campaign benchmark's seed-1 lattice: base cells of the
+    // default spec (litmus corpus and random draws x sc/def1/drf0 x
+    // timing seeds), run the way a campaign worker runs them.
+    constexpr std::size_t num_cells = 2'000;
+    constexpr std::uint64_t max_events = 200'000;
+    const Fuzzer fuzzer{CampaignSpec{}};
+    std::vector<Cell> cells;
+    cells.reserve(num_cells);
+    for (std::uint64_t i = 0; i < num_cells; ++i)
+        cells.push_back(fuzzer.baseCell(i));
+
+    CellContext ctx;
+    for (const Cell &c : cells)
+        runCell(c, max_events, &ctx);
+
+    const std::uint64_t allocs_before = g_allocs;
+    std::uint64_t hw = 0;
+    for (const Cell &c : cells)
+        hw += runCell(c, max_events, &ctx).result.hw;
+    const double per_cell =
+        static_cast<double>(g_allocs - allocs_before) / num_cells;
+    std::printf("warmed run cell: %.1f allocations\n", per_cell);
+    EXPECT_EQ(hw, 0u);
+    // The fresh-System path made ~569 per cell.
+    EXPECT_LE(per_cell, 50.0)
+        << "a warmed campaign cell allocates more than its budget";
 }
 
 } // namespace

@@ -13,13 +13,18 @@
  * all of these fields, so they pin the calendar queue to that kernel's
  * behaviour.  A kernel change that moves a digest must explain why the
  * run it changes is still correct, then update the table on purpose.
+ *
+ * The same table pins System::reset(): every run back to back on one
+ * reused machine must reproduce the digests of fresh machines.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,20 +67,10 @@ struct Fnv
     }
 };
 
-/** The digest of everything observable about one run. */
+/** The digest of everything observable about one run of @p sys. */
 std::string
-runDigest(const AsmResult &a, OrderingPolicy policy, std::uint64_t seed,
-          Tick jitter)
+runDigest(System &sys, const AsmResult &a)
 {
-    SystemCfg cfg;
-    cfg.policy = policy;
-    cfg.monitor = true;
-    cfg.trace = true; // queue events included: labels are hashed too
-    cfg.quiet = true;
-    cfg.net.seed = seed;
-    cfg.net.jitter = jitter;
-    cfg.max_events = 2'000'000;
-    System sys(*a.program, cfg);
     for (const auto &w : a.warm)
         sys.warmShared(w.addr, w.procs);
     SystemResult r = sys.run();
@@ -93,6 +88,10 @@ runDigest(const AsmResult &a, OrderingPolicy policy, std::uint64_t seed,
     f.add(sys.obs().chromeTraceJson());
     return strprintf("%016llx", static_cast<unsigned long long>(f.h));
 }
+
+/** Runs @p a under @p cfg on some machine and digests the run. */
+using Digester =
+    std::function<std::string(const AsmResult &a, const SystemCfg &cfg)>;
 
 /** "<program>.wo <policy> <seed> <jitter>" -> digest. */
 const std::map<std::string, std::string> golden = {
@@ -162,7 +161,9 @@ const std::map<std::string, std::string> golden = {
     {"spinlock.wo sc 42 3", "cc7ca7067848633a"},
 };
 
-TEST(KernelEquivalence, GoldenCrossCheckOverAllProgramsAndPolicies)
+/** Every golden row, each run digested by @p digest. */
+void
+checkGoldens(const Digester &digest)
 {
     const auto files = programFiles();
     ASSERT_FALSE(files.empty()) << "no programs under " WO_PROGRAMS_DIR;
@@ -190,8 +191,15 @@ TEST(KernelEquivalence, GoldenCrossCheckOverAllProgramsAndPolicies)
                     strprintf(" %llu %llu",
                               static_cast<unsigned long long>(t.seed),
                               static_cast<unsigned long long>(t.jitter));
-                const std::string got =
-                    runDigest(a, p.policy, t.seed, t.jitter);
+                SystemCfg cfg;
+                cfg.policy = p.policy;
+                cfg.monitor = true;
+                cfg.trace = true; // queue events: labels are hashed too
+                cfg.quiet = true;
+                cfg.net.seed = t.seed;
+                cfg.net.jitter = t.jitter;
+                cfg.max_events = 2'000'000;
+                const std::string got = digest(a, cfg);
                 auto it = golden.find(id);
                 // The failure line is the table row to commit.
                 EXPECT_TRUE(it != golden.end() && it->second == got)
@@ -202,6 +210,29 @@ TEST(KernelEquivalence, GoldenCrossCheckOverAllProgramsAndPolicies)
     }
     // Every golden row still names a program that exists.
     EXPECT_EQ(checked, golden.size());
+}
+
+TEST(KernelEquivalence, GoldenCrossCheckOverAllProgramsAndPolicies)
+{
+    checkGoldens([](const AsmResult &a, const SystemCfg &cfg) {
+        System sys(*a.program, cfg);
+        return runDigest(sys, a);
+    });
+}
+
+TEST(KernelEquivalence, GoldenDigestsHoldOnOneReusedMachine)
+{
+    // Every program x policy x timing back to back on one machine:
+    // programs of different widths and lengths, deadlocks and full
+    // traces all pass through the same reset().
+    std::unique_ptr<System> sys;
+    checkGoldens([&sys](const AsmResult &a, const SystemCfg &cfg) {
+        if (sys)
+            sys->reset(*a.program, cfg);
+        else
+            sys = std::make_unique<System>(*a.program, cfg);
+        return runDigest(*sys, a);
+    });
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include "obs/recorder.hh"
 #include "obs/sampler.hh"
 #include "obs/validate.hh"
+#include "program/litmus.hh"
 #include "sys/system.hh"
 
 namespace wo {
@@ -88,6 +89,47 @@ TEST(Monitor, UnsynchronizedConflictIsSoftwareRace)
     EXPECT_NE(v.op_a, invalid_op);
     EXPECT_NE(v.op_b, invalid_op);
     EXPECT_NE(m.report().find("RACY PROGRAM"), std::string::npos);
+}
+
+TEST(Monitor, RacesPastTheRecordCapKeepTheirReport)
+{
+    // A racy counter raises far more races than max_recorded (64).
+    // Witness text is formatted only for the races the monitor keeps;
+    // the report, the recorded list and every count must read exactly
+    // as they did when every race was formatted (the digest below was
+    // recorded from that monitor).
+    const Program p = litmus::racyCounter(3, 12);
+    SystemCfg cfg;
+    cfg.policy = OrderingPolicy::wo_drf0;
+    cfg.monitor = true;
+    cfg.quiet = true;
+    System sys(p, cfg);
+    const SystemResult r = sys.run();
+    const Monitor &mon = *sys.monitor();
+    EXPECT_EQ(mon.races(), 189u);
+    EXPECT_EQ(mon.totalViolations(), 189u);
+    EXPECT_EQ(mon.hardwareViolations(), 0u);
+    ASSERT_EQ(mon.violations().size(), MonitorCfg{}.max_recorded);
+    const Execution &exec = mon.execution();
+    for (const MonitorViolation &v : mon.violations()) {
+        ASSERT_EQ(v.kind, ViolationKind::drf0_race);
+        EXPECT_EQ(v.detail, exec.op(v.op_a).toString() + " races with " +
+                                exec.op(v.op_b).toString());
+    }
+    EXPECT_NE(r.monitor_report.find("... 125 more not recorded"),
+              std::string::npos);
+
+    std::string text = r.monitor_report;
+    for (const MonitorViolation &v : mon.violations())
+        text += v.toString() + "\n";
+    text += mon.toJson().dump();
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(strprintf("%016llx", static_cast<unsigned long long>(h)),
+              "f32dd1a7fd8d9cda");
 }
 
 TEST(Monitor, SyncOrderedHandoffIsRaceFree)

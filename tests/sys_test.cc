@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+
 #include "asm/assembler.hh"
+#include "campaign/fuzzer.hh"
 #include "program/builder.hh"
 #include "program/litmus.hh"
 #include "program/workload.hh"
@@ -435,6 +439,109 @@ thread 1
     EXPECT_TRUE(r.livelocked);
     EXPECT_EQ(r.drain_tick, 650'081u);
     EXPECT_EQ(sys.eventQueue().now(), 650'081u);
+}
+
+/** Every SystemResult field of @p b equals @p a's. */
+void
+expectSameResult(const SystemResult &a, const SystemResult &b,
+                 const std::string &what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.deadlocked, b.deadlocked);
+    EXPECT_EQ(a.livelocked, b.livelocked);
+    EXPECT_EQ(a.finish_tick, b.finish_tick);
+    EXPECT_EQ(a.drain_tick, b.drain_tick);
+    EXPECT_EQ(a.execution.toString(), b.execution.toString());
+    ASSERT_EQ(a.execution.numProcs(), b.execution.numProcs());
+    for (ProcId p = 0; p < a.execution.numProcs(); ++p)
+        EXPECT_EQ(a.execution.procOps(p), b.execution.procOps(p));
+    EXPECT_EQ(a.execution.initialMemory(), b.execution.initialMemory());
+    EXPECT_TRUE(a.outcome == b.outcome);
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.weak_sync_read_policy, b.weak_sync_read_policy);
+    ASSERT_EQ(a.timings.size(), b.timings.size());
+    for (std::size_t p = 0; p < a.timings.size(); ++p) {
+        ASSERT_EQ(a.timings[p].size(), b.timings[p].size());
+        for (std::size_t i = 0; i < a.timings[p].size(); ++i) {
+            const OpTiming &x = a.timings[p][i], &y = b.timings[p][i];
+            EXPECT_TRUE(x.proc == y.proc && x.pc == y.pc &&
+                        x.kind == y.kind && x.addr == y.addr &&
+                        x.reached == y.reached && x.issued == y.issued &&
+                        x.committed == y.committed &&
+                        x.performed == y.performed)
+                << "timing " << p << "." << i;
+        }
+    }
+    EXPECT_EQ(a.stats, b.stats);
+    EXPECT_EQ(a.stats_json, b.stats_json);
+    EXPECT_EQ(a.monitor_violations, b.monitor_violations);
+    EXPECT_EQ(a.monitor_hw_violations, b.monitor_hw_violations);
+    EXPECT_EQ(a.monitor_races, b.monitor_races);
+    EXPECT_EQ(a.monitor_report, b.monitor_report);
+    EXPECT_EQ(a.sampler_csv, b.sampler_csv);
+    EXPECT_EQ(a.cpu_counters, b.cpu_counters);
+    EXPECT_EQ(a.stall_counters, b.stall_counters);
+}
+
+TEST(Sys, ReusedMachineMatchesFreshSystem)
+{
+    // Campaign-lattice cells (litmus corpus, random draws and a .wo
+    // file with a warm directive, x sc/def1/drf0 x timing seeds) run
+    // back to back on one machine, with the configuration varied per
+    // cell: seeded hardware faults, a starved event budget that ends
+    // in livelock, monitor, stats collection and tracing on and off.
+    CampaignSpec spec;
+    spec.program_files = {WO_PROGRAMS_DIR "/fig3.wo"};
+    const Fuzzer fuzzer(spec);
+    std::unique_ptr<System> reused;
+    std::set<ProcId> widths;
+    std::set<Addr> sizes;
+    int warmed = 0, hw = 0, livelocked = 0;
+    for (std::uint64_t i = 0; i < 240; ++i) {
+        Cell cell = fuzzer.baseCell(i);
+        cell.inject_reserve_bug = i % 5 == 0;
+        const MaterializedCell m = materializeCell(cell);
+        ASSERT_TRUE(m.ok()) << cell.key();
+        SystemCfg cfg = cell.systemCfg(i % 7 == 3 ? 60 : 200'000);
+        cfg.monitor = i % 4 != 1;
+        cfg.collect_stats = i % 2 == 0;
+        cfg.trace = i % 6 == 4;
+
+        System fresh(*m.program, cfg);
+        if (reused)
+            reused->reset(*m.program, cfg);
+        else
+            reused = std::make_unique<System>(*m.program, cfg);
+        for (const auto &w : m.warm) {
+            fresh.warmShared(w.addr, w.procs);
+            reused->warmShared(w.addr, w.procs);
+        }
+        const SystemResult a = fresh.run();
+        const SystemResult b = reused->run();
+        expectSameResult(a, b, cell.key());
+        EXPECT_EQ(fresh.eventQueue().executed(),
+                  reused->eventQueue().executed());
+        EXPECT_EQ(fresh.obs().traceJsonl(), reused->obs().traceJsonl());
+        ASSERT_EQ(fresh.monitor() != nullptr, reused->monitor() != nullptr);
+        if (fresh.monitor()) {
+            EXPECT_EQ(fresh.monitor()->report(), reused->monitor()->report());
+            EXPECT_EQ(fresh.monitor()->toJson().dump(),
+                      reused->monitor()->toJson().dump());
+        }
+
+        widths.insert(m.program->numThreads());
+        sizes.insert(m.program->numLocations());
+        warmed += !m.warm.empty();
+        hw += a.monitor_hw_violations > 0;
+        livelocked += a.livelocked;
+    }
+    // The interleaving covered what it claims to.
+    EXPECT_GE(widths.size(), 2u);
+    EXPECT_GE(sizes.size(), 3u);
+    EXPECT_GT(warmed, 0);
+    EXPECT_GT(hw, 0);
+    EXPECT_GT(livelocked, 0);
 }
 
 } // namespace
