@@ -6,7 +6,9 @@
  * commuting-worker `mixed` shape next to a pure message-passing race):
  * states expanded per second, and how many states the sleep-set DPOR
  * engine visits relative to the naive visited-set BFS on the same
- * (program, model) pair.  The ratio is the reduction machinery's
+ * (program, model) pair, over every model of the registry, so the
+ * aggregate states/sec covers each machine's step function.  The
+ * ratio is the reduction machinery's
  * reason to exist -- a ratio drifting toward 1.0 on the racy corpus
  * means the commutation test or the footprint partition broke, long
  * before any outcome-set divergence would show up in the golden
@@ -84,8 +86,7 @@ main()
     // Repeat each exploration enough that the per-pair timing is
     // dominated by engine work, not clock granularity.
     constexpr int reps = 40;
-    const std::vector<std::string> models = {"sc", "wb", "stale",
-                                             "drf0"};
+    const std::vector<std::string> &models = modelNames();
 
     std::vector<PairStats> pairs;
     std::uint64_t dpor_total = 0, bfs_total = 0;

@@ -10,17 +10,23 @@
 
 namespace wo {
 
-std::string
-fnv1aHex(const std::string &text)
+std::uint64_t
+fnv1a64(std::string_view text)
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (unsigned char c : text) {
         h ^= c;
         h *= 0x100000001b3ULL;
     }
+    return h;
+}
+
+std::string
+fnv1aHex(const std::string &text)
+{
     char hex[17];
     std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(h));
+                  static_cast<unsigned long long>(fnv1a64(text)));
     return std::string(hex, 16);
 }
 

@@ -19,10 +19,12 @@
 #ifndef WO_CAMPAIGN_CELL_HH
 #define WO_CAMPAIGN_CELL_HH
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -314,7 +316,14 @@ struct CellRun
 CellRun runCell(const Cell &cell, std::uint64_t max_events,
                 CellContext *ctx = nullptr);
 
-/** 64-bit FNV-1a over @p text, rendered as 16 hex digits. */
+/**
+ * Stable 64-bit FNV-1a over @p text: journal key hashing, fuzzer mutant
+ * derivation and novelty sharding, outcome signatures.  Identical on
+ * every platform.
+ */
+std::uint64_t fnv1a64(std::string_view text);
+
+/** fnv1a64 of @p text, rendered as 16 hex digits. */
 std::string fnv1aHex(const std::string &text);
 
 /** Parse "sc" / "def1" / "drf0" / "drf0ro"; false on unknown text. */

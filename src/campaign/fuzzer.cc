@@ -17,18 +17,6 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** FNV-1a, so mutant derivation is identical on every platform. */
-std::uint64_t
-fnv64(const std::string &text)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 } // namespace
 
 Fuzzer::Fuzzer(const CampaignSpec &spec) : cfg_(spec)
@@ -98,7 +86,7 @@ bool
 Fuzzer::insertNovel(std::array<NoveltyShard, num_shards> &shards,
                     std::string key)
 {
-    NoveltyShard &s = shards[fnv64(key) % num_shards];
+    NoveltyShard &s = shards[fnv1a64(key) % num_shards];
     std::lock_guard<std::mutex> lock(s.mu);
     return s.seen.insert(std::move(key)).second;
 }
@@ -124,7 +112,7 @@ Fuzzer::observe(const Cell &cell, const CellResult &r)
 
     // Mutants derive from the cell key, so equal discoveries breed
     // equal neighborhoods no matter which worker observed them.
-    Rng rng(mix64(cfg_.seed ^ fnv64(r.key)));
+    Rng rng(mix64(cfg_.seed ^ fnv1a64(r.key)));
     std::vector<Cell> mutants;
 
     if (cell.kind == CellKind::verify) {

@@ -7,17 +7,6 @@
 
 namespace wo {
 
-std::uint64_t
-fnv1a64(std::string_view text)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 namespace {
 
 /** 0 marks an empty slot in the SeenSet table; remap real hashes. */

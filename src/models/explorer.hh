@@ -69,6 +69,9 @@
  * it writes initial, isFinal, the per-processor generators instrSucc and
  * drainSuccs, encodeInto, pendingAddrs, dump and name, and inherits
  * labeledSuccessors, stepLabel, outcome, encode, hashState and program.
+ * The four queued machines go one layer further through QueuedModel
+ * (queued_model.hh), which writes all of the former for them from their
+ * drain, load and synchronization rules.
  * Any other type meeting the concept (e.g. a timing wrapper) works too.
  */
 

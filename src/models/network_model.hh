@@ -21,29 +21,15 @@
 #define WO_MODELS_NETWORK_MODEL_HH
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
-#include "models/op_model.hh"
-#include "models/pending_pool.hh"
+#include "models/queued_model.hh"
 
 namespace wo {
 
-/** Machine state of the general-network machine. */
-struct NetworkState
-{
-    std::vector<ThreadCtx> threads;
-    std::vector<Value> mem;
-    std::vector<PendingPool> flights; // per processor, in issue order
-
-    bool operator==(const NetworkState &other) const = default;
-};
-
 /** General-interconnect machine without caches. */
-class NetworkReorderModel
-    : public OpModel<NetworkReorderModel, NetworkState>
+class NetworkReorderModel : public QueuedModel<NetworkReorderModel>
 {
-    using Base = OpModel<NetworkReorderModel, NetworkState>;
+    using Base = QueuedModel<NetworkReorderModel>;
     friend Base;
 
   public:
@@ -52,54 +38,19 @@ class NetworkReorderModel
      * @param max_flights in-flight writes allowed per processor
      */
     explicit NetworkReorderModel(const Program &prog,
-                                 std::size_t max_flights = 4);
+                                 std::size_t max_flights = 4)
+        : Base(prog, max_flights)
+    {
+    }
 
     static const char *name() { return "general-network"; }
 
-    State initial() const;
-    bool isFinal(const State &s) const;
-
-    /**
-     * Injective state layout, written into either encoder: threads,
-     * memory, then each processor's in-flight writes (separator-delimited).
-     */
-    template <typename Enc>
-    void
-    encodeInto(const State &s, Enc &enc) const
-    {
-        for (const auto &t : s.threads)
-            enc.putThread(t);
-        enc.sep();
-        for (Value v : s.mem)
-            enc.put(v);
-        enc.sep();
-        for (const auto &fl : s.flights)
-            encodePool(enc, fl);
-    }
-
-    /** Human-readable state rendering (for witness chains/debugging). */
-    std::string dump(const State &s) const;
-
-    /** Locations @p p's in-flight writes will still write to memory. */
-    void
-    pendingAddrs(const State &s, ProcId p, std::vector<Addr> &out) const
-    {
-        for (const auto &f : s.flights[p])
-            out.push_back(f.addr);
-    }
-
   private:
-    /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p, Succs &out) const;
-
-    /**
-     * Append @p p's arrival successors to @p out; @p only restricts the
-     * enumeration to arrivals at one location.
-     */
-    void drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                    Succs &out) const;
-
-    std::size_t max_flights_;
+    // In-flight writes arrive oldest-per-location first (the default);
+    // a read arrives instantly but may not pass its own processor's
+    // in-flight write to the same location.
+    static constexpr bool forwards_loads = false;
+    static constexpr const char *pool_name = "in-flight";
 };
 
 } // namespace wo

@@ -36,6 +36,9 @@
  * before the derived class is complete) and every State carries
  * `threads` and `mem`, from which outcome() reads the observable result.
  * A derived model declares `friend Base;` so its generators stay private.
+ * The queued machines (write buffer, network, Definition 1, DRF0) reach
+ * OpModel through QueuedModel (queued_model.hh), which supplies the
+ * generators from their rules.
  */
 
 #ifndef WO_MODELS_OP_MODEL_HH

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "models/op_model.hh"
-#include "models/pending_pool.hh"
+#include "models/queued_model.hh"
 
 namespace wo {
 

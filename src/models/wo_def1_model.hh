@@ -24,83 +24,31 @@
 #define WO_MODELS_WO_DEF1_MODEL_HH
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
-#include "models/op_model.hh"
-#include "models/pending_pool.hh"
+#include "models/queued_model.hh"
 
 namespace wo {
 
-/** Machine state of the Definition-1 machine. */
-struct WoDef1State
+/**
+ * Weakly ordered machine per the old (Definition 1) rules: exactly the
+ * queued machine's defaults -- oldest-per-location drains, forwarding
+ * loads, and synchronization gated on an empty pool (condition 2).
+ */
+class WoDef1Model : public QueuedModel<WoDef1Model>
 {
-    std::vector<ThreadCtx> threads;
-    std::vector<Value> mem;
-    std::vector<PendingPool> pools; // per processor
-
-    bool operator==(const WoDef1State &other) const = default;
-};
-
-/** Weakly ordered machine per the old (Definition 1) rules. */
-class WoDef1Model : public OpModel<WoDef1Model, WoDef1State>
-{
-    using Base = OpModel<WoDef1Model, WoDef1State>;
-    friend Base;
+    using Base = QueuedModel<WoDef1Model>;
 
   public:
     /**
      * @param prog      the program (must outlive the model)
      * @param max_pool  pending writes allowed per processor
      */
-    explicit WoDef1Model(const Program &prog, std::size_t max_pool = 4);
+    explicit WoDef1Model(const Program &prog, std::size_t max_pool = 4)
+        : Base(prog, max_pool)
+    {
+    }
 
     static const char *name() { return "weak-ordering-def1"; }
-
-    State initial() const;
-    bool isFinal(const State &s) const;
-
-    /**
-     * Injective state layout, written into either encoder: threads,
-     * memory, then each processor's pending-write pool.
-     */
-    template <typename Enc>
-    void
-    encodeInto(const State &s, Enc &enc) const
-    {
-        for (const auto &t : s.threads)
-            enc.putThread(t);
-        enc.sep();
-        for (Value v : s.mem)
-            enc.put(v);
-        enc.sep();
-        for (const auto &pool : s.pools)
-            encodePool(enc, pool);
-    }
-
-    /** Human-readable state rendering (for witness chains/debugging). */
-    std::string dump(const State &s) const;
-
-    /** Locations @p p's pending writes will still write to memory. */
-    void
-    pendingAddrs(const State &s, ProcId p, std::vector<Addr> &out) const
-    {
-        for (const auto &w : s.pools[p])
-            out.push_back(w.addr);
-    }
-
-  private:
-    /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p, Succs &out) const;
-
-    /**
-     * Append @p p's drain successors to @p out; @p only restricts the
-     * enumeration to drains of one location.
-     */
-    void drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                    Succs &out) const;
-
-    std::size_t max_pool_;
 };
 
 } // namespace wo

@@ -16,7 +16,7 @@
  * Mechanically, a reservation is (location -> owner, prefix_count): the
  * writes awaited are exactly the first prefix_count entries of the owner's
  * issue-ordered pending pool (erasure keeps relative order, so the awaited
- * set is always a prefix; see pending_pool.hh).  This realizes the paper's
+ * set is always a prefix; see queued_model.hh).  This realizes the paper's
  * "more dynamic solution ... a mechanism to distinguish accesses generated
  * before a particular synchronization operation from those generated
  * after" [AdH89]; the timed simulator implements the simpler
@@ -42,10 +42,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
-#include "models/op_model.hh"
-#include "models/pending_pool.hh"
+#include "models/queued_model.hh"
 
 namespace wo {
 
@@ -58,21 +56,18 @@ struct Drf0Reservation
     bool operator==(const Drf0Reservation &other) const = default;
 };
 
-/** Machine state of the DRF0 machine. */
-struct WoDrf0State
+/** Machine state of the DRF0 machine: a queued state plus reservations. */
+struct WoDrf0State : QueuedState
 {
-    std::vector<ThreadCtx> threads;
-    std::vector<Value> mem;
-    std::vector<PendingPool> pools;           // per processor
     std::map<Addr, Drf0Reservation> reserved; // active reservations only
 
     bool operator==(const WoDrf0State &other) const = default;
 };
 
 /** The new-definition weakly ordered machine (w.r.t. DRF0). */
-class WoDrf0Model : public OpModel<WoDrf0Model, WoDrf0State>
+class WoDrf0Model : public QueuedModel<WoDrf0Model, WoDrf0State>
 {
-    using Base = OpModel<WoDrf0Model, WoDrf0State>;
+    using Base = QueuedModel<WoDrf0Model, WoDrf0State>;
     friend Base;
 
   public:
@@ -92,30 +87,68 @@ class WoDrf0Model : public OpModel<WoDrf0Model, WoDrf0State>
      *                       happens-before.
      */
     explicit WoDrf0Model(const Program &prog, std::size_t max_pool = 4,
-                         bool weak_sync_read = false);
+                         bool weak_sync_read = false)
+        : Base(prog, max_pool), weak_sync_read_(weak_sync_read)
+    {
+    }
 
     static const char *name() { return "weak-ordering-drf0"; }
 
-    State initial() const;
-    bool isFinal(const State &s) const;
+  private:
+    /**
+     * Condition 5: another processor's active reservation on @p a stalls
+     * the synchronization operation -- but NOT the issuing processor's
+     * own pending accesses; it does not wait for its own pool (the
+     * departure from Definition 1).
+     */
+    bool
+    syncEnabled(const State &s, ProcId p, Addr a) const
+    {
+        auto res = s.reserved.find(a);
+        return res == s.reserved.end() || res->second.owner == p;
+    }
 
     /**
-     * Injective state layout, written into either encoder: threads,
-     * memory, the pending pools, then the active reservations (the map
-     * iterates in Addr order, so the section is canonical).
+     * Reserve the location for the issuing processor if it still has
+     * pending pre-synchronization writes.  Under the Section-6
+     * refinement, a pure Test does not publish ordering and thus sets no
+     * reservation.  (If the pool is empty no reservation by p can be
+     * active: prefix counts never exceed the pool size, and zero-prefix
+     * reservations are erased at drain time.)
      */
+    void
+    onSync(State &next, ProcId p, const Instruction &i) const
+    {
+        const bool publishes =
+            !(weak_sync_read_ && i.op == Opcode::sync_load);
+        if (publishes && !next.pools[p].empty())
+            next.reserved[i.addr] = Drf0Reservation{
+                p, static_cast<std::uint32_t>(next.pools[p].size())};
+    }
+
+    /**
+     * Draining entry @p k of processor @p p shrinks every reservation
+     * prefix of p that still covers k; prefixes hitting zero clear the
+     * reservation ("all reserve bits are reset when the counter reads
+     * zero" -- here, when the awaited prefix has drained).
+     */
+    void
+    onDrain(State &next, ProcId p, std::size_t k) const
+    {
+        for (auto it = next.reserved.begin(); it != next.reserved.end();) {
+            if (it->second.owner == p && it->second.prefix_count > k &&
+                --it->second.prefix_count == 0)
+                it = next.reserved.erase(it);
+            else
+                ++it;
+        }
+    }
+
+    /** The active reservations, in Addr order (so canonical). */
     template <typename Enc>
     void
-    encodeInto(const State &s, Enc &enc) const
+    encodeExtra(const State &s, Enc &enc) const
     {
-        for (const auto &t : s.threads)
-            enc.putThread(t);
-        enc.sep();
-        for (Value v : s.mem)
-            enc.put(v);
-        enc.sep();
-        for (const auto &pool : s.pools)
-            encodePool(enc, pool);
         enc.sep();
         for (const auto &[addr, r] : s.reserved) {
             enc.put(addr);
@@ -124,29 +157,14 @@ class WoDrf0Model : public OpModel<WoDrf0Model, WoDrf0State>
         }
     }
 
-    /** Human-readable state rendering (for witness chains/debugging). */
-    std::string dump(const State &s) const;
-
-    /** Locations @p p's pending writes will still write to memory. */
     void
-    pendingAddrs(const State &s, ProcId p, std::vector<Addr> &out) const
+    dumpExtra(const State &s, std::string &out) const
     {
-        for (const auto &w : s.pools[p])
-            out.push_back(w.addr);
+        for (const auto &[addr, r] : s.reserved)
+            out += strprintf("  reserved [%u] by P%u awaiting %u write(s)\n",
+                             addr, r.owner, r.prefix_count);
     }
 
-  private:
-    /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p, Succs &out) const;
-
-    /**
-     * Append @p p's drain successors to @p out; @p only restricts the
-     * enumeration to drains of one location.
-     */
-    void drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                    Succs &out) const;
-
-    std::size_t max_pool_;
     bool weak_sync_read_;
 };
 

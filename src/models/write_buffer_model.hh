@@ -18,28 +18,15 @@
 #define WO_MODELS_WRITE_BUFFER_MODEL_HH
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
-#include "models/op_model.hh"
-#include "models/pending_pool.hh"
+#include "models/queued_model.hh"
 
 namespace wo {
 
-/** Machine state of the write-buffer machine. */
-struct WriteBufferState
-{
-    std::vector<ThreadCtx> threads;
-    std::vector<Value> mem;
-    std::vector<PendingPool> buffers; // per processor, FIFO
-
-    bool operator==(const WriteBufferState &other) const = default;
-};
-
 /** Bus-based machine with per-processor FIFO write buffers. */
-class WriteBufferModel : public OpModel<WriteBufferModel, WriteBufferState>
+class WriteBufferModel : public QueuedModel<WriteBufferModel>
 {
-    using Base = OpModel<WriteBufferModel, WriteBufferState>;
+    using Base = QueuedModel<WriteBufferModel>;
     friend Base;
 
   public:
@@ -48,54 +35,18 @@ class WriteBufferModel : public OpModel<WriteBufferModel, WriteBufferState>
      * @param capacity  write-buffer depth; a full buffer blocks new stores
      *                  until an entry drains (keeps the state space finite)
      */
-    explicit WriteBufferModel(const Program &prog, std::size_t capacity = 4);
+    explicit WriteBufferModel(const Program &prog, std::size_t capacity = 4)
+        : Base(prog, capacity)
+    {
+    }
 
     static const char *name() { return "bus+write-buffer"; }
 
-    State initial() const;
-    bool isFinal(const State &s) const;
-
-    /**
-     * Injective state layout, written into either encoder: threads,
-     * memory, then each processor's buffer (separator-delimited).
-     */
-    template <typename Enc>
-    void
-    encodeInto(const State &s, Enc &enc) const
-    {
-        for (const auto &t : s.threads)
-            enc.putThread(t);
-        enc.sep();
-        for (Value v : s.mem)
-            enc.put(v);
-        enc.sep();
-        for (const auto &buf : s.buffers)
-            encodePool(enc, buf);
-    }
-
-    /** Human-readable state rendering (for witness chains/debugging). */
-    std::string dump(const State &s) const;
-
-    /** Locations @p p's buffered stores will still write to memory. */
-    void
-    pendingAddrs(const State &s, ProcId p, std::vector<Addr> &out) const
-    {
-        for (const auto &e : s.buffers[p])
-            out.push_back(e.addr);
-    }
-
   private:
-    /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p, Succs &out) const;
-
-    /**
-     * Append @p p's drain successors to @p out; @p only restricts the
-     * enumeration to drains of one location.
-     */
-    void drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                    Succs &out) const;
-
-    std::size_t capacity_;
+    // Only the oldest buffered store drains; loads forward from the
+    // buffer (the default) and pass older stores to other locations.
+    static constexpr bool fifo_drain = true;
+    static constexpr const char *pool_name = "buffer";
 };
 
 } // namespace wo

@@ -802,17 +802,19 @@ TEST(Campaign, SummaryJsonCarriesTheVerdictCounts)
 TEST(CampaignTimeline, LanesDecomposeEachWorkersWallClock)
 {
     // Long enough lanes (~50 ms each) that one preemption between spans
-    // cannot eat half a lane's wall clock.  The base stream of seed 12
-    // has no repeated key in its first 400 cells, so every cell runs.
+    // cannot eat half a lane's wall clock: about 3,000 cells since a run
+    // cell costs ~20 us.  A repeated key is claimed, not run, so every
+    // cell either ran or was a duplicate.
     CampaignCfg cfg;
     cfg.jobs = 2;
-    cfg.cells = 400;
+    cfg.cells = 3000;
     cfg.out_dir = testing::TempDir() + "camp_lanes";
     cfg.max_events = 200'000;
     cfg.seed = 12;
     cfg.frontier = false;
     auto sum = runCampaign(cfg);
-    ASSERT_EQ(sum.ran, cfg.cells);
+    ASSERT_EQ(sum.ran + sum.duplicates, cfg.cells);
+    ASSERT_EQ(sum.resumed(), 0u);
 
     // Lanes are stable: the jobs workers in order, then the writer.
     ASSERT_EQ(sum.lanes.size(), 3u);
@@ -882,7 +884,9 @@ TEST(CampaignTimeline, ProfileEmitsFoldedStacksAndOneTraceLanePerThread)
         if (sum.profile_samples >= min_samples || cfg.cells >= 60 * 64)
             break;
     }
-    ASSERT_EQ(sum.ran, cfg.cells);
+    // From 960 cells on, seed 11's base stream repeats a key, which is
+    // claimed once and not run again.
+    ASSERT_EQ(sum.ran + sum.duplicates, cfg.cells);
     ASSERT_GE(sum.profile_samples, min_samples);
 
     // The folded artifact exists, is non-empty, and every line is

@@ -183,6 +183,35 @@ TEST(Monitor, InFlightRacyWriteValueIsNotBlamedOnHardware)
     EXPECT_TRUE(m.clean());
 }
 
+TEST(Monitor, ResetForgetsThePreviousRunsValues)
+{
+    // Run B is the in-flight racy write above: P1 reads x -> 7 (initial
+    // 0), then P0's racing write of 7 retires.  A fresh monitor defers
+    // the unknown value and drops it on the race.  A reused monitor
+    // whose run A wrote x = 7 must not still know 7: if it did, the
+    // read would be a "known" stale value and blame the hardware.
+    auto runB = [](Monitor &m) {
+        m.opRetired(1, 0, AccessKind::data_read, /*value_read=*/7, 0, 5, 10);
+        m.opRetired(0, 0, AccessKind::data_write, 0, /*value_written=*/7,
+                    6, 12);
+        m.finalize(20, /*completed=*/true, 0);
+    };
+    Monitor fresh(2, 1, {0});
+    runB(fresh);
+    ASSERT_EQ(fresh.hardwareViolations(), 0u);
+    ASSERT_EQ(fresh.races(), 1u);
+
+    Monitor reused(2, 1, {0});
+    reused.opRetired(0, 0, AccessKind::data_write, 0, /*value_written=*/7,
+                     1, 2);
+    reused.finalize(5, /*completed=*/true, 0);
+    reused.reset(2, 1, {0}, MonitorCfg{});
+    runB(reused);
+    EXPECT_EQ(reused.hardwareViolations(), fresh.hardwareViolations());
+    EXPECT_EQ(reused.report(), fresh.report());
+    EXPECT_EQ(reused.toJson().dump(), fresh.toJson().dump());
+}
+
 TEST(Monitor, NeverWrittenValueIsConfirmedStaleAtFinalize)
 {
     // Race-free handoff, but the read returns 7 -- a value no write to

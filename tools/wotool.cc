@@ -99,6 +99,7 @@
  */
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -136,9 +137,10 @@ namespace wo {
 namespace {
 
 /**
- * One wotool subcommand.  The table (bottom of this file) drives both
- * the usage text and the dispatcher, so a dispatchable subcommand can
- * never be missing from the usage text (and vice versa).
+ * One wotool subcommand.  The table (bottom of this file) drives the
+ * usage text, the dispatcher and the accepted options, so a dispatchable
+ * subcommand can never be missing from the usage text (and vice versa),
+ * and an option its usage row does not list is refused.
  */
 struct Command
 {
@@ -1226,6 +1228,56 @@ const Command commands[] = {
 const std::size_t num_commands =
     sizeof(commands) / sizeof(commands[0]);
 
+/** Does @p help list the option @p name (whole, not as a prefix)? */
+bool
+helpListsOption(const std::string &help, const char *name)
+{
+    const std::size_t len = std::strlen(name);
+    for (std::size_t at = help.find(name); at != std::string::npos;
+         at = help.find(name, at + 1)) {
+        const char next = help.c_str()[at + len];
+        if (!std::isalnum(static_cast<unsigned char>(next)) && next != '-')
+            return true;
+    }
+    return false;
+}
+
+/**
+ * The usage text that defines @p c's options: its own row, plus run's
+ * row when it takes "[run options]" and the campaign row's spec
+ * options when it takes "[spec options]".
+ */
+std::string
+optionsHelp(const Command &c)
+{
+    std::string help = c.help;
+    const bool run_opts = help.find("[run options]") != std::string::npos;
+    const bool spec_opts = help.find("[spec options]") != std::string::npos;
+    for (const Command &other : commands) {
+        if (run_opts && !std::strcmp(other.name, "run"))
+            help += other.help;
+        const char *spec = std::strstr(other.help, "spec options (");
+        if (spec_opts && spec)
+            help += spec;
+    }
+    return help;
+}
+
+/**
+ * Reject any "--x" token that @p c's usage does not list, so a typo
+ * fails loudly instead of silently running the defaults.
+ */
+bool
+optionsListed(const Command &c, int argc, char **argv)
+{
+    const std::string help = optionsHelp(c);
+    for (int i = 2; i < argc; ++i)
+        if (!std::strncmp(argv[i], "--", 2) &&
+            !helpListsOption(help, argv[i]))
+            return badOpt(c.name, "an option its usage lists", argv[i]);
+    return true;
+}
+
 int
 toolMain(int argc, char **argv)
 {
@@ -1235,6 +1287,8 @@ toolMain(int argc, char **argv)
     for (const Command &c : commands) {
         if (cmd != c.name)
             continue;
+        if (!optionsListed(c, argc, argv))
+            return 2;
         if (!c.needs_program) {
             // analyze-trace takes a file path in argv[2] and report a
             // directory; campaign is all options.
