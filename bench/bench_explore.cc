@@ -16,7 +16,11 @@
  *
  * A third section measures the work-stealing parallel DPOR at 1 and 4
  * workers on the heaviest pair and stamps jobs4_speedup into the
- * artifact.  Like bench_campaign, rows running more workers than
+ * artifact.  One exploration of that pair takes milliseconds, so each
+ * side repeats it until it has run for par_target_wall_s, as
+ * bench_campaign sizes its rows by wall time: the speedup then compares
+ * rates over a second of engine work, not thread start-up and clock
+ * granularity.  Like bench_campaign, rows running more workers than
  * hardware threads are flagged oversubscribed so the perf gate skips
  * the speedup assertion instead of reading time-slicing as regression.
  */
@@ -162,11 +166,12 @@ main()
     // Parallel scaling: the heaviest pair (stale-cache: broadcasts
     // everywhere, the deepest frontier on this corpus) at 1 and 4
     // work-stealing workers.  Outcomes are bit-identical by contract,
-    // so the only number of interest is wall clock.
+    // so the only number of interest is the exploration rate.
     const unsigned hw = std::thread::hardware_concurrency();
-    constexpr int par_reps = 10;
+    constexpr double par_target_wall_s = 1.0;
     const int par_jobs[] = {1, 4};
     double par_s[2] = {0, 0};
+    std::uint64_t par_reps[2] = {0, 0};
     std::uint64_t par_states = 0;
     for (std::size_t i = 0; i < 2; ++i) {
         const bool known =
@@ -174,25 +179,32 @@ main()
                 ExploreCfg cfg;
                 cfg.jobs = par_jobs[i];
                 const auto t0 = std::chrono::steady_clock::now();
-                for (int r = 0; r < par_reps; ++r) {
+                do {
                     const ExploreResult res = exploreOutcomesDpor(m, cfg);
                     if (!res.conclusive())
                         wo_panic("bench_explore: parallel DPOR "
                                  "inconclusive");
                     par_states = res.states;
-                }
-                par_s[i] = secondsSince(t0);
+                    ++par_reps[i];
+                    par_s[i] = secondsSince(t0);
+                } while (par_s[i] < par_target_wall_s);
             });
         if (!known)
             wo_panic("bench_explore: unknown model");
     }
-    const double jobs4_speedup =
-        par_s[1] > 0 ? par_s[0] / par_s[1] : 0.0;
+    // Explorations per second on each side; their ratio is the speedup.
+    const double par_rate[2] = {par_reps[0] / par_s[0],
+                                par_reps[1] / par_s[1]};
+    const double jobs4_speedup = par_rate[1] / par_rate[0];
     const bool jobs4_oversub = hw != 0 && 4u > hw;
-    std::printf("Parallel DPOR on stale (%llu states, %d reps): "
-                "jobs1 %.3fs, jobs4 %.3fs, speedup %.2fx%s\n",
-                static_cast<unsigned long long>(par_states), par_reps,
-                par_s[0], par_s[1], jobs4_speedup,
+    std::printf("Parallel DPOR on stale (%llu states per exploration, "
+                "each side >= %.1f s): jobs1 %llu in %.3fs, jobs4 %llu "
+                "in %.3fs, speedup %.2fx%s\n",
+                static_cast<unsigned long long>(par_states),
+                par_target_wall_s,
+                static_cast<unsigned long long>(par_reps[0]), par_s[0],
+                static_cast<unsigned long long>(par_reps[1]), par_s[1],
+                jobs4_speedup,
                 jobs4_oversub ? " [oversubscribed: more workers than "
                                 "hardware threads; measures "
                                 "time-slicing, not scaling]"
@@ -205,6 +217,9 @@ main()
     payload.set("dpor_reduction_ratio", Json(reduction));
     payload.set("dpor_states", Json(dpor_total));
     payload.set("bfs_states", Json(bfs_total));
+    payload.set("par_target_wall_s", Json(par_target_wall_s));
+    payload.set("jobs1_reps", Json(par_reps[0]));
+    payload.set("jobs4_reps", Json(par_reps[1]));
     payload.set("jobs1_wall_s", Json(par_s[0]));
     payload.set("jobs4_wall_s", Json(par_s[1]));
     payload.set("jobs4_speedup", Json(jobs4_speedup));

@@ -7,10 +7,17 @@
  * scaling question comes up: the artifact records the wall-time ratio
  * and CI asserts it stays below 1.10x (best-of-reps, so scheduler
  * noise on a loaded runner cannot fail the gate spuriously).
+ *
+ * The campaign is sized by wall time, as bench_campaign sizes its rows:
+ * a calibration run measures the unprofiled rate and every timed run
+ * gets the cells that rate clears in target_wall_s.  A fixed cell count
+ * shrank to milliseconds as cells got cheaper, and the ratio then
+ * measured the profiler's start-up instead of its sampling cost.
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,18 +28,20 @@
 namespace wo {
 namespace {
 
-constexpr std::uint64_t cells = 600;
+/** Wall time each timed run is sized to. */
+constexpr double target_wall_s = 1.0;
+/** Cells of the calibration run (and the budget's floor). */
+constexpr std::uint64_t calibration_cells = 2000;
 constexpr int reps = 3;
 constexpr double default_hz = 97;
 
-double
-runOnce(bool profile, int rep, std::uint64_t &samples)
+CampaignSummary
+runOnce(std::uint64_t cells, bool profile, const std::string &tag)
 {
     CampaignCfg cfg;
     cfg.jobs = 2;
     cfg.cells = cells;
-    cfg.out_dir = strprintf("bench-campaign-out/prof-%s-r%d",
-                            profile ? "on" : "off", rep);
+    cfg.out_dir = "bench-campaign-out/prof-" + tag;
     cfg.seed = 11;
     cfg.max_events = 200'000;
     cfg.shrink = false; // conforming hardware: nothing to shrink
@@ -42,8 +51,7 @@ runOnce(bool profile, int rep, std::uint64_t &samples)
     if (!sum.hardwareClean())
         wo_panic("bench_profiler: conforming hardware reported a "
                  "violation");
-    samples = sum.profile_samples;
-    return sum.wall_s;
+    return sum;
 }
 
 } // namespace
@@ -54,16 +62,28 @@ main()
 {
     using namespace wo;
 
-    std::printf("== profiler overhead: %llu cells x2 workers, off vs "
-                "on at %.0f Hz, %d interleaved reps ==\n",
-                static_cast<unsigned long long>(cells), default_hz,
-                reps);
+    // The first run pays the cold start; the second one's rate sizes
+    // the budget.
+    runOnce(calibration_cells, false, "calibrate");
+    const CampaignSummary probe =
+        runOnce(calibration_cells, false, "calibrate");
+    const std::uint64_t cells = std::max(
+        calibration_cells,
+        static_cast<std::uint64_t>(probe.cells_per_sec * target_wall_s));
+    std::printf("== profiler overhead: %llu cells (%.1f s unprofiled) x2 "
+                "workers, off vs on at %.0f Hz, %d interleaved reps ==\n",
+                static_cast<unsigned long long>(cells), target_wall_s,
+                default_hz, reps);
 
     std::vector<double> off_s, on_s;
-    std::uint64_t samples = 0, ignored = 0;
+    std::uint64_t samples = 0;
     for (int r = 0; r < reps; ++r) {
-        off_s.push_back(runOnce(false, r, ignored));
-        on_s.push_back(runOnce(true, r, samples));
+        off_s.push_back(
+            runOnce(cells, false, strprintf("off-r%d", r)).wall_s);
+        const CampaignSummary on =
+            runOnce(cells, true, strprintf("on-r%d", r));
+        on_s.push_back(on.wall_s);
+        samples = on.profile_samples;
     }
     const double off_best = *std::min_element(off_s.begin(), off_s.end());
     const double on_best = *std::min_element(on_s.begin(), on_s.end());
@@ -78,6 +98,7 @@ main()
     std::printf("overhead: %.3fx (CI gates this below 1.10x)\n", ratio);
 
     Json payload = Json::object();
+    payload.set("target_wall_s", Json(target_wall_s));
     payload.set("cells", Json(cells));
     payload.set("hz", Json(default_hz));
     payload.set("reps", Json(std::uint64_t{reps}));

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "campaign/cell.hh"
+#include "common/thread_count.hh"
 #include "models/model_registry.hh"
 
 namespace wo {
@@ -96,8 +97,15 @@ campaignSpecFromJson(const Json &j, CampaignSpec &out, std::string *error)
     num("max_events", spec.max_events);
     num("shrink_max_runs", spec.shrink_max_runs);
     num("max_states", spec.max_states);
+    // Every verify cell starts this many explorer threads on every
+    // worker the spec reaches: bound it before narrowing it.
     std::uint64_t explore_jobs = 1;
     num("explore_jobs", explore_jobs);
+    if (!threadCountOk(explore_jobs))
+        return fail(strprintf("spec.explore_jobs must be 1..%llu, got %llu",
+                              static_cast<unsigned long long>(
+                                  max_thread_count),
+                              static_cast<unsigned long long>(explore_jobs)));
     spec.explore_jobs = static_cast<int>(explore_jobs);
     boolean("shrink", spec.shrink);
     boolean("inject_reserve_bug", spec.inject_reserve_bug);
@@ -109,8 +117,6 @@ campaignSpecFromJson(const Json &j, CampaignSpec &out, std::string *error)
         return fail("spec.max_events must be positive");
     if (spec.max_states == 0)
         return fail("spec.max_states must be positive");
-    if (spec.explore_jobs < 1)
-        return fail("spec.explore_jobs must be positive");
 
     const std::vector<std::string> pols = list("policies");
     // The base stream crosses every cell with a policy, so an empty

@@ -86,6 +86,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -94,6 +95,7 @@
 
 #include "common/logging.hh"
 #include "execution/execution.hh"
+#include "models/inline_vec.hh"
 #include "models/state_enc.hh"
 #include "models/transition.hh"
 #include "program/program.hh"
@@ -302,7 +304,7 @@ foldLabel(std::uint64_t &a, std::uint64_t &b, const TransLabel &l)
  * parallel engine's determinism guarantee rests on.
  */
 inline StateHash
-nodeKey(const StateHash &state, const std::vector<TransLabel> &sleep)
+nodeKey(const StateHash &state, std::span<const TransLabel> sleep)
 {
     std::uint64_t a = state.lo, b = state.hi;
     for (const TransLabel &l : sleep)
@@ -451,7 +453,7 @@ class DporEngine
     ExploreResult
     run()
     {
-        spawn(0, Task{model_.initial(), {}, std::nullopt});
+        spawn(0, model_.initial(), Sleep{}, std::nullopt);
         if (jobs_ == 1) {
             workerLoop(workers_[0]);
         } else {
@@ -469,7 +471,9 @@ class DporEngine
   private:
     using State = typename Model::State;
     using Succs = std::vector<LabeledSucc<State>>;
-    using Sleep = std::vector<TransLabel>;
+    // A sleep set holds labels enabled at one state: an instr and a
+    // drain per processor fit inline for the corpus's 4 threads.
+    using Sleep = InlineVec<TransLabel, 8>;
 
     /**
      * A self-contained unit of work: enter `state` with `sleep` asleep.
@@ -481,6 +485,13 @@ class DporEngine
         State state;
         Sleep sleep;
         std::optional<Succs> succs;
+    };
+
+    /** A child expand() will spawn: succs[at], entered with `sleep`. */
+    struct Child
+    {
+        std::size_t at;
+        Sleep sleep;
     };
 
     static constexpr std::size_t visit_shards = 64;
@@ -587,10 +598,17 @@ class DporEngine
     // temporally local, so a big table would only add cold misses.
     static constexpr std::size_t memo_slots = std::size_t{1} << 9;
 
+    /**
+     * A worker's pending tasks.  The owner pushes and pops at the back;
+     * thieves take from `head`.  A vector, not a std::deque: a Task
+     * holds its state inline, and std::deque would allocate a node for
+     * each one.  The stolen prefix is compacted away as pushes arrive.
+     */
     struct alignas(64) WorkerSlot
     {
         std::mutex mu;
-        std::deque<Task> dq;
+        std::vector<Task> dq;
+        std::size_t head = 0; // dq[0, head) was stolen
     };
 
     /** Per-worker partial result and caches; merged after the join. */
@@ -614,15 +632,32 @@ class DporEngine
         std::vector<Addr> queued;
         std::vector<ProcId> uf_parent;
         std::vector<std::uint32_t> uf_count;
+        // expand() scratch, likewise reused across nodes: the children's
+        // successor lists (keyed by the label reaching them), the
+        // children to spawn, the labels expanded so far and one child's
+        // sleep set.
+        std::vector<std::pair<TransLabel, Succs>> child_succs;
+        std::vector<Child> children;
+        Sleep done;
+        Sleep child_sleep;
     };
 
+    /** Queue a task on worker @p id, built in place in its slot. */
     void
-    spawn(unsigned id, Task t)
+    spawn(unsigned id, State &&state, const Sleep &sleep,
+          std::optional<Succs> &&succs)
     {
         outstanding_.fetch_add(1, std::memory_order_relaxed);
         WorkerSlot &s = slots_[id];
         std::lock_guard<std::mutex> g(s.mu);
-        s.dq.push_back(std::move(t));
+        if (s.head > 0 && 2 * s.head >= s.dq.size()) {
+            // Drop the stolen prefix once it is half the queue: this
+            // moves fewer tasks than were stolen since the last time.
+            s.dq.erase(s.dq.begin(),
+                       s.dq.begin() + static_cast<std::ptrdiff_t>(s.head));
+            s.head = 0;
+        }
+        s.dq.emplace_back(std::move(state), sleep, std::move(succs));
     }
 
     bool
@@ -630,10 +665,14 @@ class DporEngine
     {
         WorkerSlot &s = slots_[id];
         std::lock_guard<std::mutex> g(s.mu);
-        if (s.dq.empty())
+        if (s.dq.size() == s.head)
             return false;
         out = std::move(s.dq.back());
         s.dq.pop_back();
+        if (s.dq.size() == s.head) {
+            s.dq.clear();
+            s.head = 0;
+        }
         return true;
     }
 
@@ -643,12 +682,15 @@ class DporEngine
         for (unsigned i = 1; i < jobs_; ++i) {
             WorkerSlot &s = slots_[(id + i) % jobs_];
             std::lock_guard<std::mutex> g(s.mu);
-            if (s.dq.empty())
+            if (s.dq.size() == s.head)
                 continue;
             // Steal the oldest (root-most) unexplored backtrack branch:
             // the biggest subtree, touched least recently by its owner.
-            out = std::move(s.dq.front());
-            s.dq.pop_front();
+            out = std::move(s.dq[s.head++]);
+            if (s.dq.size() == s.head) {
+                s.dq.clear();
+                s.head = 0;
+            }
             return true;
         }
         return false;
@@ -660,7 +702,7 @@ class DporEngine
         Task t;
         for (;;) {
             if (popLocal(w.id, t) || steal(w.id, t)) {
-                runTask(std::move(t), w);
+                runTask(t, w);
                 outstanding_.fetch_sub(1, std::memory_order_acq_rel);
                 continue;
             }
@@ -671,7 +713,7 @@ class DporEngine
     }
 
     void
-    runTask(Task t, Worker &w)
+    runTask(Task &t, Worker &w)
     {
         if (truncated_.load(std::memory_order_relaxed))
             return; // a tripped budget ends the search; drain fast
@@ -817,7 +859,8 @@ class DporEngine
         // the branching factor is small, and every key is a label of
         // `succs` (probes only chase enabled transitions), so reserving
         // once means no reallocation and stable references throughout.
-        std::vector<std::pair<TransLabel, Succs>> child_succs;
+        auto &child_succs = w.child_succs;
+        child_succs.clear();
         child_succs.reserve(succs.size());
         auto childSuccsOf = [&](const TransLabel &l,
                                 const State &st) -> const Succs & {
@@ -841,14 +884,10 @@ class DporEngine
             return nullptr;
         };
 
-        struct Child
-        {
-            std::size_t at;
-            Sleep sleep;
-        };
-        std::vector<Child> children;
-        children.reserve(succs.size());
-        Sleep done; // labels already expanded from here, in order
+        auto &children = w.children;
+        children.clear();
+        Sleep &done = w.done; // labels already expanded from here, in order
+        done.clear();
 
         for (std::size_t at = 0; at < succs.size(); ++at) {
             const TransLabel label = succs[at].label;
@@ -864,7 +903,8 @@ class DporEngine
             // Transitions that stay asleep in the child: everything
             // asleep here (or already expanded from here) that
             // concretely commutes with the chosen label.
-            Sleep child_sleep;
+            Sleep &child_sleep = w.child_sleep;
+            child_sleep.clear();
             auto considerSleeper = [&](const TransLabel &t) {
                 if (t == label)
                     return;
@@ -883,14 +923,14 @@ class DporEngine
                 child_sleep.end());
 
             done.push_back(label);
-            children.push_back(Child{at, std::move(child_sleep)});
+            children.push_back(Child{at, child_sleep});
         }
 
         // Spawn in reverse: the local deque is LIFO, so the first child
         // is popped first, matching the sequential DFS order (and its
         // memory profile).  Stealers take from the other end.
         for (std::size_t i = children.size(); i-- > 0;) {
-            Child &c = children[i];
+            const Child &c = children[i];
             std::optional<Succs> carried;
             for (auto &entry : child_succs)
                 if (entry.first == succs[c.at].label) {
@@ -899,8 +939,8 @@ class DporEngine
                     carried.emplace(std::move(entry.second));
                     break;
                 }
-            spawn(w.id, Task{std::move(succs[c.at].state),
-                             std::move(c.sleep), std::move(carried)});
+            spawn(w.id, std::move(succs[c.at].state), c.sleep,
+                  std::move(carried));
         }
     }
 
@@ -990,10 +1030,13 @@ class DporEngine
     std::vector<WorkerSlot> slots_;
     std::vector<Worker> workers_;
 
-    std::atomic<std::uint64_t> states_{0};
-    std::atomic<std::uint64_t> outstanding_{0};
-    std::atomic<bool> truncated_{false};
-    std::atomic<bool> stuck_{false};
+    // One cache line each: every task reads truncated_, and every
+    // state and task updates states_ and outstanding_ from any worker;
+    // sharing a line would make each of those reads a miss.
+    alignas(64) std::atomic<std::uint64_t> states_{0};
+    alignas(64) std::atomic<std::uint64_t> outstanding_{0};
+    alignas(64) std::atomic<bool> truncated_{false};
+    alignas(64) std::atomic<bool> stuck_{false};
 };
 
 } // namespace explorer_detail

@@ -7,16 +7,20 @@
  * machine from another, and a model states it as two per-processor
  * generators:
  *
- *     void instrSucc(const State &s, ProcId p,
- *                    std::vector<LabeledSucc<State>> &out) const;
+ *     template <typename Out>
+ *     void instrSucc(const State &s, ProcId p, Out &out) const;
  *         append the edge labelled instrLabel(p), if processor p's
  *         current access is enabled in s;
  *
+ *     template <typename Out>
  *     void drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
- *                     std::vector<LabeledSucc<State>> &out) const;
+ *                     Out &out) const;
  *         append every enabled drainLabel(p, a) edge (only the one at
  *         `*only` when given).  Optional: a machine without queues (SC)
  *         omits it and has no drain edges.
+ *
+ * `Out` is Succs (a std::vector of LabeledSucc<State>) or StepSuccs,
+ * the inline one-edge list stepLabel() uses so a probe never allocates.
  *
  * plus an injective state layout, `encodeInto(const State &, Enc &)`,
  * written once against the common StateEnc / HashEnc interface.
@@ -34,7 +38,10 @@
  *
  * State lives at namespace scope (the base names it in declarations
  * before the derived class is complete) and every State carries
- * `threads` and `mem`, from which outcome() reads the observable result.
+ * `threads` (a ThreadVec) and `mem` (a MemImage), from which outcome()
+ * reads the observable result.  States are flat values built from
+ * InlineVec (inline_vec.hh), so copying, comparing and dropping one
+ * allocates nothing within the inline capacities.
  * A derived model declares `friend Base;` so its generators stay private.
  * The queued machines (write buffer, network, Definition 1, DRF0) reach
  * OpModel through QueuedModel (queued_model.hh), which supplies the
@@ -49,6 +56,7 @@
 #include <vector>
 
 #include "execution/execution.hh"
+#include "models/inline_vec.hh"
 #include "models/state_enc.hh"
 #include "models/thread_ctx.hh"
 #include "models/transition.hh"
@@ -63,6 +71,8 @@ class OpModel
   public:
     using State = StateT;
     using Succs = std::vector<LabeledSucc<State>>;
+    /** stepLabel's sink: a label names at most one edge. */
+    using StepSuccs = InlineVec<LabeledSucc<State>, 1>;
 
     /** Bind the model to @p prog (which must outlive the model). */
     explicit OpModel(const Program &prog) : prog_(prog) {}
@@ -74,11 +84,15 @@ class OpModel
     Succs
     labeledSuccessors(const State &s) const
     {
+        const ProcId n = prog_.numThreads();
         Succs out;
-        for (ProcId p = 0; p < prog_.numThreads(); ++p)
+        // Room for an instr and a drain edge per processor: one
+        // allocation for the common case.
+        out.reserve(hasDrains() ? 2 * n : n);
+        for (ProcId p = 0; p < n; ++p)
             self().instrSucc(s, p, out);
         if constexpr (hasDrains())
-            for (ProcId p = 0; p < prog_.numThreads(); ++p)
+            for (ProcId p = 0; p < n; ++p)
                 self().drainSuccs(s, p, std::nullopt, out);
         return out;
     }
@@ -87,12 +101,12 @@ class OpModel
      * The successor reached from @p s by the single transition @p l, or
      * nullopt if @p l is not enabled.  Materializes exactly one state:
      * the explorer's commutation probes chase individual labels and
-     * must not pay for a full successor list.
+     * must not pay for a full successor list, nor for the heap.
      */
     std::optional<State>
     stepLabel(const State &s, const TransLabel &l) const
     {
-        Succs out;
+        StepSuccs out;
         if (l.kind == TransKind::instr)
             self().instrSucc(s, l.proc, out);
         else if constexpr (hasDrains())
@@ -111,7 +125,7 @@ class OpModel
         o.regs.reserve(s.threads.size());
         for (const auto &t : s.threads)
             o.regs.emplace_back(t.regs.begin(), t.regs.end());
-        o.memory = s.mem;
+        o.memory.assign(s.mem.begin(), s.mem.end());
         return o;
     }
 
@@ -146,7 +160,8 @@ class OpModel
         s.threads.resize(prog_.numThreads());
         for (ProcId p = 0; p < prog_.numThreads(); ++p)
             runLocal(prog_.thread(p), s.threads[p]);
-        s.mem = prog_.initialMemory();
+        const std::vector<Value> &image = prog_.initialMemory();
+        s.mem.assign(image.begin(), image.end());
         return s;
     }
 

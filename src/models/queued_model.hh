@@ -72,6 +72,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "models/inline_vec.hh"
 #include "models/op_model.hh"
 
 namespace wo {
@@ -85,16 +86,22 @@ struct PendingWrite
     bool operator==(const PendingWrite &other) const = default;
 };
 
+/**
+ * Inline entries of a pool: every model's default capacity, so a pool
+ * spills only under a larger capacity.
+ */
+inline constexpr std::size_t inline_pool = 4;
+
 /** A processor's pending-write pool, in issue order. */
-using PendingPool = std::vector<PendingWrite>;
+using PendingPool = InlineVec<PendingWrite, inline_pool>;
 
 /** Youngest pending value for @p addr, if any (store-to-load forwarding). */
 inline std::optional<Value>
 poolForward(const PendingPool &pool, Addr addr)
 {
-    for (auto it = pool.rbegin(); it != pool.rend(); ++it)
-        if (it->addr == addr)
-            return it->value;
+    for (std::size_t k = pool.size(); k-- > 0;)
+        if (pool[k].addr == addr)
+            return pool[k].value;
     return std::nullopt;
 }
 
@@ -123,9 +130,9 @@ encodePool(Enc &enc, const PendingPool &pool)
 /** Machine state of a queued machine. */
 struct QueuedState
 {
-    std::vector<ThreadCtx> threads;
-    std::vector<Value> mem;
-    std::vector<PendingPool> pools; // per processor, in issue order
+    ThreadVec threads;
+    MemImage mem;
+    InlineVec<PendingPool, inline_threads> pools; // per processor
 
     bool operator==(const QueuedState &other) const = default;
 };
@@ -139,7 +146,6 @@ class QueuedModel : public OpModel<Derived, StateT>
 
   public:
     using typename Op::State;
-    using typename Op::Succs;
 
     State
     initial() const
@@ -238,51 +244,55 @@ class QueuedModel : public OpModel<Derived, StateT>
   private:
     const Derived &self() const { return static_cast<const Derived &>(*this); }
 
-    /** Append @p p's instruction-step successor (if enabled) to @p out. */
+    /**
+     * Append @p p's instruction-step successor (if enabled) to @p out.
+     * The successor is copied from @p s straight into its slot in
+     * @p out and updated there.
+     */
+    template <typename Out>
     void
-    instrSucc(const State &s, ProcId p, Succs &out) const
+    instrSucc(const State &s, ProcId p, Out &out) const
     {
         const ThreadCtx &t = s.threads[p];
         if (t.halted)
             return;
         const ThreadCode &code = this->prog_.thread(p);
         const Instruction *i = currentAccess(code, t);
-        State next;
         switch (i->op) {
           case Opcode::load_data: {
             const auto fwd = poolForward(s.pools[p], i->addr);
             if (fwd && !Derived::forwards_loads)
                 return; // behind its own queued write to the location
-            next = s;
+            State &next = out.emplace_back(instrLabel(p), s).state;
             completeAccess(code, next.threads[p],
                            fwd ? *fwd : s.mem[i->addr]);
-            break;
+            return;
           }
-          case Opcode::store_data:
+          case Opcode::store_data: {
             if (s.pools[p].size() >= capacity_)
                 return; // pool full: wait for a drain
-            next = s;
+            State &next = out.emplace_back(instrLabel(p), s).state;
             next.pools[p].push_back(PendingWrite{i->addr, storeValue(*i, t)});
             completeAccess(code, next.threads[p], 0);
-            break;
+            return;
+          }
           case Opcode::sync_load:
           case Opcode::sync_store:
           case Opcode::test_and_set: {
             if (!self().syncEnabled(s, p, i->addr))
                 return;
-            next = s;
+            State &next = out.emplace_back(instrLabel(p), s).state;
             const Value old = next.mem[i->addr];
             if (i->writesMemory())
                 next.mem[i->addr] = storeValue(*i, t);
             self().onSync(next, p, *i);
             completeAccess(code, next.threads[p], old);
-            break;
+            return;
           }
           default:
             wo_panic("unexpected opcode at access point: %s",
                      opcodeName(i->op));
         }
-        out.push_back({instrLabel(p), std::move(next)});
     }
 
     /**
@@ -290,9 +300,10 @@ class QueuedModel : public OpModel<Derived, StateT>
      * enumeration to drains of one location.  Only the oldest write per
      * location may drain, so (p, addr) uniquely names each drain edge.
      */
+    template <typename Out>
     void
     drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-               Succs &out) const
+               Out &out) const
     {
         const PendingPool &pool = s.pools[p];
         const std::size_t n =
@@ -301,13 +312,11 @@ class QueuedModel : public OpModel<Derived, StateT>
         for (std::size_t k = 0; k < n; ++k) {
             if ((only && pool[k].addr != *only) || !poolMayDrain(pool, k))
                 continue;
-            State next = s;
             const PendingWrite w = pool[k];
-            next.pools[p].erase(next.pools[p].begin() +
-                                static_cast<std::ptrdiff_t>(k));
+            State &next = out.emplace_back(drainLabel(p, w.addr), s).state;
+            next.pools[p].erase(next.pools[p].begin() + k);
             next.mem[w.addr] = w.value;
             self().onDrain(next, p, k);
-            out.push_back({drainLabel(p, w.addr), std::move(next)});
         }
     }
 

@@ -24,16 +24,6 @@ ScModel::step(State &s, ProcId p, Execution *trace) const
     return true;
 }
 
-void
-ScModel::instrSucc(const State &s, ProcId p, Succs &out) const
-{
-    if (s.threads[p].halted)
-        return;
-    State next = s;
-    step(next, p);
-    out.push_back({instrLabel(p), std::move(next)});
-}
-
 std::string
 ScModel::dump(const State &s) const
 {

@@ -20,8 +20,8 @@ namespace wo {
 /** A machine state: thread contexts plus the single atomic memory. */
 struct ScState
 {
-    std::vector<ThreadCtx> threads;
-    std::vector<Value> mem;
+    ThreadVec threads;
+    MemImage mem;
 
     bool operator==(const ScState &other) const = default;
 };
@@ -76,7 +76,14 @@ class ScModel : public OpModel<ScModel, ScState>
 
   private:
     /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p, Succs &out) const;
+    template <typename Out>
+    void
+    instrSucc(const State &s, ProcId p, Out &out) const
+    {
+        if (s.threads[p].halted)
+            return;
+        step(out.emplace_back(instrLabel(p), s).state, p);
+    }
 };
 
 } // namespace wo

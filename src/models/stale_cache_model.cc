@@ -48,8 +48,9 @@ StaleCacheModel::isFinal(const State &s) const
     return allInboxesEmpty(s) && allHalted(s);
 }
 
+template <typename Out>
 void
-StaleCacheModel::instrSucc(const State &s, ProcId p, Succs &out) const
+StaleCacheModel::instrSucc(const State &s, ProcId p, Out &out) const
 {
     const ThreadCtx &t = s.threads[p];
     if (t.halted)
@@ -58,24 +59,22 @@ StaleCacheModel::instrSucc(const State &s, ProcId p, Succs &out) const
     switch (i->op) {
       case Opcode::load_data: {
         // Reads hit the local copy: no waiting, possibly stale.
-        State next = s;
+        State &next = out.emplace_back(instrLabel(p), s).state;
         completeAccess(prog_.thread(p), next.threads[p],
                        s.copy[p][i->addr]);
-        out.push_back({instrLabel(p), std::move(next)});
         break;
       }
       case Opcode::store_data: {
         if (!inboxesHaveRoom(s, p, max_inbox_))
             break;
-        State next = s;
         const Value v = storeValue(*i, t);
+        State &next = out.emplace_back(instrLabel(p), s).state;
         next.mem[i->addr] = v;     // commit (write serialization point)
         next.copy[p][i->addr] = v; // own copy updated immediately
         for (ProcId q = 0; q < prog_.numThreads(); ++q)
             if (q != p)
                 next.inbox[q].push_back(PendingWrite{i->addr, v});
         completeAccess(prog_.thread(p), next.threads[p], 0);
-        out.push_back({instrLabel(p), std::move(next)});
         break;
       }
       case Opcode::sync_load:
@@ -84,7 +83,7 @@ StaleCacheModel::instrSucc(const State &s, ProcId p, Succs &out) const
         // Heavyweight synchronization: a full system barrier.
         if (!allInboxesEmpty(s))
             break;
-        State next = s;
+        State &next = out.emplace_back(instrLabel(p), s).state;
         const Value old = next.mem[i->addr];
         if (i->writesMemory()) {
             const Value v = storeValue(*i, t);
@@ -93,7 +92,6 @@ StaleCacheModel::instrSucc(const State &s, ProcId p, Succs &out) const
                 next.copy[q][i->addr] = v;
         }
         completeAccess(prog_.thread(p), next.threads[p], old);
-        out.push_back({instrLabel(p), std::move(next)});
         break;
       }
       default:
@@ -102,9 +100,10 @@ StaleCacheModel::instrSucc(const State &s, ProcId p, Succs &out) const
     }
 }
 
+template <typename Out>
 void
 StaleCacheModel::drainSuccs(const State &s, ProcId q,
-                            std::optional<Addr> only, Succs &out) const
+                            std::optional<Addr> only, Out &out) const
 {
     // Delivery steps: pop the front of the receiver's inbox.  The label
     // carries the *receiver* q (one front entry per inbox, so q alone is
@@ -114,11 +113,21 @@ StaleCacheModel::drainSuccs(const State &s, ProcId q,
     const PendingWrite u = s.inbox[q].front();
     if (only && u.addr != *only)
         return;
-    State next = s;
+    State &next = out.emplace_back(drainLabel(q, u.addr), s).state;
     next.inbox[q].erase(next.inbox[q].begin());
     next.copy[q][u.addr] = u.value;
-    out.push_back({drainLabel(q, u.addr), std::move(next)});
 }
+
+template void StaleCacheModel::instrSucc(const State &, ProcId,
+                                         Succs &) const;
+template void StaleCacheModel::instrSucc(const State &, ProcId,
+                                         StepSuccs &) const;
+template void StaleCacheModel::drainSuccs(const State &, ProcId,
+                                          std::optional<Addr>,
+                                          Succs &) const;
+template void StaleCacheModel::drainSuccs(const State &, ProcId,
+                                          std::optional<Addr>,
+                                          StepSuccs &) const;
 
 std::string
 StaleCacheModel::dump(const State &s) const

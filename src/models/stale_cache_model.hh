@@ -34,10 +34,10 @@ namespace wo {
 /** Machine state of the stale-cache machine. */
 struct StaleCacheState
 {
-    std::vector<ThreadCtx> threads;
-    std::vector<Value> mem;               // commit-order memory image
-    std::vector<std::vector<Value>> copy; // copy[proc][addr]
-    std::vector<PendingPool> inbox;       // updates, per receiving processor
+    ThreadVec threads;
+    MemImage mem;                               // commit-order image
+    InlineVec<MemImage, inline_threads> copy;   // copy[proc][addr]
+    InlineVec<PendingPool, inline_threads> inbox; // per receiver
 
     bool operator==(const StaleCacheState &other) const = default;
 };
@@ -102,15 +102,20 @@ class StaleCacheModel : public OpModel<StaleCacheModel, StaleCacheState>
     void pendingAddrs(const State &, ProcId, std::vector<Addr> &) const {}
 
   private:
-    /** Append @p p's instruction-step successor (if enabled) to @p out. */
-    void instrSucc(const State &s, ProcId p, Succs &out) const;
+    /**
+     * Append @p p's instruction-step successor (if enabled) to @p out.
+     * Instantiated for Succs and StepSuccs in the source file.
+     */
+    template <typename Out>
+    void instrSucc(const State &s, ProcId p, Out &out) const;
 
     /**
      * Append @p p's delivery successor to @p out; @p only restricts the
      * enumeration to deliveries of one location.
      */
+    template <typename Out>
     void drainSuccs(const State &s, ProcId p, std::optional<Addr> only,
-                    Succs &out) const;
+                    Out &out) const;
 
     std::size_t max_inbox_;
 };

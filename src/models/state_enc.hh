@@ -10,16 +10,19 @@
  *  - StateEnc materializes the byte string.  Cold paths only: golden
  *    equivalence tests, witness search, divergence dumps.
  *
- *  - HashEnc folds each byte straight into a 128-bit FNV pair without
- *    ever touching the heap.  This is the explorer's hot path: hashing a
- *    state allocates nothing and produces exactly the key that hashing
- *    the StateEnc bytes would (the equivalence is itself under test).
+ *  - HashEnc folds the bytes straight into a 128-bit FNV pair, a whole
+ *    scalar at a time, without ever touching the heap.  This is the
+ *    explorer's hot path: hashing a state allocates nothing and
+ *    produces exactly the key that hashing the StateEnc bytes would
+ *    (the equivalence is itself under test).
  */
 
 #ifndef WO_MODELS_STATE_ENC_HH
 #define WO_MODELS_STATE_ENC_HH
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "models/thread_ctx.hh"
@@ -85,7 +88,10 @@ class StateEnc
  * Streaming hasher with the StateEnc interface: every byte that StateEnc
  * would append is packed into a 64-bit word and the word folded into the
  * running FNV pair -- one multiply round per eight bytes instead of eight,
- * which matters because the multiply chain is serial.  No buffer, no
+ * which matters because the multiply chain is serial.  A scalar of up to
+ * eight bytes is packed in one shift-and-or (on a little-endian host its
+ * bytes already sit in stream order), so the stream costs a few
+ * instructions per field rather than per byte.  No buffer, no
  * allocation, and `HashEnc` over a state equals `hashBytes` over that
  * state's StateEnc string byte for byte (the equivalence is under test).
  */
@@ -98,9 +104,16 @@ class HashEnc
     put(const T &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        const auto *p = reinterpret_cast<const unsigned char *>(&v);
-        for (std::size_t i = 0; i < sizeof(v); ++i)
-            putByte(p[i]);
+        if constexpr (sizeof(T) <= 8 &&
+                      std::endian::native == std::endian::little) {
+            std::uint64_t w = 0;
+            std::memcpy(&w, &v, sizeof(T));
+            putWord(w, sizeof(T));
+        } else {
+            const auto *p = reinterpret_cast<const unsigned char *>(&v);
+            for (std::size_t i = 0; i < sizeof(v); ++i)
+                putWord(p[i], 1);
+        }
     }
 
     /** Fold a thread context. */
@@ -117,7 +130,7 @@ class HashEnc
     void
     sep()
     {
-        putByte(0x1f);
+        putWord(0x1f, 1);
     }
 
     /**
@@ -137,16 +150,24 @@ class HashEnc
     }
 
   private:
+    /**
+     * Append the @p len (1..8) low bytes of @p w, least significant
+     * first, folding each word the stream completes.
+     */
     void
-    putByte(unsigned char c)
+    putWord(std::uint64_t w, unsigned len)
     {
-        pending_ |= std::uint64_t(c) << (8 * n_);
-        if (++n_ == 8) {
-            a_ = (a_ ^ pending_) * 0x100000001b3ULL;
-            b_ = (b_ ^ pending_) * 0x00000100000001b3ULL ^ (b_ >> 47);
-            pending_ = 0;
-            n_ = 0;
+        pending_ |= w << (8 * n_);
+        const unsigned room = 8 - n_;
+        if (len < room) {
+            n_ += len;
+            return;
         }
+        a_ = (a_ ^ pending_) * 0x100000001b3ULL;
+        b_ = (b_ ^ pending_) * 0x00000100000001b3ULL ^ (b_ >> 47);
+        // The bytes that did not fit start the next word.
+        pending_ = room < 8 ? w >> (8 * room) : 0;
+        n_ = len - room;
     }
 
     std::uint64_t a_ = 0xcbf29ce484222325ULL; // FNV-1a offset basis

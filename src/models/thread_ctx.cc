@@ -78,9 +78,8 @@ accessKindOf(Opcode op)
 }
 
 std::string
-dumpThreadsAndMem(const Program &prog,
-                  const std::vector<ThreadCtx> &threads,
-                  const std::vector<Value> &mem)
+dumpThreadsAndMem(const Program &prog, std::span<const ThreadCtx> threads,
+                  std::span<const Value> mem)
 {
     std::string out;
     for (ProcId p = 0; p < threads.size(); ++p) {

@@ -13,8 +13,12 @@
 #define WO_MODELS_THREAD_CTX_HH
 
 #include <array>
+#include <cstddef>
+#include <span>
+#include <string>
 
 #include "execution/memory_op.hh"
+#include "models/inline_vec.hh"
 #include "program/program.hh"
 
 namespace wo {
@@ -28,6 +32,20 @@ struct ThreadCtx
 
     bool operator==(const ThreadCtx &other) const = default;
 };
+
+/**
+ * Inline capacities of a machine state (see inline_vec.hh), sized to the
+ * explored corpus: at most 4 threads and 8 locations.  A bigger program
+ * spills to the heap and explores the same states, only slower.
+ */
+inline constexpr std::size_t inline_threads = 4;
+inline constexpr std::size_t inline_locations = 8;
+
+/** Every thread's interpreter state, indexed by processor. */
+using ThreadVec = InlineVec<ThreadCtx, inline_threads>;
+
+/** A memory image, indexed by location. */
+using MemImage = InlineVec<Value, inline_locations>;
 
 /**
  * Execute local instructions of @p code until @p t halts or reaches a
@@ -59,8 +77,8 @@ void completeAccess(const ThreadCode &code, ThreadCtx &t, Value value_read);
  * (shared by every model's dump()).
  */
 std::string dumpThreadsAndMem(const Program &prog,
-                              const std::vector<ThreadCtx> &threads,
-                              const std::vector<Value> &mem);
+                              std::span<const ThreadCtx> threads,
+                              std::span<const Value> mem);
 
 } // namespace wo
 

@@ -13,7 +13,7 @@
  * reserving processor runs ahead, overlapping its pending writes with the
  * work after the synchronization -- Figure 3's advantage.
  *
- * Mechanically, a reservation is (location -> owner, prefix_count): the
+ * Mechanically, a reservation is (location, owner, prefix_count): the
  * writes awaited are exactly the first prefix_count entries of the owner's
  * issue-ordered pending pool (erasure keeps relative order, so the awaited
  * set is always a prefix; see queued_model.hh).  This realizes the paper's
@@ -38,18 +38,22 @@
 #ifndef WO_MODELS_WO_DRF0_MODEL_HH
 #define WO_MODELS_WO_DRF0_MODEL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "models/queued_model.hh"
 
 namespace wo {
 
-/** An active reservation: who holds it and how many writes it awaits. */
+/**
+ * An active reservation: the location, who holds it and how many writes
+ * it awaits.
+ */
 struct Drf0Reservation
 {
+    Addr addr;
     ProcId owner;
     std::uint32_t prefix_count; // > 0 while active
 
@@ -59,7 +63,9 @@ struct Drf0Reservation
 /** Machine state of the DRF0 machine: a queued state plus reservations. */
 struct WoDrf0State : QueuedState
 {
-    std::map<Addr, Drf0Reservation> reserved; // active reservations only
+    // Active reservations only, sorted by addr (at most one per
+    // location); beyond inline_pool of them the list spills.
+    InlineVec<Drf0Reservation, inline_pool> reserved;
 
     bool operator==(const WoDrf0State &other) const = default;
 };
@@ -104,8 +110,10 @@ class WoDrf0Model : public QueuedModel<WoDrf0Model, WoDrf0State>
     bool
     syncEnabled(const State &s, ProcId p, Addr a) const
     {
-        auto res = s.reserved.find(a);
-        return res == s.reserved.end() || res->second.owner == p;
+        for (const Drf0Reservation &r : s.reserved)
+            if (r.addr == a)
+                return r.owner == p;
+        return true;
     }
 
     /**
@@ -121,9 +129,20 @@ class WoDrf0Model : public QueuedModel<WoDrf0Model, WoDrf0State>
     {
         const bool publishes =
             !(weak_sync_read_ && i.op == Opcode::sync_load);
-        if (publishes && !next.pools[p].empty())
-            next.reserved[i.addr] = Drf0Reservation{
-                p, static_cast<std::uint32_t>(next.pools[p].size())};
+        if (!publishes || next.pools[p].empty())
+            return;
+        const Drf0Reservation r{
+            i.addr, p, static_cast<std::uint32_t>(next.pools[p].size())};
+        auto &res = next.reserved;
+        std::size_t at = 0;
+        while (at < res.size() && res[at].addr < r.addr)
+            ++at;
+        if (at < res.size() && res[at].addr == r.addr) {
+            res[at] = r;
+            return;
+        }
+        res.push_back(r); // then rotate it into addr order
+        std::rotate(res.begin() + at, res.end() - 1, res.end());
     }
 
     /**
@@ -136,8 +155,8 @@ class WoDrf0Model : public QueuedModel<WoDrf0Model, WoDrf0State>
     onDrain(State &next, ProcId p, std::size_t k) const
     {
         for (auto it = next.reserved.begin(); it != next.reserved.end();) {
-            if (it->second.owner == p && it->second.prefix_count > k &&
-                --it->second.prefix_count == 0)
+            if (it->owner == p && it->prefix_count > k &&
+                --it->prefix_count == 0)
                 it = next.reserved.erase(it);
             else
                 ++it;
@@ -150,8 +169,8 @@ class WoDrf0Model : public QueuedModel<WoDrf0Model, WoDrf0State>
     encodeExtra(const State &s, Enc &enc) const
     {
         enc.sep();
-        for (const auto &[addr, r] : s.reserved) {
-            enc.put(addr);
+        for (const Drf0Reservation &r : s.reserved) {
+            enc.put(r.addr);
             enc.put(r.owner);
             enc.put(r.prefix_count);
         }
@@ -160,9 +179,9 @@ class WoDrf0Model : public QueuedModel<WoDrf0Model, WoDrf0State>
     void
     dumpExtra(const State &s, std::string &out) const
     {
-        for (const auto &[addr, r] : s.reserved)
+        for (const Drf0Reservation &r : s.reserved)
             out += strprintf("  reserved [%u] by P%u awaiting %u write(s)\n",
-                             addr, r.owner, r.prefix_count);
+                             r.addr, r.owner, r.prefix_count);
     }
 
     bool weak_sync_read_;

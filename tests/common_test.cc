@@ -11,6 +11,7 @@
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/thread_count.hh"
 
 namespace wo {
 namespace {
@@ -228,6 +229,24 @@ TEST(Logging, AssertMacroPassesOnTrue)
 {
     wo_assert(true, "never");
     SUCCEED();
+}
+
+TEST(ThreadCount, ParserEnforcesTheCeiling)
+{
+    // Parses only: nothing here starts a thread.
+    int n = 7;
+    EXPECT_TRUE(parseThreadCount("256", n));
+    EXPECT_EQ(n, 256);
+    EXPECT_TRUE(parseThreadCount("1", n));
+    EXPECT_EQ(n, 1);
+    n = 7;
+    for (const char *bad : {"257", "4294967297", "0", "-1", "", "4x",
+                            "99999999999999999999999"}) {
+        EXPECT_FALSE(parseThreadCount(bad, n)) << bad;
+        EXPECT_EQ(n, 7) << bad << ": a refused value must not be stored";
+    }
+    EXPECT_TRUE(threadCountOk(max_thread_count));
+    EXPECT_FALSE(threadCountOk(max_thread_count + 1));
 }
 
 } // namespace

@@ -115,6 +115,39 @@ TEST(Explore, DporMatchesBfsAcrossCorpusAndModels)
         << "the reduced engine must do less total work than BFS";
 }
 
+TEST(Explore, DporMatchesBfsPastInlineCapacity)
+{
+    // The same contract on a program whose states outgrow every inline
+    // capacity (threads, memory, and on a deep write buffer the pools),
+    // so the heap path of a state is held to it too -- at 1 and 2 jobs.
+    const Program prog =
+        load(std::string(WO_TEST_PROGRAMS_DIR) + "/spill6x10.wo");
+    auto check = [&](const auto &m, const std::string &what) {
+        ExploreCfg cfg;
+        cfg.max_states = 200'000;
+        const ExploreResult bfs = exploreOutcomesBfs(m, cfg);
+        const ExploreResult dpor = exploreOutcomesDpor(m, cfg);
+        cfg.jobs = 2;
+        const ExploreResult par = exploreOutcomesDpor(m, cfg);
+        ASSERT_TRUE(bfs.conclusive()) << what;
+        ASSERT_TRUE(dpor.conclusive()) << what;
+        EXPECT_EQ(dpor.outcomes, bfs.outcomes) << what;
+        EXPECT_TRUE(par == dpor) << what << ": 2 jobs diverged from 1";
+        EXPECT_GT(dpor.outcomes.size(), 1u) << what;
+    };
+    for (const std::string &model : modelNames()) {
+        if (model == "stale")
+            continue; // below, with a shallower inbox
+        ASSERT_TRUE(withModelByName(
+            prog, model, [&](auto &m) { check(m, model); }))
+            << model;
+    }
+    // Each store broadcasts to five inboxes; at the default inbox depth
+    // their delivery orders run to hundreds of thousands of states.
+    check(StaleCacheModel(prog, /*max_inbox=*/1), "stale, inbox 1");
+    check(WriteBufferModel(prog, /*capacity=*/8), "wb, capacity 8");
+}
+
 TEST(Explore, DporStrictlyReducesStatesOnARacyProgram)
 {
     // The reduction must actually reduce: on a racy program with many

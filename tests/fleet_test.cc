@@ -295,6 +295,25 @@ TEST(FleetProto, SpecRejectsUnknownVerifyModel)
         jsonParse(R"({"explore_jobs": 0})").value, spec, &err));
 }
 
+TEST(FleetProto, SpecBoundsExploreJobs)
+{
+    // explore_jobs becomes an explorer's thread count on every worker
+    // the spec reaches: past the ceiling it is refused, never truncated
+    // (4294967297 would narrow to 1).  Parses only; no thread starts.
+    CampaignSpec spec;
+    std::string err;
+    EXPECT_FALSE(campaignSpecFromJson(
+        jsonParse(R"({"explore_jobs": 257})").value, spec, &err));
+    EXPECT_NE(err.find("explore_jobs"), std::string::npos);
+    EXPECT_FALSE(campaignSpecFromJson(
+        jsonParse(R"({"explore_jobs": 4294967297})").value, spec, &err));
+    EXPECT_NE(err.find("4294967297"), std::string::npos);
+    ASSERT_TRUE(campaignSpecFromJson(
+        jsonParse(R"({"explore_jobs": 256})").value, spec, &err))
+        << err;
+    EXPECT_EQ(spec.explore_jobs, 256);
+}
+
 TEST(FleetProto, SpecDefaultsEmptyPoliciesToCampaignTrio)
 {
     // A spec without policies must never produce an empty vector (the

@@ -114,6 +114,7 @@
 #include "axiom/axiom_eval.hh"
 #include "campaign/scheduler.hh"
 #include "campaign/verify.hh"
+#include "common/thread_count.hh"
 #include "fleet/client.hh"
 #include "fleet/coordinator.hh"
 #include "fleet/proto.hh"
@@ -225,7 +226,23 @@ parseU64Opt(int argc, char **argv, const char *name, std::uint64_t min,
     return true;
 }
 
-/** Strict int option (worker/job counts). */
+/**
+ * Strict thread-count option (--jobs, --explore-jobs): 1 to
+ * max_thread_count, refused past it rather than truncated.
+ */
+bool
+parseThreadsOpt(int argc, char **argv, const char *name, int &out)
+{
+    const char *v = opt(argc, argv, name);
+    if (!v || parseThreadCount(v, out))
+        return true;
+    const std::string wanted = strprintf(
+        "a thread count from 1 to %llu",
+        static_cast<unsigned long long>(max_thread_count));
+    return badOpt(name, wanted.c_str(), v);
+}
+
+/** Strict int option (counts and timeouts other than threads). */
 bool
 parseIntOpt(int argc, char **argv, const char *name, int min, int &out)
 {
@@ -325,7 +342,7 @@ cmdExplore(const Program &prog, int argc, char **argv)
     std::uint64_t witness_idx = 0;
     if (!parseU64Opt(argc, argv, "--max-states", 1, cfg.max_states) ||
         !parseU64Opt(argc, argv, "--witness", 0, witness_idx) ||
-        !parseIntOpt(argc, argv, "--jobs", 1, cfg.jobs))
+        !parseThreadsOpt(argc, argv, "--jobs", cfg.jobs))
         return 2;
     const bool want_witness = opt(argc, argv, "--witness") != nullptr;
     const char *algo_v = opt(argc, argv, "--algo");
@@ -852,7 +869,7 @@ parseSpecOpts(int argc, char **argv, CampaignSpec &spec)
         !parseU64Opt(argc, argv, "--shrink-max-runs", 1,
                      spec.shrink_max_runs) ||
         !parseU64Opt(argc, argv, "--max-states", 1, spec.max_states) ||
-        !parseIntOpt(argc, argv, "--explore-jobs", 1, spec.explore_jobs))
+        !parseThreadsOpt(argc, argv, "--explore-jobs", spec.explore_jobs))
         return false;
     if (const char *v = opt(argc, argv, "--policy")) {
         spec.policies.clear();
@@ -900,7 +917,7 @@ cmdCampaign(const AsmResult *, int argc, char **argv)
 {
     CampaignCfg cfg;
     if (!parseSpecOpts(argc, argv, cfg) ||
-        !parseIntOpt(argc, argv, "--jobs", 1, cfg.jobs) ||
+        !parseThreadsOpt(argc, argv, "--jobs", cfg.jobs) ||
         !parseDoubleOpt(argc, argv, "--time-budget",
                         cfg.time_budget_s) ||
         !parseU64Opt(argc, argv, "--sync-every", 1, cfg.sync_every))
@@ -1017,7 +1034,7 @@ cmdWorker(const AsmResult *, int argc, char **argv)
 {
     WorkerCfg cfg;
     if (!parseConnectOpt(argc, argv, cfg.connect) ||
-        !parseIntOpt(argc, argv, "--jobs", 1, cfg.jobs) ||
+        !parseThreadsOpt(argc, argv, "--jobs", cfg.jobs) ||
         !parseIntOpt(argc, argv, "--heartbeat-ms", 1, cfg.heartbeat_ms))
         return 2;
     if (const char *v = opt(argc, argv, "--name"))
