@@ -7,7 +7,9 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 
+#include "common/input_limits.hh"
 #include "common/logging.hh"
 #include "program/builder.hh"
 
@@ -130,9 +132,9 @@ class Assembler
                   std::to_string(num_regs - 1) + "), got '" + tok + "'");
             return false;
         }
-        char *end = nullptr;
-        long v = std::strtol(tok.c_str() + 1, &end, 10);
-        if (*end != '\0' || v < 0 || v >= num_regs) {
+        std::uint64_t v = 0;
+        if (!parseDecimal(std::string_view(tok).substr(1), v) ||
+            v >= num_regs) {
             error("bad register '" + tok + "'");
             return false;
         }
@@ -140,41 +142,29 @@ class Assembler
         return true;
     }
 
+    /** A decimal immediate, optionally negative (input_limits.hh). */
     bool
     parseImm(const std::string &tok, Value &out)
     {
-        char *end = nullptr;
-        long long v = std::strtoll(tok.c_str(), &end, 0);
-        if (*end != '\0' || tok.empty()) {
-            error("expected number, got '" + tok + "'");
-            return false;
-        }
-        out = v;
-        return true;
+        if (parseDecimal(tok, out))
+            return true;
+        error("expected number, got '" + tok + "'");
+        return false;
     }
 
-    bool
-    isNumber(const std::string &tok)
-    {
-        if (tok.empty())
-            return false;
-        std::size_t i = (tok[0] == '-' || tok[0] == '+') ? 1 : 0;
-        if (i >= tok.size())
-            return false;
-        for (; i < tok.size(); ++i)
-            if (!std::isdigit(static_cast<unsigned char>(tok[i])))
-                return false;
-        return true;
-    }
-
+    /**
+     * A location: a token that starts like a number is one, in decimal
+     * (input_limits.hh); anything else names a symbolic location.
+     */
     Addr
     location(const std::string &tok)
     {
-        if (isNumber(tok)) {
+        if (std::isdigit(static_cast<unsigned char>(tok[0])) ||
+            tok[0] == '-' || tok[0] == '+') {
             // Every location up to the highest one is materialized, so
             // an address from outside input must stay small.
-            const unsigned long v = std::strtoul(tok.c_str(), nullptr, 0);
-            if (tok[0] == '-' || v > max_numeric_location) {
+            std::uint64_t v = 0;
+            if (!parseDecimal(tok, v) || v > max_numeric_location) {
                 error(strprintf("location '%s' out of range (0..%u)",
                                 tok.c_str(), max_numeric_location));
                 return 0;

@@ -376,7 +376,6 @@ cellResultToJson(const CellResult &r)
         j.set("dpor_states", Json(r.dpor_states));
         j.set("bfs_states", Json(r.bfs_states));
         j.set("dpor_probes", Json(r.dpor_probes));
-        j.set("dpor_memo_hits", Json(r.dpor_memo_hits));
     }
     return j;
 }
@@ -440,7 +439,6 @@ runCell(const Cell &cell, std::uint64_t max_events, CellContext *ctx)
         r.dpor_states = v.dpor.states;
         r.bfs_states = v.bfs.states;
         r.dpor_probes = v.dpor.commutation_probes;
-        r.dpor_memo_hits = v.dpor.memo_hits;
         if (const auto kind = v.violation()) {
             r.hw = 1;
             r.total = 1;

@@ -205,7 +205,6 @@ struct CellResult
     std::uint64_t dpor_states = 0; //!< reduced-engine states visited
     std::uint64_t bfs_states = 0;  //!< reference-engine states visited
     std::uint64_t dpor_probes = 0; //!< independence queries made
-    std::uint64_t dpor_memo_hits = 0; //!< probes answered from the memo
 
     // Host-time span decomposition, journaled per cell so post-hoc
     // tooling (wotool report) can break a campaign's wall clock down

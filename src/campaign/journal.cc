@@ -1,7 +1,9 @@
 #include "journal.hh"
 
+#include <algorithm>
 #include <chrono>
 
+#include "common/input_limits.hh"
 #include "common/logging.hh"
 #include "obs/profiler.hh"
 
@@ -46,6 +48,9 @@ SeenSet::rebuild(std::size_t pow2_cap)
 void
 SeenSet::reserve(std::size_t keys)
 {
+    // Past the cell ceiling the table stops growing (and the overflow
+    // set takes the spill), so the doubling below cannot overflow.
+    keys = std::min<std::size_t>(keys, max_cell_count);
     std::size_t want = 1u << 12;
     while (want < keys * 2 + 1)
         want <<= 1;

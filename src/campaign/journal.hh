@@ -120,8 +120,9 @@ class SeenSet
   public:
     SeenSet() { rebuild(1u << 12); }
 
-    /** Size for @p keys expected inserts.  Single-threaded; call
-     *  before any concurrent insert()/contains(). */
+    /** Size for @p keys expected inserts, at most max_cell_count
+     *  (input_limits.hh).  Single-threaded; call before any concurrent
+     *  insert()/contains(). */
     void reserve(std::size_t keys);
 
     /** True when @p h was absent (the caller claimed it). */

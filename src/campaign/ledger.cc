@@ -87,10 +87,9 @@ Ledger::open(const CampaignSpec &spec, Json meta)
 
 void
 Ledger::count(Slot &s, const std::string &verdict, const std::string &why,
-              double ms, std::uint64_t probes, std::uint64_t memo_hits)
+              double ms, std::uint64_t probes)
 {
     s.dpor_probes.fetch_add(probes, std::memory_order_relaxed);
-    s.dpor_memo_hits.fetch_add(memo_hits, std::memory_order_relaxed);
     s.tally.add(verdict, why);
     s.hw.store(s.tally.hw, std::memory_order_relaxed);
     s.lat_ms.push_back(ms);
@@ -112,15 +111,14 @@ Ledger::recordCell(int slot, const CellResult &r)
 {
     journal_.appendCell(r);
     count(slots_[slot], r.verdict(), r.why_inconclusive, r.wall_ms,
-          r.dpor_probes, r.dpor_memo_hits);
+          r.dpor_probes);
 }
 
 void
 Ledger::recordLine(int slot, Json line)
 {
     count(slots_[slot], line.stringAt("verdict"), line.stringAt("why"),
-          line.numberAt("ms"), line.uintAt("dpor_probes"),
-          line.uintAt("dpor_memo_hits"));
+          line.numberAt("ms"), line.uintAt("dpor_probes"));
     journal_.appendJson(std::move(line));
 }
 
@@ -304,7 +302,6 @@ Ledger::metrics(MetricsRegistry &reg) const
             Json(unique_.load(std::memory_order_relaxed)));
     reg.set("explore.commutation_probes",
             Json(sumLive(&Slot::dpor_probes)));
-    reg.set("explore.memo_hits", Json(sumLive(&Slot::dpor_memo_hits)));
     reg.set("done", Json(done()));
     reg.set("wall_seconds", Json(elapsedS()));
 

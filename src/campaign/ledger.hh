@@ -191,7 +191,6 @@ class Ledger
         std::atomic<std::uint64_t> hw{0};         //!< live copy of tally.hw
         // Verify-cell explorer totals (zero for run campaigns).
         std::atomic<std::uint64_t> dpor_probes{0};
-        std::atomic<std::uint64_t> dpor_memo_hits{0};
         // Live per-cell latency: bucket b counts wall times in
         // (2^(b-1), 2^b] us (the last bucket absorbs overflow).
         std::atomic<std::uint64_t> lat_count{0};
@@ -211,7 +210,7 @@ class Ledger
     };
 
     void count(Slot &s, const std::string &verdict, const std::string &why,
-               double ms, std::uint64_t probes, std::uint64_t memo_hits);
+               double ms, std::uint64_t probes);
     std::uint64_t sumLive(std::atomic<std::uint64_t> Slot::*f) const;
     /** Run/skip counts of @p slot, or campaign totals (plus the cell
      *  budget and hw-failed cells) when @p slot < 0. */

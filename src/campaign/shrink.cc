@@ -68,9 +68,7 @@ valid(const Candidate &c)
         for (const Instruction &i : code) {
             if (i.accessesMemory() && i.addr >= c.nlocs)
                 return false;
-            if ((i.op == Opcode::branch_eq || i.op == Opcode::branch_ne ||
-                 i.op == Opcode::jump) &&
-                i.target >= code.size())
+            if (i.isBranch() && i.target >= code.size())
                 return false;
         }
     }
@@ -117,8 +115,7 @@ withoutRange(const Candidate &c, std::size_t t, Pc a, Pc b)
     auto &code = out.threads[t];
     code.erase(code.begin() + a, code.begin() + b);
     for (Instruction &i : code) {
-        if (i.op != Opcode::branch_eq && i.op != Opcode::branch_ne &&
-            i.op != Opcode::jump)
+        if (!i.isBranch())
             continue;
         if (i.target >= b)
             i.target -= b - a;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "campaign/cell.hh"
-#include "common/thread_count.hh"
+#include "common/input_limits.hh"
 #include "models/model_registry.hh"
 
 namespace wo {
@@ -111,8 +111,13 @@ campaignSpecFromJson(const Json &j, CampaignSpec &out, std::string *error)
     boolean("inject_reserve_bug", spec.inject_reserve_bug);
     boolean("verify", spec.verify);
     boolean("inject_axiom_bug", spec.inject_axiom_bug);
-    if (spec.cells == 0)
-        return fail("spec.cells must be positive");
+    // The journal reserves a seen-key table for the whole budget
+    // before the first cell runs: bound it before anything is sized.
+    if (!cellCountOk(spec.cells))
+        return fail(strprintf("spec.cells must be 1..%llu, got %llu",
+                              static_cast<unsigned long long>(
+                                  max_cell_count),
+                              static_cast<unsigned long long>(spec.cells)));
     if (spec.max_events == 0)
         return fail("spec.max_events must be positive");
     if (spec.max_states == 0)

@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "models/sc_model.hh"
 #include "models/thread_ctx.hh"
+#include "program/footprint.hh"
 
 namespace wo {
 
@@ -55,78 +56,11 @@ struct PathState
 
 enum class StepVerdict { ok, race, budget };
 
-/** Bitsets over locations, one per program point. */
-class ResidualSets
-{
-  public:
-    ResidualSets(const Program &prog, bool writes_only)
-    {
-        words_ = (prog.numLocations() + 63) / 64;
-        sets_.resize(prog.numThreads());
-        for (ProcId p = 0; p < prog.numThreads(); ++p) {
-            const ThreadCode &code = prog.thread(p);
-            auto &rows = sets_[p];
-            rows.assign(code.size(),
-                        std::vector<std::uint64_t>(words_, 0));
-            // Reverse fixpoint: may[pc] = own ∪ may[successors].
-            bool changed = true;
-            while (changed) {
-                changed = false;
-                for (Pc pc = code.size(); pc-- > 0;) {
-                    auto row = rows[pc];
-                    const Instruction &i = code.at(pc);
-                    const bool counts =
-                        writes_only ? i.writesMemory() : i.readsMemory();
-                    if (i.accessesMemory() && counts)
-                        row[i.addr / 64] |= std::uint64_t{1}
-                                            << (i.addr % 64);
-                    auto absorb = [&](Pc succ) {
-                        for (std::size_t w = 0; w < words_; ++w)
-                            row[w] |= rows[succ][w];
-                    };
-                    switch (i.op) {
-                      case Opcode::halt:
-                        break;
-                      case Opcode::jump:
-                        absorb(i.target);
-                        break;
-                      case Opcode::branch_eq:
-                      case Opcode::branch_ne:
-                        absorb(i.target);
-                        absorb(pc + 1);
-                        break;
-                      default:
-                        absorb(pc + 1);
-                        break;
-                    }
-                    if (row != rows[pc]) {
-                        rows[pc] = std::move(row);
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
-
-    /** May thread @p p still access @p a from program point @p pc? */
-    bool
-    may(ProcId p, Pc pc, Addr a) const
-    {
-        return (sets_[p][pc][a / 64] >> (a % 64)) & 1;
-    }
-
-  private:
-    std::size_t words_;
-    std::vector<std::vector<std::vector<std::uint64_t>>> sets_;
-};
-
 class Checker
 {
   public:
     Checker(const Program &prog, const Drf0CheckerCfg &cfg)
-        : prog_(prog), cfg_(cfg), model_(prog),
-          may_read_(prog, /*writes_only=*/false),
-          may_write_(prog, /*writes_only=*/true)
+        : prog_(prog), cfg_(cfg), model_(prog), foot_(prog)
     {
     }
 
@@ -283,9 +217,10 @@ class Checker
             if (q == p || s.m.threads[q].halted)
                 continue;
             const Pc qpc = s.m.threads[q].pc;
-            if (may_write_.may(q, qpc, i.addr))
+            if (foot_.may(q, qpc, Footprint::writes, i.addr))
                 return true;
-            if (i.writesMemory() && may_read_.may(q, qpc, i.addr))
+            if (i.writesMemory() &&
+                foot_.may(q, qpc, Footprint::reads, i.addr))
                 return true;
         }
         return false;
@@ -365,8 +300,7 @@ class Checker
     const Program &prog_;
     Drf0CheckerCfg cfg_;
     ScModel model_;
-    ResidualSets may_read_;
-    ResidualSets may_write_;
+    Footprint foot_;
     std::vector<TraceOp> trace_;
     SyncModelVerdict verdict_;
     bool race_found_ = false;

@@ -11,14 +11,15 @@
  * first race found.  Two sound reductions keep this tractable:
  *
  *  - residual-conflict reduction: for every thread and program point the
- *    checker precomputes the set of locations the thread may still read
- *    or write from there on (a reverse CFG fixpoint).  An access that no
- *    OTHER thread's residual can conflict with commutes with every
- *    current and future transition -- residual sets only shrink as
- *    control advances -- so it is executed eagerly (race-checked against
- *    the past, but without a scheduling branch).  This subsumes the
- *    static "location touched by one thread" case and, e.g., lets each
- *    barrier phase of a phased program be explored independently;
+ *    program's residual footprint (program/footprint.hh) holds the
+ *    locations the thread may still read or write from there on.  An
+ *    access that no OTHER thread's residual can conflict with commutes
+ *    with every current and future transition -- residual sets only
+ *    shrink as control advances -- so it is executed eagerly
+ *    (race-checked against the past, but without a scheduling branch).
+ *    This subsumes the static "location touched by one thread" case
+ *    and, e.g., lets each barrier phase of a phased program be explored
+ *    independently;
  *
  *  - stutter pruning: a step that changes neither the thread's context nor
  *    memory (a failed spin iteration re-reading an unchanged location) is

@@ -144,35 +144,17 @@ dataflow(const ThreadCode &code, ThreadAnalysis &ta,
             if (i.op == Opcode::sync_store && i.use_imm && i.imm == 0)
                 out.locks.erase(i.addr);
 
-            auto flow = [&](Pc succ, bool acquired) {
+            i.forEachSuccessor(pc, [&](Pc succ, bool fall_through) {
                 if (succ >= code.size())
                     return;
                 Held edge = out;
-                if (acquired) {
-                    auto it = ta.acquires.find(pc);
-                    wo_assert(it != ta.acquires.end(),
-                              "acquire edge without mapping");
-                    edge.locks.insert(it->second);
-                }
-                changed |= ta.held[succ].meet(edge);
-            };
-
-            switch (i.op) {
-              case Opcode::halt:
-                break;
-              case Opcode::jump:
-                flow(i.target, false);
-                break;
-              case Opcode::branch_eq:
-              case Opcode::branch_ne:
-                flow(i.target, false);
                 // The fall-through of an acquire-bne holds the lock.
-                flow(pc + 1, ta.acquires.count(pc) > 0);
-                break;
-              default:
-                flow(pc + 1, false);
-                break;
-            }
+                if (fall_through)
+                    if (auto it = ta.acquires.find(pc);
+                        it != ta.acquires.end())
+                        edge.locks.insert(it->second);
+                changed |= ta.held[succ].meet(edge);
+            });
         }
     }
     // Releases of locks not definitely held.

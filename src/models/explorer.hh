@@ -26,10 +26,10 @@
  *    model two stores to different locations broadcast inbox updates
  *    whose arrival orders differ, so an addr-disjointness rule would
  *    wrongly commute them.  Concrete commutation is sound for any model
- *    by construction.  Verdicts are memoized per (state key, transition
- *    pair) in a per-worker direct-mapped cache, so re-entries of a state
- *    under a different sleep set answer their probes without
- *    re-executing the model.
+ *    by construction.  On top of the sleep sets, each state expands only
+ *    one *persistent* component of processors: the program's residual
+ *    footprints (program/footprint.hh, the table the DRF0 checker reads
+ *    too) show which processors can never conflict again.
  *
  *    Hashed-state dedup: search nodes are (state, sleep set) pairs keyed
  *    by a 128-bit FNV pair streamed straight off the state bytes (no
@@ -82,7 +82,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -98,6 +97,7 @@
 #include "models/inline_vec.hh"
 #include "models/state_enc.hh"
 #include "models/transition.hh"
+#include "program/footprint.hh"
 #include "program/program.hh"
 
 namespace wo {
@@ -137,7 +137,12 @@ struct ExploreResult
     std::uint64_t sleep_pruned = 0;   //!< edges skipped by sleep sets
     std::uint64_t revisit_pruned = 0; //!< re-entries deduplicated
     std::uint64_t commutation_probes = 0; //!< independence queries made
-    std::uint64_t memo_hits = 0;      //!< probes answered from the memo
+    /**
+     * Always 0: the engine no longer memoizes commutation verdicts (a
+     * per-worker memo answered under 2% of probes).  The field stays
+     * because the repository benchmark reads it.
+     */
+    std::uint64_t memo_hits = 0;
     std::uint64_t visited_bytes = 0;  //!< approx. visited-table footprint
 
     /** Outcome set conclusively computed (neither truncated nor stuck)? */
@@ -145,10 +150,9 @@ struct ExploreResult
 
     /**
      * Schedule-independent equality: the fields the engine guarantees
-     * bit-identical across jobs counts and across runs.  memo_hits
-     * (whether a probe was answered from cache depends on cross-worker
-     * timing) and visited_bytes (table size at the instant a truncated
-     * search stopped) are diagnostics, deliberately excluded.
+     * bit-identical across jobs counts and across runs.  visited_bytes
+     * (table size at the instant a truncated search stopped) is a
+     * diagnostic, deliberately excluded, as is the unused memo_hits.
      */
     bool
     operator==(const ExploreResult &o) const
@@ -319,7 +323,10 @@ nodeKey(const StateHash &state, std::span<const TransLabel> sleep)
  * still store or synchronize.  Used to split processors into conflict
  * components: two processors whose footprints are disjoint can never
  * influence each other again, so their transitions commute forever and
- * only one component needs expanding per state.
+ * only one component needs expanding per state.  A *publishing*
+ * synchronization read reserves its location in the DRF0 machine, so
+ * every synchronization op counts as a write to its location (harmless
+ * over-approximation elsewhere).
  */
 struct ProcFoot
 {
@@ -330,79 +337,37 @@ struct ProcFoot
     bool writes_any = false;  //!< a store (or queued write) is reachable
 };
 
-inline void
-footAddRead(ProcFoot &f, Addr a)
-{
-    if (a < 64)
-        f.reads |= std::uint64_t{1} << a;
-    else
-        f.overflow = true;
-}
-
-inline void
-footAddWrite(ProcFoot &f, Addr a)
-{
-    if (a < 64)
-        f.writes |= std::uint64_t{1} << a;
-    else
-        f.overflow = true;
-}
-
 /**
- * Accumulate the footprint of all code reachable from @p pc.  A
- * *publishing* synchronization read reserves its location in the DRF0
- * machine, so every synchronization op counts as a write to its
- * location (harmless over-approximation elsewhere).
+ * The ProcFoot of every (processor, pc) of @p prog, indexed [p][pc], read
+ * off the program's residual footprint table.
  */
-inline void
-codeFootprint(const ThreadCode &code, Pc pc, ProcFoot &f)
+inline std::vector<std::vector<ProcFoot>>
+codeFoots(const Program &prog)
 {
-    std::vector<bool> seen(code.size(), false);
-    std::vector<Pc> work{pc};
-    while (!work.empty()) {
-        const Pc at = work.back();
-        work.pop_back();
-        if (at >= code.size() || seen[at])
-            continue;
-        seen[at] = true;
-        const Instruction &i = code.at(at);
-        switch (i.op) {
-          case Opcode::halt:
-            break;
-          case Opcode::jump:
-            work.push_back(i.target);
-            break;
-          case Opcode::branch_eq:
-          case Opcode::branch_ne:
-            work.push_back(i.target);
-            work.push_back(at + 1);
-            break;
-          case Opcode::load_data:
-            footAddRead(f, i.addr);
-            work.push_back(at + 1);
-            break;
-          case Opcode::store_data:
-            footAddWrite(f, i.addr);
-            f.writes_any = true;
-            work.push_back(at + 1);
-            break;
-          case Opcode::sync_load:
-            f.may_sync = true;
-            footAddWrite(f, i.addr);
-            work.push_back(at + 1);
-            break;
-          case Opcode::sync_store:
-          case Opcode::test_and_set:
-            f.may_sync = true;
-            f.writes_any = true;
-            footAddWrite(f, i.addr);
-            work.push_back(at + 1);
-            break;
-          default:
-            work.push_back(at + 1);
-            break;
+    const Footprint fp(prog);
+    std::vector<std::vector<ProcFoot>> out(prog.numThreads());
+    for (ProcId p = 0; p < prog.numThreads(); ++p)
+        for (Pc pc = 0; pc < prog.thread(p).size(); ++pc) {
+            ProcFoot f;
+            std::uint64_t low[3] = {}, any[3] = {};
+            for (std::size_t k = 0; k < 3; ++k) {
+                // Word 0 holds locations 0..63; a bit in a later word is
+                // an overflow.
+                const auto set = fp.set(p, pc, Footprint::Kind(k));
+                std::uint64_t high = 0;
+                for (std::size_t w = 1; w < set.size(); ++w)
+                    high |= set[w];
+                low[k] = set.empty() ? 0 : set[0];
+                any[k] = low[k] | high;
+                f.overflow = f.overflow || high != 0;
+            }
+            f.reads = low[Footprint::reads];
+            f.writes = low[Footprint::writes] | low[Footprint::syncs];
+            f.writes_any = any[Footprint::writes] != 0;
+            f.may_sync = any[Footprint::syncs] != 0;
+            out[p].push_back(f);
         }
-    }
+    return out;
 }
 
 /**
@@ -444,7 +409,8 @@ class DporEngine
     DporEngine(const Model &model, const ExploreCfg &cfg)
         : model_(model), cfg_(cfg),
           jobs_(cfg.jobs > 1 ? static_cast<unsigned>(cfg.jobs) : 1u),
-          visited_(visit_shards), slots_(jobs_), workers_(jobs_)
+          code_foot_(codeFoots(model.program())), visited_(visit_shards),
+          slots_(jobs_), workers_(jobs_)
     {
         for (unsigned i = 0; i < jobs_; ++i)
             workers_[i].id = i;
@@ -560,44 +526,6 @@ class DporEngine
         }
     };
 
-    /** Key of a memoized commutation verdict: state x unordered pair. */
-    struct MemoKey
-    {
-        StateHash at;
-        TransLabel a, b; // canonical: a < b
-        bool operator==(const MemoKey &other) const = default;
-    };
-
-    struct MemoKeyHash
-    {
-        std::size_t
-        operator()(const MemoKey &k) const
-        {
-            std::uint64_t a = k.at.lo, b = k.at.hi;
-            foldLabel(a, b, k.a);
-            foldLabel(a, b, k.b);
-            return StateHashHash{}(StateHash{a, b});
-        }
-    };
-
-    /**
-     * One slot of the per-worker commutation memo: a direct-mapped,
-     * lossy cache.  Losing an entry only costs re-deriving the same
-     * deterministic verdict, so no locks, no allocation, no rehashing
-     * -- a probe is one array index whether it hits or misses.
-     */
-    struct MemoEntry
-    {
-        MemoKey key{};
-        bool verdict = false;
-        bool valid = false;
-    };
-
-    // Small enough to zero per exploration and stay cache-resident:
-    // the hits that exist (re-entries of a just-expanded state) are
-    // temporally local, so a big table would only add cold misses.
-    static constexpr std::size_t memo_slots = std::size_t{1} << 9;
-
     /**
      * A worker's pending tasks.  The owner pushes and pops at the back;
      * thieves take from `head`.  A vector, not a std::deque: a Task
@@ -611,7 +539,7 @@ class DporEngine
         std::size_t head = 0; // dq[0, head) was stolen
     };
 
-    /** Per-worker partial result and caches; merged after the join. */
+    /** Per-worker partial result and scratch; merged after the join. */
     struct alignas(64) Worker
     {
         unsigned id = 0;
@@ -620,11 +548,6 @@ class DporEngine
         std::uint64_t sleep_pruned = 0;
         std::uint64_t revisit_pruned = 0;
         std::uint64_t commutation_probes = 0;
-        std::uint64_t memo_hits = 0;
-        // Footprints of reachable code, memoized per (proc, pc).
-        std::map<std::pair<ProcId, Pc>, ProcFoot> code_cache;
-        // Commutation-verdict cache (direct-mapped, lossy).
-        std::vector<MemoEntry> memo = std::vector<MemoEntry>(memo_slots);
         // persistentFilter scratch, reused across nodes (no per-node
         // allocation).
         std::vector<ProcFoot> foot;
@@ -722,8 +645,7 @@ class DporEngine
         if (is_final)
             t.sleep.clear(); // final states carry no transitions to skip
 
-        const StateHash sh = model_.hashState(t.state);
-        const StateHash key = nodeKey(sh, t.sleep);
+        const StateHash key = nodeKey(model_.hashState(t.state), t.sleep);
         {
             VisitShard &shard =
                 visited_[static_cast<std::size_t>(key.lo) % visit_shards];
@@ -757,7 +679,7 @@ class DporEngine
             return;
         }
         persistentFilter(t.state, succs, w);
-        expand(sh, t.sleep, std::move(succs), w);
+        expand(t.sleep, std::move(succs), w);
     }
 
     /**
@@ -771,8 +693,7 @@ class DporEngine
     void
     persistentFilter(const State &s, Succs &succs, Worker &w)
     {
-        const Program &prog = model_.program();
-        const ProcId n = prog.numThreads();
+        const ProcId n = model_.program().numThreads();
         if (n <= 1 || succs.size() <= 1)
             return;
         constexpr bool broadcast = modelBroadcasts<Model>();
@@ -784,19 +705,15 @@ class DporEngine
             const auto &t = s.threads[p];
             if (!t.halted) {
                 active[p] = 1;
-                const auto key = std::make_pair(p, t.pc);
-                auto it = w.code_cache.find(key);
-                if (it == w.code_cache.end()) {
-                    ProcFoot cf;
-                    codeFootprint(prog.thread(p), t.pc, cf);
-                    it = w.code_cache.emplace(key, cf).first;
-                }
-                foot[p] = it->second;
+                foot[p] = code_foot_[p][t.pc];
             }
             w.queued.clear();
             model_.pendingAddrs(s, p, w.queued);
             for (Addr a : w.queued) {
-                footAddWrite(foot[p], a);
+                if (a < 64)
+                    foot[p].writes |= std::uint64_t{1} << a;
+                else
+                    foot[p].overflow = true;
                 foot[p].writes_any = true;
                 active[p] = 1;
             }
@@ -843,15 +760,15 @@ class DporEngine
     }
 
     /**
-     * Compute every child node of the state hashed @p sh in label order
-     * -- the same order the sequential DFS explored them, so the
-     * per-child sleep sets (and with them the whole explored fixpoint)
-     * are independent of worker scheduling -- then spawn the children
-     * as tasks, handing each one the successor list its probes already
-     * materialized.
+     * Compute every child node of a state from its successors @p succs
+     * in label order -- the same order the sequential DFS explored
+     * them, so the per-child sleep sets (and with them the whole
+     * explored fixpoint) are independent of worker scheduling -- then
+     * spawn the children as tasks, handing each one the successor list
+     * its probes already materialized.
      */
     void
-    expand(const StateHash &sh, const Sleep &sleep, Succs succs, Worker &w)
+    expand(const Sleep &sleep, Succs succs, Worker &w)
     {
         // Successor lists of this node's children, keyed by the label
         // that reaches them; shared by every commutation probe and then
@@ -862,11 +779,16 @@ class DporEngine
         auto &child_succs = w.child_succs;
         child_succs.clear();
         child_succs.reserve(succs.size());
+        auto cachedSuccs = [&](const TransLabel &l) -> Succs * {
+            for (auto &entry : child_succs)
+                if (entry.first == l)
+                    return &entry.second;
+            return nullptr;
+        };
         auto childSuccsOf = [&](const TransLabel &l,
                                 const State &st) -> const Succs & {
-            for (const auto &entry : child_succs)
-                if (entry.first == l)
-                    return entry.second;
+            if (const Succs *have = cachedSuccs(l))
+                return *have;
             return child_succs.emplace_back(l, model_.labeledSuccessors(st))
                 .second;
         };
@@ -875,12 +797,6 @@ class DporEngine
             for (const auto &ls : list)
                 if (ls.label == l)
                     return &ls.state;
-            return nullptr;
-        };
-        auto cachedSuccs = [&](const TransLabel &l) -> const Succs * {
-            for (const auto &entry : child_succs)
-                if (entry.first == l)
-                    return &entry.second;
             return nullptr;
         };
 
@@ -909,9 +825,30 @@ class DporEngine
                 if (t == label)
                     return;
                 ++w.commutation_probes;
-                if (commutes(sh, succs, child, label, t, childSuccsOf,
-                             cachedSuccs, findLabel, w))
+                // t is enabled here and must stay enabled after the
+                // chosen label (whose list is materialized anyway: it is
+                // donated to the spawned child)...
+                const State *s_t = findLabel(succs, t);
+                const State *s_lt =
+                    s_t ? findLabel(childSuccsOf(label, child), t) : nullptr;
+                if (!s_lt)
+                    return;
+                // ...and the chosen label after t.  When t is asleep its
+                // child is never expanded from this frame, so don't
+                // materialize that child's whole successor list; chase
+                // the single (t, label) edge instead -- unless a probe
+                // for an expanded sibling already paid for the list.
+                // Both orders must land in the identical state (direct
+                // comparison: exact, allocation-free, and with early
+                // exit on the first differing field).
+                if (const Succs *have = cachedSuccs(t)) {
+                    const State *s_tl = findLabel(*have, label);
+                    if (s_tl && *s_lt == *s_tl)
+                        child_sleep.push_back(t);
+                } else if (const auto s_tl = model_.stepLabel(*s_t, label);
+                           s_tl && *s_lt == *s_tl) {
                     child_sleep.push_back(t);
+                }
             };
             for (const TransLabel &t : sleep)
                 considerSleeper(t);
@@ -931,71 +868,14 @@ class DporEngine
         // memory profile).  Stealers take from the other end.
         for (std::size_t i = children.size(); i-- > 0;) {
             const Child &c = children[i];
+            // Each label spawns at most once, so donating by move
+            // without erasing is safe.
             std::optional<Succs> carried;
-            for (auto &entry : child_succs)
-                if (entry.first == succs[c.at].label) {
-                    // Each label spawns at most once, so donating by
-                    // move without erasing is safe.
-                    carried.emplace(std::move(entry.second));
-                    break;
-                }
+            if (Succs *have = cachedSuccs(succs[c.at].label))
+                carried.emplace(std::move(*have));
             spawn(w.id, std::move(succs[c.at].state), c.sleep,
                   std::move(carried));
         }
-    }
-
-    /**
-     * Do @p label and @p t concretely commute at the state hashed
-     * @p sh?  Memoized per (state, unordered pair): a verdict depends
-     * only on the state, so re-entries under a different sleep set
-     * answer from the table instead of re-executing the model.
-     */
-    template <typename ChildSuccsOf, typename CachedSuccs,
-              typename FindLabel>
-    bool
-    commutes(const StateHash &sh, const Succs &succs, const State &child,
-             const TransLabel &label, const TransLabel &t,
-             ChildSuccsOf &childSuccsOf, CachedSuccs &cachedSuccs,
-             FindLabel &findLabel, Worker &w)
-    {
-        const MemoKey mk{sh, std::min(label, t), std::max(label, t)};
-        MemoEntry &e = w.memo[MemoKeyHash{}(mk) & (memo_slots - 1)];
-        if (e.valid && e.key == mk) {
-            ++w.memo_hits;
-            return e.verdict;
-        }
-        bool verdict = false;
-        // t is enabled here: find both one-step states.
-        const State *s_t = findLabel(succs, t);
-        if (s_t) {
-            // t must stay enabled after the chosen label...  (label's
-            // list is materialized anyway: it is donated to the spawned
-            // child.)
-            const State *s_lt = findLabel(childSuccsOf(label, child), t);
-            if (s_lt) {
-                // ...and the chosen label after t.  When t is asleep its
-                // child is never expanded from this frame, so don't
-                // materialize that child's whole successor list; chase
-                // the single (t, label) edge instead -- unless a probe
-                // for an expanded sibling already paid for the list.
-                const State *s_tl = nullptr;
-                std::optional<State> stepped;
-                if (const Succs *have = cachedSuccs(t)) {
-                    s_tl = findLabel(*have, label);
-                } else {
-                    stepped = model_.stepLabel(*s_t, label);
-                    if (stepped)
-                        s_tl = &*stepped;
-                }
-                // Both orders must land in the identical state (direct
-                // comparison: exact, allocation-free, and with early
-                // exit on the first differing field).
-                if (s_tl)
-                    verdict = *s_lt == *s_tl;
-            }
-        }
-        e = MemoEntry{mk, verdict, true};
-        return verdict;
     }
 
     ExploreResult
@@ -1015,7 +895,6 @@ class DporEngine
             result.sleep_pruned += w.sleep_pruned;
             result.revisit_pruned += w.revisit_pruned;
             result.commutation_probes += w.commutation_probes;
-            result.memo_hits += w.memo_hits;
         }
         for (VisitShard &shard : visited_)
             result.visited_bytes += shard.bytes();
@@ -1025,6 +904,8 @@ class DporEngine
     const Model &model_;
     const ExploreCfg &cfg_;
     const unsigned jobs_;
+    // Footprint of the code reachable from each (processor, pc).
+    const std::vector<std::vector<ProcFoot>> code_foot_;
 
     std::vector<VisitShard> visited_;
     std::vector<WorkerSlot> slots_;

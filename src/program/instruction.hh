@@ -67,6 +67,31 @@ struct Instruction
     /** True for any memory access. */
     bool accessesMemory() const { return readsMemory() || writesMemory(); }
 
+    /** True for the control transfers: branch_eq, branch_ne and jump. */
+    bool
+    isBranch() const
+    {
+        return op == Opcode::branch_eq || op == Opcode::branch_ne ||
+               op == Opcode::jump;
+    }
+
+    /**
+     * Call @p f(succ, fall_through) for each control-flow successor of
+     * this instruction sitting at @p pc: the branch target first
+     * (fall_through false), then pc + 1 unless control cannot fall
+     * through (jump, halt).  A validated Program keeps every successor
+     * in range.
+     */
+    template <typename F>
+    void
+    forEachSuccessor(Pc pc, F &&f) const
+    {
+        if (isBranch())
+            f(target, false);
+        if (op != Opcode::jump && op != Opcode::halt)
+            f(pc + 1, true);
+    }
+
     /** Human-readable rendering, e.g. "ST  [3] <- 1". */
     std::string toString() const;
 };

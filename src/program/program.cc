@@ -100,9 +100,7 @@ Program::validate() const
             if (i.dst >= num_regs || i.src >= num_regs || i.src2 >= num_regs)
                 wo_fatal("program '%s' P%zu@%u: register out of range",
                          name_.c_str(), p, pc);
-            if ((i.op == Opcode::branch_eq || i.op == Opcode::branch_ne ||
-                 i.op == Opcode::jump) &&
-                i.target >= t.size())
+            if (i.isBranch() && i.target >= t.size())
                 wo_fatal("program '%s' P%zu@%u: branch target %u out of range",
                          name_.c_str(), p, pc, i.target);
             if (i.op == Opcode::delay && i.imm < 0)

@@ -94,6 +94,27 @@ thread 0
     EXPECT_TRUE(assembleString("thread 0\n  st 65535 1\n").ok());
 }
 
+TEST(Assembler, NumbersAreDecimal)
+{
+    // Leading zeros are decimal: "010" is location ten, not octal 8.
+    auto r = assembleString("thread 0\n  st 010 1\n  movi r1 -007\n");
+    ASSERT_TRUE(r.ok()) << r.errors[0].toString();
+    EXPECT_EQ(r.program->thread(0).at(0).addr, 10u);
+    EXPECT_EQ(r.program->numLocations(), 11u);
+    EXPECT_EQ(r.program->thread(0).at(1).imm, -7);
+    // Immediates take an optional '-' and decimal digits, nothing else.
+    for (const char *bad : {"0x10", "+5", "5x", "--5", "-",
+                            "9223372036854775808"})
+        EXPECT_FALSE(
+            assembleString(std::string("thread 0\n  movi r1 ") + bad + "\n")
+                .ok())
+            << bad;
+    EXPECT_TRUE(
+        assembleString("thread 0\n  movi r1 -9223372036854775808\n").ok());
+    EXPECT_FALSE(assembleString("thread 0\n  st +3 1\n").ok());
+    EXPECT_FALSE(assembleString("thread 0\n  movi r+1 1\n").ok());
+}
+
 TEST(Assembler, StoreRegisterForm)
 {
     auto r = assembleString(R"(

@@ -11,7 +11,7 @@
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "common/thread_count.hh"
+#include "common/input_limits.hh"
 
 namespace wo {
 namespace {
@@ -247,6 +247,26 @@ TEST(ThreadCount, ParserEnforcesTheCeiling)
     }
     EXPECT_TRUE(threadCountOk(max_thread_count));
     EXPECT_FALSE(threadCountOk(max_thread_count + 1));
+}
+
+TEST(InputLimits, NumbersAreStrictDecimal)
+{
+    std::uint64_t x = 7;
+    EXPECT_TRUE(parseDecimal("010", x));
+    EXPECT_EQ(x, 10u);
+    EXPECT_TRUE(parseDecimal("18446744073709551615", x));
+    EXPECT_EQ(x, ~std::uint64_t{0});
+    x = 7;
+    for (const char *bad : {"0x10", "-1", "+1", " 1", "1 ", "", "1e3",
+                            "18446744073709551616"}) {
+        EXPECT_FALSE(parseDecimal(bad, x)) << bad;
+        EXPECT_EQ(x, 7u) << bad;
+    }
+    int n = 7;
+    EXPECT_FALSE(parseThreadCount("0x10", n));
+    EXPECT_EQ(n, 7);
+    EXPECT_TRUE(parseThreadCount("010", n));
+    EXPECT_EQ(n, 10);
 }
 
 } // namespace

@@ -7,7 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "asm/assembler.hh"
+#include "campaign/cell.hh"
 #include "campaign/verify.hh"
+#include "common/logging.hh"
 #include "core/drf0_checker.hh"
 #include "program/builder.hh"
 #include "program/litmus.hh"
@@ -139,6 +148,95 @@ TEST(Drf0Checker, WeakFlavorExemptsSyncPairsButKeepsDataRaces)
     EXPECT_TRUE(checkDrf0(litmus::messagePassingSync(), weak).obeys);
     // ...and plain data races are still detected.
     EXPECT_FALSE(checkDrf0(litmus::messagePassing(), weak).obeys);
+}
+
+/**
+ * The checker's whole observable result -- verdict, budget flag, path
+ * and step counts and the first race pair -- on every program of the
+ * litmus corpus, the .wo files under programs/ and a spread of fuzzer
+ * draws, under both flavors, digested and held to a recording.  Paths
+ * and steps move as soon as the residual-conflict reduction runs an
+ * access eagerly that it must branch on (or the other way round), so
+ * this pins the reduction, not just the verdicts.  On a mismatch the
+ * message prints the table; re-record only for an intended change of
+ * the search.
+ */
+TEST(Drf0Checker, GoldenVerdictsPathsAndSteps)
+{
+    std::vector<std::pair<std::string, Program>> progs;
+    for (const auto &e : litmusCorpus())
+        progs.emplace_back(e.name, e.make());
+    // Publication through sync reads that neither spin nor write: there
+    // the reader's residual conflicts with the flag's writer only
+    // through its read set.
+    ProgramBuilder once("flag_once", 2);
+    once.thread(0).store(1, 1).syncStore(0, 1);
+    once.thread(1).syncLoad(0, 0).load(1, 1);
+    progs.emplace_back("flag_once", once.build());
+    ProgramBuilder fan("flag_fan", 3);
+    fan.thread(0).store(1, 1).syncStore(0, 1).load(2, 2);
+    fan.thread(1).syncLoad(0, 0).store(2, 1);
+    fan.thread(2).syncLoad(0, 0).load(1, 1);
+    progs.emplace_back("flag_fan", fan.build());
+    std::vector<std::string> files;
+    for (const auto &e :
+         std::filesystem::directory_iterator(WO_PROGRAMS_DIR))
+        if (e.path().extension() == ".wo")
+            files.push_back(e.path().string());
+    std::sort(files.begin(), files.end());
+    for (const std::string &f : files) {
+        AsmResult a = assembleFile(f);
+        ASSERT_TRUE(a.ok()) << f;
+        progs.emplace_back(std::filesystem::path(f).filename().string(),
+                           std::move(*a.program));
+    }
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+        // Two processors: a third multiplies the checker's paths past
+        // its step budget on most draws.
+        Drf0WorkloadCfg d;
+        d.regions = static_cast<Addr>(1 + seed % 2);
+        d.sections = static_cast<int>(1 + seed / 2 % 2);
+        d.ops_per_section = static_cast<int>(1 + seed / 4 % 2);
+        d.test_and_tas = seed % 3 != 0;
+        d.seed = seed;
+        progs.emplace_back(strprintf("drf0_rand/%llu",
+                                     static_cast<unsigned long long>(seed)),
+                           randomDrf0Program(d));
+        RacyWorkloadCfg r;
+        r.procs = static_cast<ProcId>(2 + seed % 2);
+        r.locs = static_cast<Addr>(2 + seed % 3);
+        r.ops_per_thread = static_cast<int>(2 + seed % 3);
+        r.seed = seed;
+        progs.emplace_back(strprintf("racy_rand/%llu",
+                                     static_cast<unsigned long long>(seed)),
+                           randomRacyProgram(r));
+    }
+
+    std::string table;
+    for (const auto &[name, prog] : progs)
+        for (const auto flavor : {HbRelation::SyncFlavor::drf0,
+                                  HbRelation::SyncFlavor::weak_sync_read}) {
+            Drf0CheckerCfg cfg;
+            cfg.flavor = flavor;
+            const SyncModelVerdict v = checkDrf0(prog, cfg);
+            const std::string race =
+                v.races.empty()
+                    ? "-"
+                    : strprintf("%llu,%llu",
+                                static_cast<unsigned long long>(
+                                    v.races.front().first),
+                                static_cast<unsigned long long>(
+                                    v.races.front().second));
+            table += strprintf(
+                "%s %s obeys=%d exhausted=%d paths=%llu steps=%llu "
+                "race=%s\n",
+                name.c_str(),
+                flavor == HbRelation::SyncFlavor::drf0 ? "drf0" : "weak",
+                v.obeys, v.exhausted,
+                static_cast<unsigned long long>(v.paths),
+                static_cast<unsigned long long>(v.steps), race.c_str());
+        }
+    EXPECT_EQ(fnv1aHex(table), "7c7bf87fb0528ffb") << table;
 }
 
 TEST(Conformance, WoDrf0AppearsScToDrf0Programs)

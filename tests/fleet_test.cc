@@ -31,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include "campaign/fuzzer.hh"
+#include "common/input_limits.hh"
 #include "campaign/journal.hh"
 #include "campaign/scheduler.hh"
 #include "fleet/client.hh"
@@ -312,6 +313,27 @@ TEST(FleetProto, SpecBoundsExploreJobs)
         jsonParse(R"({"explore_jobs": 256})").value, spec, &err))
         << err;
     EXPECT_EQ(spec.explore_jobs, 256);
+}
+
+TEST(FleetProto, SpecBoundsCells)
+{
+    // cells sizes the journal's seen-key table on the coordinator
+    // before the first lease: past the ceiling it is refused.  Parses
+    // only; no campaign is opened.
+    CampaignSpec spec;
+    std::string err;
+    for (const char *bad : {"100000001", "4611686018427387904",
+                            "18446744073709551615", "0"}) {
+        EXPECT_FALSE(campaignSpecFromJson(
+            jsonParse(std::string(R"({"cells": )") + bad + "}").value,
+            spec, &err))
+            << bad;
+        EXPECT_NE(err.find("cells"), std::string::npos) << bad;
+    }
+    ASSERT_TRUE(campaignSpecFromJson(
+        jsonParse(R"({"cells": 100000000})").value, spec, &err))
+        << err;
+    EXPECT_EQ(spec.cells, max_cell_count);
 }
 
 TEST(FleetProto, SpecDefaultsEmptyPoliciesToCampaignTrio)

@@ -100,10 +100,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -114,7 +115,7 @@
 #include "axiom/axiom_eval.hh"
 #include "campaign/scheduler.hh"
 #include "campaign/verify.hh"
-#include "common/thread_count.hh"
+#include "common/input_limits.hh"
 #include "fleet/client.hh"
 #include "fleet/coordinator.hh"
 #include "fleet/proto.hh"
@@ -208,22 +209,31 @@ badOpt(const char *name, const char *wanted, const char *got)
     return false;
 }
 
-/** Strict unsigned option: whole-string numeric and >= @p min. */
+/**
+ * Strict unsigned option: decimal digits only (input_limits.hh), from
+ * @p min to @p max.
+ */
 bool
 parseU64Opt(int argc, char **argv, const char *name, std::uint64_t min,
-            std::uint64_t &out)
+            std::uint64_t &out,
+            std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     const char *v = opt(argc, argv, name);
     if (!v)
         return true;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long x = std::strtoull(v, &end, 0);
-    if (end == v || *end || errno == ERANGE || x < min)
-        return badOpt(name,
-                      min > 0 ? "a positive integer" : "an integer", v);
-    out = x;
-    return true;
+    std::uint64_t x = 0;
+    if (parseDecimal(v, x) && x >= min && x <= max) {
+        out = x;
+        return true;
+    }
+    const std::string wanted =
+        max < std::numeric_limits<std::uint64_t>::max()
+            ? strprintf("an integer from %llu to %llu",
+                        static_cast<unsigned long long>(min),
+                        static_cast<unsigned long long>(max))
+        : min > 0 ? "a positive integer"
+                  : "an integer";
+    return badOpt(name, wanted.c_str(), v);
 }
 
 /**
@@ -247,26 +257,31 @@ bool
 parseIntOpt(int argc, char **argv, const char *name, int min, int &out)
 {
     std::uint64_t x = static_cast<std::uint64_t>(out);
-    if (!parseU64Opt(argc, argv, name,
-                     static_cast<std::uint64_t>(min), x))
+    if (!parseU64Opt(argc, argv, name, static_cast<std::uint64_t>(min), x,
+                     1'000'000))
         return false;
-    if (x > 1'000'000)
-        return badOpt(name, "a sane count", opt(argc, argv, name));
     out = static_cast<int>(x);
     return true;
 }
 
-/** Strict non-negative double option (time budgets). */
+/**
+ * Strict decimal number option (input_limits.hh): finite, and >= 0
+ * (time budgets) or > 0 with @p positive (rates).  No hex, inf or nan.
+ */
 bool
-parseDoubleOpt(int argc, char **argv, const char *name, double &out)
+parseDoubleOpt(int argc, char **argv, const char *name, double &out,
+               bool positive = false)
 {
     const char *v = opt(argc, argv, name);
     if (!v)
         return true;
-    char *end = nullptr;
-    const double x = std::strtod(v, &end);
-    if (end == v || *end || !(x >= 0))
-        return badOpt(name, "a non-negative number", v);
+    double x = 0;
+    if (!parseDecimal(v, x) || !std::isfinite(x) || x < 0 ||
+        (positive && x == 0))
+        return badOpt(name,
+                      positive ? "a positive number"
+                               : "a non-negative number",
+                      v);
     out = x;
     return true;
 }
@@ -287,8 +302,9 @@ parseConnectOpt(int argc, char **argv, HostPort &out)
 }
 
 int
-cmdCheck(const Program &prog, int argc, char **argv)
+cmdCheck(const AsmResult *a, int argc, char **argv)
 {
+    const Program &prog = *a->program;
     Drf0CheckerCfg cfg;
     if (flag(argc, argv, "--weak"))
         cfg.flavor = HbRelation::SyncFlavor::weak_sync_read;
@@ -336,8 +352,9 @@ knownModel(const std::string &name)
  * comparisons are the verify judge's checks 1 and 2.
  */
 int
-cmdExplore(const Program &prog, int argc, char **argv)
+cmdExplore(const AsmResult *a, int argc, char **argv)
 {
+    const Program &prog = *a->program;
     ExploreCfg cfg;
     std::uint64_t witness_idx = 0;
     if (!parseU64Opt(argc, argv, "--max-states", 1, cfg.max_states) ||
@@ -368,16 +385,15 @@ cmdExplore(const Program &prog, int argc, char **argv)
         engineLine(algo == "bfs" ? "bfs" : "dpor", r);
         if (cfg.algo == ExploreAlgo::dpor) {
             std::printf("  dpor: %llu transitions, %llu sleep-pruned, "
-                        "%llu revisits subsumed\n",
+                        "%llu revisits deduplicated\n",
                         static_cast<unsigned long long>(r.transitions),
                         static_cast<unsigned long long>(r.sleep_pruned),
                         static_cast<unsigned long long>(
                             r.revisit_pruned));
-            std::printf("  dpor: %llu commutation probes (%llu memo "
-                        "hits), %llu visited-table bytes, %d job(s)\n",
+            std::printf("  dpor: %llu commutation probes, %llu "
+                        "visited-table bytes, %d job(s)\n",
                         static_cast<unsigned long long>(
                             r.commutation_probes),
-                        static_cast<unsigned long long>(r.memo_hits),
                         static_cast<unsigned long long>(r.visited_bytes),
                         cfg.jobs);
         }
@@ -447,8 +463,9 @@ cmdExplore(const Program &prog, int argc, char **argv)
 }
 
 int
-cmdVerify(const Program &prog, int argc, char **argv)
+cmdVerify(const AsmResult *a, int argc, char **argv)
 {
+    const Program &prog = *a->program;
     VerifyCfg cfg;
     cfg.max_states = ExploreCfg{}.max_states;
     if (!parseU64Opt(argc, argv, "--max-states", 1, cfg.max_states))
@@ -495,15 +512,10 @@ bool
 parseProfileOpts(int argc, char **argv, bool &profile, double &hz,
                  std::string &out)
 {
-    profile = flag(argc, argv, "--profile");
-    if (const char *v = opt(argc, argv, "--profile-hz")) {
-        profile = true;
-        hz = std::strtod(v, nullptr);
-        if (!(hz > 0)) {
-            std::fprintf(stderr, "--profile-hz must be positive\n");
-            return false;
-        }
-    }
+    profile = flag(argc, argv, "--profile") ||
+              opt(argc, argv, "--profile-hz");
+    if (!parseDoubleOpt(argc, argv, "--profile-hz", hz, true))
+        return false;
     if (const char *v = opt(argc, argv, "--profile-out")) {
         profile = true;
         out = v;
@@ -551,8 +563,12 @@ parseRunCfg(int argc, char **argv, SystemCfg &cfg)
 
 /** Post-run artifact emission common to run/monitor. */
 int
-emitRunArtifacts(const SystemResult &r, int argc, char **argv)
+emitRunArtifacts(const SystemCfg &cfg, const SystemResult &r, int argc,
+                 char **argv)
 {
+    if (cfg.profile && !cfg.profile_out.empty())
+        std::printf("wrote profile (folded stacks) to %s\n",
+                    cfg.profile_out.c_str());
     if (const char *path = opt(argc, argv, "--sample-csv")) {
         if (r.sampler_csv.empty()) {
             std::fprintf(stderr,
@@ -570,15 +586,10 @@ emitRunArtifacts(const SystemResult &r, int argc, char **argv)
 bool
 parseServeOpts(int argc, char **argv, HttpServerCfg &scfg)
 {
-    const char *v = opt(argc, argv, "--serve-port");
-    char *end = nullptr;
-    const unsigned long p = std::strtoul(v, &end, 0);
-    if (end == v || *end || p > 65535) {
-        std::fprintf(stderr, "--serve-port wants a port in 0..65535 "
-                             "(0 = ephemeral)\n");
+    std::uint64_t port = 0;
+    if (!parseU64Opt(argc, argv, "--serve-port", 0, port, 65535))
         return false;
-    }
-    scfg.port = static_cast<std::uint16_t>(p);
+    scfg.port = static_cast<std::uint16_t>(port);
     if (const char *a = opt(argc, argv, "--serve-addr"))
         scfg.addr = a;
     return true;
@@ -665,10 +676,45 @@ class RunServe
     std::unique_ptr<HttpServer> srv_;
 };
 
+/**
+ * The timed-run front end of run, monitor and stats: build one System
+ * for the file's program, apply its `warm` terms, run it, and hand the
+ * machine and its result to @p report, whose value is the exit code.
+ * With @p served (run, monitor) the --serve-port control plane is bound
+ * first and answers until the command returns, the result is published
+ * to it, and the headline and outcome lines are printed before
+ * @p report runs.
+ */
+template <typename Report>
 int
-cmdRun(const AsmResult &a, int argc, char **argv)
+timedRun(const AsmResult &a, const SystemCfg &cfg, bool served, int argc,
+         char **argv, Report &&report)
 {
     const Program &prog = *a.program;
+    RunServe serve;
+    if (served && serve.maybeStart(argc, argv) < 0)
+        return 2;
+    System sys(prog, cfg);
+    for (const auto &w : a.warm)
+        sys.warmShared(w.addr, w.procs);
+    const SystemResult r = sys.run();
+    if (served) {
+        serve.publish(r.stats_json);
+        std::printf("%s under %s: %s, finish tick %llu\n",
+                    prog.name().c_str(), policyName(cfg.policy),
+                    r.completed
+                        ? "completed"
+                        : (r.deadlocked ? "DEADLOCKED" : "LIVELOCKED"),
+                    static_cast<unsigned long long>(r.finish_tick));
+        std::printf("outcome: %s\n", r.outcome.toString().c_str());
+    }
+    return report(sys, r);
+}
+
+int
+cmdRun(const AsmResult *a, int argc, char **argv)
+{
+    const Program &prog = *a->program;
     SystemCfg cfg;
     if (!parseRunCfg(argc, argv, cfg))
         return 2;
@@ -677,128 +723,95 @@ cmdRun(const AsmResult &a, int argc, char **argv)
     const char *stats_json = opt(argc, argv, "--stats-json");
     cfg.trace = trace_json || trace_jsonl;
 
-    RunServe serve;
-    if (serve.maybeStart(argc, argv) < 0)
-        return 2;
-    System sys(prog, cfg);
-    for (const auto &w : a.warm)
-        sys.warmShared(w.addr, w.procs);
-    auto r = sys.run();
-    serve.publish(r.stats_json);
-    std::printf("%s under %s: %s, finish tick %llu\n",
-                prog.name().c_str(), policyName(cfg.policy),
-                r.completed
-                    ? "completed"
-                    : (r.deadlocked ? "DEADLOCKED" : "LIVELOCKED"),
-                static_cast<unsigned long long>(r.finish_tick));
-    std::printf("outcome: %s\n", r.outcome.toString().c_str());
-    auto sc = checkSequentialConsistency(r.execution);
-    std::printf("execution is %sSC-explainable\n", sc.sc ? "" : "NOT ");
-    if (cfg.monitor)
-        std::fputs(r.monitor_report.c_str(), stdout);
-    if (flag(argc, argv, "--trace")) {
-        std::printf("trace:\n%s", r.execution.toString().c_str());
-        std::printf("stats:\n%s", r.stats.c_str());
-    }
-    if (const char *path = opt(argc, argv, "--save-trace"))
-        if (int rc = emitFile(path, traceToText(r.execution), "trace"))
+    return timedRun(*a, cfg, true, argc, argv,
+                    [&](const System &sys, const SystemResult &r) {
+        auto sc = checkSequentialConsistency(r.execution);
+        std::printf("execution is %sSC-explainable\n", sc.sc ? "" : "NOT ");
+        if (cfg.monitor)
+            std::fputs(r.monitor_report.c_str(), stdout);
+        if (flag(argc, argv, "--trace")) {
+            std::printf("trace:\n%s", r.execution.toString().c_str());
+            std::printf("stats:\n%s", r.stats.c_str());
+        }
+        if (const char *path = opt(argc, argv, "--save-trace"))
+            if (int rc = emitFile(path, traceToText(r.execution), "trace"))
+                return rc;
+        if (const char *path = opt(argc, argv, "--dot")) {
+            DotCfg dc;
+            dc.title = prog.name() + " on " + policyName(cfg.policy);
+            if (int rc = emitFile(path, executionToDot(r.execution, dc),
+                                  "happens-before graph"))
+                return rc;
+        }
+        if (trace_json)
+            if (int rc = emitFile(trace_json, sys.obs().chromeTraceJson(),
+                                  "Chrome trace"))
+                return rc;
+        if (trace_jsonl)
+            if (int rc = emitFile(trace_jsonl, sys.obs().traceJsonl(),
+                                  "trace JSONL"))
+                return rc;
+        if (stats_json)
+            if (int rc = emitFile(stats_json, r.stats_json + "\n",
+                                  "metrics JSON"))
+                return rc;
+        if (int rc = emitRunArtifacts(cfg, r, argc, argv))
             return rc;
-    if (const char *path = opt(argc, argv, "--dot")) {
-        DotCfg dc;
-        dc.title = prog.name() + " on " + policyName(cfg.policy);
-        if (int rc = emitFile(path, executionToDot(r.execution, dc),
-                              "happens-before graph"))
-            return rc;
-    }
-    if (trace_json)
-        if (int rc = emitFile(trace_json, sys.obs().chromeTraceJson(),
-                              "Chrome trace"))
-            return rc;
-    if (trace_jsonl)
-        if (int rc = emitFile(trace_jsonl, sys.obs().traceJsonl(),
-                              "trace JSONL"))
-            return rc;
-    if (stats_json)
-        if (int rc = emitFile(stats_json, r.stats_json + "\n",
-                              "metrics JSON"))
-            return rc;
-    if (cfg.profile && !cfg.profile_out.empty())
-        std::printf("wrote profile (folded stacks) to %s\n",
-                    cfg.profile_out.c_str());
-    if (int rc = emitRunArtifacts(r, argc, argv))
-        return rc;
-    // A run fails when it never finished, when it produced a
-    // non-SC-explainable history, or when the monitor caught the
-    // hardware red-handed.
-    if (!r.completed || !sc.sc)
-        return 1;
-    if (cfg.monitor && r.monitor_hw_violations > 0)
-        return 1;
-    return 0;
+        // A run fails when it never finished, when it produced a
+        // non-SC-explainable history, or when the monitor caught the
+        // hardware red-handed.
+        if (!r.completed || !sc.sc)
+            return 1;
+        if (cfg.monitor && r.monitor_hw_violations > 0)
+            return 1;
+        return 0;
+    });
 }
 
 int
-cmdMonitor(const AsmResult &a, int argc, char **argv)
+cmdMonitor(const AsmResult *a, int argc, char **argv)
 {
-    const Program &prog = *a.program;
     SystemCfg cfg;
     if (!parseRunCfg(argc, argv, cfg))
         return 2;
     cfg.monitor = true;
-
-    RunServe serve;
-    if (serve.maybeStart(argc, argv) < 0)
-        return 2;
-    System sys(prog, cfg);
-    for (const auto &w : a.warm)
-        sys.warmShared(w.addr, w.procs);
-    auto r = sys.run();
-    serve.publish(r.stats_json);
-    std::printf("%s under %s: %s, finish tick %llu\n",
-                prog.name().c_str(), policyName(cfg.policy),
-                r.completed
-                    ? "completed"
-                    : (r.deadlocked ? "DEADLOCKED" : "LIVELOCKED"),
-                static_cast<unsigned long long>(r.finish_tick));
-    std::printf("outcome: %s\n", r.outcome.toString().c_str());
-    std::fputs(r.monitor_report.c_str(), stdout);
-    if (cfg.profile && !cfg.profile_out.empty())
-        std::printf("wrote profile (folded stacks) to %s\n",
-                    cfg.profile_out.c_str());
-    if (int rc = emitRunArtifacts(r, argc, argv))
-        return rc;
-    // Races blame software (Definition 2 voids the contract), so a
-    // racy-but-hardware-clean run still exits 0; only a broken run or
-    // a hardware violation is a failure.
-    return (r.completed && r.monitor_hw_violations == 0) ? 0 : 1;
+    return timedRun(*a, cfg, true, argc, argv,
+                    [&](const System &, const SystemResult &r) {
+        std::fputs(r.monitor_report.c_str(), stdout);
+        if (int rc = emitRunArtifacts(cfg, r, argc, argv))
+            return rc;
+        // Races blame software (Definition 2 voids the contract), so a
+        // racy-but-hardware-clean run still exits 0; only a broken run
+        // or a hardware violation is a failure.
+        return (r.completed && r.monitor_hw_violations == 0) ? 0 : 1;
+    });
 }
 
 int
-cmdStats(const AsmResult &a, int argc, char **argv)
+cmdStats(const AsmResult *a, int argc, char **argv)
 {
     SystemCfg cfg;
     if (!parsePolicy(argc, argv, cfg.policy))
         return 2;
-    System sys(*a.program, cfg);
-    for (const auto &w : a.warm)
-        sys.warmShared(w.addr, w.procs);
-    auto r = sys.run();
-    std::printf("%s\n", r.stats_json.c_str());
-    return r.completed ? 0 : 1;
+    return timedRun(*a, cfg, false, argc, argv,
+                    [](const System &, const SystemResult &r) {
+        std::printf("%s\n", r.stats_json.c_str());
+        return r.completed ? 0 : 1;
+    });
 }
 
 int
-cmdLitmus(const AsmResult &a)
+cmdLitmus(const AsmResult *a, int, char **)
 {
-    const Program &prog = *a.program;
-    if (a.probe.empty()) {
+    const Program &prog = *a->program;
+    if (a->probe.empty()) {
         std::fprintf(stderr,
                      "%s has no 'probe' directives to evaluate\n",
                      prog.name().c_str());
         return 2;
     }
     std::string cond;
-    for (const auto &t : a.probe)
+    for (const auto &t : a->probe)
         cond += (cond.empty() ? "" : " & ") + t.toString();
     std::printf("%s: probe %s\n", prog.name().c_str(), cond.c_str());
 
@@ -811,7 +824,7 @@ cmdLitmus(const AsmResult &a)
             auto r = exploreOutcomes(model);
             bool allowed = false;
             for (const auto &o : r.outcomes)
-                allowed = allowed || probeMatches(a.probe, o);
+                allowed = allowed || probeMatches(a->probe, o);
             const bool conclusive = allowed || r.conclusive();
             std::printf("  %-7s %-22s %s\n", name.c_str(), model.name(),
                         allowed      ? "ALLOWED"
@@ -826,8 +839,9 @@ cmdLitmus(const AsmResult &a)
 }
 
 int
-cmdAnalyzeTrace(const char *path)
+cmdAnalyzeTrace(const AsmResult *, int, char **argv)
 {
+    const char *path = argv[2];
     TraceParseResult t = traceFromFile(path);
     if (!t.ok()) {
         for (const auto &e : t.errors)
@@ -863,7 +877,8 @@ cmdAnalyzeTrace(const char *path)
 bool
 parseSpecOpts(int argc, char **argv, CampaignSpec &spec)
 {
-    if (!parseU64Opt(argc, argv, "--cells", 1, spec.cells) ||
+    if (!parseU64Opt(argc, argv, "--cells", 1, spec.cells,
+                     max_cell_count) ||
         !parseU64Opt(argc, argv, "--seed", 0, spec.seed) ||
         !parseU64Opt(argc, argv, "--max-events", 1, spec.max_events) ||
         !parseU64Opt(argc, argv, "--shrink-max-runs", 1,
@@ -982,7 +997,7 @@ cmdServe(const AsmResult *, int argc, char **argv)
     CoordinatorCfg cfg;
     std::uint64_t port = 0;
     int lease_timeout = cfg.lease_timeout_ms;
-    if (!parseU64Opt(argc, argv, "--port", 0, port) ||
+    if (!parseU64Opt(argc, argv, "--port", 0, port, 65535) ||
         !parseU64Opt(argc, argv, "--shard-size", 1, cfg.shard_size) ||
         !parseIntOpt(argc, argv, "--lease-timeout", 1, lease_timeout) ||
         !parseIntOpt(argc, argv, "--max-outstanding", 1,
@@ -991,11 +1006,6 @@ cmdServe(const AsmResult *, int argc, char **argv)
         !parseIntOpt(argc, argv, "--max-campaigns", 0,
                      cfg.max_campaigns))
         return 2;
-    if (port > 65535) {
-        badOpt("--port", "a port in 0..65535 (0 = ephemeral)",
-               opt(argc, argv, "--port"));
-        return 2;
-    }
     cfg.port = static_cast<std::uint16_t>(port);
     cfg.lease_timeout_ms = lease_timeout;
     if (const char *v = opt(argc, argv, "--addr"))
@@ -1074,52 +1084,8 @@ cmdSubmit(const AsmResult *, int argc, char **argv)
     return r.hardware_clean ? 0 : 1;
 }
 
-// --- uniform-signature wrappers for the command table ----------------
-
 int
-wrapCheck(const AsmResult *a, int argc, char **argv)
-{
-    return cmdCheck(*a->program, argc, argv);
-}
-
-int
-wrapExplore(const AsmResult *a, int argc, char **argv)
-{
-    return cmdExplore(*a->program, argc, argv);
-}
-
-int
-wrapVerify(const AsmResult *a, int argc, char **argv)
-{
-    return cmdVerify(*a->program, argc, argv);
-}
-
-int
-wrapRun(const AsmResult *a, int argc, char **argv)
-{
-    return cmdRun(*a, argc, argv);
-}
-
-int
-wrapMonitor(const AsmResult *a, int argc, char **argv)
-{
-    return cmdMonitor(*a, argc, argv);
-}
-
-int
-wrapStats(const AsmResult *a, int argc, char **argv)
-{
-    return cmdStats(*a, argc, argv);
-}
-
-int
-wrapLitmus(const AsmResult *a, int, char **)
-{
-    return cmdLitmus(*a);
-}
-
-int
-wrapLockset(const AsmResult *a, int, char **)
+cmdLockset(const AsmResult *a, int, char **)
 {
     const Program &prog = *a->program;
     auto r = checkLockDiscipline(prog);
@@ -1140,16 +1106,10 @@ wrapLockset(const AsmResult *a, int, char **)
 }
 
 int
-wrapDisasm(const AsmResult *a, int, char **)
+cmdDisasm(const AsmResult *a, int, char **)
 {
     std::printf("%s", disassemble(*a->program).c_str());
     return 0;
-}
-
-int
-wrapAnalyzeTrace(const AsmResult *, int, char **argv)
-{
-    return cmdAnalyzeTrace(argv[2]);
 }
 
 /**
@@ -1158,20 +1118,20 @@ wrapAnalyzeTrace(const AsmResult *, int, char **argv)
  * and campaign, must have a row here.
  */
 const Command commands[] = {
-    {"check", true, wrapCheck, "  check <file> [--weak]\n"},
-    {"explore", true, wrapExplore,
+    {"check", true, cmdCheck, "  check <file> [--weak]\n"},
+    {"explore", true, cmdExplore,
      "  explore <file> [--model sc|wb|net|stale|def1|drf0|drf0ro]\n"
      "          [--algo dpor|bfs|both] [--axiom] [--max-states N]\n"
      "          [--jobs N] [--witness N]   (exit 1 on engine\n"
      "          divergence, 3 when a budget made the result\n"
      "          inconclusive; --jobs N explores on N work-stealing\n"
      "          threads with bit-identical results)\n"},
-    {"verify", true, wrapVerify,
+    {"verify", true, cmdVerify,
      "  verify <file> [--model sc|wb|net|stale|def1|drf0|drf0ro]\n"
      "         [--max-states N]   (one line per check; exit 1 when\n"
      "         outcomes escape SC or a check is violated, 3 when\n"
      "         the SC-subset check has no answer)\n"},
-    {"run", true, wrapRun,
+    {"run", true, cmdRun,
      "  run <file> [--policy sc|def1|drf0|drf0ro] [--hop N]\n"
      "      [--jitter N] [--seed N] [--trace] [--dot F]\n"
      "      [--save-trace F] [--trace-json F] [--trace-jsonl F]\n"
@@ -1181,10 +1141,10 @@ const Command commands[] = {
      "      [--max-events N] [--inject-reserve-bug]\n"
      "      [--profile] [--profile-hz N] [--profile-out F]\n"
      "      [--serve-port N] [--serve-addr A]\n"},
-    {"monitor", true, wrapMonitor,
+    {"monitor", true, cmdMonitor,
      "  monitor <file> [run options]  (always-on monitor verdict;\n"
      "          exit 1 on hardware violation or failed run)\n"},
-    {"stats", true, wrapStats,
+    {"stats", true, cmdStats,
      "  stats <file> [--policy sc|def1|drf0|drf0ro]  (metrics JSON\n"
      "        on stdout)\n"},
     {"campaign", false, cmdCampaign,
@@ -1233,12 +1193,12 @@ const Command commands[] = {
      "  report <out-dir> [--out F] [--title T] [--bench F1,F2,...]\n"
      "         (merge the campaign journal, evidence bundles and\n"
      "         BENCH_*.json into one self-contained report.html)\n"},
-    {"lockset", true, wrapLockset, "  lockset <file>\n"},
-    {"litmus", true, wrapLitmus,
+    {"lockset", true, cmdLockset, "  lockset <file>\n"},
+    {"litmus", true, cmdLitmus,
      "  litmus <file>   (evaluate the file's 'probe' condition on\n"
      "         every abstract machine)\n"},
-    {"disasm", true, wrapDisasm, "  disasm <file>\n"},
-    {"analyze-trace", false, wrapAnalyzeTrace,
+    {"disasm", true, cmdDisasm, "  disasm <file>\n"},
+    {"analyze-trace", false, cmdAnalyzeTrace,
      "  analyze-trace <file>  (file is a trace, not a program;\n"
      "                SC check + race report + Lemma 1)\n"},
 };
