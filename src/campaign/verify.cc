@@ -55,16 +55,13 @@ judgeScSubset(const Program &prog, VerifyResult &r)
         r.def2 = {CheckState::agree, "", {}};
         return;
     }
-    const auto flavor = claimedSyncModel(r.model);
-    if (!flavor) {
+    if (!modelClaimsConformance(r.model)) {
         r.def2 = {CheckState::escapes_sc,
                   "the model claims no synchronization model",
                   std::move(extra)};
         return;
     }
-    Drf0CheckerCfg dcfg;
-    dcfg.flavor = *flavor;
-    const SyncModelVerdict v = checkDrf0(prog, dcfg);
+    const SyncModelVerdict v = checkDrf0(prog);
     r.drf0 = v.exhausted ? "exhausted" : v.obeys ? "obeys" : "violates";
     if (v.exhausted)
         r.def2 = {CheckState::unknown,

@@ -21,8 +21,9 @@
  *
  *  3. **def2_subset** -- the hardware outcome set must be a subset of
  *     the SC outcome set unless the model claims no synchronization
- *     model (claimedSyncModel()) or the program violates the one it
- *     claims.  Only then is the DRF0 classification run.
+ *     model (modelClaimsConformance()) or the program violates DRF0,
+ *     the model every claiming machine claims.  Only then is the DRF0
+ *     classification run.
  *
  * A truncated, stuck or budget-tripped engine, or a program the
  * axiomatic evaluator cannot unfold (a spin loop), leaves its check

@@ -6,32 +6,34 @@
  * and (2) in EVERY execution on the idealized architecture all conflicting
  * accesses are ordered by that execution's happens-before relation.
  *
- * The checker drives the ScModel path by path (depth-first over scheduler
- * choices) and detects races on the fly with vector clocks, exiting on the
- * first race found.  Two sound reductions keep this tractable:
+ * Clause (2) is decided on the SC machine's state graph (ScModel): the
+ * program is racy iff some reachable state has two processors whose next
+ * accesses conflict -- same location, at least one a write -- and are
+ * not both synchronization.  A breadth-first search (witnessChain in
+ * models/explorer.hh) stops at the first such state.  The check is exact:
  *
- *  - residual-conflict reduction: for every thread and program point the
- *    program's residual footprint (program/footprint.hh) holds the
- *    locations the thread may still read or write from there on.  An
- *    access that no OTHER thread's residual can conflict with commutes
- *    with every current and future transition -- residual sets only
- *    shrink as control advances -- so it is executed eagerly
- *    (race-checked against the past, but without a scheduling branch).
- *    This subsumes the static "location touched by one thread" case
- *    and, e.g., lets each barrier phase of a phased program be explored
- *    independently;
+ *  - <=: run the two accesses back to back from that state.  Neither has
+ *    a program-order successor before the other, and a synchronization
+ *    order edge needs both to be synchronization, so no po or so edge
+ *    joins a data access to its neighbour: the execution has a race.
  *
- *  - stutter pruning: a step that changes neither the thread's context nor
- *    memory (a failed spin iteration re-reading an unchanged location) is
- *    not explored; the iteration's race possibilities are identical to
- *    those of the spin read already executed, and the loop is re-enabled
- *    as soon as any other processor changes the machine state.
+ *  - =>: in a racy execution, take the race (a, b) whose later access b
+ *    comes earliest, and drop a and everything a happens-before.  What
+ *    remains is a valid SC prefix: a kept access that read a dropped
+ *    write would be hb-after it (a race with an earlier b otherwise, and
+ *    a sync write publishes to every later sync access of its location),
+ *    so every kept read sees the value it saw before.  After that prefix
+ *    a and b are both their processors' next accesses.
  *
- * Stutter pruning makes the search terminate for spin-based programs; for
- * loop-free programs no stutters exist and the search is fully exhaustive.
- * Path enumeration is exponential in the number of *visible* (shared,
- * schedulable) accesses, so keep checked programs small; the `max_steps`
- * budget turns blow-ups into an explicit `exhausted` verdict.
+ * The => argument holds under both happens-before flavors -- plain DRF0
+ * and Section 6's refinement in which a synchronization read publishes
+ * nothing -- because sync writes publish under both and a sync read
+ * writes nothing.  So the verdict does not depend on the flavor.
+ *
+ * The search visits each SC state once, so spin loops cost one state per
+ * distinct machine state rather than one path per iteration; the
+ * `max_states` budget turns a blow-up into an explicit `exhausted`
+ * verdict, which is neither obeys nor violates.
  */
 
 #ifndef WO_CORE_DRF0_CHECKER_HH
@@ -43,7 +45,6 @@
 #include <vector>
 
 #include "execution/execution.hh"
-#include "hb/happens_before.hh"
 #include "hb/race.hh"
 #include "program/program.hh"
 
@@ -52,12 +53,11 @@ namespace wo {
 /** Verdict of a whole-program synchronization-model check. */
 struct SyncModelVerdict
 {
-    bool obeys = false;          //!< no race in any explored execution
-    bool exhausted = false;      //!< budget hit: obeys is only "so far"
-    std::uint64_t paths = 0;     //!< completed idealized executions
-    std::uint64_t steps = 0;     //!< visible steps executed
+    bool obeys = false;          //!< the whole state graph has no race
+    bool exhausted = false;      //!< budget hit first: no verdict
+    std::uint64_t states = 0;    //!< SC states the search expanded
     std::optional<Execution> witness; //!< a racy idealized execution prefix
-    std::vector<Race> races;     //!< the offending pair(s) within witness
+    std::vector<Race> races;     //!< the offending pair within witness
 
     explicit operator bool() const { return obeys; }
 
@@ -68,18 +68,11 @@ struct SyncModelVerdict
 /** Options for the DRF0 checker. */
 struct Drf0CheckerCfg
 {
-    /** Total visible-step budget across all paths (0 = unlimited). */
-    std::uint64_t max_steps = 20'000'000;
-
-    /**
-     * Happens-before flavor: plain DRF0, or the Section-6 refinement in
-     * which read-only synchronization does not publish ordering (then
-     * sync-sync conflicts are exempted, as the synchronization mechanism).
-     */
-    HbRelation::SyncFlavor flavor = HbRelation::SyncFlavor::drf0;
+    /** SC states the search may expand (0 = unlimited). */
+    std::uint64_t max_states = 1'000'000;
 };
 
-/** Check whether @p prog obeys DRF0 (or its read-only-sync refinement). */
+/** Check whether @p prog obeys DRF0. */
 SyncModelVerdict checkDrf0(const Program &prog,
                            const Drf0CheckerCfg &cfg = {});
 

@@ -28,8 +28,8 @@
  *    wrongly commute them.  Concrete commutation is sound for any model
  *    by construction.  On top of the sleep sets, each state expands only
  *    one *persistent* component of processors: the program's residual
- *    footprints (program/footprint.hh, the table the DRF0 checker reads
- *    too) show which processors can never conflict again.
+ *    footprints (program/footprint.hh) show which processors can never
+ *    conflict again.
  *
  *    Hashed-state dedup: search nodes are (state, sleep set) pairs keyed
  *    by a 128-bit FNV pair streamed straight off the state bytes (no
@@ -187,55 +187,73 @@ struct ExploreResult
     }
 };
 
+/** What witnessChain found. */
+template <typename State>
+struct WitnessPath
+{
+    std::vector<State> chain;       //!< initial state first; empty if none
+    std::vector<TransLabel> labels; //!< labels[k] steps chain[k] to k + 1
+    std::uint64_t states = 0;       //!< states tested
+    bool truncated = false;         //!< the state budget cut the search
+};
+
 /**
- * Search for a shortest transition chain from the initial state to a
- * final state whose outcome equals @p target (BFS with parent pointers).
- * Returns the state chain, initial first; empty if unreachable within the
- * budget.  Use Model::dump to render the chain -- this is the "why is
- * this outcome possible" explanation a litmus investigation wants.
+ * Search for a shortest transition chain from the initial state to the
+ * first state @p accept holds for (BFS with parent links).  A node keeps
+ * only its parent and the label reaching it, so memory stays at the
+ * visited keys of exploreOutcomesBfs; the chain is replayed through
+ * Model::stepLabel once found.  Passing "final with outcome X" asks why
+ * outcome X is possible -- the explanation a litmus investigation wants
+ * (render the chain with Model::dump); the DRF0 checker passes "two
+ * conflicting accesses are co-enabled".
  */
-template <typename Model>
-std::vector<typename Model::State>
-witnessChain(const Model &model, const Outcome &target,
+template <typename Model, typename Accept>
+WitnessPath<typename Model::State>
+witnessChain(const Model &model, Accept &&accept,
              const ExploreCfg &cfg = {})
 {
+    using State = typename Model::State;
     struct Node
     {
-        typename Model::State state;
-        std::size_t parent; // index into nodes; SIZE_MAX for the root
+        std::size_t parent; // index into nodes; `root` for the initial
+        TransLabel label;   // the transition from the parent
     };
+    constexpr auto root = static_cast<std::size_t>(-1);
     std::vector<Node> nodes;
     std::unordered_set<std::string> visited;
-    std::deque<std::size_t> frontier;
+    std::deque<std::pair<State, std::size_t>> frontier;
+    WitnessPath<State> out;
 
-    auto push = [&](typename Model::State s, std::size_t parent) {
-        std::string key = model.encode(s);
-        if (!visited.insert(std::move(key)).second)
+    auto push = [&](State s, std::size_t parent, const TransLabel &label) {
+        if (!visited.insert(model.encode(s)).second)
             return;
-        nodes.push_back(Node{std::move(s), parent});
-        frontier.push_back(nodes.size() - 1);
+        nodes.push_back(Node{parent, label});
+        frontier.emplace_back(std::move(s), nodes.size() - 1);
     };
 
-    push(model.initial(), static_cast<std::size_t>(-1));
-    std::uint64_t seen = 0;
+    push(model.initial(), root, TransLabel{});
     while (!frontier.empty()) {
-        if (cfg.max_states && ++seen > cfg.max_states)
+        if (cfg.max_states && out.states >= cfg.max_states) {
+            out.truncated = true;
             break;
-        const std::size_t at = frontier.front();
-        frontier.pop_front();
-        if (model.isFinal(nodes[at].state) &&
-            model.outcome(nodes[at].state) == target) {
-            std::vector<typename Model::State> chain;
-            for (std::size_t n = at; n != static_cast<std::size_t>(-1);
-                 n = nodes[n].parent)
-                chain.push_back(nodes[n].state);
-            std::reverse(chain.begin(), chain.end());
-            return chain;
         }
-        for (auto &succ : model.labeledSuccessors(nodes[at].state))
-            push(std::move(succ.state), at);
+        auto [s, at] = std::move(frontier.front());
+        frontier.pop_front();
+        ++out.states;
+        if (accept(s)) {
+            for (std::size_t n = at; nodes[n].parent != root;
+                 n = nodes[n].parent)
+                out.labels.push_back(nodes[n].label);
+            std::reverse(out.labels.begin(), out.labels.end());
+            out.chain.push_back(model.initial());
+            for (const TransLabel &l : out.labels)
+                out.chain.push_back(*model.stepLabel(out.chain.back(), l));
+            return out;
+        }
+        for (auto &succ : model.labeledSuccessors(s))
+            push(std::move(succ.state), at, succ.label);
     }
-    return {};
+    return out;
 }
 
 /** Naive visited-set BFS: the golden reference engine. */

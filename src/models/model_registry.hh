@@ -20,11 +20,9 @@
 #ifndef WO_MODELS_MODEL_REGISTRY_HH
 #define WO_MODELS_MODEL_REGISTRY_HH
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "hb/happens_before.hh"
 #include "models/network_model.hh"
 #include "models/sc_model.hh"
 #include "models/stale_cache_model.hh"
@@ -45,26 +43,17 @@ modelNames()
 }
 
 /**
- * The synchronization model the machine @p name claims Definition 2
- * for (`drf0ro`: the Section-6 read-only-sync refinement), or nullopt
- * for the paper's *counterexample* hardware (wb, net, stale), whose
- * SC-subset misses are results, not bugs.
+ * Does the machine @p name claim Definition 2 with respect to DRF0?
+ * `drf0ro` claims it for the Section-6 read-only-sync refinement, which
+ * classifies every program as DRF0 does (core/drf0_checker.hh).  The
+ * paper's *counterexample* hardware (wb, net, stale) claims nothing:
+ * its SC-subset misses are results, not bugs.
  */
-inline std::optional<HbRelation::SyncFlavor>
-claimedSyncModel(const std::string &name)
-{
-    if (name == "drf0ro")
-        return HbRelation::SyncFlavor::weak_sync_read;
-    if (name == "sc" || name == "def1" || name == "drf0")
-        return HbRelation::SyncFlavor::drf0;
-    return std::nullopt;
-}
-
-/** Does the model named @p name claim the Definition-2 contract? */
 inline bool
 modelClaimsConformance(const std::string &name)
 {
-    return claimedSyncModel(name).has_value();
+    return name == "sc" || name == "def1" || name == "drf0" ||
+           name == "drf0ro";
 }
 
 /**

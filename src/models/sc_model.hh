@@ -68,8 +68,8 @@ class ScModel : public OpModel<ScModel, ScState>
     /**
      * Execute the access thread @p p currently sits at, atomically, in
      * place, and append the resulting dynamic operation to @p trace when
-     * non-null.  Exposed so the DRF0 program checker can drive the
-     * idealized machine path-by-path.
+     * non-null.  Exposed so the DRF0 checker can replay the path to a
+     * racy state as an idealized execution.
      * @return false if thread p is halted (no step taken)
      */
     bool step(State &s, ProcId p, Execution *trace = nullptr) const;

@@ -5,13 +5,12 @@
  * still read, write or synchronize on.
  *
  * Conflicting accesses -- same location, at least one a write -- are what
- * Definition 3 orders and what makes two transitions fail to commute, so
- * both static reductions on the SC side read this one table: the DRF0
- * checker runs an access eagerly when no other thread's residual can
- * conflict with it, and the DPOR explorer splits processors into
- * components whose residuals never conflict.  Residuals only shrink as
- * control advances, which is what makes "no conflict now" a permanent
- * verdict for both.
+ * make two transitions fail to commute.  The DPOR explorer, the table's
+ * one reader, splits processors into components whose residuals never
+ * conflict.  Residuals only shrink as control advances, which is what
+ * makes "no conflict now" a permanent verdict.  (The DRF0 checker needs
+ * no static table: it looks for conflicting next accesses in each SC
+ * state it reaches.)
  *
  * The table is computed once per program by one reverse fixpoint over
  * each thread's control-flow graph: a point's set is its own access

@@ -114,10 +114,23 @@ class DoallProperty : public testing::TestWithParam<int>
 
 TEST_P(DoallProperty, RandomValidPlansAreDrf0)
 {
-    // One phase keeps the exhaustive check fast; the fixed two-phase
-    // plan above covers cross-phase ordering.
+    // One phase on two threads; ThreeThreadTwoPhasePlansAreDrf0 and the
+    // fixed plan above cover cross-phase ordering.
     auto seed = static_cast<std::uint64_t>(GetParam());
     DoallPlan plan = randomDoallPlan(2, 1, 4, 2, seed);
+    ASSERT_TRUE(checkDoallDiscipline(plan).valid);
+    Program p = buildPhased(plan);
+    auto v = checkDrf0(p);
+    EXPECT_TRUE(v.obeys) << p.toString() << v.toString();
+    EXPECT_FALSE(v.exhausted);
+}
+
+TEST_P(DoallProperty, ThreeThreadTwoPhasePlansAreDrf0)
+{
+    // Three threads across a barrier: the state search concludes in
+    // thousands of states where enumerating paths ran out of budget.
+    auto seed = static_cast<std::uint64_t>(GetParam());
+    DoallPlan plan = randomDoallPlan(3, 2, 4, 2, seed);
     ASSERT_TRUE(checkDoallDiscipline(plan).valid);
     Program p = buildPhased(plan);
     auto v = checkDrf0(p);

@@ -383,8 +383,13 @@ TEST(Explorer, WitnessChainReachesTheOutcome)
         if (bothKilled(o))
             target = &o;
     ASSERT_NE(target, nullptr);
-    auto chain = witnessChain(m, *target);
+    const auto found = witnessChain(m, [&](const auto &s) {
+        return m.isFinal(s) && m.outcome(s) == *target;
+    });
+    const auto &chain = found.chain;
     ASSERT_FALSE(chain.empty());
+    EXPECT_FALSE(found.truncated);
+    ASSERT_EQ(found.labels.size() + 1, chain.size());
     // The chain starts at the initial state and ends in a final state
     // with the requested outcome, advancing one transition at a time.
     EXPECT_EQ(m.encode(chain.front()), m.encode(m.initial()));
@@ -393,8 +398,9 @@ TEST(Explorer, WitnessChainReachesTheOutcome)
     for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
         bool is_succ = false;
         for (const auto &succ : m.labeledSuccessors(chain[k]))
-            is_succ = is_succ ||
-                      m.encode(succ.state) == m.encode(chain[k + 1]);
+            is_succ = is_succ || (succ.label == found.labels[k] &&
+                                  m.encode(succ.state) ==
+                                      m.encode(chain[k + 1]));
         EXPECT_TRUE(is_succ) << "chain step " << k << " is not an edge";
     }
     // Dumps render without dying and mention the write buffer.
@@ -412,7 +418,25 @@ TEST(Explorer, WitnessChainEmptyForUnreachableOutcome)
     Outcome impossible;
     impossible.regs = {{99}, {99}};
     impossible.memory = {7, 7};
-    EXPECT_TRUE(witnessChain(m, impossible).empty());
+    const auto found = witnessChain(m, [&](const auto &s) {
+        return m.isFinal(s) && m.outcome(s) == impossible;
+    });
+    EXPECT_TRUE(found.chain.empty());
+    EXPECT_FALSE(found.truncated);
+    EXPECT_GT(found.states, 0u);
+}
+
+TEST(Explorer, WitnessChainReportsTheBudgetCut)
+{
+    Program p = litmus::fig1StoreBuffer();
+    WriteBufferModel m(p);
+    ExploreCfg cfg;
+    cfg.max_states = 3;
+    const auto found =
+        witnessChain(m, [&](const auto &s) { return m.isFinal(s); }, cfg);
+    EXPECT_TRUE(found.chain.empty());
+    EXPECT_TRUE(found.truncated);
+    EXPECT_EQ(found.states, 3u);
 }
 
 TEST(Explorer, AllModelDumpsRender)

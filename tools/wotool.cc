@@ -2,9 +2,10 @@
  * @file
  * wotool -- the command-line front end to the weak-ordering laboratory.
  *
- *     wotool check   <file> [--weak]
- *         DRF0 verdict for an assembly program (--weak: the Section-6
- *         refined synchronization model).
+ *     wotool check   <file>
+ *         DRF0 verdict for an assembly program: exit 0 when it obeys,
+ *         1 with a racy witness execution, 3 when the state budget left
+ *         the check inconclusive.
  *
  *     wotool explore <file> [--model sc|wb|net|stale|def1|drf0|drf0ro]
  *                    [--algo dpor|bfs|both] [--axiom] [--max-states N]
@@ -302,21 +303,18 @@ parseConnectOpt(int argc, char **argv, HostPort &out)
 }
 
 int
-cmdCheck(const AsmResult *a, int argc, char **argv)
+cmdCheck(const AsmResult *a, int, char **)
 {
     const Program &prog = *a->program;
-    Drf0CheckerCfg cfg;
-    if (flag(argc, argv, "--weak"))
-        cfg.flavor = HbRelation::SyncFlavor::weak_sync_read;
-    auto v = checkDrf0(prog, cfg);
+    auto v = checkDrf0(prog);
     std::printf("%s: %s\n", prog.name().c_str(), v.toString().c_str());
-    if (!v.obeys && v.witness) {
+    if (v.witness) {
         std::printf("witness idealized execution:\n%s",
                     v.witness->toString().c_str());
         for (const auto &r : v.races)
             std::printf("  %s\n", r.toString(*v.witness).c_str());
     }
-    return v.obeys ? 0 : 1;
+    return v.exhausted ? 3 : v.obeys ? 0 : 1;
 }
 
 /**
@@ -444,7 +442,13 @@ cmdExplore(const AsmResult *a, int argc, char **argv)
             }
             auto it = r.outcomes.begin();
             std::advance(it, static_cast<std::ptrdiff_t>(witness_idx));
-            auto chain = witnessChain(model, *it);
+            const auto chain =
+                witnessChain(model,
+                             [&](const auto &s) {
+                                 return model.isFinal(s) &&
+                                        model.outcome(s) == *it;
+                             })
+                    .chain;
             std::printf("\nwitness chain for outcome #%llu "
                         "(%zu states):\n",
                         static_cast<unsigned long long>(witness_idx),
@@ -1118,7 +1122,7 @@ cmdDisasm(const AsmResult *a, int, char **)
  * and campaign, must have a row here.
  */
 const Command commands[] = {
-    {"check", true, cmdCheck, "  check <file> [--weak]\n"},
+    {"check", true, cmdCheck, "  check <file>\n"},
     {"explore", true, cmdExplore,
      "  explore <file> [--model sc|wb|net|stale|def1|drf0|drf0ro]\n"
      "          [--algo dpor|bfs|both] [--axiom] [--max-states N]\n"
