@@ -173,6 +173,7 @@ main()
     double par_s[2] = {0, 0};
     std::uint64_t par_reps[2] = {0, 0};
     std::uint64_t par_states = 0;
+    std::uint64_t par_steals[2] = {0, 0}; // summed over each side's reps
     for (std::size_t i = 0; i < 2; ++i) {
         const bool known =
             withModelByName(prog, "stale", [&](auto &m) {
@@ -185,6 +186,7 @@ main()
                         wo_panic("bench_explore: parallel DPOR "
                                  "inconclusive");
                     par_states = res.states;
+                    par_steals[i] += res.steals;
                     ++par_reps[i];
                     par_s[i] = secondsSince(t0);
                 } while (par_s[i] < par_target_wall_s);
@@ -199,11 +201,13 @@ main()
     const bool jobs4_oversub = hw != 0 && 4u > hw;
     std::printf("Parallel DPOR on stale (%llu states per exploration, "
                 "each side >= %.1f s): jobs1 %llu in %.3fs, jobs4 %llu "
-                "in %.3fs, speedup %.2fx%s\n",
+                "in %.3fs (%.0f steals per exploration), speedup "
+                "%.2fx%s\n",
                 static_cast<unsigned long long>(par_states),
                 par_target_wall_s,
                 static_cast<unsigned long long>(par_reps[0]), par_s[0],
                 static_cast<unsigned long long>(par_reps[1]), par_s[1],
+                static_cast<double>(par_steals[1]) / par_reps[1],
                 jobs4_speedup,
                 jobs4_oversub ? " [oversubscribed: more workers than "
                                 "hardware threads; measures "

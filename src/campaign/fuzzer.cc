@@ -5,20 +5,6 @@
 
 namespace wo {
 
-namespace {
-
-/** SplitMix64: the stream mix used to derive per-index coordinates. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
-
 Fuzzer::Fuzzer(const CampaignSpec &spec) : cfg_(spec)
 {
     if (cfg_.verify && cfg_.verify_models.empty())
@@ -82,24 +68,13 @@ Fuzzer::baseCell(std::uint64_t index) const
     return cell;
 }
 
-bool
-Fuzzer::insertNovel(std::array<NoveltyShard, num_shards> &shards,
-                    std::string key)
-{
-    NoveltyShard &s = shards[fnv1a64(key) % num_shards];
-    std::lock_guard<std::mutex> lock(s.mu);
-    return s.seen.insert(std::move(key)).second;
-}
-
 std::vector<Cell>
 Fuzzer::observe(const Cell &cell, const CellResult &r)
 {
-    const bool new_verdict = insertNovel(
-        verdict_shards_, cell.familyId() + "|" + r.verdict());
-    const bool new_outcome = insertNovel(
-        outcome_shards_, cell.programId() + "|" + r.outcome_sig);
-    novelty_.fetch_add((new_verdict ? 1 : 0) + (new_outcome ? 1 : 0),
-                       std::memory_order_relaxed);
+    const bool new_verdict =
+        verdicts_.insert(fnv1a64(cell.familyId() + "|" + r.verdict()));
+    const bool new_outcome =
+        outcomes_.insert(fnv1a64(cell.programId() + "|" + r.outcome_sig));
     int energy = 0;
     if (r.hardwareFailure())
         energy = 4; // chase the bug's neighborhood hardest
@@ -165,12 +140,6 @@ Fuzzer::observe(const Cell &cell, const CellResult &r)
         mutants.push_back(std::move(m));
     }
     return mutants;
-}
-
-std::uint64_t
-Fuzzer::noveltyCount() const
-{
-    return novelty_.load(std::memory_order_relaxed);
 }
 
 } // namespace wo

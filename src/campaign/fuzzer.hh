@@ -13,21 +13,18 @@
  * outcome signature for its program, or an outright hardware failure
  * earns fuzz energy, and the observing worker pushes mutated neighbors
  * (new shapes via the workload mutation hooks, new timing seeds,
- * rotated policies) onto its own work-stealing deque.
+ * rotated policies) onto its own work-stealing queue.
  */
 
 #ifndef WO_CAMPAIGN_FUZZER_HH
 #define WO_CAMPAIGN_FUZZER_HH
 
-#include <array>
-#include <atomic>
-#include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "campaign/cell.hh"
 #include "campaign/spec.hh"
+#include "common/sharded_set.hh"
 
 namespace wo {
 
@@ -53,33 +50,20 @@ class Fuzzer
     std::vector<Cell> observe(const Cell &cell, const CellResult &r);
 
     /** Distinct (program, outcome) and (family, verdict) pairs seen. */
-    std::uint64_t noveltyCount() const;
+    std::uint64_t
+    noveltyCount() const
+    {
+        return verdicts_.size() + outcomes_.size();
+    }
 
   private:
-    /**
-     * Novelty state is sharded by key hash so the whole fleet's
-     * observe() calls stop funneling through one mutex: two workers
-     * only contend when their keys land in the same shard.  Membership
-     * is identical to the old single-set form (a key's shard is a pure
-     * function of the key), so jobs=1 behavior is unchanged.
-     */
-    static constexpr std::size_t num_shards = 16;
-    struct alignas(64) NoveltyShard
-    {
-        std::mutex mu;
-        std::unordered_set<std::string> seen;
-    };
-
-    /** Insert into the owning shard; true when the key was new. */
-    static bool insertNovel(std::array<NoveltyShard, num_shards> &shards,
-                            std::string key);
-
     std::vector<Cell> prototypes_; //!< one per corpus entry
     CampaignSpec cfg_;
 
-    mutable std::array<NoveltyShard, num_shards> outcome_shards_; //!< programId|sig
-    mutable std::array<NoveltyShard, num_shards> verdict_shards_; //!< familyId|verdict
-    std::atomic<std::uint64_t> novelty_{0};
+    // fnv1a64 of each novelty key seen: a key's hash stands for it, as
+    // in the journal's claim set.
+    ShardedSet<std::uint64_t> outcomes_; //!< programId|sig
+    ShardedSet<std::uint64_t> verdicts_; //!< familyId|verdict
 };
 
 } // namespace wo

@@ -9,137 +9,6 @@
 
 namespace wo {
 
-namespace {
-
-/** 0 marks an empty slot in the SeenSet table; remap real hashes. */
-std::uint64_t
-nonZero(std::uint64_t h)
-{
-    return h ? h : 1;
-}
-
-} // namespace
-
-// ------------------------------------------------------------- SeenSet
-
-void
-SeenSet::rebuild(std::size_t pow2_cap)
-{
-    auto fresh =
-        std::make_unique<std::atomic<std::uint64_t>[]>(pow2_cap);
-    for (std::size_t i = 0; i < pow2_cap; ++i)
-        fresh[i].store(0, std::memory_order_relaxed);
-    // Re-seat existing entries (reserve() may run after direct-API use).
-    if (slots_)
-        for (std::size_t i = 0; i < cap_; ++i) {
-            const std::uint64_t h =
-                slots_[i].load(std::memory_order_relaxed);
-            if (h == 0)
-                continue;
-            std::size_t j = h & (pow2_cap - 1);
-            while (fresh[j].load(std::memory_order_relaxed) != 0)
-                j = (j + 1) & (pow2_cap - 1);
-            fresh[j].store(h, std::memory_order_relaxed);
-        }
-    slots_ = std::move(fresh);
-    cap_ = pow2_cap;
-}
-
-void
-SeenSet::reserve(std::size_t keys)
-{
-    // Past the cell ceiling the table stops growing (and the overflow
-    // set takes the spill), so the doubling below cannot overflow.
-    keys = std::min<std::size_t>(keys, max_cell_count);
-    std::size_t want = 1u << 12;
-    while (want < keys * 2 + 1)
-        want <<= 1;
-    if (want > cap_)
-        rebuild(want);
-}
-
-bool
-SeenSet::insert(std::uint64_t h)
-{
-    h = nonZero(h);
-    // Past half load the probe chains degrade; spill to the mutexed
-    // overflow set instead (reserve() makes this unreachable in
-    // practice).
-    if (used_.load(std::memory_order_relaxed) * 2 >= cap_)
-        return insertOverflow(h);
-    std::size_t i = h & (cap_ - 1);
-    for (std::size_t probes = 0; probes < cap_; ++probes) {
-        std::uint64_t cur = slots_[i].load(std::memory_order_acquire);
-        if (cur == h)
-            return false;
-        if (cur == 0) {
-            std::uint64_t expected = 0;
-            if (slots_[i].compare_exchange_strong(
-                    expected, h, std::memory_order_acq_rel,
-                    std::memory_order_acquire)) {
-                used_.fetch_add(1, std::memory_order_relaxed);
-                return true;
-            }
-            if (expected == h)
-                return false;
-            // Another key claimed the slot first: keep probing.
-        }
-        i = (i + 1) & (cap_ - 1);
-    }
-    return insertOverflow(h);
-}
-
-bool
-SeenSet::tableContains(std::uint64_t h) const
-{
-    std::size_t i = h & (cap_ - 1);
-    for (std::size_t probes = 0; probes < cap_; ++probes) {
-        const std::uint64_t cur =
-            slots_[i].load(std::memory_order_acquire);
-        if (cur == h)
-            return true;
-        if (cur == 0)
-            return false;
-        i = (i + 1) & (cap_ - 1);
-    }
-    return false;
-}
-
-bool
-SeenSet::insertOverflow(std::uint64_t h)
-{
-    if (tableContains(h))
-        return false;
-    std::lock_guard<std::mutex> lock(ov_mu_);
-    const bool inserted = overflow_.insert(h).second;
-    if (inserted)
-        has_overflow_.store(true, std::memory_order_release);
-    return inserted;
-}
-
-bool
-SeenSet::contains(std::uint64_t h) const
-{
-    h = nonZero(h);
-    if (tableContains(h))
-        return true;
-    if (!has_overflow_.load(std::memory_order_acquire))
-        return false;
-    std::lock_guard<std::mutex> lock(ov_mu_);
-    return overflow_.count(h) > 0;
-}
-
-std::size_t
-SeenSet::overflowSize() const
-{
-    if (!has_overflow_.load(std::memory_order_acquire))
-        return 0;
-    std::lock_guard<std::mutex> lock(ov_mu_);
-    return overflow_.size();
-}
-
-// ------------------------------------------------------------- Journal
-
 Journal::~Journal()
 {
     close();
@@ -148,35 +17,12 @@ Journal::~Journal()
 void
 Journal::load()
 {
-    std::FILE *f = std::fopen(path_.c_str(), "rb");
-    if (!f)
-        return;
-    std::string text;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            break; // a line without \n was cut mid-write: ignore it
-        // Parse in place: a million-line resume must not copy every
-        // line into a fresh string first.
-        const std::string_view line(text.data() + pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty())
-            continue;
-        JsonParseResult p = jsonParse(line);
-        if (!p.ok || !p.value.isObject())
-            continue; // crash-truncated or corrupt: skip
-        const std::string type = p.value.stringAt("type");
+    forEachJsonlObject(path_, [this](const Json &line) {
+        const std::string type = line.stringAt("type");
         if (type == "campaign") {
-            header_ = p.value;
-            loaded_schema_version_ = p.value.uintAt(
-                "schema_version", loaded_schema_version_);
+            header_ = line;
+            loaded_schema_version_ =
+                line.uintAt("schema_version", loaded_schema_version_);
             if (loaded_schema_version_ != journal_schema_version) {
                 schema_mismatch_ = true;
                 warn("journal '%s': schema version %llu, this build "
@@ -189,25 +35,25 @@ Journal::load()
                          journal_schema_version));
             }
         } else if (type == "cell") {
-            if (const Json *k = p.value.find("key"))
+            if (const Json *k = line.find("key"))
                 if (k->isString())
                     resume_done_.insert(k->stringValue());
         } else if (type == "failure") {
-            const std::string dedup = p.value.stringAt("dedup");
+            const std::string dedup = line.stringAt("dedup");
             if (dedup.empty())
-                continue;
+                return;
             FailureRecord &rec = failures_[dedup];
             rec.dedup = dedup;
             if (rec.count++ > 0)
-                continue; // the first equivalent failure's provenance
-            rec.kind = p.value.stringAt("kind");
-            rec.first_cell = p.value.stringAt("cell");
-            rec.repro_path = p.value.stringAt("file");
-            rec.instructions = p.value.uintAt("insns");
-            rec.orig_instructions = p.value.uintAt("orig_insns");
-            rec.reproduced = p.value.boolAt("reproduced");
+                return; // the first equivalent failure's provenance
+            rec.kind = line.stringAt("kind");
+            rec.first_cell = line.stringAt("cell");
+            rec.repro_path = line.stringAt("file");
+            rec.instructions = line.uintAt("insns");
+            rec.orig_instructions = line.uintAt("orig_insns");
+            rec.reproduced = line.boolAt("reproduced");
         }
-    }
+    });
 }
 
 bool
@@ -256,7 +102,7 @@ Journal::close()
 void
 Journal::reserveKeys(std::size_t cells)
 {
-    seen_.reserve(cells);
+    seen_.reserve(std::min<std::size_t>(cells, max_cell_count));
 }
 
 void

@@ -25,11 +25,13 @@
  * claim() is the one rule that decides whether a cell is still owed,
  * for the in-process engine (per cell, as workers draw them) and the
  * fleet coordinator (for every base index, when a campaign is added).
- * It is lock-free on the worker hot path: the resume set is
- * snapshotted into an immutable hash set by load() before the fleet
- * starts, and the keys claimed by the current run live in an
- * insert-only atomic hash set (SeenSet below), whose single insert
- * hands each key to exactly one worker.
+ * The resume set is snapshotted into an immutable hash set by load()
+ * before the fleet starts, and the fnv1a64 hashes of the keys claimed
+ * by the current run live in a ShardedSet (common/sharded_set.hh),
+ * whose single insert hands each key to exactly one worker.  Distinct
+ * keys colliding in the full 64-bit hash would alias; with
+ * million-cell campaigns the birthday bound is ~2^-25, which the
+ * journal accepts.
  */
 
 #ifndef WO_CAMPAIGN_JOURNAL_HH
@@ -39,13 +41,13 @@
 #include <condition_variable>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_set>
 
 #include "campaign/cell.hh"
+#include "common/sharded_set.hh"
 #include "obs/json.hh"
 #include "obs/timeline.hh"
 
@@ -106,50 +108,6 @@ struct JournalCfg
     Timeline *timeline = nullptr;
 };
 
-/**
- * Insert-only concurrent set of 64-bit key hashes.  Open addressing
- * over a fixed table of atomics (CAS to claim a slot); reserve() sizes
- * it before the fleet starts so the load factor stays below 1/2, and a
- * mutexed overflow set catches the never-expected spill so a
- * mis-sized table degrades instead of breaking.  Distinct keys
- * colliding in the full 64-bit hash would alias; with million-cell
- * campaigns the birthday bound is ~2^-25, which the journal accepts.
- */
-class SeenSet
-{
-  public:
-    SeenSet() { rebuild(1u << 12); }
-
-    /** Size for @p keys expected inserts, at most max_cell_count
-     *  (input_limits.hh).  Single-threaded; call before any concurrent
-     *  insert()/contains(). */
-    void reserve(std::size_t keys);
-
-    /** True when @p h was absent (the caller claimed it). */
-    bool insert(std::uint64_t h);
-
-    bool contains(std::uint64_t h) const;
-
-    /** Distinct hashes inserted. */
-    std::size_t size() const
-    {
-        return used_.load(std::memory_order_relaxed) + overflowSize();
-    }
-
-  private:
-    void rebuild(std::size_t pow2_cap);
-    bool tableContains(std::uint64_t h) const;
-    bool insertOverflow(std::uint64_t h);
-    std::size_t overflowSize() const;
-
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
-    std::size_t cap_ = 0; //!< power of two
-    std::atomic<std::size_t> used_{0};
-    std::atomic<bool> has_overflow_{false};
-    mutable std::mutex ov_mu_;
-    std::unordered_set<std::uint64_t> overflow_;
-};
-
 /** How Journal::claim() found a cell key. */
 enum class KeyClaim {
     fresh,     ///< nobody has run it: the caller now owns the key
@@ -192,8 +150,9 @@ class Journal
      */
     void close();
 
-    /** Size the this-run seen set for @p cells expected appends.
-     *  Single-threaded; call before the fleet starts. */
+    /** Size the this-run seen set for @p cells expected appends, at
+     *  most max_cell_count (input_limits.hh); call before the fleet
+     *  starts. */
     void reserveKeys(std::size_t cells);
 
     /**
@@ -226,13 +185,12 @@ class Journal
     /**
      * Claim @p key for this run.  Exactly one caller per key sees
      * fresh (the seen set's single insert decides), so concurrent
-     * workers drawing the same key never both run it.  Lock-free.
+     * workers drawing the same key never both run it.
      */
     KeyClaim claim(const std::string &key);
 
     /**
      * Was @p key claimed or journaled (this run or a resumed one)?
-     * Lock-free: an immutable resume snapshot plus the atomic seen set.
      */
     bool done(const std::string &key) const;
 
@@ -286,8 +244,8 @@ class Journal
     Json header_;
     std::uint64_t loaded_schema_version_ = 0;
     bool schema_mismatch_ = false;
-    // Keys appended by this run.
-    SeenSet seen_;
+    // Hashes of the keys claimed or appended by this run.
+    ShardedSet<std::uint64_t> seen_;
 
     // The MPSC line queue (Treiber stack; the writer reverses a drained
     // batch back to push order) and the writer thread it feeds.

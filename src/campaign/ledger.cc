@@ -75,7 +75,7 @@ Ledger::open(const CampaignSpec &spec, Json meta)
     if (ec)
         warn("cannot create campaign out dir '%s': %s", dir_.c_str(),
              ec.message().c_str());
-    // Size the lock-free seen set for this run before any slot records.
+    // Size the seen set for this run before any slot records.
     journal_.reserveKeys(static_cast<std::size_t>(spec.cells));
     journal_.open(/*fresh=*/!replayed_);
     if (!replayed_)

@@ -2,14 +2,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "campaign/fuzzer.hh"
 #include "common/logging.hh"
-#include "common/random.hh"
+#include "common/steal_queue.hh"
 #include "obs/artifact.hh"
 #include "obs/control_plane.hh"
 #include "obs/httpd.hh"
@@ -19,71 +17,6 @@
 namespace wo {
 
 namespace {
-
-/**
- * Per-worker deques with stealing.  A worker pushes and pops its own
- * back (LIFO keeps a bug's freshly-mutated neighborhood hot in cache
- * and in mind); thieves take from the front, i.e. the oldest, most
- * "different" work, the classic Cilk/Chase-Lev discipline.  Mutexed
- * rather than lock-free: a cell costs a full simulated run, so deque
- * contention is noise.
- */
-class StealDeques
-{
-  public:
-    explicit StealDeques(int n)
-    {
-        for (int i = 0; i < n; ++i)
-            slots_.push_back(std::make_unique<Slot>());
-    }
-
-    void
-    push(int w, Cell c)
-    {
-        std::lock_guard<std::mutex> lock(slots_[w]->mu);
-        slots_[w]->q.push_back(std::move(c));
-    }
-
-    bool
-    popLocal(int w, Cell &out)
-    {
-        std::lock_guard<std::mutex> lock(slots_[w]->mu);
-        if (slots_[w]->q.empty())
-            return false;
-        out = std::move(slots_[w]->q.back());
-        slots_[w]->q.pop_back();
-        return true;
-    }
-
-    /** One full round over the victims, starting at a random one. */
-    bool
-    steal(int thief, Cell &out, Rng &rng)
-    {
-        const int n = static_cast<int>(slots_.size());
-        if (n <= 1)
-            return false;
-        int victim = static_cast<int>(rng.below(n));
-        for (int i = 0; i < n; ++i, victim = (victim + 1) % n) {
-            if (victim == thief)
-                continue;
-            std::lock_guard<std::mutex> lock(slots_[victim]->mu);
-            if (slots_[victim]->q.empty())
-                continue;
-            out = std::move(slots_[victim]->q.front());
-            slots_[victim]->q.pop_front();
-            return true;
-        }
-        return false;
-    }
-
-  private:
-    struct Slot
-    {
-        std::mutex mu;
-        std::deque<Cell> q;
-    };
-    std::vector<std::unique_ptr<Slot>> slots_;
-};
 
 /** Shared campaign state (one per runCampaign call; no globals). */
 struct Engine
@@ -96,7 +29,7 @@ struct Engine
                  JournalCfg{c.sync_every, c.flush_interval_ms,
                             &lanes[c.jobs]},
                  lanes.get()),
-          deques(c.jobs)
+          mutants(static_cast<unsigned>(c.jobs))
     {
         // One shared epoch so every lane lines up in the trace.  Raw
         // span events are kept only under --profile; the aggregates
@@ -115,7 +48,9 @@ struct Engine
     // ledger, whose journal writer thread holds a pointer into it).
     std::unique_ptr<Timeline[]> lanes;
     Ledger ledger;
-    StealDeques deques;
+    // Fuzz-frontier mutants: a worker pops its own newest (a bug's
+    // fresh neighborhood stays hot), idle workers steal the oldest.
+    StealQueue<Cell> mutants;
 
     // The only cross-worker atomics on the hot path: the global cell
     // budget and the base-stream cursor.  Both are plain tickets --
@@ -144,10 +79,9 @@ Engine::worker(int w)
     tl.markStart();
     Profiler::ThreadGuard prof_guard(tl.lane());
     CellContext ctx; // worker-owned: cache and machine never synchronize
-    Rng rng(cfg.seed * 7919 + static_cast<std::uint64_t>(w) + 1);
     while (!timeUp()) {
         // idle covers everything between finishing one cell and
-        // starting the next: the ticket, deque pop/steal, the resume
+        // starting the next: the ticket, mutant take, the resume
         // check and the skip path.
         Timeline::Scope idle_span(&tl, SpanKind::idle);
         const std::uint64_t ticket =
@@ -161,8 +95,7 @@ Engine::worker(int w)
         // base coverage -- at least half the budget walks the stream.
         Cell cell;
         const bool frontier =
-            cfg.frontier && (ticket & 1) &&
-            (deques.popLocal(w, cell) || deques.steal(w, cell, rng));
+            cfg.frontier && (ticket & 1) && mutants.take(w, cell);
         if (!frontier)
             cell = fuzzer.baseCell(
                 base_index.fetch_add(1, std::memory_order_relaxed));
@@ -179,7 +112,7 @@ Engine::worker(int w)
         // ever pop them.
         for (Cell &m : fuzzer.observe(cell, out.run.result))
             if (cfg.frontier)
-                deques.push(w, std::move(m));
+                mutants.push(w, std::move(m));
         if (out.failure)
             ledger.fileFailure(cell, out.run.result.primary_kind,
                                *out.failure);

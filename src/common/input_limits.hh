@@ -15,7 +15,7 @@
  *    a campaign or a fleet worker starts, and a fleet `submit` carries
  *    the spec to every worker;
  *  - cell budgets: a spec's `cells` and wotool's `--cells` size the
- *    journal's seen-key table, which a campaign driver or a fleet
+ *    journal's seen-key set, which a campaign driver or a fleet
  *    coordinator reserves before the first cell runs.
  */
 
@@ -34,9 +34,11 @@ inline constexpr std::uint64_t max_thread_count = 256;
 
 /**
  * The largest cell budget one campaign may ask for.  The journal's
- * seen-key table keeps its load under one half, so it reserves the
- * smallest power of two above 2 * cells 8-byte slots: 10^8 cells is 2^28
- * slots, 2 GiB, the most set-up memory one spec may commit.
+ * claimed keys live in a ShardedSet of 8-byte key hashes whose 64 shards
+ * each reserve the smallest power of two of at least twice their share
+ * of the keys, 16 to 32 bytes per key: 10^8 cells is 2^22 slots in each
+ * shard, about 21 bytes per key and 2 GiB in all, the most set-up memory
+ * one spec may commit.
  */
 inline constexpr std::uint64_t max_cell_count = 100'000'000;
 

@@ -5,16 +5,6 @@ namespace wo {
 namespace {
 
 std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
 rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
@@ -24,9 +14,10 @@ rotl(std::uint64_t x, int k)
 
 Rng::Rng(std::uint64_t seed)
 {
-    std::uint64_t x = seed;
-    for (auto &s : s_)
-        s = splitmix64(x);
+    for (std::uint64_t &s : s_) {
+        s = mix64(seed);
+        seed += 0x9e3779b97f4a7c15ULL; // the SplitMix64 stream's step
+    }
 }
 
 std::uint64_t

@@ -19,6 +19,20 @@
 
 namespace wo {
 
+/**
+ * SplitMix64: one step of its stream from @p x, a bijective 64-bit mix.
+ * It seeds Rng, derives the campaign stream's per-index coordinates
+ * and hashes ShardedSet's 64-bit keys.
+ */
+constexpr std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /** A small, fast, explicitly-seeded PRNG (xoshiro256**). */
 class Rng
 {

@@ -41,11 +41,12 @@
  *    counters (states, transitions, sleep_pruned, revisit_pruned,
  *    commutation_probes) never depend on the interleaving of workers.
  *
- *    Parallelism (`ExploreCfg::jobs`): each worker owns a deque of
- *    self-contained tasks {state, sleep set, optional successor list};
- *    it pushes and pops its own tail (depth-first) and idle workers
- *    steal unexplored backtrack branches from another worker's head.
- *    The visited table is sharded (alignas(64), one mutex per shard).
+ *    Parallelism (`ExploreCfg::jobs`): each worker owns a queue of
+ *    self-contained tasks {state, sleep set, optional successor list}
+ *    in a StealQueue (common/steal_queue.hh): it pushes and pops its
+ *    own tail (depth-first) and idle workers steal unexplored backtrack
+ *    branches from another worker's head.  The visited table is a
+ *    ShardedSet (common/sharded_set.hh).
  *    A task carries the successor list its parent already computed
  *    during commutation probing, so each state's successors are
  *    materialized once globally instead of once per probe plus once at
@@ -82,17 +83,17 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/sharded_set.hh"
+#include "common/steal_queue.hh"
 #include "execution/execution.hh"
 #include "models/inline_vec.hh"
 #include "models/state_enc.hh"
@@ -144,6 +145,7 @@ struct ExploreResult
      */
     std::uint64_t memo_hits = 0;
     std::uint64_t visited_bytes = 0;  //!< approx. visited-table footprint
+    std::uint64_t steals = 0;         //!< tasks idle DPOR workers stole
 
     /** Outcome set conclusively computed (neither truncated nor stuck)? */
     bool conclusive() const { return !truncated && !stuck; }
@@ -151,8 +153,9 @@ struct ExploreResult
     /**
      * Schedule-independent equality: the fields the engine guarantees
      * bit-identical across jobs counts and across runs.  visited_bytes
-     * (table size at the instant a truncated search stopped) is a
-     * diagnostic, deliberately excluded, as is the unused memo_hits.
+     * (table size at the instant a truncated search stopped) and steals
+     * are schedule-dependent diagnostics, deliberately excluded, as is
+     * the unused memo_hits.
      */
     bool
     operator==(const ExploreResult &o) const
@@ -427,8 +430,8 @@ class DporEngine
     DporEngine(const Model &model, const ExploreCfg &cfg)
         : model_(model), cfg_(cfg),
           jobs_(cfg.jobs > 1 ? static_cast<unsigned>(cfg.jobs) : 1u),
-          code_foot_(codeFoots(model.program())), visited_(visit_shards),
-          slots_(jobs_), workers_(jobs_)
+          code_foot_(codeFoots(model.program())), tasks_(jobs_),
+          workers_(jobs_)
     {
         for (unsigned i = 0; i < jobs_; ++i)
             workers_[i].id = i;
@@ -437,7 +440,8 @@ class DporEngine
     ExploreResult
     run()
     {
-        spawn(0, model_.initial(), Sleep{}, std::nullopt);
+        outstanding_.store(1, std::memory_order_relaxed);
+        tasks_.push(0, model_.initial(), Sleep{}, std::nullopt);
         if (jobs_ == 1) {
             workerLoop(workers_[0]);
         } else {
@@ -478,85 +482,6 @@ class DporEngine
         Sleep sleep;
     };
 
-    static constexpr std::size_t visit_shards = 64;
-
-    /**
-     * One visited-set shard: an open-addressing table of 128-bit node
-     * keys (linear probing, power-of-two size, grown at 1/2 load).
-     * Unlike the node-based std::unordered_set it replaces, inserting
-     * allocates nothing except on growth, and the keys sit contiguous
-     * for the probe walk.  The all-zero key doubles as the empty-slot
-     * marker and gets a dedicated flag.
-     */
-    struct alignas(64) VisitShard
-    {
-        std::mutex mu;
-        std::vector<StateHash> slots;
-        std::size_t used = 0;
-        bool zero_present = false;
-
-        /** True if @p k was absent and is now recorded. */
-        bool
-        insert(const StateHash &k)
-        {
-            if (!k.lo && !k.hi) {
-                if (zero_present)
-                    return false;
-                zero_present = true;
-                ++used;
-                return true;
-            }
-            if ((used + 1) * 2 > slots.size())
-                grow();
-            std::size_t i = StateHashHash{}(k) & (slots.size() - 1);
-            while (slots[i].lo || slots[i].hi) {
-                if (slots[i] == k)
-                    return false;
-                i = (i + 1) & (slots.size() - 1);
-            }
-            slots[i] = k;
-            ++used;
-            return true;
-        }
-
-        /** Actual table footprint, for ExploreResult::visited_bytes. */
-        std::size_t
-        bytes() const
-        {
-            return slots.size() * sizeof(StateHash);
-        }
-
-      private:
-        void
-        grow()
-        {
-            std::vector<StateHash> old(slots.empty() ? 64
-                                                     : slots.size() * 2);
-            old.swap(slots);
-            for (const StateHash &k : old) {
-                if (!k.lo && !k.hi)
-                    continue;
-                std::size_t i = StateHashHash{}(k) & (slots.size() - 1);
-                while (slots[i].lo || slots[i].hi)
-                    i = (i + 1) & (slots.size() - 1);
-                slots[i] = k;
-            }
-        }
-    };
-
-    /**
-     * A worker's pending tasks.  The owner pushes and pops at the back;
-     * thieves take from `head`.  A vector, not a std::deque: a Task
-     * holds its state inline, and std::deque would allocate a node for
-     * each one.  The stolen prefix is compacted away as pushes arrive.
-     */
-    struct alignas(64) WorkerSlot
-    {
-        std::mutex mu;
-        std::vector<Task> dq;
-        std::size_t head = 0; // dq[0, head) was stolen
-    };
-
     /** Per-worker partial result and scratch; merged after the join. */
     struct alignas(64) Worker
     {
@@ -583,66 +508,12 @@ class DporEngine
         Sleep child_sleep;
     };
 
-    /** Queue a task on worker @p id, built in place in its slot. */
-    void
-    spawn(unsigned id, State &&state, const Sleep &sleep,
-          std::optional<Succs> &&succs)
-    {
-        outstanding_.fetch_add(1, std::memory_order_relaxed);
-        WorkerSlot &s = slots_[id];
-        std::lock_guard<std::mutex> g(s.mu);
-        if (s.head > 0 && 2 * s.head >= s.dq.size()) {
-            // Drop the stolen prefix once it is half the queue: this
-            // moves fewer tasks than were stolen since the last time.
-            s.dq.erase(s.dq.begin(),
-                       s.dq.begin() + static_cast<std::ptrdiff_t>(s.head));
-            s.head = 0;
-        }
-        s.dq.emplace_back(std::move(state), sleep, std::move(succs));
-    }
-
-    bool
-    popLocal(unsigned id, Task &out)
-    {
-        WorkerSlot &s = slots_[id];
-        std::lock_guard<std::mutex> g(s.mu);
-        if (s.dq.size() == s.head)
-            return false;
-        out = std::move(s.dq.back());
-        s.dq.pop_back();
-        if (s.dq.size() == s.head) {
-            s.dq.clear();
-            s.head = 0;
-        }
-        return true;
-    }
-
-    bool
-    steal(unsigned id, Task &out)
-    {
-        for (unsigned i = 1; i < jobs_; ++i) {
-            WorkerSlot &s = slots_[(id + i) % jobs_];
-            std::lock_guard<std::mutex> g(s.mu);
-            if (s.dq.size() == s.head)
-                continue;
-            // Steal the oldest (root-most) unexplored backtrack branch:
-            // the biggest subtree, touched least recently by its owner.
-            out = std::move(s.dq[s.head++]);
-            if (s.dq.size() == s.head) {
-                s.dq.clear();
-                s.head = 0;
-            }
-            return true;
-        }
-        return false;
-    }
-
     void
     workerLoop(Worker &w)
     {
         Task t;
         for (;;) {
-            if (popLocal(w.id, t) || steal(w.id, t)) {
+            if (tasks_.take(w.id, t)) {
                 runTask(t, w);
                 outstanding_.fetch_sub(1, std::memory_order_acq_rel);
                 continue;
@@ -664,16 +535,11 @@ class DporEngine
             t.sleep.clear(); // final states carry no transitions to skip
 
         const StateHash key = nodeKey(model_.hashState(t.state), t.sleep);
-        {
-            VisitShard &shard =
-                visited_[static_cast<std::size_t>(key.lo) % visit_shards];
-            std::lock_guard<std::mutex> g(shard.mu);
-            if (!shard.insert(key)) {
-                // Exactly one worker wins each node; everyone else is a
-                // re-entry.
-                ++w.revisit_pruned;
-                return;
-            }
+        if (!visited_.insert(key)) {
+            // Exactly one worker wins each node; everyone else is a
+            // re-entry.
+            ++w.revisit_pruned;
+            return;
         }
         if (cfg_.max_states) {
             const std::uint64_t n =
@@ -881,9 +747,12 @@ class DporEngine
             children.push_back(Child{at, child_sleep});
         }
 
-        // Spawn in reverse: the local deque is LIFO, so the first child
+        // Spawn in reverse: the local queue is LIFO, so the first child
         // is popped first, matching the sequential DFS order (and its
-        // memory profile).  Stealers take from the other end.
+        // memory profile).  Stealers take from the other end.  They
+        // are counted first; this task is outstanding until it returns,
+        // so the count cannot touch zero in between.
+        outstanding_.fetch_add(children.size(), std::memory_order_relaxed);
         for (std::size_t i = children.size(); i-- > 0;) {
             const Child &c = children[i];
             // Each label spawns at most once, so donating by move
@@ -891,8 +760,8 @@ class DporEngine
             std::optional<Succs> carried;
             if (Succs *have = cachedSuccs(succs[c.at].label))
                 carried.emplace(std::move(*have));
-            spawn(w.id, std::move(succs[c.at].state), c.sleep,
-                  std::move(carried));
+            tasks_.push(w.id, std::move(succs[c.at].state), c.sleep,
+                        std::move(carried));
         }
     }
 
@@ -914,8 +783,8 @@ class DporEngine
             result.revisit_pruned += w.revisit_pruned;
             result.commutation_probes += w.commutation_probes;
         }
-        for (VisitShard &shard : visited_)
-            result.visited_bytes += shard.bytes();
+        result.visited_bytes = visited_.bytes();
+        result.steals = tasks_.steals();
         return result;
     }
 
@@ -925,8 +794,8 @@ class DporEngine
     // Footprint of the code reachable from each (processor, pc).
     const std::vector<std::vector<ProcFoot>> code_foot_;
 
-    std::vector<VisitShard> visited_;
-    std::vector<WorkerSlot> slots_;
+    ShardedSet<StateHash, StateHashHash> visited_;
+    StealQueue<Task> tasks_;
     std::vector<Worker> workers_;
 
     // One cache line each: every task reads truncated_, and every

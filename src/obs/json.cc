@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "common/logging.hh"
 
@@ -514,6 +515,27 @@ JsonParseResult
 jsonParse(std::string_view text)
 {
     return Parser(text).run();
+}
+
+bool
+forEachJsonlObject(const std::string &path,
+                   const std::function<void(const Json &)> &fn)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    const std::string_view all(text);
+    for (std::size_t pos = 0, eol;
+         (eol = all.find('\n', pos)) != std::string_view::npos;
+         pos = eol + 1) {
+        // Parse in place: a million-line journal must not copy every
+        // line into a fresh string first.
+        const JsonParseResult p = jsonParse(all.substr(pos, eol - pos));
+        if (p.ok && p.value.isObject())
+            fn(p.value);
+    }
+    return true;
 }
 
 } // namespace wo

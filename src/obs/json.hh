@@ -17,6 +17,7 @@
 #define WO_OBS_JSON_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -150,6 +151,16 @@ struct JsonParseResult
  * journal) to avoid a copy per line.
  */
 JsonParseResult jsonParse(std::string_view text);
+
+/**
+ * Call @p fn on every line of the JSONL file at @p path that parses as
+ * a JSON object.  A last line without its '\n' was cut mid-write and is
+ * skipped, as are blank and unparsable lines: the campaign journal's
+ * resume reader and its report see the same records.  False when the
+ * file cannot be opened.
+ */
+bool forEachJsonlObject(const std::string &path,
+                        const std::function<void(const Json &)> &fn);
 
 } // namespace wo
 

@@ -78,46 +78,31 @@ struct Data
 void
 loadJournal(const std::string &path, Data &d)
 {
-    std::string text;
-    if (!readTextFile(path, text))
-        return;
-    d.artifacts.push_back(baseName(path));
     std::map<std::string, std::size_t> fail_index;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        if (end == std::string::npos)
-            end = text.size();
-        const std::string_view line(text.data() + start, end - start);
-        start = end + 1;
-        if (line.empty())
-            continue;
-        JsonParseResult p = jsonParse(line);
-        if (!p.ok || !p.value.isObject())
-            continue; // a torn tail line is expected after a crash
-        const std::string type = p.value.stringAt("type");
+    const bool read = forEachJsonlObject(path, [&](const Json &line) {
+        const std::string type = line.stringAt("type");
         if (type == "campaign") {
-            d.header = p.value;
+            d.header = line;
         } else if (type == "cell") {
             CellRow c;
-            c.key = p.value.stringAt("key");
-            c.verdict = p.value.stringAt("verdict");
-            c.ms = p.value.numberAt("ms");
-            c.mat_us = p.value.uintAt("mat_us");
-            c.run_us = p.value.uintAt("run_us");
-            c.shrink_us = p.value.uintAt("shrink_us");
+            c.key = line.stringAt("key");
+            c.verdict = line.stringAt("verdict");
+            c.ms = line.numberAt("ms");
+            c.mat_us = line.uintAt("mat_us");
+            c.run_us = line.uintAt("run_us");
+            c.shrink_us = line.uintAt("shrink_us");
             d.cells.push_back(std::move(c));
         } else if (type == "failure") {
-            const std::string dedup = p.value.stringAt("dedup");
+            const std::string dedup = line.stringAt("dedup");
             auto it = fail_index.find(dedup);
             if (it == fail_index.end()) {
                 FailRow f;
                 f.dedup = dedup;
-                f.kind = p.value.stringAt("kind");
-                f.cell = p.value.stringAt("cell");
-                f.file = p.value.stringAt("file");
-                f.insns = p.value.uintAt("insns");
-                f.orig_insns = p.value.uintAt("orig_insns");
+                f.kind = line.stringAt("kind");
+                f.cell = line.stringAt("cell");
+                f.file = line.stringAt("file");
+                f.insns = line.uintAt("insns");
+                f.orig_insns = line.uintAt("orig_insns");
                 f.count = 1;
                 fail_index[dedup] = d.failures.size();
                 d.failures.push_back(std::move(f));
@@ -125,7 +110,9 @@ loadJournal(const std::string &path, Data &d)
                 ++d.failures[it->second].count;
             }
         }
-    }
+    });
+    if (read)
+        d.artifacts.push_back(baseName(path));
 }
 
 Data

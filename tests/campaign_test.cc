@@ -342,30 +342,6 @@ TEST(Journal, TruncatedTrailingLineIsIgnored)
     EXPECT_EQ(j2.doneCells(), 1u);
 }
 
-TEST(Journal, SeenSetInsertContainsAndOverflowSpill)
-{
-    SeenSet s;
-    s.reserve(100);
-    EXPECT_TRUE(s.insert(fnv1a64("a")));
-    EXPECT_FALSE(s.insert(fnv1a64("a"))); // second claim loses
-    EXPECT_TRUE(s.contains(fnv1a64("a")));
-    EXPECT_FALSE(s.contains(fnv1a64("b")));
-    EXPECT_EQ(s.size(), 1u);
-
-    // Spill far past the default table's half-load watermark: the
-    // mutexed overflow set must keep every key, and duplicates must
-    // still be rejected across the table/overflow boundary.
-    SeenSet t; // default-sized: 4096 slots, spills past 2048
-    const std::uint64_t stride = 0x9e3779b97f4a7c15ULL;
-    for (std::uint64_t i = 1; i <= 5000; ++i)
-        EXPECT_TRUE(t.insert(i * stride)) << i;
-    EXPECT_EQ(t.size(), 5000u);
-    for (std::uint64_t i = 1; i <= 5000; ++i)
-        EXPECT_TRUE(t.contains(i * stride)) << i;
-    EXPECT_FALSE(t.insert(42 * stride));
-    EXPECT_FALSE(t.insert(4999 * stride));
-}
-
 TEST(Journal, SyncEveryOneFlushesEveryRecord)
 {
     const std::string path = testing::TempDir() + "journal_sync1.jsonl";

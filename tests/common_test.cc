@@ -1,17 +1,23 @@
 /**
  * @file
- * Unit tests for wo_common: formatting, RNG, statistics, tables.
+ * Unit tests for wo_common: formatting, RNG, statistics, tables, and
+ * the concurrent seen-set and steal queue.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/logging.hh"
-#include "common/random.hh"
-#include "common/stats.hh"
-#include "common/table.hh"
 #include "common/input_limits.hh"
+#include "common/random.hh"
+#include "common/sharded_set.hh"
+#include "common/stats.hh"
+#include "common/steal_queue.hh"
+#include "common/table.hh"
 
 namespace wo {
 namespace {
@@ -267,6 +273,178 @@ TEST(InputLimits, NumbersAreStrictDecimal)
     EXPECT_EQ(n, 7);
     EXPECT_TRUE(parseThreadCount("010", n));
     EXPECT_EQ(n, 10);
+}
+
+TEST(ShardedSet, InsertContainsAndDuplicateClaims)
+{
+    ShardedSet<std::uint64_t> s;
+    EXPECT_EQ(s.bytes(), 0u); // no shard has a table yet
+    EXPECT_TRUE(s.insert(0xa11ce));
+    EXPECT_FALSE(s.insert(0xa11ce)); // the second claim loses
+    EXPECT_TRUE(s.contains(0xa11ce));
+    EXPECT_FALSE(s.contains(0xb0b));
+    EXPECT_EQ(s.size(), 1u);
+    EXPECT_EQ(s.bytes(), 64 * sizeof(std::uint64_t)); // one 64-slot shard
+}
+
+TEST(ShardedSet, AllZeroKeyIsAKeyLikeAnyOther)
+{
+    struct Wide
+    {
+        std::uint64_t lo = 0, hi = 0;
+        bool operator==(const Wide &) const = default;
+    };
+    struct WideHash
+    {
+        std::size_t
+        operator()(const Wide &k) const
+        {
+            return Mix64{}(k.lo ^ (k.hi * 0x9e3779b97f4a7c15ULL));
+        }
+    };
+    ShardedSet<Wide, WideHash> s;
+    EXPECT_FALSE(s.contains(Wide{}));
+    EXPECT_TRUE(s.insert(Wide{}));
+    EXPECT_FALSE(s.insert(Wide{}));
+    EXPECT_TRUE(s.contains(Wide{}));
+    EXPECT_TRUE(s.insert(Wide{0, 1}));
+    EXPECT_TRUE(s.insert(Wide{1, 0}));
+    EXPECT_FALSE(s.insert(Wide{0, 1}));
+    EXPECT_EQ(s.size(), 3u);
+}
+
+TEST(ShardedSet, GrowsThroughSeveralDoublings)
+{
+    // 200,000 keys over 64 shards is ~3,100 per shard: each shard's
+    // table doubles from 64 slots six or more times.
+    ShardedSet<std::uint64_t> s;
+    constexpr std::uint64_t n = 200'000;
+    for (std::uint64_t k = 1; k <= n; ++k)
+        ASSERT_TRUE(s.insert(k)) << k;
+    EXPECT_EQ(s.size(), n);
+    for (std::uint64_t k = 1; k <= n; ++k)
+        ASSERT_TRUE(s.contains(k)) << k;
+    EXPECT_FALSE(s.contains(n + 1));
+    EXPECT_FALSE(s.insert(n / 2));
+    // Half load at most, so at least two 8-byte slots per key.
+    EXPECT_GE(s.bytes(), 2 * n * sizeof(std::uint64_t));
+    EXPECT_LE(s.bytes(), 64 * n * sizeof(std::uint64_t));
+}
+
+TEST(ShardedSet, ReserveSizesEveryShardUpFront)
+{
+    ShardedSet<std::uint64_t> s;
+    s.insert(7);
+    s.reserve(10'000); // 157 keys a shard: 512 slots at half load
+    const std::size_t reserved = 64 * 512 * sizeof(std::uint64_t);
+    EXPECT_EQ(s.bytes(), reserved);
+    EXPECT_TRUE(s.contains(7)); // reserving re-seats what was there
+    for (std::uint64_t k = 1; k <= 10'000; ++k)
+        EXPECT_EQ(s.insert(k), k != 7);
+    EXPECT_EQ(s.size(), 10'000u);
+    EXPECT_GE(s.bytes(), reserved);
+    s.reserve(100); // never shrinks
+    EXPECT_GE(s.bytes(), reserved);
+}
+
+TEST(ShardedSet, ConcurrentInsertsClaimEachKeyOnce)
+{
+    constexpr std::size_t keys = 10'000;
+    ShardedSet<std::uint64_t> s;
+    std::vector<std::atomic<int>> wins(keys);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&, t] {
+            // Each thread walks the keys from a different start so the
+            // threads race on every key rather than trail each other.
+            for (std::size_t i = 0; i < keys; ++i) {
+                const std::size_t k = (i + t * keys / 4) % keys;
+                if (s.insert(k))
+                    wins[k].fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (std::size_t k = 0; k < keys; ++k)
+        EXPECT_EQ(wins[k].load(), 1) << k;
+    EXPECT_EQ(s.size(), keys);
+}
+
+TEST(StealQueue, OwnerTakesNewestThiefTakesOldest)
+{
+    StealQueue<int> q(3);
+    for (int i = 1; i <= 5; ++i)
+        q.push(0, i);
+    int x = 0;
+    ASSERT_TRUE(q.take(0, x));
+    EXPECT_EQ(x, 5); // the owner pops LIFO
+    ASSERT_TRUE(q.take(1, x));
+    EXPECT_EQ(x, 1); // a thief steals FIFO
+    ASSERT_TRUE(q.take(2, x));
+    EXPECT_EQ(x, 2);
+    q.push(2, 9);
+    ASSERT_TRUE(q.take(2, x));
+    EXPECT_EQ(x, 9); // own work before stealing
+    ASSERT_TRUE(q.take(0, x));
+    EXPECT_EQ(x, 4);
+    ASSERT_TRUE(q.take(0, x));
+    EXPECT_EQ(x, 3);
+    EXPECT_FALSE(q.take(0, x));
+    EXPECT_FALSE(q.take(1, x));
+    EXPECT_EQ(q.steals(), 2u);
+}
+
+TEST(StealQueue, OrderSurvivesCompaction)
+{
+    StealQueue<int> q(2);
+    for (int i = 0; i < 10; ++i)
+        q.push(0, i);
+    int x = -1;
+    for (int i = 0; i < 6; ++i) {
+        ASSERT_TRUE(q.take(1, x));
+        EXPECT_EQ(x, i);
+    }
+    q.push(0, 10); // six of ten stolen: this push compacts them away
+    ASSERT_TRUE(q.take(1, x));
+    EXPECT_EQ(x, 6);
+    for (int want : {10, 9, 8, 7}) {
+        ASSERT_TRUE(q.take(0, x));
+        EXPECT_EQ(x, want);
+    }
+    EXPECT_FALSE(q.take(0, x));
+    EXPECT_EQ(q.steals(), 7u);
+}
+
+TEST(StealQueue, ConcurrentPushTakeAndStealTakeEachItemOnce)
+{
+    constexpr int workers = 4, per = 10'000, total = workers * per;
+    StealQueue<int> q(workers);
+    std::vector<std::atomic<int>> taken(total);
+    std::atomic<int> left{total};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < workers; ++w)
+        threads.emplace_back([&, w] {
+            auto takeOne = [&] {
+                int x = 0;
+                if (!q.take(w, x))
+                    return;
+                taken[x].fetch_add(1, std::memory_order_relaxed);
+                left.fetch_sub(1, std::memory_order_relaxed);
+            };
+            // Worker 0 pushes twice as fast as it takes, so the others
+            // find their own queues dry and steal from it.
+            for (int i = 0; i < per; ++i) {
+                q.push(w, w * per + i);
+                if (w != 0 || i % 2)
+                    takeOne();
+            }
+            while (left.load(std::memory_order_relaxed) > 0)
+                takeOne();
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (int i = 0; i < total; ++i)
+        EXPECT_EQ(taken[i].load(), 1) << i;
 }
 
 } // namespace

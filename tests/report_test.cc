@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign/journal.hh"
 #include "campaign/scheduler.hh"
 #include "fleet/coordinator.hh"
 #include "fleet/worker.hh"
@@ -211,6 +212,38 @@ TEST(Report, VerifyCensusSeparatesInconclusiveAndNonSc)
     EXPECT_NE(html.find("pill c-nonsc"), std::string::npos);
     EXPECT_EQ(html.find("pill c-error"), std::string::npos);
     EXPECT_EQ(html.find("seeded reserve-bit fault"), std::string::npos);
+}
+
+TEST(Report, CountsTheCellsAResumedRunWouldSkip)
+{
+    // A crash tore the last cell line before its newline and no summary
+    // was written.  The report and --resume must agree that two cells
+    // ran: the torn third is re-run on resume, so it is not a cell.
+    const std::string dir = testing::TempDir() + "report_torn";
+    std::filesystem::create_directories(dir);
+    std::remove((dir + "/campaign.summary.json").c_str());
+    const std::string journal = dir + "/campaign.journal.jsonl";
+    FILE *f = std::fopen(journal.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"type\":\"campaign\",\"schema_version\":3}\n"
+               "{\"type\":\"cell\",\"key\":\"k1\",\"verdict\":\"clean\"}\n"
+               "{\"type\":\"cell\",\"key\":\"k2\",\"verdict\":\"clean\"}\n"
+               "{\"type\":\"cell\",\"key\":\"k3\",\"verdict\":\"clean\"}",
+               f);
+    std::fclose(f);
+
+    Journal j(journal);
+    j.load();
+    EXPECT_EQ(j.doneCells(), 2u);
+    EXPECT_FALSE(j.done("k3"));
+
+    ReportCfg cfg;
+    cfg.out_dir = dir;
+    std::string error;
+    const std::string html = buildCampaignReportHtml(cfg, &error);
+    ASSERT_FALSE(html.empty()) << error;
+    EXPECT_NE(html.find(">2</div><div class=tl>cells run<"),
+              std::string::npos);
 }
 
 TEST(Report, RefusesADirectoryWithNoCampaignArtifacts)

@@ -389,11 +389,12 @@ cmdExplore(const AsmResult *a, int argc, char **argv)
                         static_cast<unsigned long long>(
                             r.revisit_pruned));
             std::printf("  dpor: %llu commutation probes, %llu "
-                        "visited-table bytes, %d job(s)\n",
+                        "visited-table bytes, %d job(s), %llu steal(s)\n",
                         static_cast<unsigned long long>(
                             r.commutation_probes),
                         static_cast<unsigned long long>(r.visited_bytes),
-                        cfg.jobs);
+                        cfg.jobs,
+                        static_cast<unsigned long long>(r.steals));
         }
         std::size_t idx = 0;
         for (const auto &o : r.outcomes)
