@@ -2,12 +2,41 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <unistd.h>
 
 #include "common/input_limits.hh"
 #include "common/logging.hh"
 #include "obs/profiler.hh"
 
 namespace wo {
+
+namespace {
+
+/** The length of @p f up to and including its last '\n' (0 when it
+ *  has none, -1 on a read error). */
+long
+committedLength(std::FILE *f)
+{
+    if (std::fseek(f, 0, SEEK_END) != 0)
+        return -1;
+    long end = std::ftell(f);
+    char buf[4096];
+    while (end > 0) {
+        const long n = std::min<long>(end, sizeof buf);
+        if (std::fseek(f, end - n, SEEK_SET) != 0 ||
+            std::fread(buf, 1, static_cast<std::size_t>(n), f) !=
+                static_cast<std::size_t>(n))
+            return -1;
+        for (long i = n; i-- > 0;)
+            if (buf[i] == '\n')
+                return end - n + i + 1;
+        end -= n;
+    }
+    return end;
+}
+
+} // namespace
 
 Journal::~Journal()
 {
@@ -65,15 +94,15 @@ Journal::open(bool fresh)
         return false;
     }
     if (!fresh) {
-        // A crash can tear the last line of the last batch.  Terminate
-        // it now so this run's appends never glue onto the torn tail
-        // (which would corrupt the first fresh line too); the reader
-        // skips the malformed remnant either way.
-        if (std::fseek(f_, -1, SEEK_END) == 0) {
-            const int last = std::fgetc(f_);
-            if (last != EOF && last != '\n')
-                std::fputc('\n', f_);
-        }
+        // A crash can tear the last line of the last batch.  Cut it
+        // off: load() and forEachJsonlObject() skip a line without its
+        // '\n', so the torn tail was never resumed.  Terminating it
+        // instead would turn a tail that lacked only its newline into
+        // a record of a key this run re-runs and journals again.
+        const long keep = committedLength(f_);
+        if (keep < 0 || ::ftruncate(::fileno(f_), keep) != 0)
+            warn("campaign journal '%s': cannot cut its torn tail",
+                 path_.c_str());
         std::clearerr(f_);
         std::fseek(f_, 0, SEEK_END);
     }

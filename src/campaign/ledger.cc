@@ -78,7 +78,8 @@ Ledger::open(const CampaignSpec &spec, Json meta)
     // Size the seen set for this run before any slot records.
     journal_.reserveKeys(static_cast<std::size_t>(spec.cells));
     journal_.open(/*fresh=*/!replayed_);
-    if (!replayed_)
+    // A resumed journal torn inside its header line replays nothing.
+    if (!replayed_ || journal_.header().isNull())
         journal_.writeHeader(std::move(meta));
     t0_ = Clock::now();
 }

@@ -115,8 +115,8 @@ class Ledger
     /**
      * Start recording @p spec's campaign: create the directory, size
      * the seen set for its cells, open the journal -- appending after a
-     * replay(), else truncating and writing @p meta as the header --
-     * and start the wall clock.
+     * replay(), else truncating -- write @p meta as the header unless
+     * the replay found one, and start the wall clock.
      */
     void open(const CampaignSpec &spec, Json meta);
 

@@ -243,6 +243,8 @@ Coordinator::pumpLoop()
               case Event::Kind::closed:
                 dropConn(ev.conn, "connection closed");
                 break;
+              case Event::Kind::wake:
+                break; // the grant below is the point
             }
         }
         expireSilentWorkers();
@@ -252,7 +254,7 @@ Coordinator::pumpLoop()
 }
 
 void
-Coordinator::handleMessage(std::uint64_t conn_id, const Json &msg)
+Coordinator::handleMessage(std::uint64_t conn_id, Json &msg)
 {
     auto it = conns_.find(conn_id);
     if (it == conns_.end() || it->second->dead)
@@ -367,7 +369,7 @@ Coordinator::checkBatch(const Camp &camp, const Shard &shard,
 }
 
 void
-Coordinator::handleLeaseDone(Conn &c, const Json &msg)
+Coordinator::handleLeaseDone(Conn &c, Json &msg)
 {
     const std::uint64_t lease_id = msg.uintAt("lease");
     auto it = leases_.find(lease_id);
@@ -380,7 +382,7 @@ Coordinator::handleLeaseDone(Conn &c, const Json &msg)
     }
     Camp *camp = it == leases_.end() ? nullptr
                                      : findCampaign(it->second.campaign);
-    const Json *cells = msg.find("cells");
+    Json *cells = msg.find("cells");
     const std::string why =
         !camp || it->second.conn != c.id
             ? "a lease it does not hold"
@@ -396,9 +398,9 @@ Coordinator::handleLeaseDone(Conn &c, const Json &msg)
     // Merge the batch, annotated with its fleet provenance.
     const std::size_t shard_i = it->second.shard;
     Shard &shard = camp->shards[shard_i];
-    for (const Json &e : cells->items()) {
+    for (Json &e : cells->items()) {
         const std::uint64_t idx = e.uintAt("idx");
-        Json rec = *e.find("cell");
+        Json rec = std::move(*e.find("cell"));
         rec.set("type", Json("cell"));
         rec.set("idx", Json(idx));
         rec.set("shard", Json(static_cast<std::uint64_t>(shard_i)));
@@ -512,18 +514,34 @@ Coordinator::activeCampaign()
     return nullptr;
 }
 
+Coordinator::Camp *
+Coordinator::leasableCampaign()
+{
+    // Campaigns run serially: lease from the first unfinished one,
+    // walking its claims one shard further once nothing is pending.
+    for (Camp *camp; (camp = activeCampaign());) {
+        if (camp->pending.empty())
+            walkShard(*camp);
+        if (!camp->pending.empty())
+            return camp;
+        maybeCompleteCampaign(*camp);
+        if (!camp->ledger->done())
+            return nullptr; // its last shards are still leased
+    }
+    return nullptr;
+}
+
 void
 Coordinator::grantLeases()
 {
-    Camp *camp = activeCampaign();
-    if (!camp)
-        return;
     for (auto &[id, c] : conns_) {
-        if (c->role != Role::worker || c->dead || c->draining)
+        if (c->role != Role::worker || c->dead)
             continue;
-        while (static_cast<int>(c->leases.size()) < cfg_.max_outstanding) {
-            if (camp->pending.empty())
-                return; // the lattice is fully leased or done
+        while (!c->draining &&
+               static_cast<int>(c->leases.size()) < cfg_.max_outstanding) {
+            Camp *camp = leasableCampaign();
+            if (!camp)
+                return; // every lattice is fully leased or done
             const std::size_t shard_i = camp->pending.front();
             Shard &shard = camp->shards[shard_i];
 
@@ -602,7 +620,8 @@ Coordinator::sendClientProgress()
 void
 Coordinator::maybeCompleteCampaign(Camp &camp)
 {
-    if (camp.ledger->done() || camp.ledger->completed() < camp.spec.cells)
+    if (camp.ledger->done() || camp.walked < camp.spec.cells ||
+        camp.ledger->completed() < camp.spec.cells)
         return;
     const CampaignSummary sum = camp.ledger->close();
     // The in-process summary plus what only a fleet knows.  Failures
@@ -673,27 +692,38 @@ Coordinator::addCampaign(std::uint64_t id, CampaignSpec spec,
     meta.set("spec", campaignSpecToJson(camp->spec));
     ledger->open(camp->spec, std::move(meta));
     camp->ledger = std::move(ledger);
-    // The in-process engine's claim rule, applied up front: the lowest
-    // index of a key owns it, and only fresh keys are owed.
-    for (std::uint64_t idx = 0; idx < camp->spec.cells; ++idx) {
-        const KeyClaim claim = camp->ledger->journal().claim(
-            camp->fuzzer->baseCell(idx).key());
-        if (claim == KeyClaim::fresh)
-            camp->owed.push_back(idx);
-        else
-            camp->ledger->recordSkip(0, claim);
-    }
-    for (std::size_t lo = 0; lo < camp->owed.size(); lo += cfg_.shard_size) {
-        Shard shard;
-        shard.lo = lo;
-        shard.hi = std::min<std::size_t>(lo + cfg_.shard_size,
-                                         camp->owed.size());
-        camp->pending.push_back(camp->shards.size());
-        camp->shards.push_back(shard);
-    }
+    // The first shard, or the whole walk when the journal holds every
+    // key: a fully-resumed campaign completes without a worker.
+    walkShard(*camp);
     next_campaign_ = std::max(next_campaign_, id + 1);
     camps_.push_back(std::move(camp));
     return *camps_.back();
+}
+
+void
+Coordinator::walkShard(Camp &camp)
+{
+    // The in-process engine's claim rule, in index order: the lowest
+    // index of a key owns it, and only fresh keys are owed.  Shards
+    // are cut every shard_size owed indices, wherever the walk pauses.
+    const std::size_t lo = camp.owed.size();
+    while (camp.walked < camp.spec.cells &&
+           camp.owed.size() - lo < cfg_.shard_size) {
+        const std::uint64_t idx = camp.walked++;
+        const KeyClaim claim = camp.ledger->journal().claim(
+            camp.fuzzer->baseCell(idx).key());
+        if (claim == KeyClaim::fresh)
+            camp.owed.push_back(idx);
+        else
+            camp.ledger->recordSkip(0, claim);
+    }
+    if (camp.owed.size() == lo)
+        return;
+    Shard shard;
+    shard.lo = lo;
+    shard.hi = camp.owed.size();
+    camp.pending.push_back(camp.shards.size());
+    camp.shards.push_back(shard);
 }
 
 std::uint64_t
@@ -761,9 +791,17 @@ Coordinator::resumeFromOutDir()
 std::uint64_t
 Coordinator::submitLocal(const CampaignSpec &spec)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::uint64_t id = enqueueCampaign(spec, 0);
-    maybeCompleteCampaign(*camps_.back());
+    std::uint64_t id;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        id = enqueueCampaign(spec, 0);
+        maybeCompleteCampaign(*camps_.back());
+    }
+    // The pump may be asleep in its timed wait: a bare notify would be
+    // swallowed by its predicate, so the new work arrives as an event.
+    Event ev;
+    ev.kind = Event::Kind::wake;
+    pushEvent(std::move(ev));
     return id;
 }
 
@@ -914,8 +952,9 @@ Coordinator::metricsJson() const
         c.set("reassigned_leases", Json(cp->reassigned_leases));
         // Per-shard series are bounded by the operator's shard-size
         // choice; cap the cardinality anyway so a million-cell
-        // campaign cannot flood a scrape.
-        if (cp->shards.size() <= 256)
+        // campaign cannot flood a scrape.  The cap reads the lattice,
+        // not the shards cut so far, so series never vanish mid-run.
+        if (cp->spec.cells / cfg_.shard_size < 256)
             for (std::size_t i = 0; i < cp->shards.size(); ++i) {
                 Json s = Json::object();
                 s.set("state",

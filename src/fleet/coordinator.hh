@@ -5,18 +5,27 @@
  * One coordinator owns a TCP endpoint speaking the fleet protocol
  * (proto.hh), a queue of submitted campaigns, and the merged campaign
  * journal of whichever campaign is running.  Campaigns execute
- * serially in submission order.  When a campaign is added (fresh or
- * resumed) the coordinator walks its program x policy x seed lattice
- * -- the deterministic base stream of fuzzer.hh, a pure function of
- * (seed, index) -- once, and claims each index's cell key through
- * Journal::claim(), the rule the in-process engine applies per cell:
- * a key a replayed journal holds is *resumed*, a key an earlier index
- * already claimed is a *duplicate*, and only the fresh indices are
- * owed.  Those are cut into fixed-size *shards* of consecutive fresh
- * indices, and shards are handed to workers as *leases*.  Backpressure
- * is the lease count: a worker never holds more than `max_outstanding`
- * leases, so a slow worker bounds its own queue instead of hoarding
- * the lattice.
+ * serially in submission order.  The coordinator walks each
+ * campaign's program x policy x seed lattice -- the deterministic base
+ * stream of fuzzer.hh, a pure function of (seed, index) -- in index
+ * order, claiming each index's cell key through Journal::claim(), the
+ * rule the in-process engine applies per cell: a key a replayed
+ * journal holds is *resumed*, a key an earlier index already claimed
+ * is a *duplicate*, and only the fresh indices are owed.  Owed indices
+ * are cut into fixed-size *shards* of consecutive fresh indices, and
+ * shards are handed to workers as *leases*.  The walk runs on demand:
+ * one shard when the campaign is added (the whole walk, when a resumed
+ * journal holds every key), then one more whenever a worker has room
+ * and no shard is pending; a campaign completes only once the walk has
+ * reached its last index.  Shard boundaries are those of an up-front
+ * walk.  Backpressure is the lease count: a worker never holds more
+ * than `max_outstanding` leases, so a slow worker bounds its own queue
+ * instead of hoarding the lattice.
+ *
+ * All fleet state changes on one *pump* thread, which wakes on events:
+ * a connection's message or close, and a local submit (submitLocal()
+ * pushes a wake event, so its first leases leave at once).  Its timed
+ * wait serves only heartbeat expiry and client progress pushes.
  *
  * A lease is the unit of claim, run, merge and reassignment:
  *
@@ -209,6 +218,7 @@ class Coordinator
         std::unique_ptr<Fuzzer> fuzzer; //!< the spec's base stream
         std::unique_ptr<Ledger> ledger; //!< one slot, driven by the pump
         std::vector<std::uint64_t> owed; //!< fresh-claimed base indices
+        std::uint64_t walked = 0; //!< base indices claimed so far
         std::vector<Shard> shards;
         std::deque<std::size_t> pending; //!< pending shard ids, FIFO
         std::uint64_t duplicate_results = 0; //!< stale-lease drops
@@ -227,7 +237,7 @@ class Coordinator
 
     struct Event
     {
-        enum class Kind : std::uint8_t { message, closed };
+        enum class Kind : std::uint8_t { message, closed, wake };
         Kind kind;
         std::uint64_t conn = 0;
         Json msg;
@@ -239,13 +249,20 @@ class Coordinator
     void pushEvent(Event ev);
 
     // All of the below run on the pump thread with mu_ held.
-    void handleMessage(std::uint64_t conn_id, const Json &msg);
+    void handleMessage(std::uint64_t conn_id, Json &msg);
     void handleHello(Conn &c, const Json &msg);
     void handleSubmit(Conn &c, const Json &msg);
-    void handleLeaseDone(Conn &c, const Json &msg);
+    void handleLeaseDone(Conn &c, Json &msg);
     void dropConn(std::uint64_t conn_id, const char *why);
     void releaseLease(std::uint64_t lease_id);
     void grantLeases();
+    /** The first unfinished campaign once it has a pending shard (null
+     *  when its walk is through and its last shards are leased);
+     *  completes campaigns whose walk ends with nothing owed. */
+    Camp *leasableCampaign();
+    /** Claim @p camp's base indices in order until `shard_size` more
+     *  are owed or the walk ends, and cut those into a pending shard. */
+    void walkShard(Camp &camp);
     void expireSilentWorkers();
     void sendClientProgress();
     void maybeCompleteCampaign(Camp &camp);
@@ -254,8 +271,8 @@ class Coordinator
     void resumeFromOutDir();
     /** The ledger of campaign @p id, under <out_dir>/c<id>. */
     std::unique_ptr<Ledger> newLedger(std::uint64_t id) const;
-    /** Open @p ledger (fresh, or replayed on resume), claim every
-     *  base index's key and cut the fresh ones into pending shards. */
+    /** Open @p ledger (fresh, or replayed on resume) and walk the
+     *  campaign's first shard. */
     Camp &addCampaign(std::uint64_t id, CampaignSpec spec,
                       std::unique_ptr<Ledger> ledger);
     /** Why @p cells is not @p shard's batch ("" when it is): one entry

@@ -1,6 +1,7 @@
 #include "json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -157,6 +158,21 @@ jsonEscape(std::string &out, const std::string &text)
     }
 }
 
+namespace {
+
+/** Append std::to_chars(@p v, @p fmt...) to @p out. */
+template <class T, class... Fmt>
+void
+appendNumber(std::string &out, T v, Fmt... fmt)
+{
+    char buf[32]; // "-1.2345678901234567e-308" is the longest
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, v, fmt...);
+    out.append(buf, r.ptr);
+}
+
+} // namespace
+
 void
 Json::dumpTo(std::string &out, int indent, int depth) const
 {
@@ -171,14 +187,16 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         return;
       case Kind::unsigned_number:
-        out += strprintf("%llu", static_cast<unsigned long long>(u64_));
+        appendNumber(out, u64_);
         return;
       case Kind::signed_number:
-        out += strprintf("%lld", static_cast<long long>(i64_));
+        appendNumber(out, i64_);
         return;
       case Kind::double_number:
         if (std::isfinite(dbl_)) {
-            out += strprintf("%.17g", dbl_);
+            // The same text as printf's "%.17g", without the locale
+            // and format-string work of going through printf.
+            appendNumber(out, dbl_, std::chars_format::general, 17);
         } else {
             // JSON has no inf/nan; null is the conventional stand-in.
             out += "null";

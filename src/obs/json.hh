@@ -83,6 +83,7 @@ class Json
 
     /** Array elements (empty for non-arrays). */
     const std::vector<Json> &items() const { return items_; }
+    std::vector<Json> &items() { return items_; }
 
     /** Object members in insertion order (empty for non-objects). */
     const std::vector<std::pair<std::string, Json>> &members() const

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -27,6 +28,7 @@
 #include "campaign/verify.hh"
 #include "common/random.hh"
 #include "obs/json.hh"
+#include "obs/report.hh"
 #include "program/workload.hh"
 
 namespace wo {
@@ -643,6 +645,94 @@ TEST(Campaign, MidBatchTruncationResumesExactlyTheCommittedCells)
     for (std::size_t i = 0; i < committed; ++i)
         EXPECT_EQ(times[lines[i].key], 1) << lines[i].key;
     EXPECT_GE(times[lines[committed].key], 1) << lines[committed].key;
+}
+
+/** The "cells run" tile of the report built from @p dir (-1 if none). */
+long long
+reportCellsRun(const std::string &dir)
+{
+    ReportCfg cfg;
+    cfg.out_dir = dir;
+    const std::string html = buildCampaignReportHtml(cfg);
+    const std::size_t tile = html.find("</div><div class=tl>cells run<");
+    if (tile == std::string::npos)
+        return -1;
+    const std::size_t open = html.rfind('>', tile);
+    return std::stoll(html.substr(open + 1, tile - open - 1));
+}
+
+TEST(Campaign, ResumeFromATornJournalAtAnyByteCountsEachKeyOnce)
+{
+    // A crash can stop the journal at any byte.  Cut a finished run's
+    // journal at every line boundary, one byte either side of it and
+    // at interior offsets, and resume each copy: the resumed run, the
+    // reloaded journal and the report (which counts journal lines when
+    // the crash left no summary) must agree on every count, and the
+    // journal must end as the uninterrupted run's.
+    CampaignCfg cfg;
+    cfg.jobs = 1;
+    cfg.cells = 24;
+    cfg.frontier = false; // the cell set is a function of (seed, cells)
+    cfg.max_events = 200'000;
+    cfg.seed = 21;
+    cfg.sync_every = 1;
+    cfg.out_dir = testing::TempDir() + "camp_torn_full";
+    std::filesystem::remove_all(cfg.out_dir);
+    const CampaignSummary full = runCampaign(cfg);
+    ASSERT_EQ(full.ran, cfg.cells);
+    ASSERT_EQ(full.duplicates, 0u) << "resumed counts indices, doneCells "
+                                      "keys: pick a seed without repeats";
+    const std::string text = slurp(cfg.out_dir + "/campaign.journal.jsonl");
+    std::map<std::string, std::string> want;
+    for (const JournalCellLine &l :
+         journalCells(cfg.out_dir + "/campaign.journal.jsonl"))
+        want[l.key] = l.verdict;
+    ASSERT_EQ(want.size(), cfg.cells);
+
+    std::set<std::size_t> cuts;
+    for (std::size_t at = text.find('\n'); at != std::string::npos;
+         at = text.find('\n', at + 1))
+        for (std::size_t c : {at, at + 1, at + 2})
+            cuts.insert(std::min(c, text.size()));
+    for (std::size_t c = 0; c < text.size(); c += 97)
+        cuts.insert(c);
+
+    cfg.resume = true;
+    cfg.out_dir = testing::TempDir() + "camp_torn_cut";
+    const std::string journal = cfg.out_dir + "/campaign.journal.jsonl";
+    for (std::size_t cut : cuts) {
+        SCOPED_TRACE("cut at byte " + std::to_string(cut));
+        std::filesystem::remove_all(cfg.out_dir);
+        std::filesystem::create_directories(cfg.out_dir);
+        {
+            FILE *f = std::fopen(journal.c_str(), "wb");
+            ASSERT_NE(f, nullptr);
+            std::fwrite(text.data(), 1, cut, f);
+            std::fclose(f);
+        }
+        const CampaignSummary sum = runCampaign(cfg);
+        std::filesystem::remove(cfg.out_dir + "/campaign.summary.json");
+
+        std::map<std::string, std::string> got;
+        std::map<std::string, int> lines;
+        for (const JournalCellLine &l : journalCells(journal)) {
+            got[l.key] = l.verdict;
+            ++lines[l.key];
+        }
+        for (const auto &[key, n] : lines)
+            EXPECT_EQ(n, 1) << key;
+        EXPECT_EQ(got, want);
+
+        Journal j(journal);
+        j.load();
+        EXPECT_EQ(j.doneCells(), cfg.cells);
+        EXPECT_EQ(reportCellsRun(cfg.out_dir),
+                  static_cast<long long>(j.doneCells()));
+        EXPECT_EQ(sum.ran + sum.resumed(), j.doneCells());
+        EXPECT_EQ(j.header().stringAt("type"), "campaign");
+        if (HasFailure())
+            return;
+    }
 }
 
 TEST(Campaign, SingleWorkerRunIsAPureFunctionOfTheSeed)

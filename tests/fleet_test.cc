@@ -919,6 +919,98 @@ TEST(Fleet, CoordinatorRestartResumes)
 }
 
 /**
+ * A coordinator killed mid-write leaves a torn last line.  When that
+ * tail lacks only its newline it is complete JSON, yet it was never
+ * committed: resuming through resumeFromOutDir must re-run its key and
+ * journal it once, and the merged journal must end as an uninterrupted
+ * run's, key for key and verdict for verdict.
+ */
+TEST(Fleet, ResumeFromATornTailJournalsEachKeyOnce)
+{
+    const std::string out_dir = freshDir("fleet_torn");
+    const std::string journal = out_dir + "/c1/campaign.journal.jsonl";
+
+    CampaignSpec spec;
+    spec.seed = 9;
+    spec.cells = 64;
+    spec.shrink = false;
+    {
+        CoordinatorCfg ccfg;
+        ccfg.out_dir = out_dir;
+        ccfg.shard_size = 8;
+        ccfg.sync_every = 1;
+        Coordinator coord(ccfg);
+        ASSERT_TRUE(coord.start()) << coord.lastError();
+        WorkerCfg wcfg;
+        wcfg.connect = {"127.0.0.1", coord.port()};
+        WorkerThread w(wcfg);
+        ASSERT_TRUE(coord.waitCampaign(coord.submitLocal(spec), 120'000));
+        coord.kill();
+    }
+    const auto want = journalVerdicts(journal);
+    const std::string text = slurp(journal);
+
+    // Keep half the journal plus the next line without its newline.
+    const std::size_t keep = text.find('\n', text.size() / 2) + 1;
+    const std::size_t torn = text.find('\n', keep);
+    ASSERT_NE(torn, std::string::npos);
+    std::filesystem::resize_file(journal, torn);
+    std::filesystem::remove(out_dir + "/c1/campaign.summary.json");
+    const std::size_t committed = journalCells(journal).size();
+
+    CoordinatorCfg rcfg;
+    rcfg.out_dir = out_dir;
+    rcfg.resume = true;
+    Coordinator second(rcfg);
+    ASSERT_TRUE(second.start()) << second.lastError();
+    WorkerCfg wcfg;
+    wcfg.connect = {"127.0.0.1", second.port()};
+    WorkerThread w(wcfg);
+    Json summary;
+    ASSERT_TRUE(second.waitCampaign(1, 120'000, &summary));
+    second.stop();
+
+    expectEachKeyOnce(spec, journal, summary);
+    EXPECT_EQ(journalVerdicts(journal), want);
+    EXPECT_EQ(summary.uintAt("ran"), want.size() - committed);
+    Journal j(journal);
+    j.load();
+    EXPECT_EQ(j.doneCells(), want.size());
+}
+
+/**
+ * A local submit wakes the pump.  One worker heartbeating at the
+ * default 500 ms cannot mask a stall, so five back-to-back 8-cell
+ * campaigns finish well inside five of the pump's 100 ms timed waits.
+ */
+TEST(Fleet, LocalSubmitLeasesWithoutWaitingForATick)
+{
+    CoordinatorCfg ccfg;
+    ccfg.out_dir = freshDir("fleet_submit_wake");
+    Coordinator coord(ccfg);
+    ASSERT_TRUE(coord.start()) << coord.lastError();
+    WorkerCfg wcfg;
+    wcfg.connect = {"127.0.0.1", coord.port()};
+    ASSERT_EQ(wcfg.heartbeat_ms, 500);
+    WorkerThread w(wcfg);
+    ASSERT_TRUE(coord.waitForWorkers(1, 10'000));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        CampaignSpec spec;
+        spec.seed = seed;
+        spec.cells = 8;
+        spec.shrink = false;
+        ASSERT_TRUE(coord.waitCampaign(coord.submitLocal(spec), 10'000));
+    }
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    coord.stop();
+    EXPECT_LT(ms, 250) << "the pump slept through submitted work";
+}
+
+/**
  * stop() right after a peer connects: the reader thread spawned for
  * the connection may not have run yet when teardown joins it.  Readers
  * take no coordinator lock and are joined with it released, so this

@@ -8,7 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
+#include <cstdarg>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "asm/assembler.hh"
@@ -70,6 +76,77 @@ TEST(Json, ObjectKeysKeepInsertionOrder)
     doc.set("alpha", Json(2));
     const std::string text = doc.dump();
     EXPECT_LT(text.find("zeta"), text.find("alpha"));
+}
+
+/** printf's text for one number: the reference every Json number
+ *  dump must match byte for byte. */
+std::string
+printfText(const char *fmt, ...)
+{
+    char buf[64];
+    va_list ap;
+    va_start(ap, fmt);
+    std::vsnprintf(buf, sizeof buf, fmt, ap);
+    va_end(ap);
+    return buf;
+}
+
+TEST(Json, NumbersDumpAsPrintfDid)
+{
+    // Journals, the wire and BENCH files are diffed and digested
+    // across builds: every number must keep its printf text.
+    const struct
+    {
+        Json value;
+        const char *golden;
+        std::string printf_text;
+    } cases[] = {
+        {Json(std::uint64_t{UINT64_MAX}), "18446744073709551615",
+         printfText("%llu", ULLONG_MAX)},
+        {Json(std::uint64_t{0}), "0", printfText("%llu", 0ULL)},
+        {Json(std::int64_t{INT64_MIN}), "-9223372036854775808",
+         printfText("%lld", LLONG_MIN)},
+        {Json(std::int64_t{0}), "0", printfText("%lld", 0LL)},
+        {Json(-1), "-1", printfText("%lld", -1LL)},
+        {Json(0.0), "0", printfText("%.17g", 0.0)},
+        {Json(-0.0), "-0", printfText("%.17g", -0.0)},
+        {Json(0.1), "0.10000000000000001", printfText("%.17g", 0.1)},
+        {Json(9007199254740993.0), "9007199254740992",
+         printfText("%.17g", 9007199254740993.0)}, // 2^53+1 rounds
+        {Json(4.9406564584124654e-324), "4.9406564584124654e-324",
+         printfText("%.17g", 4.9406564584124654e-324)},
+        {Json(1e300), "1.0000000000000001e+300",
+         printfText("%.17g", 1e300)},
+        {Json(0.5), "0.5", printfText("%.17g", 0.5)},
+        {Json(123456.789), "123456.789", printfText("%.17g", 123456.789)},
+        {Json(1e-5), "1.0000000000000001e-05", printfText("%.17g", 1e-5)},
+        {Json(1e17), "1e+17", printfText("%.17g", 1e17)},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(c.value.dump(), c.golden);
+        EXPECT_EQ(c.value.dump(), c.printf_text);
+    }
+    EXPECT_EQ(Json(std::nan("")).dump(), "null");
+    EXPECT_EQ(Json(HUGE_VAL).dump(), "null");
+    EXPECT_EQ(Json(-HUGE_VAL).dump(), "null");
+
+    // And a seeded sample of every bit pattern's doubles and int64s.
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (int i = 0; i < 100'000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        double d;
+        std::memcpy(&d, &x, sizeof d);
+        if (std::isfinite(d)) {
+            ASSERT_EQ(Json(d).dump(), printfText("%.17g", d)) << x;
+        }
+        const auto s = static_cast<std::int64_t>(x);
+        ASSERT_EQ(Json(s).dump(),
+                  printfText("%lld", static_cast<long long>(s)));
+        ASSERT_EQ(Json(x).dump(),
+                  printfText("%llu", static_cast<unsigned long long>(x)));
+    }
 }
 
 // ----------------------------------------------------------- validator
