@@ -44,17 +44,11 @@ run(const Program &p, bool mesi)
     s.ok = r.completed;
     s.time = r.finish_tick;
     for (ProcId q = 0; q < p.numThreads(); ++q) {
-        const auto &c = sys.cache(q).stats().counters();
-        auto get = [&](const char *n) -> std::uint64_t {
-            auto it = c.find(n);
-            return it == c.end() ? 0 : it->second.value();
-        };
-        s.write_misses += get("write_misses");
-        s.silent += get("silent_upgrades");
+        const StatGroup &c = sys.cache(q).stats();
+        s.write_misses += c.find("write_misses").value_or(0);
+        s.silent += c.find("silent_upgrades").value_or(0);
     }
-    auto pos = r.stats.find("net.messages ");
-    if (pos != std::string::npos)
-        s.messages = std::strtoull(r.stats.c_str() + pos + 13, nullptr, 10);
+    s.messages = sys.network().stats().find("messages").value_or(0);
     if (p.numLocations() > 1)
         s.counter = r.outcome.memory[1];
     return s;

@@ -48,13 +48,9 @@ run(const Program &p, OrderingPolicy pol)
     s.ok = r.completed;
     s.time = r.finish_tick;
     for (ProcId q = 0; q < p.numThreads(); ++q) {
-        const auto &c = sys.cache(q).stats().counters();
-        auto get = [&](const char *n) -> std::uint64_t {
-            auto it = c.find(n);
-            return it == c.end() ? 0 : it->second.value();
-        };
-        s.write_misses += get("write_misses");
-        s.read_misses += get("read_misses");
+        const StatGroup &c = sys.cache(q).stats();
+        s.write_misses += c.find("write_misses").value_or(0);
+        s.read_misses += c.find("read_misses").value_or(0);
     }
     return s;
 }

@@ -141,15 +141,22 @@ Journal::push(Line *n)
     do {
         n->next = h;
     } while (!head_.compare_exchange_weak(h, n,
-                                          std::memory_order_release,
+                                          std::memory_order_seq_cst,
                                           std::memory_order_relaxed));
     const std::uint64_t pending =
         queued_.fetch_add(1, std::memory_order_acq_rel) + 1;
     // Wake a sleeping writer only at the batch threshold (or always
     // when sync_every == 1): everything else rides the bounded flush
-    // interval, so the hot path stays notification-free.
-    if (pending >= cfg_.sync_every &&
-        writer_idle_.load(std::memory_order_acquire)) {
+    // interval, so the hot path stays notification-free.  Only the
+    // pusher that clears writer_idle_ notifies, so one batch crossing
+    // sends one wake.  No wake is lost: the writer sets writer_idle_
+    // under wake_mu_ before it re-checks head_, and this push, load
+    // and exchange and that store and load are all seq_cst, so either
+    // the writer sees this line in head_ and does not sleep, or this
+    // pusher sees it idle and the notify (under wake_mu_) finds it
+    // waiting.  The plain load keeps the exchange off the hot path.
+    if (pending >= cfg_.sync_every && writer_idle_.load() &&
+        writer_idle_.exchange(false)) {
         std::lock_guard<std::mutex> lock(wake_mu_);
         wake_cv_.notify_one();
     }
@@ -228,8 +235,8 @@ Journal::writerLoop()
             return;
         }
         std::unique_lock<std::mutex> lock(wake_mu_);
-        writer_idle_.store(true, std::memory_order_release);
-        if (head_.load(std::memory_order_acquire) == nullptr &&
+        writer_idle_.store(true);
+        if (head_.load() == nullptr &&
             !closing_.load(std::memory_order_acquire))
             wake_cv_.wait_for(lock, interval);
         writer_idle_.store(false, std::memory_order_release);

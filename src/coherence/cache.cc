@@ -9,7 +9,7 @@ Cache::Cache(NodeId id, NodeId dir, ProcId procs, EventQueue &eq,
              Network &net, CacheClient *client, Addr n_locs,
              const CacheCfg &cfg)
     : id_(id), dir_(dir), eq_(eq), net_(net), client_(client), cfg_(cfg),
-      stats_(strprintf("cache%u", id))
+      stats_(strprintf("cache%u", id), stat_names, hist_names)
 {
     (void)procs;
     reset(dir, client, n_locs, cfg);
@@ -39,7 +39,7 @@ Cache::reset(NodeId dir, CacheClient *client, Addr n_locs,
     deferred_.clear();
     deferred_pos_ = 0;
     stalled_.clear();
-    ctr_.clear();
+    stats_.reset();
 }
 
 Value
@@ -99,7 +99,7 @@ Cache::start(const CacheReq &req)
 
     if (!as_write) {
         if (line.st != LineState::invalid) {
-            ctr_[st_read_hits].inc();
+            stats_.inc(st_read_hits);
             commit(req, cfg_.hit_latency, /*performed_now=*/true);
         } else {
             sendMiss(req, /*exclusive=*/false);
@@ -111,9 +111,9 @@ Cache::start(const CacheReq &req)
         // MESI silent upgrade: an exclusive-clean line becomes modified
         // with no protocol traffic.
         if (line.st == LineState::exclusive_clean)
-            ctr_[st_silent_upgrades].inc();
+            stats_.inc(st_silent_upgrades);
         line.st = LineState::modified;
-        ctr_[st_write_hits].inc();
+        stats_.inc(st_write_hits);
         commit(req, cfg_.hit_latency, /*performed_now=*/true);
         return;
     }
@@ -140,7 +140,7 @@ Cache::commit(const CacheReq &req, Tick delay, bool performed_now)
             line.reserved = true;
             reserved_.push_back(req.addr);
         }
-        ctr_[st_reservations].inc();
+        stats_.inc(st_reservations);
         if (Obs *obs = eq_.obs())
             obs->reserveSet(id_, req.addr, eq_.now());
     }
@@ -172,7 +172,7 @@ Cache::sendMiss(const CacheReq &req, bool exclusive)
     if (cfg_.reserved_miss_limit >= 0 && !reserved_.empty() &&
         reserved_window_misses_ >= cfg_.reserved_miss_limit) {
         deferred_.push_back(req);
-        ctr_[st_throttled_misses].inc();
+        stats_.inc(st_throttled_misses);
         return;
     }
     if (!reserved_.empty())
@@ -186,7 +186,7 @@ Cache::sendMiss(const CacheReq &req, bool exclusive)
     ++live_mshrs_;
     ++counter_;
     ++misses_in_flight_;
-    ctr_[exclusive ? st_write_misses : st_read_misses].inc();
+    stats_.inc(exclusive ? st_write_misses : st_read_misses);
     if (Obs *obs = eq_.obs()) {
         obs->reqMiss(id_, req.id);
         obs->counterChanged(id_, counter_, eq_.now());
@@ -213,12 +213,12 @@ Cache::decrementCounter()
         // observable -- unless the seeded fault drops the clear.
         if (!reserved_.empty()) {
             if (cfg_.bug_drop_reserve_clear) {
-                ctr_[st_dropped_reserve_clears].inc();
+                stats_.inc(st_dropped_reserve_clears);
             } else {
                 for (Addr a : reserved_)
                     lines_[a].reserved = false;
                 reserved_.clear();
-                ctr_[st_reserve_clears].inc();
+                stats_.inc(st_reserve_clears);
                 if (Obs *obs = eq_.obs())
                     obs->reserveCleared(id_, eq_.now());
             }
@@ -278,7 +278,7 @@ Cache::serveForward(const Message &msg)
         return;
     }
     if (mustStall(msg)) {
-        ctr_[st_reserve_stalls].inc();
+        stats_.inc(st_reserve_stalls);
         // The requester's pending miss is now reserve-blocked; let the
         // profiler attribute that processor's wait to the reserve bit.
         if (Obs *obs = eq_.obs())
@@ -349,8 +349,8 @@ Cache::handleData(const Message &msg)
     replay_reqs_.swap(m.queued_reqs);
     replay_fwds_.swap(m.queued_fwds);
     --misses_in_flight_;
-    stats_.histogram(m.want_exclusive ? "write_miss_latency"
-                                      : "read_miss_latency")
+    stats_.histogram(m.want_exclusive ? hist_write_miss_latency
+                                      : hist_read_miss_latency)
         .sample(eq_.now() - m.issued);
 
     Line &line = lines_[msg.addr];
@@ -416,7 +416,7 @@ Cache::handleInv(const Message &msg)
               "invalidation for exclusive line %u at cache %u", msg.addr,
               id_);
     line.st = LineState::invalid;
-    ctr_[st_invalidations].inc();
+    stats_.inc(st_invalidations);
     Message ack;
     ack.type = MsgType::inv_ack;
     ack.src = id_;
@@ -432,7 +432,7 @@ Cache::handleNack(const Message &msg)
     Mshr *mp = mshr(msg.addr);
     wo_assert(mp, "nack for %u with no MSHR at cache %u", msg.addr, id_);
     Mshr &m = *mp;
-    ctr_[st_nacks].inc();
+    stats_.inc(st_nacks);
     if (Obs *obs = eq_.obs())
         obs->reqNack(id_, m.req.id);
     // The miss failed for now: it no longer counts as outstanding, which

@@ -251,12 +251,6 @@ class Cache : public MsgHandler
     std::vector<CacheReq> replay_reqs_;
     std::vector<Message> replay_fwds_;
     std::vector<Message> replay_stalled_;
-    StatGroup stats_;
-    static constexpr CounterHandles<12>::Names stat_names = {
-        "read_hits",       "silent_upgrades",        "write_hits",
-        "reservations",    "throttled_misses",       "write_misses",
-        "read_misses",     "dropped_reserve_clears", "reserve_clears",
-        "reserve_stalls",  "invalidations",          "nacks"};
     enum : std::size_t
     {
         st_read_hits,
@@ -272,7 +266,15 @@ class Cache : public MsgHandler
         st_invalidations,
         st_nacks,
     };
-    CounterHandles<12> ctr_{stats_, stat_names};
+    static constexpr const char *stat_names[] = {
+        "read_hits",       "silent_upgrades",        "write_hits",
+        "reservations",    "throttled_misses",       "write_misses",
+        "read_misses",     "dropped_reserve_clears", "reserve_clears",
+        "reserve_stalls",  "invalidations",          "nacks"};
+    enum : std::size_t { hist_read_miss_latency, hist_write_miss_latency };
+    static constexpr const char *hist_names[] = {"read_miss_latency",
+                                                 "write_miss_latency"};
+    StatGroup stats_;
 };
 
 } // namespace wo

@@ -8,7 +8,7 @@ namespace wo {
 
 Directory::Directory(NodeId id, Network &net, std::vector<Value> initial,
                      const DirectoryCfg &cfg)
-    : id_(id), net_(net), cfg_(cfg), stats_("dir")
+    : id_(id), net_(net), cfg_(cfg), stats_("dir", stat_names)
 {
     reset(id, initial, cfg);
 }
@@ -37,7 +37,7 @@ Directory::reset(NodeId id, const std::vector<Value> &initial,
         l.waiting.clear();
         l.waiting_pos = 0;
     }
-    ctr_.clear();
+    stats_.reset();
 }
 
 Directory::DirLine &
@@ -107,7 +107,7 @@ Directory::handleGetS(const Message &msg)
         l.waiting.push_back(msg);
         return;
     }
-    ctr_[st_get_s].inc();
+    stats_.inc(st_get_s);
     switch (l.st) {
       case LineState::uncached:
         if (cfg_.grant_exclusive_clean) {
@@ -162,7 +162,7 @@ Directory::handleGetX(const Message &msg)
         l.waiting.push_back(msg);
         return;
     }
-    ctr_[st_get_x].inc();
+    stats_.inc(st_get_x);
     switch (l.st) {
       case LineState::uncached: {
         l.st = LineState::exclusive;
@@ -310,7 +310,7 @@ Directory::handleNack(const Message &msg)
     // transaction and bounce the requester.
     DirLine &l = line(msg.addr);
     wo_assert(l.busy, "owner Nack for idle line %u", msg.addr);
-    ctr_[st_nacks_relayed].inc();
+    stats_.inc(st_nacks_relayed);
     Message n;
     n.type = MsgType::nack;
     n.src = id_;

@@ -135,11 +135,10 @@ class Directory : public MsgHandler
     std::vector<DirLine> lines_;
     Addr nlocs_ = 0;
     std::vector<NodeId> others_; //!< handleGetX scratch
-    StatGroup stats_;
-    CounterHandles<3> ctr_{stats_, stat_names};
-    static constexpr CounterHandles<3>::Names stat_names = {
-        "get_s", "get_x", "nacks_relayed"};
     enum : std::size_t { st_get_s, st_get_x, st_nacks_relayed };
+    static constexpr const char *stat_names[] = {"get_s", "get_x",
+                                                 "nacks_relayed"};
+    StatGroup stats_;
 };
 
 } // namespace wo

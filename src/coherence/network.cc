@@ -1,7 +1,6 @@
 #include "network.hh"
 
 #include <algorithm>
-#include <string>
 
 #include "common/logging.hh"
 #include "obs/obs.hh"
@@ -9,24 +8,8 @@
 namespace wo {
 
 Network::Network(EventQueue &eq, const NetworkCfg &cfg)
-    : eq_(eq), cfg_(cfg), rng_(cfg.seed), stats_("net")
+    : eq_(eq), cfg_(cfg), rng_(cfg.seed), stats_("net", stat_names)
 {
-}
-
-const CounterHandles<Network::num_msg_types + 1>::Names &
-Network::statNames()
-{
-    static const auto names = [] {
-        static std::string text[num_msg_types];
-        CounterHandles<num_msg_types + 1>::Names n{"messages"};
-        for (std::size_t t = 0; t < num_msg_types; ++t) {
-            text[t] = std::string("msg.") +
-                      msgTypeName(static_cast<MsgType>(t));
-            n[t + 1] = text[t].c_str();
-        }
-        return n;
-    }();
-    return names;
 }
 
 void
@@ -37,7 +20,7 @@ Network::reset(const NetworkCfg &cfg)
     handlers_.clear();
     std::fill(last_delivery_.begin(), last_delivery_.end(), 0);
     in_flight_ = 0;
-    ctr_.clear();
+    stats_.reset();
 }
 
 void
@@ -73,8 +56,8 @@ Network::send(Message msg)
     wo_assert(msg.dst < handlers_.size() && handlers_[msg.dst],
               "message to unattached node %u: %s", msg.dst,
               msg.toString().c_str());
-    ctr_[0].inc();
-    ctr_[1 + static_cast<std::size_t>(msg.type)].inc();
+    stats_.inc(0); // "messages"
+    stats_.inc(1 + static_cast<std::size_t>(msg.type));
     Tick delay = cfg_.hop_latency;
     if (cfg_.jitter > 0)
         delay += rng_.below(cfg_.jitter + 1);

@@ -69,17 +69,18 @@ class Network
     /** Messages sent so far. */
     const StatGroup &stats() const { return stats_; }
 
-    /** Mutable statistics access. */
-    StatGroup &stats() { return stats_; }
-
   private:
     /** FIFO delivery within a pair despite jitter. */
     Tick nextDepartureSlot(NodeId src, NodeId dst, Tick earliest);
 
-    /** Counter slots: "messages", then "msg.<type>" per MsgType. */
-    static constexpr std::size_t num_msg_types =
-        static_cast<std::size_t>(MsgType::nack) + 1;
-    static const CounterHandles<num_msg_types + 1>::Names &statNames();
+    /** Counter slots: "messages", then "msg.<name>" per MsgType in
+     *  enum order (see msgTypeName). */
+    static constexpr const char *stat_names[] = {
+        "messages",   "msg.GetS",   "msg.GetX",    "msg.DataS",
+        "msg.DataE",  "msg.DataX",  "msg.FwdGetS", "msg.FwdGetX",
+        "msg.Inv",    "msg.InvAck", "msg.MemAck",  "msg.WbData",
+        "msg.TransferAck", "msg.Nack"};
+    static_assert(std::size(stat_names) == 2 + std::size_t(MsgType::nack));
 
     EventQueue &eq_;
     NetworkCfg cfg_;
@@ -91,7 +92,6 @@ class Network
     std::size_t nodes_ = 0;
     std::uint64_t in_flight_ = 0; //!< sent, not yet delivered
     StatGroup stats_;
-    CounterHandles<num_msg_types + 1> ctr_{stats_, statNames()};
 };
 
 } // namespace wo

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "logging.hh"
 
@@ -72,49 +73,81 @@ Histogram::reset()
     sorted_ = true;
 }
 
-void
-StatGroup::resetAll()
+namespace {
+
+/** The slots of @p names in name order. */
+std::vector<std::size_t>
+nameOrder(StatGroup::Names names)
 {
-    for (auto &kv : counters_)
-        kv.second.reset();
-    for (auto &kv : hists_)
-        kv.second.reset();
+    std::vector<std::size_t> order(names.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return std::string_view(names[a]) < names[b];
+    });
+    return order;
+}
+
+/** The slot named @p name in @p names, or names.size(). */
+std::size_t
+slotOf(StatGroup::Names names, std::string_view name)
+{
+    return std::find(names.begin(), names.end(), name) - names.begin();
+}
+
+} // namespace
+
+StatGroup::StatGroup(std::string name, Names counters, Names histograms)
+    : name_(std::move(name)), counter_names_(counters),
+      hist_names_(histograms), counters_(counters.size()),
+      hists_(histograms.size()), counter_order_(nameOrder(counters)),
+      hist_order_(nameOrder(histograms))
+{
 }
 
 void
-StatGroup::clear()
+StatGroup::reset()
 {
-    while (!counters_.empty()) {
-        auto node = counters_.extract(counters_.begin());
-        node.mapped().reset();
-        parked_counters_.insert(std::move(node));
-    }
-    while (!hists_.empty()) {
-        auto node = hists_.extract(hists_.begin());
-        node.mapped().reset();
-        parked_hists_.insert(std::move(node));
-    }
+    std::fill(counters_.begin(), counters_.end(), Counter{});
+    for (Histogram &h : hists_)
+        h.reset();
+}
+
+std::optional<std::uint64_t>
+StatGroup::find(std::string_view name) const
+{
+    const std::size_t i = slotOf(counter_names_, name);
+    if (i == counters_.size() || !counters_[i].listed)
+        return std::nullopt;
+    return counters_[i].value;
+}
+
+const Histogram *
+StatGroup::findHistogram(std::string_view name) const
+{
+    const std::size_t i = slotOf(hist_names_, name);
+    return i < hists_.size() && hists_[i].count() ? &hists_[i] : nullptr;
 }
 
 std::string
 StatGroup::dump() const
 {
     std::string out;
-    for (const auto &kv : counters_) {
-        out += strprintf("%s.%s %llu\n", name_.c_str(), kv.first.c_str(),
-                         static_cast<unsigned long long>(kv.second.value()));
-    }
-    for (const auto &kv : hists_) {
-        const Histogram &h = kv.second;
-        out += strprintf(
-            "%s.%s count=%llu mean=%.2f min=%llu max=%llu p50=%llu p99=%llu\n",
-            name_.c_str(), kv.first.c_str(),
-            static_cast<unsigned long long>(h.count()), h.mean(),
-            static_cast<unsigned long long>(h.min()),
-            static_cast<unsigned long long>(h.max()),
-            static_cast<unsigned long long>(h.percentile(50)),
-            static_cast<unsigned long long>(h.percentile(99)));
-    }
+    forEach(
+        [&](const char *stat, std::uint64_t v) {
+            out += strprintf("%s.%s %llu\n", name_.c_str(), stat,
+                             static_cast<unsigned long long>(v));
+        },
+        [&](const char *stat, const Histogram &h) {
+            out += strprintf("%s.%s count=%llu mean=%.2f min=%llu max=%llu "
+                             "p50=%llu p99=%llu\n",
+                             name_.c_str(), stat,
+                             static_cast<unsigned long long>(h.count()),
+                             h.mean(),
+                             static_cast<unsigned long long>(h.min()),
+                             static_cast<unsigned long long>(h.max()),
+                             static_cast<unsigned long long>(h.percentile(50)),
+                             static_cast<unsigned long long>(h.percentile(99)));
+        });
     return out;
 }
 

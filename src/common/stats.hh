@@ -2,45 +2,24 @@
  * @file
  * Lightweight statistics collection for the timed simulator and benches.
  *
- * A StatGroup owns a set of named scalar counters and histograms.  The timed
- * components (CPUs, caches, directory, network) register their statistics in
- * a group and the benchmark harness formats them; nothing here is meant to
- * be clever, only uniform and printable.
+ * A StatGroup is one component's fixed table of counters and histograms.
+ * The timed components (CPUs, caches, directory, network, the per-CPU
+ * stall attribution) each declare their slots and names once, write the
+ * slots by index, and the dump and metrics walk them by name; nothing here
+ * is meant to be clever, only uniform and printable.
  */
 
 #ifndef WO_COMMON_STATS_HH
 #define WO_COMMON_STATS_HH
 
-#include <array>
 #include <cstdint>
-#include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace wo {
-
-/** A named monotonically adjustable scalar statistic. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    /** Add @p delta (default 1) to the counter. */
-    void inc(std::uint64_t delta = 1) { value_ += delta; }
-
-    /** Overwrite the counter (for sampled gauges). */
-    void set(std::uint64_t v) { value_ = v; }
-
-    /** Current value. */
-    std::uint64_t value() const { return value_; }
-
-    /** Reset to zero. */
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /** A histogram over non-negative samples with mean/max/percentile queries. */
 class Histogram
@@ -104,126 +83,94 @@ class Histogram
 };
 
 /**
- * A named collection of counters and histograms with a text dump.
+ * The fixed statistics table of one component, with a text dump.
  *
- * A statistic exists from its first lookup: dumps list exactly the
- * statistics looked up since construction or the last clear().  The
- * lookups are transparent (a string literal costs no std::string), and
- * clear() parks the entries instead of freeing them, so a component
- * reused across runs re-creates its statistics without allocating.
- * References returned by counter() and histogram() stay valid until
- * the next clear().
+ * A component declares its statistics once: an enum of counter slots
+ * and one of histogram slots, each with a static name row (counter
+ * slot i is named counters[i]).  The hot path indexes a slot directly.
+ * A statistic is listed from its first inc(), set() or sample() since
+ * construction or the last reset(); dumps and walks show only listed
+ * statistics, in name order.
  */
 class StatGroup
 {
   public:
-    /** Ordered by name, looked up by any string-like key. */
-    template <typename T>
-    using Map = std::map<std::string, T, std::less<>>;
-
-    /** Construct a group labelled @p name (appears in dumps). */
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Find or create the counter @p name. */
-    Counter &counter(std::string_view name)
-    {
-        return lookup(counters_, parked_counters_, name);
-    }
-
-    /** Find or create the histogram @p name. */
-    Histogram &histogram(std::string_view name)
-    {
-        return lookup(hists_, parked_hists_, name);
-    }
-
-    /** Group label. */
-    const std::string &name() const { return name_; }
-
-    /** Reset every statistic in the group. */
-    void resetAll();
+    using Names = std::span<const char *const>;
 
     /**
-     * Drop every statistic, as if the group were new.  The entries are
-     * parked zeroed and revived by the next lookup of their name.
+     * A group labelled @p name (appears in dumps) over the name rows
+     * @p counters and @p histograms, which must outlive the group (static
+     * tables).
      */
-    void clear();
+    StatGroup(std::string name, Names counters, Names histograms = {});
+
+    /** Add @p delta (default 1) to counter slot @p i. */
+    void
+    inc(std::size_t i, std::uint64_t delta = 1)
+    {
+        counters_[i].value += delta;
+        counters_[i].listed = true;
+    }
+
+    /** Overwrite counter slot @p i (for sampled gauges). */
+    void set(std::size_t i, std::uint64_t v) { counters_[i] = {v, true}; }
+
+    /** Counter slot @p i's value (0 until listed). */
+    std::uint64_t value(std::size_t i) const { return counters_[i].value; }
+
+    /** The histogram in slot @p i. */
+    Histogram &histogram(std::size_t i) { return hists_[i]; }
+
+    /** Zero and un-list every statistic, as if the group were new. */
+    void reset();
+
+    /** The listed counter named @p name's value, else none (a cold scan). */
+    std::optional<std::uint64_t> find(std::string_view name) const;
+
+    /** The listed histogram named @p name, else null (a cold scan). */
+    const Histogram *findHistogram(std::string_view name) const;
 
     /**
-     * Render all statistics as "group.stat value" lines.
+     * Visit the listed statistics in name order: on_counter(name, value)
+     * for each counter, then on_histogram(name, histogram) for each
+     * histogram.
+     */
+    template <typename OnCounter, typename OnHistogram>
+    void
+    forEach(OnCounter &&on_counter, OnHistogram &&on_histogram) const
+    {
+        for (std::size_t i : counter_order_)
+            if (counters_[i].listed)
+                on_counter(counter_names_[i], counters_[i].value);
+        for (std::size_t i : hist_order_)
+            if (hists_[i].count())
+                on_histogram(hist_names_[i], hists_[i]);
+    }
+
+    /**
+     * Render the listed statistics as "group.stat value" lines.
      *
      * Contract: the output is order-stable — statistics appear sorted by
-     * name (counters first, then histograms), independent of creation
-     * order, so dumps diff cleanly across runs and golden files can rely
-     * on line order.
+     * name (counters first, then histograms), independent of slot and
+     * use order, so dumps diff cleanly across runs and golden files can
+     * rely on line order.
      */
     std::string dump() const;
 
-    /** Read access for formatters. */
-    const Map<Counter> &counters() const { return counters_; }
-
-    /** Read access for formatters. */
-    const Map<Histogram> &histograms() const { return hists_; }
-
   private:
-    template <typename T>
-    static T &
-    lookup(Map<T> &live, Map<T> &parked, std::string_view name)
+    struct Counter
     {
-        auto it = live.find(name);
-        if (it != live.end())
-            return it->second;
-        auto p = parked.find(name);
-        if (p != parked.end())
-            return live.insert(parked.extract(p)).position->second;
-        return live.emplace(std::string(name), T{}).first->second;
-    }
+        std::uint64_t value = 0;
+        bool listed = false;
+    };
 
     std::string name_;
-    Map<Counter> counters_;
-    Map<Histogram> hists_;
-    Map<Counter> parked_counters_; //!< cleared, awaiting a lookup
-    Map<Histogram> parked_hists_;
-};
-
-/**
- * Counter handles over one group for a component's hot path: slot i
- * stands for the counter names[i].  Its first use looks the name up
- * (creating the counter, exactly as StatGroup::counter would, so a
- * dump still lists only counters in use); later uses are one load.
- * clear() clears the group and forgets the handles.
- */
-template <std::size_t N>
-class CounterHandles
-{
-  public:
-    using Names = std::array<const char *, N>;
-
-    /** @p names must outlive the handles (a static table). */
-    CounterHandles(StatGroup &group, const Names &names)
-        : group_(group), names_(names)
-    {
-    }
-
-    Counter &
-    operator[](std::size_t i)
-    {
-        Counter *&c = slots_[i];
-        if (!c) [[unlikely]]
-            c = &group_.counter(names_[i]);
-        return *c;
-    }
-
-    void
-    clear()
-    {
-        group_.clear();
-        slots_.fill(nullptr);
-    }
-
-  private:
-    StatGroup &group_;
-    const Names &names_;
-    std::array<Counter *, N> slots_{};
+    Names counter_names_;
+    Names hist_names_;
+    std::vector<Counter> counters_;
+    std::vector<Histogram> hists_;
+    std::vector<std::size_t> counter_order_; //!< slots sorted by name
+    std::vector<std::size_t> hist_order_;
 };
 
 } // namespace wo

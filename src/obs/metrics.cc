@@ -56,10 +56,11 @@ MetricsRegistry::addGroup(const std::string &path, const StatGroup &g)
     Json *node = slot(path);
     if (!node->isObject())
         *node = Json::object();
-    for (const auto &kv : g.counters())
-        node->set(kv.first, kv.second.value());
-    for (const auto &kv : g.histograms())
-        node->set(kv.first, histogramToJson(kv.second));
+    g.forEach(
+        [&](const char *name, std::uint64_t v) { node->set(name, v); },
+        [&](const char *name, const Histogram &h) {
+            node->set(name, histogramToJson(h));
+        });
 }
 
 void

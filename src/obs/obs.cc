@@ -1,7 +1,6 @@
 #include "obs.hh"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "common/logging.hh"
 #include "obs/monitor.hh"
@@ -12,51 +11,19 @@ namespace wo {
 const char *
 stallBucketName(StallBucket b)
 {
-    switch (b) {
-      case StallBucket::reserve_wait:
-        return "reserve_wait";
-      case StallBucket::counter_drain:
-        return "counter_drain";
-      case StallBucket::mlp_limit:
-        return "mlp_limit";
-      case StallBucket::cache_miss:
-        return "cache_miss";
-      case StallBucket::network:
-        return "network";
-      case StallBucket::hit_latency:
-        return "hit_latency";
-    }
-    return "?";
+    return stall_stat_names[static_cast<std::size_t>(b)];
 }
 
 const char *
 opSideName(OpSide s)
 {
-    switch (s) {
-      case OpSide::data:
-        return "data";
-      case OpSide::release:
-        return "release";
-      case OpSide::acquire:
-        return "acquire";
-    }
-    return "?";
+    return stall_stat_names[stall_side_slot + static_cast<std::size_t>(s)];
 }
 
-Obs::ProcState::ProcState(ProcId p) : stall(strprintf("cpu%u.stall", p))
+Obs::ProcState::ProcState(ProcId p)
+    : stall(strprintf("cpu%u.stall", p), stall_stat_names)
 {
-    // Pre-create every bucket plus the summaries so each dump has the
-    // full schema and buckets provably sum to the total even when a
-    // bucket never fires.  Map nodes never move, so the handles hold.
-    for (int b = 0; b < num_stall_buckets; ++b)
-        bucket[b] = &stall.counter(stallBucketName(static_cast<StallBucket>(b)));
-    total = &stall.counter("total");
-    for (int k = 0; k < 3; ++k)
-        side[k] = &stall.counter(opSideName(static_cast<OpSide>(k)));
 }
-
-// procs_ grows by moving: the counter handles must move with their map.
-static_assert(std::is_nothrow_move_constructible_v<StatGroup>);
 
 Obs::ReqFacts &
 Obs::ProcState::factsOf(std::uint64_t req)
@@ -86,7 +53,11 @@ Obs::reset(ProcId nprocs)
     while (procs_.size() < nprocs)
         procs_.emplace_back(static_cast<ProcId>(procs_.size()));
     for (ProcState &ps : procs_) {
-        ps.stall.resetAll();
+        // Every slot listed at 0, so each dump has the full table and
+        // the buckets provably sum to the total even when one never fires.
+        ps.stall.reset();
+        for (std::size_t s = 0; s < std::size(stall_stat_names); ++s)
+            ps.stall.inc(s, 0);
         ps.facts.clear();
         std::fill(ps.reserve_held.begin(), ps.reserve_held.end(), 0);
     }
@@ -308,9 +279,10 @@ Obs::stall(ProcId p, std::uint64_t req, Addr addr, StallPhase phase,
     const StallBucket bucket = classify(p, req, addr, phase);
     const Tick cycles = to - from;
     ProcState &ps = procs_[p];
-    ps.bucket[static_cast<int>(bucket)]->inc(cycles);
-    ps.total->inc(cycles);
-    ps.side[static_cast<int>(side)]->inc(cycles);
+    ps.stall.inc(static_cast<std::size_t>(bucket), cycles);
+    ps.stall.inc(stall_total_slot, cycles);
+    ps.stall.inc(stall_side_slot + static_cast<std::size_t>(side),
+                 cycles);
 
     if (recording())
         record({.kind = FlightKind::stall,
@@ -324,16 +296,6 @@ Obs::stallStats(ProcId p) const
 {
     wo_assert(p < nprocs_, "no stall stats for cpu %u", p);
     return procs_[p].stall;
-}
-
-std::vector<const StatGroup *>
-Obs::stallGroups() const
-{
-    std::vector<const StatGroup *> out;
-    out.reserve(nprocs_);
-    for (ProcId p = 0; p < nprocs_; ++p)
-        out.push_back(&procs_[p].stall);
-    return out;
 }
 
 std::string

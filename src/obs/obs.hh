@@ -100,6 +100,17 @@ enum class OpSide : std::uint8_t
 /** Stable printable side name. */
 const char *opSideName(OpSide s);
 
+/**
+ * The per-CPU stall table ("cpu<p>.stall"): one counter slot per
+ * StallBucket, then the total, then one per OpSide.
+ */
+inline constexpr std::size_t stall_total_slot = num_stall_buckets;
+inline constexpr std::size_t stall_side_slot = stall_total_slot + 1;
+inline constexpr const char *stall_stat_names[] = {
+    "reserve_wait", "counter_drain", "mlp_limit", "cache_miss", "network",
+    "hit_latency",  "total",         "data",      "release",    "acquire"};
+static_assert(std::size(stall_stat_names) == stall_side_slot + 3);
+
 /** The hub.  Created by System; components receive it via EventQueue. */
 class Obs
 {
@@ -210,11 +221,11 @@ class Obs
 
     // ---- results -----------------------------------------------------
 
-    /** Per-CPU stall-attribution statistics (group "cpu<p>.stall"). */
+    /**
+     * Per-CPU stall-attribution statistics (group "cpu<p>.stall", slots
+     * as stall_stat_names, every slot listed).
+     */
     const StatGroup &stallStats(ProcId p) const;
-
-    /** All per-CPU stall groups, for registration with the metrics. */
-    std::vector<const StatGroup *> stallGroups() const;
 
     /**
      * The full trace as Chrome trace-event JSON: a top-level object
@@ -244,10 +255,7 @@ class Obs
     {
         explicit ProcState(ProcId p);
 
-        StatGroup stall;            //!< "cpu<p>.stall"
-        Counter *bucket[num_stall_buckets]; //!< into stall, by bucket
-        Counter *total;
-        Counter *side[3];           //!< by OpSide
+        StatGroup stall; //!< "cpu<p>.stall"
         /** Facts of requests not yet performed, unordered. */
         std::vector<ReqFacts> facts;
         /** By address: this processor's miss is held at a remote

@@ -32,7 +32,7 @@ sideOf(AccessKind k)
 Cpu::Cpu(ProcId id, const Program &prog, EventQueue &eq,
          OrderingPolicy policy, Execution *exec, const CpuCfg &cfg)
     : id_(id), code_(&prog.thread(id)), eq_(eq), policy_(policy),
-      exec_(exec), cfg_(cfg), stats_(strprintf("cpu%u", id))
+      exec_(exec), cfg_(cfg), stats_(strprintf("cpu%u", id), stat_names)
 {
     reset(prog, policy, exec, cfg);
 }
@@ -65,7 +65,7 @@ Cpu::reset(const Program &prog, OrderingPolicy policy, Execution *exec,
     for (Pending &p : pending_)
         p.live = false;
     timings_.clear();
-    ctr_.clear();
+    stats_.reset();
 }
 
 Cpu::Pending &
@@ -226,7 +226,7 @@ Cpu::step()
         return;
       case Opcode::delay:
         ++pc_;
-        ctr_[st_work_cycles].inc(static_cast<std::uint64_t>(i.imm));
+        stats_.inc(st_work_cycles, static_cast<std::uint64_t>(i.imm));
         wake(static_cast<Tick>(i.imm) + 1);
         return;
       case Opcode::halt:
@@ -243,7 +243,7 @@ Cpu::step()
         wait_started_ = eq_.now();
     }
     if (!canIssue(i)) {
-        ctr_[st_issue_stall_polls].inc();
+        stats_.inc(st_issue_stall_polls);
         // Remember which gate failed so the stall profiler can bucket
         // the wait when it finally ends.
         issue_wait_mlp_ = cfg_.max_outstanding > 0 &&
@@ -251,9 +251,9 @@ Cpu::step()
         return; // onCommit/onGloballyPerformed will wake us
     }
     const Tick reached = wait_started_;
-    ctr_[i.isSync() ? st_sync_issue_stall_cycles
-                    : st_data_issue_stall_cycles]
-        .inc(eq_.now() - reached);
+    stats_.inc(i.isSync() ? st_sync_issue_stall_cycles
+                          : st_data_issue_stall_cycles,
+               eq_.now() - reached);
     if (Obs *obs = eq_.obs()) {
         obs->stall(id_, 0, i.addr,
                    issue_wait_mlp_ ? StallPhase::issue_mlp
@@ -285,7 +285,7 @@ Cpu::step()
     p.timing_idx = timings_.size();
     timings_.push_back(OpTiming{id_, pc_, p.kind, i.addr, reached,
                                 eq_.now(), 0, 0});
-    ctr_[i.isSync() ? st_sync_ops : st_data_ops].inc();
+    stats_.inc(i.isSync() ? st_sync_ops : st_data_ops);
 
     const bool wait_perf = blocksUntilPerformed(i);
     const bool wait_commit = blocksUntilCommit(i) || wait_perf;
@@ -349,8 +349,9 @@ Cpu::onCommit(std::uint64_t id, Value read_value)
     // Unblock decisions read p before retire(), which may erase it.
     if (blocked_ && blocked_on_ == id && !p.wait_performed) {
         blocked_ = false;
-        ctr_[p.is_sync ? st_sync_commit_stall_cycles : st_read_stall_cycles]
-            .inc(eq_.now() - block_started_);
+        stats_.inc(p.is_sync ? st_sync_commit_stall_cycles
+                             : st_read_stall_cycles,
+                   eq_.now() - block_started_);
         if (Obs *obs = eq_.obs())
             obs->stall(id_, id, p.addr, StallPhase::commit_wait,
                        sideOf(p.kind), block_started_, eq_.now());
@@ -373,9 +374,9 @@ Cpu::onGloballyPerformed(std::uint64_t id)
     timings_[p.timing_idx].performed = eq_.now();
     if (blocked_ && blocked_on_ == id && p.wait_performed) {
         blocked_ = false;
-        ctr_[p.is_sync ? st_sync_perform_stall_cycles
-                       : st_perform_stall_cycles]
-            .inc(eq_.now() - block_started_);
+        stats_.inc(p.is_sync ? st_sync_perform_stall_cycles
+                             : st_perform_stall_cycles,
+                   eq_.now() - block_started_);
         if (Obs *obs = eq_.obs()) {
             // Split the blocked interval at the commit point: up to the
             // commit the processor waited for the line (miss/reserve);

@@ -194,13 +194,6 @@ class Cpu : public CacheClient
     std::uint64_t next_retire_ = 1;
     std::vector<Pending> pending_;
     std::vector<OpTiming> timings_;
-    StatGroup stats_;
-    static constexpr CounterHandles<10>::Names stat_names = {
-        "work_cycles",          "issue_stall_polls",
-        "sync_issue_stall_cycles", "data_issue_stall_cycles",
-        "sync_ops",             "data_ops",
-        "sync_commit_stall_cycles", "read_stall_cycles",
-        "sync_perform_stall_cycles", "perform_stall_cycles"};
     enum : std::size_t
     {
         st_work_cycles,
@@ -214,7 +207,13 @@ class Cpu : public CacheClient
         st_sync_perform_stall_cycles,
         st_perform_stall_cycles,
     };
-    CounterHandles<10> ctr_{stats_, stat_names};
+    static constexpr const char *stat_names[] = {
+        "work_cycles",          "issue_stall_polls",
+        "sync_issue_stall_cycles", "data_issue_stall_cycles",
+        "sync_ops",             "data_ops",
+        "sync_commit_stall_cycles", "read_stall_cycles",
+        "sync_perform_stall_cycles", "perform_stall_cycles"};
+    StatGroup stats_;
 };
 
 } // namespace wo

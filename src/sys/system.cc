@@ -112,21 +112,12 @@ System::reset(const Program &prog, const SystemCfg &cfg)
                     const int v = c->counter();
                     return v > 0 ? static_cast<std::uint64_t>(v) : 0;
                 });
-            auto bucketProbe = [this, p](const char *name) {
-                return [this, p, name]() -> std::uint64_t {
-                    const auto &m = obs_.stallStats(p).counters();
-                    auto it = m.find(name);
-                    return it == m.end() ? 0 : it->second.value();
-                };
-            };
-            for (int b = 0; b < num_stall_buckets; ++b) {
-                const char *bn =
-                    stallBucketName(static_cast<StallBucket>(b));
-                sampler_->addProbe(strprintf("cpu%u.stall.%s", p, bn),
-                                   bucketProbe(bn));
-            }
-            sampler_->addProbe(strprintf("cpu%u.stall.total", p),
-                               bucketProbe("total"));
+            for (std::size_t s = 0; s <= stall_total_slot; ++s)
+                sampler_->addProbe(
+                    strprintf("cpu%u.stall.%s", p, stall_stat_names[s]),
+                    [this, p, s]() -> std::uint64_t {
+                        return obs_.stallStats(p).value(s);
+                    });
         }
         sampler_->addProbe("net.in_flight", [n = &net_] {
             return n->inFlight();
@@ -234,16 +225,13 @@ System::run()
             for (ProcId p = 0; p < cpus_.size(); ++p) {
                 finish_so_far =
                     std::max(finish_so_far, cpus_[p]->finishTick());
-                const auto &m = obs_.stallStats(p).counters();
+                const StatGroup &g = obs_.stallStats(p);
                 const char *top = "none";
                 std::uint64_t top_cycles = 0;
                 for (int b = 0; b < num_stall_buckets; ++b) {
-                    const char *bn =
-                        stallBucketName(static_cast<StallBucket>(b));
-                    auto it = m.find(bn);
-                    if (it != m.end() && it->second.value() > top_cycles) {
-                        top_cycles = it->second.value();
-                        top = bn;
+                    if (g.value(b) > top_cycles) {
+                        top_cycles = g.value(b);
+                        top = stall_stat_names[b];
                     }
                 }
                 snap += strprintf(
@@ -318,20 +306,22 @@ System::run()
     for (auto &cpu : cpus_)
         r.timings.push_back(cpu->timings());
 
+    auto countersOf = [](const StatGroup &g) {
+        std::map<std::string, std::uint64_t> counters;
+        g.forEach(
+            [&](const char *name, std::uint64_t v) {
+                counters.emplace(name, v);
+            },
+            [](const char *, const Histogram &) {});
+        return counters;
+    };
     for (auto &cpu : cpus_) {
         r.stats += cpu->stats().dump();
-        std::map<std::string, std::uint64_t> counters;
-        for (const auto &kv : cpu->stats().counters())
-            counters[kv.first] = kv.second.value();
-        r.cpu_counters.push_back(std::move(counters));
+        r.cpu_counters.push_back(countersOf(cpu->stats()));
     }
     for (ProcId p = 0; p < cpus_.size(); ++p) {
-        const StatGroup &g = obs_.stallStats(p);
-        r.stats += g.dump();
-        std::map<std::string, std::uint64_t> counters;
-        for (const auto &kv : g.counters())
-            counters[kv.first] = kv.second.value();
-        r.stall_counters.push_back(std::move(counters));
+        r.stats += obs_.stallStats(p).dump();
+        r.stall_counters.push_back(countersOf(obs_.stallStats(p)));
     }
     for (auto &cache : caches_)
         r.stats += cache->stats().dump();

@@ -9,6 +9,7 @@
 #ifndef WO_SYS_SYSTEM_HH
 #define WO_SYS_SYSTEM_HH
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,8 +142,8 @@ struct SystemResult
  * constructor is an empty machine plus reset(), so there is only one
  * set-up path.  What survives a reset is storage capacity alone: the
  * event wheel's buckets, the per-address tables of the caches, the
- * directory and the monitor, the processors' request rings, parked
- * statistics entries, and the Cpu/Cache objects of the widest program
+ * directory and the monitor, the processors' request rings, the
+ * statistics tables, and the Cpu/Cache objects of the widest program
  * seen (a narrower one uses a prefix).  No simulated state, event,
  * statistic value, monitor finding or evidence flag survives, and
  * none may: a warmed machine must be indistinguishable from a new
@@ -186,6 +187,7 @@ class System
     /** Component access for white-box tests. */
     Cache &cache(ProcId p) { return *caches_[p]; }
     Directory &directory() { return dir_; }
+    const Network &network() const { return net_; }
     Cpu &cpu(ProcId p) { return *cpus_[p]; }
     EventQueue &eventQueue() { return eq_; }
 

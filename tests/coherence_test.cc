@@ -15,6 +15,15 @@
 namespace wo {
 namespace {
 
+/** The listed counter @p name of @p g; an unlisted one fails the test. */
+std::uint64_t
+counterOf(const StatGroup &g, const std::string &name)
+{
+    const std::optional<std::uint64_t> v = g.find(name);
+    EXPECT_TRUE(v) << name << " is not listed";
+    return v.value_or(0);
+}
+
 /** Collects messages it receives. */
 class Sink : public MsgHandler
 {
@@ -81,7 +90,32 @@ TEST(Network, CountsMessages)
     net.send(m);
     net.send(m);
     eq.runAll();
-    EXPECT_EQ(net.stats().counters().at("messages").value(), 2u);
+    EXPECT_EQ(counterOf(net.stats(), "messages"), 2u);
+}
+
+TEST(Network, CountsEachMessageTypeUnderItsName)
+{
+    EventQueue eq;
+    Network net(eq, NetworkCfg{});
+    Sink sink;
+    net.attach(0, &sink);
+    net.attach(1, &sink);
+    constexpr int num_types = static_cast<int>(MsgType::nack) + 1;
+    for (int t = 0; t < num_types; ++t) {
+        Message m;
+        m.type = static_cast<MsgType>(t);
+        m.src = 0;
+        m.dst = 1;
+        net.send(m);
+    }
+    eq.runAll();
+    EXPECT_EQ(counterOf(net.stats(), "messages"),
+              static_cast<std::uint64_t>(num_types));
+    for (int t = 0; t < num_types; ++t) {
+        const std::string name =
+            std::string("msg.") + msgTypeName(static_cast<MsgType>(t));
+        EXPECT_EQ(counterOf(net.stats(), name), 1u);
+    }
 }
 
 SystemCfg
@@ -114,9 +148,8 @@ TEST(Protocol, ColdMissThenHit)
     System sys(p, quickCfg());
     auto r = sys.run();
     ASSERT_TRUE(r.completed);
-    EXPECT_EQ(sys.cache(0).stats().counters().at("read_misses").value(),
-              1u);
-    EXPECT_EQ(sys.cache(0).stats().counters().at("read_hits").value(), 1u);
+    EXPECT_EQ(counterOf(sys.cache(0).stats(), "read_misses"), 1u);
+    EXPECT_EQ(counterOf(sys.cache(0).stats(), "read_hits"), 1u);
 }
 
 TEST(Protocol, WriteInvalidatesSharers)
@@ -134,10 +167,10 @@ TEST(Protocol, WriteInvalidatesSharers)
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.outcome.memory[0], 9);
     // Both warm copies were invalidated at some point.
-    const auto &c0 = sys.cache(0).stats().counters();
-    const auto &c1 = sys.cache(1).stats().counters();
-    EXPECT_EQ(c0.at("invalidations").value(), 1u);
-    EXPECT_EQ(c1.at("invalidations").value(), 1u);
+    const StatGroup &c0 = sys.cache(0).stats();
+    const StatGroup &c1 = sys.cache(1).stats();
+    EXPECT_EQ(counterOf(c0, "invalidations"), 1u);
+    EXPECT_EQ(counterOf(c1, "invalidations"), 1u);
     // And the late loads re-fetched the new value.
     EXPECT_EQ(r.outcome.regs[0][0], 9);
     EXPECT_EQ(r.outcome.regs[1][0], 9);
@@ -202,8 +235,7 @@ TEST(Protocol, UpgradeFromSharedCollectsAcks)
     auto r = sys.run();
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.outcome.regs[1][0], 3);
-    EXPECT_EQ(sys.cache(1).stats().counters().at("invalidations").value(),
-              1u);
+    EXPECT_EQ(counterOf(sys.cache(1).stats(), "invalidations"), 1u);
 }
 
 TEST(Protocol, CounterReturnsToZero)
@@ -233,7 +265,7 @@ TEST(Protocol, ReservationSetAndCleared)
     sys.warmShared(0, {1});
     auto r = sys.run();
     ASSERT_TRUE(r.completed);
-    EXPECT_GE(sys.cache(0).stats().counters().at("reservations").value(),
+    EXPECT_GE(counterOf(sys.cache(0).stats(), "reservations"),
               1u);
     EXPECT_FALSE(sys.cache(0).isReserved(1));
     EXPECT_EQ(sys.cache(0).counter(), 0);
@@ -249,9 +281,9 @@ TEST(ProtocolMesi, SilentUpgradeOnReadThenWrite)
     System sys(p, cfg);
     auto r = sys.run();
     ASSERT_TRUE(r.completed);
-    const auto &c = sys.cache(0).stats().counters();
-    EXPECT_EQ(c.at("silent_upgrades").value(), 1u);
-    EXPECT_EQ(c.count("write_misses"), 0u) << "no GetX needed";
+    const StatGroup &c = sys.cache(0).stats();
+    EXPECT_EQ(counterOf(c, "silent_upgrades"), 1u);
+    EXPECT_FALSE(c.find("write_misses")) << "no GetX needed";
     EXPECT_EQ(r.outcome.memory[0], 1);
 }
 
@@ -318,12 +350,12 @@ TEST(Protocol, MissLatencyHistogramsRecorded)
     System sys(p, quickCfg());
     auto r = sys.run();
     ASSERT_TRUE(r.completed);
-    const auto &h = sys.cache(0).stats().histograms();
-    ASSERT_TRUE(h.count("read_miss_latency"));
-    ASSERT_TRUE(h.count("write_miss_latency"));
-    EXPECT_EQ(h.at("read_miss_latency").count(), 1u);
+    const StatGroup &g = sys.cache(0).stats();
+    ASSERT_TRUE(g.findHistogram("read_miss_latency"));
+    ASSERT_TRUE(g.findHistogram("write_miss_latency"));
+    EXPECT_EQ(g.findHistogram("read_miss_latency")->count(), 1u);
     // Round trip through the directory: at least two hops.
-    EXPECT_GE(h.at("read_miss_latency").min(), 10u);
+    EXPECT_GE(g.findHistogram("read_miss_latency")->min(), 10u);
 }
 
 TEST(Protocol, ExecutionTraceIsPlausibleAndOrdered)

@@ -166,17 +166,36 @@ TEST(Histogram, EmptyIsZero)
     EXPECT_EQ(h.percentile(50), 0u);
 }
 
+// A schema whose slot order is not its name order.
+constexpr const char *test_counters[] = {"zeta", "loads", "alpha"};
+constexpr const char *test_hists[] = {"latency", "h"};
+enum : std::size_t { st_zeta, st_loads, st_alpha };
+enum : std::size_t { hist_latency, hist_h };
+
 TEST(StatGroup, DumpIsOrderStable)
 {
-    // Creation order must not affect the dump: lines sort by name.
-    StatGroup a("g");
-    a.counter("zeta").inc(1);
-    a.counter("alpha").inc(2);
-    StatGroup b("g");
-    b.counter("alpha").inc(2);
-    b.counter("zeta").inc(1);
+    // Use order must not affect the dump: lines sort by name.
+    StatGroup a("g", test_counters);
+    a.inc(st_zeta, 1);
+    a.inc(st_alpha, 2);
+    StatGroup b("g", test_counters);
+    b.inc(st_alpha, 2);
+    b.inc(st_zeta, 1);
     EXPECT_EQ(a.dump(), b.dump());
     EXPECT_LT(a.dump().find("alpha"), a.dump().find("zeta"));
+}
+
+TEST(StatGroup, DumpOrderIsByNameWhateverTheSchemaOrder)
+{
+    StatGroup g("g", test_counters, test_hists);
+    for (std::size_t i = 0; i < std::size(test_counters); ++i)
+        g.inc(i, i);
+    g.histogram(hist_latency).sample(4);
+    g.histogram(hist_h).sample(2);
+    EXPECT_EQ(g.dump(),
+              "g.alpha 2\ng.loads 1\ng.zeta 0\n"
+              "g.h count=1 mean=2.00 min=2 max=2 p50=2 p99=2\n"
+              "g.latency count=1 mean=4.00 min=4 max=4 p50=4 p99=4\n");
 }
 
 TEST(Histogram, ResetClears)
@@ -190,9 +209,9 @@ TEST(Histogram, ResetClears)
 
 TEST(StatGroup, DumpContainsEverything)
 {
-    StatGroup g("cpu0");
-    g.counter("loads").inc(3);
-    g.histogram("latency").sample(12);
+    StatGroup g("cpu0", test_counters, test_hists);
+    g.inc(st_loads, 3);
+    g.histogram(hist_latency).sample(12);
     std::string d = g.dump();
     EXPECT_NE(d.find("cpu0.loads 3"), std::string::npos);
     EXPECT_NE(d.find("cpu0.latency"), std::string::npos);
@@ -200,12 +219,52 @@ TEST(StatGroup, DumpContainsEverything)
 
 TEST(StatGroup, ResetAll)
 {
-    StatGroup g("x");
-    g.counter("c").inc(5);
-    g.histogram("h").sample(1);
-    g.resetAll();
-    EXPECT_EQ(g.counter("c").value(), 0u);
-    EXPECT_EQ(g.histogram("h").count(), 0u);
+    StatGroup g("x", test_counters, test_hists);
+    g.inc(st_loads, 5);
+    g.histogram(hist_h).sample(1);
+    g.reset();
+    EXPECT_EQ(g.value(st_loads), 0u);
+    EXPECT_EQ(g.histogram(hist_h).count(), 0u);
+}
+
+TEST(StatGroup, ASlotIsListedOnlyOnceTouched)
+{
+    StatGroup g("g", test_counters, test_hists);
+    EXPECT_EQ(g.dump(), "");
+    EXPECT_FALSE(g.find("loads"));
+    g.inc(st_loads, 0);
+    EXPECT_EQ(g.find("loads"), 0u);
+    EXPECT_EQ(g.dump(), "g.loads 0\n");
+    g.set(st_zeta, 7);
+    EXPECT_EQ(g.find("zeta"), 7u);
+    EXPECT_FALSE(g.find("alpha"));
+    EXPECT_EQ(g.findHistogram("h"), nullptr);
+    g.histogram(hist_h).sample(3);
+    ASSERT_NE(g.findHistogram("h"), nullptr);
+    EXPECT_EQ(g.findHistogram("h")->count(), 1u);
+}
+
+TEST(StatGroup, ResetUnlistsEverySlot)
+{
+    StatGroup g("g", test_counters, test_hists);
+    for (std::size_t i = 0; i < std::size(test_counters); ++i)
+        g.inc(i);
+    g.histogram(hist_latency).sample(1);
+    g.reset();
+    EXPECT_EQ(g.dump(), "");
+    for (const char *n : test_counters)
+        EXPECT_FALSE(g.find(n)) << n;
+    EXPECT_EQ(g.findHistogram("latency"), nullptr);
+}
+
+TEST(StatGroup, FindOfAnUnknownNameIsNull)
+{
+    StatGroup g("g", test_counters, test_hists);
+    for (std::size_t i = 0; i < std::size(test_counters); ++i)
+        g.inc(i);
+    EXPECT_FALSE(g.find("nope"));
+    EXPECT_FALSE(g.find("latency")) << "a histogram is no counter";
+    EXPECT_EQ(g.findHistogram("loads"), nullptr);
 }
 
 TEST(Table, RendersAlignedColumns)

@@ -299,8 +299,9 @@ TEST(Metrics, RegistryNestsDottedPaths)
 {
     MetricsRegistry reg;
     reg.set("run.policy", Json("SC"));
-    StatGroup g("g");
-    g.counter("hits").inc(3);
+    static constexpr const char *names[] = {"misses", "hits"};
+    StatGroup g("g", names);
+    g.inc(1, 3);
     reg.addGroup("cache0", g);
     auto r = jsonParse(reg.dump());
     ASSERT_TRUE(r.ok) << r.error;

@@ -269,8 +269,7 @@ TEST(Policies, ReadOnlySyncAvoidsExclusiveSerialization)
     // wo_drf0_ro the spins are shared-line hits after the first fill.
     Program p = litmus::messagePassingSync();
     auto write_misses = [](const Cache &c) -> std::uint64_t {
-        auto it = c.stats().counters().find("write_misses");
-        return it == c.stats().counters().end() ? 0 : it->second.value();
+        return c.stats().find("write_misses").value_or(0);
     };
     SystemCfg base = cfgFor(OrderingPolicy::wo_drf0);
     System s1(p, base);
