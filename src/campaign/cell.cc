@@ -1,7 +1,6 @@
 #include "cell.hh"
 
 #include <chrono>
-#include <cstdio>
 
 #include "campaign/verify.hh"
 #include "common/logging.hh"
@@ -13,21 +12,19 @@ namespace wo {
 std::uint64_t
 fnv1a64(std::string_view text)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    Fnv1a64 h;
+    h.append(text);
+    return h.h;
 }
 
 std::string
-fnv1aHex(const std::string &text)
+fnv1aHex(std::string_view text)
 {
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(text)));
-    return std::string(hex, 16);
+    std::string hex(16, '0'); // printf's "%016llx"
+    std::uint64_t h = fnv1a64(text);
+    for (int i = 15; i >= 0; --i, h >>= 4)
+        hex[i] = "0123456789abcdef"[h & 0xf];
+    return hex;
 }
 
 bool
@@ -60,64 +57,130 @@ policyFlagName(OrderingPolicy p)
 
 namespace {
 
-/** Keys are embedded in JSONL unescaped: keep them to a safe charset. */
-std::string
-sanitizeSpec(const std::string &spec)
+/** Keys are embedded in JSONL unescaped: keep them to a safe charset
+ *  (every other byte becomes '_'). */
+template <class Out>
+void
+writeSanitized(Out &out, std::string_view spec)
 {
-    std::string out;
-    out.reserve(spec.size());
-    for (char c : spec) {
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+        const char c = spec[i];
         const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                           (c >= '0' && c <= '9') || c == '.' || c == '/' ||
                           c == '-' || c == '_' || c == '+';
-        out += safe ? c : '_';
+        if (safe)
+            continue;
+        out.append(spec.substr(run, i - run));
+        out.append("_");
+        run = i + 1;
     }
-    return out;
+    out.append(spec.substr(run));
 }
 
-std::string
-sourceTag(const Cell &c)
+/** Append @p tag then @p v's decimal text. */
+template <class Out, class T>
+void
+writeField(Out &out, std::string_view tag, T v)
+{
+    out.append(tag);
+    appendNumber(out, v);
+}
+
+template <class Out>
+void
+writeSourceTag(Out &out, const Cell &c)
 {
     switch (c.source) {
       case CellSource::file:
-        return "file:" + sanitizeSpec(c.spec);
+        out.append("file:");
+        writeSanitized(out, c.spec);
+        return;
       case CellSource::litmus:
-        return "litmus:" + sanitizeSpec(c.spec);
+        out.append("litmus:");
+        writeSanitized(out, c.spec);
+        return;
       case CellSource::drf0_rand:
-        return strprintf(
-            "drf0:p%ur%ul%uv%us%do%dq%dt%dw%lldg%llu", c.drf0.procs,
-            c.drf0.regions, c.drf0.locs_per_region, c.drf0.private_locs,
-            c.drf0.sections, c.drf0.ops_per_section, c.drf0.private_ops,
-            c.drf0.test_and_tas ? 1 : 0,
-            static_cast<long long>(c.drf0.work_cycles),
-            static_cast<unsigned long long>(c.drf0.seed));
+        writeField(out, "drf0:p", c.drf0.procs);
+        writeField(out, "r", c.drf0.regions);
+        writeField(out, "l", c.drf0.locs_per_region);
+        writeField(out, "v", c.drf0.private_locs);
+        writeField(out, "s", c.drf0.sections);
+        writeField(out, "o", c.drf0.ops_per_section);
+        writeField(out, "q", c.drf0.private_ops);
+        writeField(out, "t", c.drf0.test_and_tas ? 1 : 0);
+        writeField(out, "w", c.drf0.work_cycles);
+        writeField(out, "g", c.drf0.seed);
+        return;
       case CellSource::racy_rand:
-        return strprintf("racy:p%ul%uo%dg%llu", c.racy.procs, c.racy.locs,
-                         c.racy.ops_per_thread,
-                         static_cast<unsigned long long>(c.racy.seed));
+        writeField(out, "racy:p", c.racy.procs);
+        writeField(out, "l", c.racy.locs);
+        writeField(out, "o", c.racy.ops_per_thread);
+        writeField(out, "g", c.racy.seed);
+        return;
     }
-    return "?";
+    out.append("?");
 }
 
 } // namespace
 
+template <class Out>
+void
+Cell::writeProgramId(Out &out) const
+{
+    if (kind == CellKind::verify) {
+        out.append("verify:");
+        writeSourceTag(out, *this);
+        out.append("|");
+        writeSanitized(out, model);
+        return;
+    }
+    writeSourceTag(out, *this);
+    out.append("|");
+    out.append(policyFlagName(policy));
+}
+
+template <class Out>
+void
+Cell::writeFamilyId(Out &out) const
+{
+    switch (source) {
+      case CellSource::file:
+        out.append("file:");
+        writeSanitized(out, spec);
+        return;
+      case CellSource::litmus:
+        out.append("litmus:");
+        writeSanitized(out, spec);
+        return;
+      case CellSource::drf0_rand: out.append("drf0-rand"); return;
+      case CellSource::racy_rand: out.append("racy-rand"); return;
+    }
+    out.append("?");
+}
+
+template void Cell::writeProgramId(std::string &) const;
+template void Cell::writeProgramId(Fnv1a64 &) const;
+template void Cell::writeFamilyId(std::string &) const;
+template void Cell::writeFamilyId(Fnv1a64 &) const;
+
 std::string
 Cell::key() const
 {
+    std::string k;
+    k.reserve(64);
+    writeProgramId(k);
     // Verify cells are untimed: program x model identifies the work,
     // so the timing coordinates stay out of the key and a resumed (or
     // over-long) stream skips repeats instead of re-checking them.
     if (kind == CellKind::verify) {
-        std::string k = programId();
         if (inject_axiom_bug)
             k += "|ABUG";
         return k;
     }
-    std::string k = programId() +
-                    strprintf("|n%llu|h%llu|j%llu",
-                              static_cast<unsigned long long>(net_seed),
-                              static_cast<unsigned long long>(hop),
-                              static_cast<unsigned long long>(jitter));
+    writeField(k, "|n", net_seed);
+    writeField(k, "|h", hop);
+    writeField(k, "|j", jitter);
     if (inject_reserve_bug)
         k += "|BUG";
     return k;
@@ -126,21 +189,17 @@ Cell::key() const
 std::string
 Cell::programId() const
 {
-    if (kind == CellKind::verify)
-        return "verify:" + sourceTag(*this) + "|" + sanitizeSpec(model);
-    return sourceTag(*this) + "|" + policyFlagName(policy);
+    std::string id;
+    writeProgramId(id);
+    return id;
 }
 
 std::string
 Cell::familyId() const
 {
-    switch (source) {
-      case CellSource::file: return "file:" + sanitizeSpec(spec);
-      case CellSource::litmus: return "litmus:" + sanitizeSpec(spec);
-      case CellSource::drf0_rand: return "drf0-rand";
-      case CellSource::racy_rand: return "racy-rand";
-    }
-    return "?";
+    std::string id;
+    writeFamilyId(id);
+    return id;
 }
 
 SystemCfg
@@ -353,30 +412,9 @@ Json
 cellResultToJson(const CellResult &r)
 {
     Json j = Json::object();
-    j.set("key", Json(r.key));
-    j.set("verdict", Json(r.verdict()));
-    j.set("hw", Json(r.hw));
-    j.set("races", Json(r.races));
-    j.set("sig", Json(r.outcome_sig));
-    j.set("tick", Json(r.finish_tick));
-    j.set("ms", Json(r.wall_ms));
-    j.set("mat_us", Json(r.mat_us));
-    j.set("run_us", Json(r.run_us));
-    if (r.shrink_us > 0)
-        j.set("shrink_us", Json(r.shrink_us));
-    if (!r.primary_kind.empty())
-        j.set("kind", Json(r.primary_kind));
-    if (!r.why_inconclusive.empty()) {
-        j.set("inconclusive", Json(true));
-        j.set("why", Json(r.why_inconclusive));
-    }
-    if (r.nonsc)
-        j.set("nonsc", Json(true));
-    if (r.dpor_states > 0 || r.bfs_states > 0) {
-        j.set("dpor_states", Json(r.dpor_states));
-        j.set("bfs_states", Json(r.bfs_states));
-        j.set("dpor_probes", Json(r.dpor_probes));
-    }
+    forEachCellField(r, [&j](const char *name, const auto &v) {
+        j.set(name, Json(v));
+    });
     return j;
 }
 
@@ -391,14 +429,15 @@ CellContext::machine(const Program &prog, const SystemCfg &cfg)
 }
 
 CellRun
-runCell(const Cell &cell, std::uint64_t max_events, CellContext *ctx)
+runCell(const Cell &cell, std::uint64_t max_events, CellContext *ctx,
+        std::string key)
 {
     CellContext local;
     if (!ctx)
         ctx = &local;
     CellRun run;
     CellResult &r = run.result;
-    r.key = cell.key();
+    r.key = key.empty() ? cell.key() : std::move(key);
 
     // Timeline spans accrue to whatever lane the calling thread owns
     // (a campaign worker's, or none when run standalone).
@@ -449,8 +488,10 @@ runCell(const Cell &cell, std::uint64_t max_events, CellContext *ctx)
         // the frontier's novelty tracking sees outcome-set changes
         // across program shapes exactly like it does for run cells.
         std::string sig_src;
-        for (const auto &o : v.dpor.outcomes)
-            sig_src += o.toString() + "\n";
+        for (const auto &o : v.dpor.outcomes) {
+            o.appendTo(sig_src);
+            sig_src += '\n';
+        }
         r.outcome_sig = fnv1aHex(sig_src);
         return run;
     }

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "common/text.hh"
 #include "campaign/verify.hh"
 #include "obs/json.hh"
 #include "obs/monitor.hh"
@@ -110,6 +111,14 @@ struct Cell
      * verdict kind for the first time earns fuzz energy.
      */
     std::string familyId() const;
+
+    /**
+     * Append programId() / familyId() to @p out, a std::string or a
+     * Fnv1a64 (common/text.hh): the fuzzer hashes ids without
+     * building them.
+     */
+    template <class Out> void writeProgramId(Out &out) const;
+    template <class Out> void writeFamilyId(Out &out) const;
 
     /** The timed-system configuration a run cell runs under. */
     SystemCfg systemCfg(std::uint64_t max_events) const;
@@ -262,6 +271,42 @@ struct VerdictTally
 };
 
 /**
+ * The journal cell record's fields in line order, as one
+ * `visit(name, value)` call each; a value is a std::string,
+ * std::uint64_t, double or bool.  The one list behind both writers of
+ * the record: cellResultToJson and Journal::appendCell's direct line.
+ */
+template <class Visit>
+void
+forEachCellField(const CellResult &r, Visit &&visit)
+{
+    visit("key", r.key);
+    visit("verdict", r.verdict());
+    visit("hw", r.hw);
+    visit("races", r.races);
+    visit("sig", r.outcome_sig);
+    visit("tick", r.finish_tick);
+    visit("ms", r.wall_ms);
+    visit("mat_us", r.mat_us);
+    visit("run_us", r.run_us);
+    if (r.shrink_us > 0)
+        visit("shrink_us", r.shrink_us);
+    if (!r.primary_kind.empty())
+        visit("kind", r.primary_kind);
+    if (!r.why_inconclusive.empty()) {
+        visit("inconclusive", true);
+        visit("why", r.why_inconclusive);
+    }
+    if (r.nonsc)
+        visit("nonsc", true);
+    if (r.dpor_states > 0 || r.bfs_states > 0) {
+        visit("dpor_states", r.dpor_states);
+        visit("bfs_states", r.bfs_states);
+        visit("dpor_probes", r.dpor_probes);
+    }
+}
+
+/**
  * The journal cell-line object for @p r (without the "type" member).
  * One schema, two producers: Journal::appendCell for in-process
  * campaigns and the cells of the fleet worker's `lease_done` batches,
@@ -304,6 +349,8 @@ class CellContext
  * 0, completed == false and primary_kind == "materialize_error".
  * With @p ctx the cell reuses the worker's cache and machine; without
  * one it builds both afresh.  The verdict is the same either way.
+ * @p key is the cell's key() when the caller already holds it (it
+ * claimed the cell by it); empty computes it.
  */
 struct CellRun
 {
@@ -313,7 +360,7 @@ struct CellRun
 };
 
 CellRun runCell(const Cell &cell, std::uint64_t max_events,
-                CellContext *ctx = nullptr);
+                CellContext *ctx = nullptr, std::string key = {});
 
 /**
  * Stable 64-bit FNV-1a over @p text: journal key hashing, fuzzer mutant
@@ -323,7 +370,7 @@ CellRun runCell(const Cell &cell, std::uint64_t max_events,
 std::uint64_t fnv1a64(std::string_view text);
 
 /** fnv1a64 of @p text, rendered as 16 hex digits. */
-std::string fnv1aHex(const std::string &text);
+std::string fnv1aHex(std::string_view text);
 
 /** Parse "sc" / "def1" / "drf0" / "drf0ro"; false on unknown text. */
 bool parsePolicyName(const std::string &name, OrderingPolicy &out);

@@ -71,10 +71,18 @@ Fuzzer::baseCell(std::uint64_t index) const
 std::vector<Cell>
 Fuzzer::observe(const Cell &cell, const CellResult &r)
 {
-    const bool new_verdict =
-        verdicts_.insert(fnv1a64(cell.familyId() + "|" + r.verdict()));
-    const bool new_outcome =
-        outcomes_.insert(fnv1a64(cell.programId() + "|" + r.outcome_sig));
+    // The novelty keys hash "<family>|<verdict>" and
+    // "<program id>|<outcome sig>", folded piece by piece.
+    Fnv1a64 verdict_key;
+    cell.writeFamilyId(verdict_key);
+    verdict_key.append("|");
+    verdict_key.append(r.verdict());
+    Fnv1a64 outcome_key;
+    cell.writeProgramId(outcome_key);
+    outcome_key.append("|");
+    outcome_key.append(r.outcome_sig);
+    const bool new_verdict = verdicts_.insert(verdict_key.h);
+    const bool new_outcome = outcomes_.insert(outcome_key.h);
     int energy = 0;
     if (r.hardwareFailure())
         energy = 4; // chase the bug's neighborhood hardest

@@ -243,8 +243,9 @@ Journal::writerLoop()
     }
 }
 
+template <class Write>
 void
-Journal::appendLine(const Json &j)
+Journal::appendWith(Write &&write)
 {
     if (!writer_.joinable())
         return; // not open: drop, same as the pre-group-commit journal
@@ -253,9 +254,15 @@ Journal::appendLine(const Json &j)
     Timeline::Scope push_span(Timeline::current(),
                               SpanKind::journal_push);
     Line *n = new Line;
-    n->text = j.dump();
+    write(n->text);
     n->text += '\n';
     push(n);
+}
+
+void
+Journal::appendLine(const Json &j)
+{
+    appendWith([&j](std::string &text) { text = j.dump(); });
 }
 
 void
@@ -313,9 +320,17 @@ Journal::appendCell(const CellResult &r)
     if (resume_done_.count(r.key) == 0)
         seen_.insert(fnv1a64(r.key));
 
-    Json j = cellResultToJson(r);
-    j.set("type", Json("cell"));
-    appendLine(j);
+    // cellResultToJson(r) plus "type", dumped, byte for byte -- but
+    // written straight into the line, with no Json tree in between.
+    appendWith([&r](std::string &text) {
+        text.reserve(256);
+        JsonObjectWriter w(text);
+        forEachCellField(r, [&w](const char *name, const auto &v) {
+            w.field(name, v);
+        });
+        w.field("type", "cell");
+        w.close();
+    });
 }
 
 bool

@@ -228,6 +228,8 @@ class Journal
         std::string text;
     };
 
+    /** Enqueue one line that @p write fills (the '\n' is added). */
+    template <class Write> void appendWith(Write &&write);
     void appendLine(const Json &j);
     void push(Line *n);
     Line *takeAllFifo();

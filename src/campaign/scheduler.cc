@@ -100,13 +100,15 @@ Engine::worker(int w)
             cell = fuzzer.baseCell(
                 base_index.fetch_add(1, std::memory_order_relaxed));
 
-        const KeyClaim claim = ledger.journal().claim(cell.key());
+        std::string key = cell.key();
+        const KeyClaim claim = ledger.journal().claim(key);
         if (claim != KeyClaim::fresh) {
             ledger.recordSkip(w, claim);
             continue;
         }
         idle_span.close();
-        ShrunkCellRun out = runAndShrinkCell(cell, cfg, &ctx);
+        ShrunkCellRun out =
+            runAndShrinkCell(cell, cfg, &ctx, std::move(key));
         // Novelty is still tracked with the frontier off (the summary
         // reports it), but earned mutants go nowhere: no ticket would
         // ever pop them.

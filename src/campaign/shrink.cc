@@ -340,9 +340,10 @@ shrinkCellFailure(const Cell &cell, const CellRun &run,
 
 ShrunkCellRun
 runAndShrinkCell(const Cell &cell, const CampaignSpec &spec,
-                 CellContext *ctx)
+                 CellContext *ctx, std::string key)
 {
-    ShrunkCellRun out{runCell(cell, spec.max_events, ctx), {}};
+    ShrunkCellRun out{runCell(cell, spec.max_events, ctx, std::move(key)),
+                      {}};
     if (!out.run.result.hardwareFailure())
         return out;
     Timeline::Scope span(Timeline::current(), SpanKind::shrink);

@@ -115,10 +115,11 @@ struct ShrunkCellRun
  * run cells under the monitored timed run; with @p spec.shrink off the
  * single permitted run only confirms the reproduction and renders the
  * unreduced .wo text.  No failure comes back when the violation kind
- * cannot be named (the cell verdict stays the evidence).
+ * cannot be named (the cell verdict stays the evidence).  @p key is
+ * passed to runCell (the cell's key when the caller holds it).
  */
 ShrunkCellRun runAndShrinkCell(const Cell &cell, const CampaignSpec &spec,
-                               CellContext *ctx);
+                               CellContext *ctx, std::string key = {});
 
 /**
  * Write the evidence bundle of a shrunk failure of @p cell beside its

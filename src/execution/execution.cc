@@ -1,10 +1,10 @@
 #include "execution.hh"
 
-#include <cstdio>
 #include <set>
 #include <tuple>
 
 #include "common/logging.hh"
+#include "common/text.hh"
 
 namespace wo {
 
@@ -121,20 +121,26 @@ Outcome::toString() const
 void
 Outcome::appendTo(std::string &out) const
 {
-    char buf[96];
     for (std::size_t p = 0; p < regs.size(); ++p) {
         for (std::size_t r = 0; r < regs[p].size(); ++r) {
-            if (regs[p][r] != 0)
-                out.append(buf, static_cast<std::size_t>(std::snprintf(
-                                    buf, sizeof buf, "P%zu:r%zu=%lld ", p,
-                                    r, static_cast<long long>(regs[p][r]))));
+            if (regs[p][r] == 0)
+                continue;
+            out += 'P';
+            appendNumber(out, p);
+            out += ":r";
+            appendNumber(out, r);
+            out += '=';
+            appendNumber(out, regs[p][r]);
+            out += ' ';
         }
     }
     out += "| mem:";
-    for (std::size_t a = 0; a < memory.size(); ++a)
-        out.append(buf, static_cast<std::size_t>(std::snprintf(
-                            buf, sizeof buf, " [%zu]=%lld", a,
-                            static_cast<long long>(memory[a]))));
+    for (std::size_t a = 0; a < memory.size(); ++a) {
+        out += " [";
+        appendNumber(out, a);
+        out += "]=";
+        appendNumber(out, memory[a]);
+    }
 }
 
 } // namespace wo

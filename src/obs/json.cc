@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "common/logging.hh"
+#include "common/text.hh"
 
 namespace wo {
 
@@ -124,54 +125,83 @@ Json::boolAt(const std::string &key) const
 }
 
 void
-jsonEscape(std::string &out, const std::string &text)
+jsonEscape(std::string &out, std::string_view text)
 {
-    for (unsigned char c : text) {
+    // Unescaped runs are appended whole; only the bytes that need an
+    // escape are handled one at a time.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(text[i]);
+        const char *esc = nullptr;
         switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\b':
-            out += "\\b";
-            break;
-          case '\f':
-            out += "\\f";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
+          case '"': esc = "\\\""; break;
+          case '\\': esc = "\\\\"; break;
+          case '\b': esc = "\\b"; break;
+          case '\f': esc = "\\f"; break;
+          case '\n': esc = "\\n"; break;
+          case '\r': esc = "\\r"; break;
+          case '\t': esc = "\\t"; break;
           default:
-            if (c < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += static_cast<char>(c);
+            if (c >= 0x20)
+                continue;
+        }
+        out.append(text.data() + run, i - run);
+        run = i + 1;
+        if (esc) {
+            out += esc;
+        } else {
+            const char u[6] = {'\\', 'u', '0', '0',
+                               "0123456789abcdef"[c >> 4],
+                               "0123456789abcdef"[c & 0xf]};
+            out.append(u, sizeof u);
         }
     }
+    out.append(text.data() + run, text.size() - run);
 }
 
-namespace {
-
-/** Append std::to_chars(@p v, @p fmt...) to @p out. */
-template <class T, class... Fmt>
 void
-appendNumber(std::string &out, T v, Fmt... fmt)
+JsonObjectWriter::key(std::string_view k)
 {
-    char buf[32]; // "-1.2345678901234567e-308" is the longest
-    const std::to_chars_result r =
-        std::to_chars(buf, buf + sizeof buf, v, fmt...);
-    out.append(buf, r.ptr);
+    if (!first_)
+        out_ += ',';
+    first_ = false;
+    out_ += '"';
+    jsonEscape(out_, k);
+    out_ += "\":";
 }
 
-} // namespace
+void
+JsonObjectWriter::field(std::string_view k, std::uint64_t v)
+{
+    key(k);
+    appendNumber(out_, v);
+}
+
+void
+JsonObjectWriter::field(std::string_view k, double v)
+{
+    key(k);
+    if (std::isfinite(v))
+        appendNumber(out_, v, std::chars_format::general, 17);
+    else
+        out_ += "null";
+}
+
+void
+JsonObjectWriter::field(std::string_view k, bool v)
+{
+    key(k);
+    out_ += v ? "true" : "false";
+}
+
+void
+JsonObjectWriter::field(std::string_view k, std::string_view v)
+{
+    key(k);
+    out_ += '"';
+    jsonEscape(out_, v);
+    out_ += '"';
+}
 
 void
 Json::dumpTo(std::string &out, int indent, int depth) const

@@ -134,7 +134,39 @@ class Json
 };
 
 /** Append @p text to @p out with JSON string escaping (no quotes). */
-void jsonEscape(std::string &out, const std::string &text);
+void jsonEscape(std::string &out, std::string_view text);
+
+/**
+ * One flat JSON object written straight into a string, member by
+ * member, in the exact bytes Json::dump() gives an object with the
+ * same members -- without building the tree.  For records written per
+ * cell (the campaign journal's cell line).
+ */
+class JsonObjectWriter
+{
+  public:
+    /** Opens the object at the end of @p out. */
+    explicit JsonObjectWriter(std::string &out) : out_(out) { out_ += '{'; }
+
+    void field(std::string_view key, std::uint64_t v);
+    void field(std::string_view key, double v);
+    void field(std::string_view key, bool v);
+    void field(std::string_view key, std::string_view v);
+    /** A string literal is a string, not a bool. */
+    void field(std::string_view key, const char *v)
+    {
+        field(key, std::string_view(v));
+    }
+
+    /** Closes the object. */
+    void close() { out_ += '}'; }
+
+  private:
+    void key(std::string_view k);
+
+    std::string &out_;
+    bool first_ = true;
+};
 
 /** Result of parsing a JSON document. */
 struct JsonParseResult

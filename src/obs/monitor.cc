@@ -40,12 +40,6 @@ bool violationBlamesHardware(ViolationKind k)
     return k != ViolationKind::drf0_race;
 }
 
-std::string MonitorViolation::toString() const
-{
-    return strprintf("[%s] tick %llu: %s", violationKindName(kind),
-                     static_cast<unsigned long long>(tick), detail.c_str());
-}
-
 Monitor::Monitor(ProcId nprocs, Addr nlocs, std::vector<Value> initial,
                  const MonitorCfg &cfg)
     : nprocs_(nprocs), cfg_(cfg), exec_(nprocs, nlocs, std::move(initial))
@@ -155,8 +149,6 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
         v.addr = addr;
         v.op_a = a.id;
         v.op_b = id;
-        if (recording())
-            v.detail = a.toString() + " races with " + op.toString();
         l.raced = true;
         // The contract is void here: any stale-read suspicion held
         // against this location was (or may have been) the race's own
@@ -386,12 +378,27 @@ std::string Monitor::report() const
     else
         out += "verdict: HARDWARE VIOLATION (Definition 2 contract broken)\n";
     for (const MonitorViolation &v : violations_)
-        out += "  " + v.toString() + "\n";
+        out += "  " + describe(v) + "\n";
     if (total_ > violations_.size())
         out += strprintf("  ... %llu more not recorded\n",
                          static_cast<unsigned long long>(
                              total_ - violations_.size()));
     return out;
+}
+
+std::string Monitor::detail(const MonitorViolation &v) const
+{
+    if (v.kind != ViolationKind::drf0_race)
+        return v.detail;
+    return exec_.op(v.op_a).toString() + " races with " +
+           exec_.op(v.op_b).toString();
+}
+
+std::string Monitor::describe(const MonitorViolation &v) const
+{
+    return strprintf("[%s] tick %llu: %s", violationKindName(v.kind),
+                     static_cast<unsigned long long>(v.tick),
+                     detail(v).c_str());
 }
 
 DotCfg Monitor::witnessDotCfg() const
@@ -455,7 +462,7 @@ Json Monitor::toJson() const
             r.set("proc", Json(static_cast<std::uint64_t>(v.proc)));
         if (v.addr != invalid_addr)
             r.set("addr", Json(static_cast<std::uint64_t>(v.addr)));
-        r.set("detail", Json(v.detail));
+        r.set("detail", Json(detail(v)));
         rec.push(std::move(r));
     }
     j.set("recorded", std::move(rec));

@@ -33,7 +33,10 @@
  *
  * The monitor keeps its own copy of the execution (ops arrive with
  * full detail), so every violation can be rendered with op witnesses
- * and the surrounding happens-before structure exported as DOT.
+ * and the surrounding happens-before structure exported as DOT.  A
+ * racy program can raise a race at nearly every op, so a race keeps
+ * only its op ids and is rendered as text from that copy on demand
+ * (detail(), report(), toJson()); a campaign cell reads only counts.
  */
 
 #ifndef WO_OBS_MONITOR_HH
@@ -105,10 +108,13 @@ struct MonitorViolation
     OpId op_b = invalid_op;    //!< second witness op (when meaningful)
     Value expected = 0;        //!< stale_read: value the read should return
     Value got = 0;             //!< stale_read: value it returned
-    std::string detail;        //!< human-readable witness, built at raise
-
-    /** e.g. "[stale_read] tick 117: P1 R(x)=0 expected 1 from P0 W(x)=1". */
-    std::string toString() const;
+    /**
+     * Human-readable witness of a hardware kind, built at raise.  Empty
+     * for drf0_race: a race is its evidence alone (op_a, op_b, tick,
+     * proc, addr), and Monitor::detail() renders "<a> races with <b>"
+     * from the monitor's execution when a report asks for it.
+     */
+    std::string detail;
 };
 
 /** Monitor configuration. */
@@ -236,6 +242,16 @@ class Monitor
      *  `wotool report` embeds per failure. */
     std::string witnessSvg() const;
 
+    /**
+     * @p v's witness text: its stored detail, or for a drf0_race the
+     * "<a> races with <b>" pair rendered from execution().
+     */
+    std::string detail(const MonitorViolation &v) const;
+
+    /** e.g. "[stale_read] tick 117: P1 R([0])=0 #4 returned 0, ..." --
+     *  the report's line for @p v. */
+    std::string describe(const MonitorViolation &v) const;
+
     /** Machine-readable summary for the metrics tree. */
     Json toJson() const;
 
@@ -297,13 +313,6 @@ class Monitor
 
     LocState &loc(Addr a);
     void raise(MonitorViolation v);
-
-    /**
-     * Will the next raise() be recorded?  Witness text is formatted
-     * only for violations that are kept: a racy program can raise a
-     * race at nearly every op, and all but max_recorded only count.
-     */
-    bool recording() const { return violations_.size() < cfg_.max_recorded; }
 
     ProcId nprocs_;
     MonitorCfg cfg_;

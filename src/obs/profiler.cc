@@ -13,6 +13,7 @@
 #include <pthread.h>
 
 #include "common/logging.hh"
+#include "common/text.hh"
 
 // The SIGPROF handler must be a named extern "C" symbol: aggregation
 // trims the handler frames off every captured stack by matching the
@@ -88,23 +89,28 @@ demangle(const char *mangled)
 /**
  * Resolve one return address to a printable frame name.  The address
  * is backed off by one byte so the call site's own function wins at
- * exact symbol boundaries.  Frames that resolve to no exported symbol
- * keep their hex address (still foldable, still honest).
+ * exact symbol boundaries.  Frames in a known object without an
+ * exported symbol are named by object and offset; frames outside any
+ * object keep their hex address (still foldable, still honest).
  */
 std::string
 symbolize(void *pc)
 {
     Dl_info info;
     void *probe = static_cast<char *>(pc) - 1;
-    if (dladdr(probe, &info) && info.dli_sname) {
-        std::string name = demangle(info.dli_sname);
-        // ';' is the folded-format separator, so it must never appear
-        // inside a frame.
-        std::replace(name.begin(), name.end(), ';', ',');
-        return name;
-    }
-    return strprintf("0x%llx", static_cast<unsigned long long>(
-                                   reinterpret_cast<std::uintptr_t>(pc)));
+    if (!dladdr(probe, &info))
+        return strprintf("0x%llx", static_cast<unsigned long long>(
+                                       reinterpret_cast<std::uintptr_t>(pc)));
+    if (!info.dli_sname)
+        return Profiler::objectFrameName(
+            info.dli_fname ? info.dli_fname : "?",
+            reinterpret_cast<std::uintptr_t>(pc),
+            reinterpret_cast<std::uintptr_t>(info.dli_fbase));
+    std::string name = demangle(info.dli_sname);
+    // ';' is the folded-format separator, so it must never appear
+    // inside a frame.
+    std::replace(name.begin(), name.end(), ';', ',');
+    return name;
 }
 
 /** Is @p pc a return address inside the signal handler itself? */
@@ -119,6 +125,20 @@ isHandlerFrame(void *pc)
 }
 
 } // namespace
+
+std::string
+Profiler::objectFrameName(std::string_view object_path, std::uintptr_t pc,
+                          std::uintptr_t base)
+{
+    const std::size_t slash = object_path.rfind('/');
+    std::string name(slash == std::string_view::npos
+                         ? object_path
+                         : object_path.substr(slash + 1));
+    std::replace(name.begin(), name.end(), ';', ',');
+    name += "+0x";
+    appendNumber(name, pc - base, 16);
+    return name;
+}
 
 // ---------------------------------------------------------- ThreadGuard
 

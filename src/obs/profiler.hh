@@ -44,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -161,6 +162,17 @@ class Profiler
         std::string thread;
         std::vector<std::string> frames; //!< root -> leaf
     };
+
+    /**
+     * The frame name of a return address @p pc that lies in a loaded
+     * object (@p object_path, loaded at @p base) but resolves to no
+     * symbol: "<basename>+0x<pc - base>", e.g. "libc.so.6+0x8ec3a".
+     * The offset is stable across runs (ASLR moves only the base), so
+     * such frames fold together and can be looked up with addr2line.
+     */
+    static std::string objectFrameName(std::string_view object_path,
+                                       std::uintptr_t pc,
+                                       std::uintptr_t base);
 
     /** Render counted stacks as collapsed-stack text (lines sorted). */
     static std::string

@@ -22,7 +22,7 @@ class Search
     bool
     run(ScCheckResult &out)
     {
-        bool ok = dfs(out);
+        bool ok = search(out.witness);
         out.states = states_;
         return ok;
     }
@@ -66,40 +66,79 @@ class Search
         return true;
     }
 
+    /**
+     * Count the current state; false when it needs no expansion: the
+     * budget ran out, it is memoized as failing, or it is complete
+     * (then @p done says whether it is accepted).
+     */
     bool
-    dfs(ScCheckResult &out)
+    enter(bool &done)
     {
+        done = false;
         if (cfg_.max_states && states_ >= cfg_.max_states) {
             exhausted_ = true;
             return false;
         }
         ++states_;
         if (allDone()) {
-            if (cfg_.expected_final && mem_ != *cfg_.expected_final)
-                return false;
-            return true;
-        }
-        // Memoize only failing states; the first success unwinds the stack.
-        std::string k = key();
-        if (failed_.count(k))
+            done = !cfg_.expected_final || mem_ == *cfg_.expected_final;
             return false;
+        }
+        // Memoize only failing states; the first success ends the search.
+        return failed_.count(key()) == 0;
+    }
 
-        for (ProcId p = 0; p < exec_.numProcs(); ++p) {
+    /** One expanded state on the search stack. */
+    struct Frame
+    {
+        ProcId next = 0;              //!< next processor to try
+        ProcId taken = invalid_proc;  //!< processor whose op is applied
+        Value saved = 0;              //!< its location's value before
+    };
+
+    /**
+     * Depth-first search for a total order, with an explicit stack (an
+     * execution can retire millions of ops, one level each): processors
+     * are tried in index order and @p witness holds the order so far.
+     * A state all of whose children failed is memoized as failing; its
+     * key is recomputed then, since undoing the last child restores it.
+     */
+    bool
+    search(std::vector<OpId> &witness)
+    {
+        bool done = false;
+        if (!enter(done))
+            return done;
+        std::vector<Frame> stack(1);
+        while (!stack.empty()) {
+            Frame &f = stack.back();
+            if (f.taken != invalid_proc) {
+                // Undo the child just abandoned.
+                const MemoryOp &op = exec_.op(witness.back());
+                witness.pop_back();
+                --idx_[f.taken];
+                mem_[op.addr] = f.saved;
+                f.taken = invalid_proc;
+            }
             const MemoryOp *op = nullptr;
-            if (!enabled(p, op))
+            while (f.next < exec_.numProcs() && !enabled(f.next, op))
+                ++f.next;
+            if (f.next == exec_.numProcs()) {
+                failed_.insert(key());
+                stack.pop_back();
                 continue;
-            const Value saved = mem_[op->addr];
+            }
+            f.taken = f.next++;
+            f.saved = mem_[op->addr];
             if (op->isWrite())
                 mem_[op->addr] = op->value_written;
-            ++idx_[p];
-            out.witness.push_back(op->id);
-            if (dfs(out))
-                return true;
-            out.witness.pop_back();
-            --idx_[p];
-            mem_[op->addr] = saved;
+            ++idx_[f.taken];
+            witness.push_back(op->id);
+            if (enter(done))
+                stack.emplace_back();
+            else if (done || exhausted_)
+                return done;
         }
-        failed_.insert(std::move(k));
         return false;
     }
 

@@ -320,6 +320,76 @@ TEST(Journal, RoundTripAndResumeState)
     EXPECT_TRUE(fails[0].reproduced);
 }
 
+TEST(Journal, CellLineIsTheWireObjectDumpedWithItsType)
+{
+    // appendCell writes each line straight into text; every line must
+    // be byte-identical to cellResultToJson(r) plus "type":"cell",
+    // dumped -- every optional field, escapes and 17-digit doubles.
+    std::vector<CellResult> cells;
+    CellResult plain;
+    plain.key = "litmus:iriw|drf0|n7|h3|j2";
+    plain.completed = true;
+    plain.outcome_sig = "0123456789abcdef";
+    plain.finish_tick = 1234;
+    plain.wall_ms = 0.1 + 0.2; // 0.30000000000000004
+    plain.mat_us = 3;
+    plain.run_us = 11;
+    cells.push_back(plain);
+
+    CellResult hw = plain;
+    hw.key = "drf0:p2r1l2v1s2o2q1t1w0g42|drf0|n1|h3|j0|BUG";
+    hw.hw = 2;
+    hw.races = 1;
+    hw.total = 3;
+    hw.primary_kind = "reserve_leak";
+    hw.shrink_us = 17;
+    hw.wall_ms = 1.0 / 3.0;
+    cells.push_back(hw);
+
+    CellResult verify;
+    verify.key = "verify:litmus:mp|drf0";
+    verify.completed = true;
+    verify.why_inconclusive =
+        std::string("thread 0 loops: \"pc\" 3 \\ back\n\t\r\b\f") +
+        '\x01' + '\x1f' + '\0' + " end";
+    verify.nonsc = true;
+    verify.dpor_states = 1'234'567;
+    verify.bfs_states = 7;
+    verify.dpor_probes = 0;
+    verify.wall_ms = 123456.78901234567;
+    cells.push_back(verify);
+
+    CellResult counts = verify;
+    counts.why_inconclusive.clear();
+    counts.nonsc = false;
+    counts.dpor_states = 0; // bfs alone still writes all three counts
+    counts.wall_ms = 1e-7;
+    cells.push_back(counts);
+
+    CellResult empty; // every optional field off, ms 0
+    cells.push_back(empty);
+
+    const std::string path = testing::TempDir() + "journal_golden.jsonl";
+    std::remove(path.c_str());
+    {
+        Journal j(path);
+        ASSERT_TRUE(j.open(true));
+        for (const CellResult &r : cells)
+            j.appendCell(r);
+    }
+    std::string expected;
+    for (const CellResult &r : cells) {
+        Json line = cellResultToJson(r);
+        line.set("type", Json("cell"));
+        expected += line.dump() + "\n";
+    }
+    EXPECT_EQ(slurp(path), expected);
+    EXPECT_NE(expected.find("\"ms\":0.30000000000000004,"),
+              std::string::npos);
+    EXPECT_NE(expected.find("\\u0001\\u001f\\u0000 end"),
+              std::string::npos);
+}
+
 TEST(Journal, TruncatedTrailingLineIsIgnored)
 {
     const std::string path = testing::TempDir() + "journal_trunc.jsonl";

@@ -94,10 +94,11 @@ TEST(Monitor, UnsynchronizedConflictIsSoftwareRace)
 TEST(Monitor, RacesPastTheRecordCapKeepTheirReport)
 {
     // A racy counter raises far more races than max_recorded (64).
-    // Witness text is formatted only for the races the monitor keeps;
-    // the report, the recorded list and every count must read exactly
-    // as they did when every race was formatted (the digest below was
-    // recorded from that monitor).
+    // A race keeps only its evidence and its text is rendered from the
+    // monitor's execution on demand; the report, the recorded list and
+    // every count must read exactly as they did when every race was
+    // formatted at raise (the digest below was recorded from that
+    // monitor).
     const Program p = litmus::racyCounter(3, 12);
     SystemCfg cfg;
     cfg.policy = OrderingPolicy::wo_drf0;
@@ -113,15 +114,16 @@ TEST(Monitor, RacesPastTheRecordCapKeepTheirReport)
     const Execution &exec = mon.execution();
     for (const MonitorViolation &v : mon.violations()) {
         ASSERT_EQ(v.kind, ViolationKind::drf0_race);
-        EXPECT_EQ(v.detail, exec.op(v.op_a).toString() + " races with " +
-                                exec.op(v.op_b).toString());
+        EXPECT_EQ(mon.detail(v), exec.op(v.op_a).toString() +
+                                     " races with " +
+                                     exec.op(v.op_b).toString());
     }
     EXPECT_NE(r.monitor_report.find("... 125 more not recorded"),
               std::string::npos);
 
     std::string text = r.monitor_report;
     for (const MonitorViolation &v : mon.violations())
-        text += v.toString() + "\n";
+        text += mon.describe(v) + "\n";
     text += mon.toJson().dump();
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (unsigned char c : text) {

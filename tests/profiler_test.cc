@@ -105,6 +105,22 @@ TEST(TopTables, TopNCapsRows)
               8u); // 0 = uncapped
 }
 
+// ------------------------------------------------- library frame names
+
+TEST(ObjectFrameName, BasenamePlusHexOffset)
+{
+    EXPECT_EQ(Profiler::objectFrameName("/lib/x86_64-linux-gnu/libc.so.6",
+                                        0x7f0000088c3a, 0x7f0000000000),
+              "libc.so.6+0x88c3a");
+    EXPECT_EQ(Profiler::objectFrameName("wotool", 0x1010, 0x1000),
+              "wotool+0x10");
+    EXPECT_EQ(Profiler::objectFrameName("/opt/x/lib.so", 0x5000, 0x5000),
+              "lib.so+0x0");
+    // ';' separates folded frames, so it never survives in a name.
+    EXPECT_EQ(Profiler::objectFrameName("/tmp/a;b.so", 0x2a, 0),
+              "a,b.so+0x2a");
+}
+
 // --------------------------------------------------- sampling end to end
 
 TEST(Profiler, SamplesAllEngineThreads)

@@ -142,6 +142,44 @@ TEST(ScChecker, EmptyExecutionIsSC)
     EXPECT_TRUE(isSequentiallyConsistent(e));
 }
 
+/** One processor writing 1, 2, ... to location 0 and reading each
+ *  value back: @p n ops, the last read returning @p last_read. */
+Execution
+longWriteReadChain(int n, Value last_read)
+{
+    Execution e(1, 1);
+    for (int i = 0; i < n; i += 2) {
+        const Value v = i / 2 + 1;
+        e.append(0, 0, AccessKind::data_write, 0, v);
+        e.append(0, 0, AccessKind::data_read, i + 2 < n ? v : last_read, 0);
+    }
+    return e;
+}
+
+TEST(ScChecker, LongSingleThreadExecutionIsSearchedWithoutRecursion)
+{
+    // A livelocked spin retires millions of ops on one processor, and
+    // the search goes one level deeper per op: it must not recurse.
+    constexpr int n = 1'000'000;
+    const ScCheckResult r =
+        checkSequentialConsistency(longWriteReadChain(n, n / 2));
+    EXPECT_TRUE(r.sc);
+    EXPECT_FALSE(r.exhausted);
+    EXPECT_EQ(r.states, static_cast<std::uint64_t>(n) + 1);
+    std::vector<OpId> program_order(n);
+    for (int i = 0; i < n; ++i)
+        program_order[i] = static_cast<OpId>(i);
+    EXPECT_TRUE(r.witness == program_order);
+
+    // The same chain with a last read of an overwritten value fails
+    // only at its end, after the deepest path the search can take.
+    const ScCheckResult bad =
+        checkSequentialConsistency(longWriteReadChain(200'000, 1));
+    EXPECT_FALSE(bad.sc);
+    EXPECT_FALSE(bad.exhausted);
+    EXPECT_TRUE(bad.witness.empty());
+}
+
 TEST(ScChecker, StateBudgetReportsExhaustion)
 {
     // A wide independent execution with an impossible read forces the
