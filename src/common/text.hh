@@ -15,6 +15,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace wo {
@@ -28,6 +29,16 @@ appendNumber(Out &out, T v, Fmt... fmt)
     const std::to_chars_result r =
         std::to_chars(buf, buf + sizeof buf, v, fmt...);
     out.append(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+}
+
+/** @p prefix, then @p v in decimal: numbered("L", 3u) is "L3". */
+template <class T>
+std::string
+numbered(std::string_view prefix, T v)
+{
+    std::string out(prefix);
+    appendNumber(out, v);
+    return out;
 }
 
 /**

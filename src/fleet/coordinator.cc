@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/input_limits.hh"
 #include "common/logging.hh"
 #include "obs/control_plane.hh"
 #include "obs/httpd.hh"
@@ -745,22 +746,21 @@ Coordinator::resumeFromOutDir()
     std::error_code ec;
     for (const auto &ent :
          std::filesystem::directory_iterator(cfg_.out_dir, ec)) {
-        const std::string name = ent.path().filename().string();
-        if (name.size() < 2 || name[0] != 'c' || !ent.is_directory())
+        if (!ent.is_directory() ||
+            !std::filesystem::exists(ent.path() / "campaign.journal.jsonl"))
             continue;
+        // Only the name newLedger(id) rebuilds: "c01", or a number
+        // past 2^64, would replay another directory's journal as c<id>.
+        const std::string name = ent.path().filename().string();
         std::uint64_t id = 0;
-        bool numeric = true;
-        for (std::size_t i = 1; i < name.size(); ++i) {
-            if (name[i] < '0' || name[i] > '9') {
-                numeric = false;
-                break;
-            }
-            id = id * 10 + static_cast<std::uint64_t>(name[i] - '0');
+        if (name.size() < 2 || name[0] != 'c' ||
+            !parseDecimal(std::string_view(name).substr(1), id) || id == 0 ||
+            "c" + std::to_string(id) != name) {
+            warn("fleet: %s is not a campaign directory c<N>; skipping",
+                 name.c_str());
+            continue;
         }
-        if (numeric && id > 0 &&
-            std::filesystem::exists(ent.path() /
-                                    "campaign.journal.jsonl"))
-            ids.push_back(id);
+        ids.push_back(id);
     }
     std::sort(ids.begin(), ids.end());
 

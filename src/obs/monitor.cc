@@ -40,30 +40,26 @@ bool violationBlamesHardware(ViolationKind k)
     return k != ViolationKind::drf0_race;
 }
 
-Monitor::Monitor(ProcId nprocs, Addr nlocs, std::vector<Value> initial,
-                 const MonitorCfg &cfg)
-    : nprocs_(nprocs), cfg_(cfg), exec_(nprocs, nlocs, std::move(initial))
+Monitor::Monitor(const Execution &exec, HbRelation::SyncFlavor flavor)
+    : exec_(&exec), flavor_(flavor)
 {
-    rewind(nprocs, nlocs);
+    rewind();
 }
 
-void Monitor::reset(ProcId nprocs, Addr nlocs,
-                    const std::vector<Value> &initial, const MonitorCfg &cfg)
+void Monitor::reset(const Execution &exec, HbRelation::SyncFlavor flavor)
 {
-    wo_assert(initial.size() == nlocs, "monitor: %zu initial values for %u "
-              "locations", initial.size(), nlocs);
-    cfg_ = cfg;
-    exec_.reset(nprocs, initial);
-    rewind(nprocs, nlocs);
+    exec_ = &exec;
+    flavor_ = flavor;
+    rewind();
 }
 
-void Monitor::rewind(ProcId nprocs, Addr nlocs)
+void Monitor::rewind()
 {
-    nprocs_ = nprocs;
+    const ProcId nprocs = nprocs_ = exec_->numProcs();
+    const Addr nlocs = nlocs_ = exec_->numLocations();
     proc_clock_.resize(nprocs);
     for (VectorClock &c : proc_clock_)
         c.reset(nprocs);
-    nlocs_ = nlocs;
     if (locs_.size() < nlocs)
         locs_.resize(nlocs);
     for (Addr a = 0; a < nlocs; ++a) {
@@ -103,17 +99,16 @@ void Monitor::raise(MonitorViolation v)
     else
         ++races_;
     first_tick_ = std::min(first_tick_, v.tick);
-    if (violations_.size() < cfg_.max_recorded)
+    if (violations_.size() < max_recorded)
         violations_.push_back(std::move(v));
 }
 
-void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
-                        Value value_read, Value value_written,
-                        Tick commit_tick, Tick now)
+void Monitor::opRetired(const MemoryOp &op, Tick now)
 {
-    const OpId id =
-        exec_.append(p, addr, kind, value_read, value_written, commit_tick);
-    const MemoryOp &op = exec_.op(id);
+    const Execution &exec = *exec_;
+    const OpId id = op.id;
+    const ProcId p = op.proc;
+    const Addr addr = op.addr;
 
     // The HbRelation construction, one op at a time: tick the issuer's
     // clock, then receive/publish through the location's sync channel.
@@ -123,8 +118,8 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
     LocState &l = loc(addr);
     if (op.isSync()) {
         vc.join(l.chan);
-        if (cfg_.flavor == HbRelation::SyncFlavor::drf0 ||
-            kind != AccessKind::sync_read)
+        if (flavor_ == HbRelation::SyncFlavor::drf0 ||
+            op.kind != AccessKind::sync_read)
             l.chan.join(vc);
     }
 
@@ -135,11 +130,11 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
     // Under weak_sync_read, sync-sync pairs are the synchronization
     // mechanism itself and are exempt (RaceDetectorCfg::ignore_sync_pairs).
     const bool ignore_sync_pairs =
-        cfg_.flavor == HbRelation::SyncFlavor::weak_sync_read;
+        flavor_ == HbRelation::SyncFlavor::weak_sync_read;
     auto checkRace = [&](const LastOp &prev) {
-        if (prev.id == invalid_op || prev.tick <= vc[exec_.op(prev.id).proc])
+        if (prev.id == invalid_op || prev.tick <= vc[exec.op(prev.id).proc])
             return;
-        const MemoryOp &a = exec_.op(prev.id);
+        const MemoryOp &a = exec.op(prev.id);
         if (ignore_sync_pairs && a.isSync() && op.isSync())
             return;
         MonitorViolation v;
@@ -179,8 +174,8 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
                 ambiguous = true; // frontier writes are mutually concurrent
             best = &w;
         }
-        const Value expected = best ? best->value : exec_.initialValue(addr);
-        if (!ambiguous && value_read != expected) {
+        const Value expected = best ? best->value : exec.initialValue(addr);
+        if (!ambiguous && op.value_read != expected) {
             MonitorViolation v;
             v.kind = ViolationKind::stale_read;
             v.tick = now;
@@ -189,11 +184,11 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
             v.op_a = best ? best->id : invalid_op;
             v.op_b = id;
             v.expected = expected;
-            v.got = value_read;
+            v.got = op.value_read;
             v.detail = strprintf(
                 "%s returned %lld, hb-last write %s expected %lld",
-                op.toString().c_str(), static_cast<long long>(value_read),
-                best ? exec_.op(best->id).toString().c_str() : "(initial)",
+                op.toString().c_str(), static_cast<long long>(op.value_read),
+                best ? exec.op(best->id).toString().c_str() : "(initial)",
                 static_cast<long long>(expected));
             // A value no retired write ever produced may belong to an
             // *in-flight* write racing with this read (the write's
@@ -204,9 +199,9 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
             // location's history does know is the classic stale read
             // and is raised at the violating cycle.
             const bool known_value =
-                value_read == exec_.initialValue(addr) ||
+                op.value_read == exec.initialValue(addr) ||
                 std::binary_search(l.written_values.begin(),
-                                   l.written_values.end(), value_read);
+                                   l.written_values.end(), op.value_read);
             if (known_value)
                 raise(std::move(v));
             else
@@ -216,7 +211,7 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
 
     // Per-location coherence: writes must retire in commit-tick order.
     if (op.isWrite()) {
-        if (!l.raced && commit_tick < l.last_write_commit) {
+        if (!l.raced && op.commit_tick < l.last_write_commit) {
             MonitorViolation v;
             v.kind = ViolationKind::coherence_order;
             v.tick = now;
@@ -226,11 +221,11 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
             v.detail = strprintf(
                 "%s committed @%llu retired after a write committed @%llu",
                 op.toString().c_str(),
-                static_cast<unsigned long long>(commit_tick),
+                static_cast<unsigned long long>(op.commit_tick),
                 static_cast<unsigned long long>(l.last_write_commit));
             raise(std::move(v));
         }
-        l.last_write_commit = std::max(l.last_write_commit, commit_tick);
+        l.last_write_commit = std::max(l.last_write_commit, op.commit_tick);
     }
 
     // Fold the op into the incremental state.
@@ -238,9 +233,9 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
         l.lastr[p] = {vc[p], id};
     if (op.isWrite()) {
         auto at = std::lower_bound(l.written_values.begin(),
-                                   l.written_values.end(), value_written);
-        if (at == l.written_values.end() || *at != value_written)
-            l.written_values.insert(at, value_written);
+                                   l.written_values.end(), op.value_written);
+        if (at == l.written_values.end() || *at != op.value_written)
+            l.written_values.insert(at, op.value_written);
         l.lastw[p] = {vc[p], id};
         // Drop the writes the new one dominates, in place and in order;
         // dropped records keep their clock storage past nfrontier.
@@ -253,7 +248,7 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
         WriteRec &w = l.frontier[kept];
         w.id = id;
         w.proc = p;
-        w.value = value_written;
+        w.value = op.value_written;
         w.clock = vc;
         l.nfrontier = kept + 1;
     }
@@ -390,8 +385,8 @@ std::string Monitor::detail(const MonitorViolation &v) const
 {
     if (v.kind != ViolationKind::drf0_race)
         return v.detail;
-    return exec_.op(v.op_a).toString() + " races with " +
-           exec_.op(v.op_b).toString();
+    return exec_->op(v.op_a).toString() + " races with " +
+           exec_->op(v.op_b).toString();
 }
 
 std::string Monitor::describe(const MonitorViolation &v) const
@@ -404,7 +399,7 @@ std::string Monitor::describe(const MonitorViolation &v) const
 DotCfg Monitor::witnessDotCfg() const
 {
     DotCfg dc;
-    dc.flavor = cfg_.flavor;
+    dc.flavor = flavor_;
     dc.mark_races = true;
     dc.title = violations_.empty()
                    ? "monitor witness (no violation)"
@@ -417,12 +412,12 @@ DotCfg Monitor::witnessDotCfg() const
 
 std::string Monitor::witnessDot() const
 {
-    return executionToDot(exec_, witnessDotCfg());
+    return executionToDot(*exec_, witnessDotCfg());
 }
 
 std::string Monitor::witnessSvg() const
 {
-    return executionToSvg(exec_, witnessDotCfg());
+    return executionToSvg(*exec_, witnessDotCfg());
 }
 
 MonitorSummary

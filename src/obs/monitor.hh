@@ -31,11 +31,14 @@
  *  - **unperformed_op** -- a completed run ended with operations never
  *    globally performed.
  *
- * The monitor keeps its own copy of the execution (ops arrive with
- * full detail), so every violation can be rendered with op witnesses
- * and the surrounding happens-before structure exported as DOT.  A
- * racy program can raise a race at nearly every op, so a race keeps
- * only its op ids and is rendered as text from that copy on demand
+ * The monitor is bound to the run's Execution, the record the
+ * processors retire into: each op reaches opRetired() right after its
+ * append, and the monitor reads earlier ops back from that record, so
+ * every violation can be rendered with op witnesses and the
+ * surrounding happens-before structure exported as DOT.  Its clocks,
+ * write frontier, counter and reserve checks are its own.  A racy
+ * program can raise a race at nearly every op, so a race keeps only
+ * its op ids and is rendered as text from the record on demand
  * (detail(), report(), toJson()); a campaign cell reads only counts.
  */
 
@@ -112,23 +115,9 @@ struct MonitorViolation
      * Human-readable witness of a hardware kind, built at raise.  Empty
      * for drf0_race: a race is its evidence alone (op_a, op_b, tick,
      * proc, addr), and Monitor::detail() renders "<a> races with <b>"
-     * from the monitor's execution when a report asks for it.
+     * from the run's execution when a report asks for it.
      */
     std::string detail;
-};
-
-/** Monitor configuration. */
-struct MonitorCfg
-{
-    /** Synchronization-order flavor (match the policy under test). */
-    HbRelation::SyncFlavor flavor = HbRelation::SyncFlavor::drf0;
-
-    /**
-     * Violations recorded with full witness detail; further ones only
-     * count.  Bounds evidence memory when a broken machine livelocks
-     * through the same breach every retry cycle.
-     */
-    std::size_t max_recorded = 64;
 };
 
 /**
@@ -155,28 +144,34 @@ class Monitor
 {
   public:
     /**
-     * @param nprocs  processor count
-     * @param nlocs   shared-location count
-     * @param initial initial memory image (empty = all zero)
-     * @param cfg     behaviour knobs
+     * Bound to @p exec, which must outlive the monitor (or its next
+     * reset): processors, locations and initial memory come from it.
+     * @param flavor synchronization-order flavor (match the policy
+     *               under test)
      */
-    Monitor(ProcId nprocs, Addr nlocs, std::vector<Value> initial,
-            const MonitorCfg &cfg = {});
+    explicit Monitor(
+        const Execution &exec,
+        HbRelation::SyncFlavor flavor = HbRelation::SyncFlavor::drf0);
 
     /**
-     * Back to a new monitor (same parameters as the constructor, with
-     * @p initial never empty): no op, clock, finding or report.
-     * Storage capacity survives, so a reused monitor follows its next
-     * run without allocating once it has seen one as large.
+     * Back to a new monitor bound to @p exec (as the constructor, after
+     * @p exec itself was reset): no clock, finding or report.  Storage
+     * capacity survives, so a reused monitor follows its next run
+     * without allocating once it has seen one as large.
      */
-    void reset(ProcId nprocs, Addr nlocs, const std::vector<Value> &initial,
-               const MonitorCfg &cfg);
+    void reset(const Execution &exec, HbRelation::SyncFlavor flavor);
+
+    /**
+     * Violations recorded with full witness detail; further ones only
+     * count.  Bounds evidence memory when a broken machine livelocks
+     * through the same breach every retry cycle.
+     */
+    static constexpr std::size_t max_recorded = 64;
 
     // ---- hooks (via Obs) ---------------------------------------------
 
-    /** One memory operation retired, with full detail. */
-    void opRetired(ProcId p, Addr addr, AccessKind kind, Value value_read,
-                   Value value_written, Tick commit_tick, Tick now);
+    /** @p op, just appended to the bound execution, retired. */
+    void opRetired(const MemoryOp &op, Tick now);
 
     /** Processor @p p's outstanding-access counter changed to @p value. */
     void counterChanged(ProcId p, int value, Tick now);
@@ -224,8 +219,8 @@ class Monitor
     /** Tick of the first violation (max_tick when none). */
     Tick firstViolationTick() const { return first_tick_; }
 
-    /** The monitored execution so far (append order = retire order). */
-    const Execution &execution() const { return exec_; }
+    /** The bound execution: the run's record, in retire order. */
+    const Execution &execution() const { return *exec_; }
 
     /** Multi-line human-readable report: verdict plus every witness. */
     std::string report() const;
@@ -308,15 +303,15 @@ class Monitor
         std::vector<MonitorViolation> pending_stale;
     };
 
-    /** Clear every finding and all incremental state (not exec_). */
-    void rewind(ProcId nprocs, Addr nlocs);
+    /** Clear every finding and all incremental state. */
+    void rewind();
 
     LocState &loc(Addr a);
     void raise(MonitorViolation v);
 
-    ProcId nprocs_;
-    MonitorCfg cfg_;
-    Execution exec_;
+    const Execution *exec_;
+    HbRelation::SyncFlavor flavor_;
+    ProcId nprocs_ = 0;
     std::vector<VectorClock> proc_clock_;
     VectorClock vc_; //!< opRetired's working clock
     /** At least nlocs_ entries: a reset to fewer keeps the rest. */

@@ -162,16 +162,13 @@ Obs::opPerform(ProcId p, std::uint64_t req, Tick now)
 }
 
 void
-Obs::opRetire(ProcId p, std::uint64_t req, Tick now, Addr addr,
-              AccessKind kind, Value value_read, Value value_written,
-              Tick commit_tick)
+Obs::opRetire(ProcId p, std::uint64_t req, Tick now, const MemoryOp &op)
 {
     if (recording())
-        record({.kind = FlightKind::retire, .proc = p, .addr = addr,
-                .t = now, .req = req, .label = accessKindName(kind)});
+        record({.kind = FlightKind::retire, .proc = p, .addr = op.addr,
+                .t = now, .req = req, .label = accessKindName(op.kind)});
     if (monitor_) {
-        monitor_->opRetired(p, addr, kind, value_read, value_written,
-                            commit_tick, now);
+        monitor_->opRetired(op, now);
         mirrorViolations(now);
     }
 }

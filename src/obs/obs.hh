@@ -181,14 +181,12 @@ class Obs
     void opPerform(ProcId p, std::uint64_t req, Tick now);
 
     /**
-     * CPU: request retired into the execution, with the full operation
-     * payload so the monitor can replay it into its own execution copy.
-     * Retire order is program order per processor and the completion
-     * order contract of Execution::append.
+     * CPU: request retired as @p op, just appended to the run's
+     * execution (the record the monitor is bound to).  Retire order is
+     * program order per processor and the completion order contract of
+     * Execution::append.
      */
-    void opRetire(ProcId p, std::uint64_t req, Tick now, Addr addr,
-                  AccessKind kind, Value value_read, Value value_written,
-                  Tick commit_tick);
+    void opRetire(ProcId p, std::uint64_t req, Tick now, const MemoryOp &op);
 
     /** Cache: outstanding-access counter of @p p changed to @p value. */
     void counterChanged(ProcId p, int value, Tick now);

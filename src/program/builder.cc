@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/text.hh"
 
 namespace wo {
 
@@ -184,7 +185,7 @@ ThreadBuilder::acquire(Addr lock, RegId scratch)
 {
     // Test-and-TestAndSet: spin with a read-only sync load, then attempt
     // the atomic; on failure go back to spinning.
-    std::string l = strprintf("__acq%d", next_auto_label_++);
+    std::string l = numbered("__acq", next_auto_label_++);
     label(l);
     syncLoad(scratch, lock);
     bne(scratch, 0, l);
@@ -196,7 +197,7 @@ ThreadBuilder::acquire(Addr lock, RegId scratch)
 ThreadBuilder &
 ThreadBuilder::acquireTasOnly(Addr lock, RegId scratch)
 {
-    std::string l = strprintf("__acqt%d", next_auto_label_++);
+    std::string l = numbered("__acqt", next_auto_label_++);
     label(l);
     testAndSet(scratch, lock);
     bne(scratch, 0, l);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/random.hh"
+#include "common/text.hh"
 #include "program/builder.hh"
 
 namespace wo {
@@ -15,9 +16,7 @@ randomDrf0Program(const Drf0WorkloadCfg &cfg)
     const Addr data_base = cfg.regions;
     const Addr private_base = data_base + cfg.regions * cfg.locs_per_region;
 
-    ProgramBuilder b(strprintf("drf0-rand-s%llu",
-                               static_cast<unsigned long long>(cfg.seed)),
-                     cfg.procs);
+    ProgramBuilder b(numbered("drf0-rand-s", cfg.seed), cfg.procs);
     // Unique value per store so reads identify their writer exactly.
     Value next_value = 1;
 
@@ -61,7 +60,7 @@ randomDrf0Program(const Drf0WorkloadCfg &cfg)
         t.halt();
     }
     for (Addr r = 0; r < cfg.regions; ++r)
-        b.nameLocation(locks_base + r, strprintf("L%u", r));
+        b.nameLocation(locks_base + r, numbered("L", r));
     return b.build();
 }
 
@@ -69,9 +68,7 @@ Program
 randomRacyProgram(const RacyWorkloadCfg &cfg)
 {
     Rng rng(cfg.seed);
-    ProgramBuilder b(strprintf("racy-rand-s%llu",
-                               static_cast<unsigned long long>(cfg.seed)),
-                     cfg.procs);
+    ProgramBuilder b(numbered("racy-rand-s", cfg.seed), cfg.procs);
     Value next_value = 1;
     for (ProcId p = 0; p < cfg.procs; ++p) {
         auto &t = b.thread(p);

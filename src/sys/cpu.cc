@@ -30,20 +30,18 @@ sideOf(AccessKind k)
 } // namespace
 
 Cpu::Cpu(ProcId id, const Program &prog, EventQueue &eq,
-         OrderingPolicy policy, Execution *exec, const CpuCfg &cfg)
+         OrderingPolicy policy, Execution &exec, const CpuCfg &cfg)
     : id_(id), code_(&prog.thread(id)), eq_(eq), policy_(policy),
       exec_(exec), cfg_(cfg), stats_(strprintf("cpu%u", id), stat_names)
 {
-    reset(prog, policy, exec, cfg);
+    reset(prog, policy, cfg);
 }
 
 void
-Cpu::reset(const Program &prog, OrderingPolicy policy, Execution *exec,
-           const CpuCfg &cfg)
+Cpu::reset(const Program &prog, OrderingPolicy policy, const CpuCfg &cfg)
 {
     code_ = &prog.thread(id_);
     policy_ = policy;
-    exec_ = exec;
     cfg_ = cfg;
     cache_ = nullptr;
     pc_ = 0;
@@ -317,14 +315,10 @@ Cpu::retire()
         Pending &p = *pp;
         if (!p.committed)
             return;
-        if (exec_) {
-            exec_->append(id_, p.addr, p.kind, p.has_read ? p.rvalue : 0,
-                          p.wvalue, timings_[p.timing_idx].committed);
-        }
+        exec_.append(id_, p.addr, p.kind, p.has_read ? p.rvalue : 0,
+                     p.wvalue, timings_[p.timing_idx].committed);
         if (Obs *obs = eq_.obs())
-            obs->opRetire(id_, id, eq_.now(), p.addr, p.kind,
-                          p.has_read ? p.rvalue : 0, p.wvalue,
-                          timings_[p.timing_idx].committed);
+            obs->opRetire(id_, id, eq_.now(), exec_.ops().back());
         p.retired = true;
         ++next_retire_;
         if (p.performed)

@@ -60,11 +60,12 @@ class Cpu : public CacheClient
      * @param prog    the program (must outlive the cpu)
      * @param eq      event queue
      * @param policy  ordering policy
-     * @param exec    shared execution trace (retired ops appended here)
+     * @param exec    the run's execution (retired ops appended here;
+     *                must outlive the cpu)
      * @param cfg     processor knobs
      */
     Cpu(ProcId id, const Program &prog, EventQueue &eq,
-        OrderingPolicy policy, Execution *exec, const CpuCfg &cfg = {});
+        OrderingPolicy policy, Execution &exec, const CpuCfg &cfg = {});
 
     /**
      * Back to a processor about to boot thread id() of @p prog (which
@@ -73,7 +74,7 @@ class Cpu : public CacheClient
      * The event queue must have been reset too, and the cache is
      * attached afresh.
      */
-    void reset(const Program &prog, OrderingPolicy policy, Execution *exec,
+    void reset(const Program &prog, OrderingPolicy policy,
                const CpuCfg &cfg);
 
     /** Late-bind the cache (construction order). */
@@ -170,7 +171,7 @@ class Cpu : public CacheClient
     const ThreadCode *code_;
     EventQueue &eq_;
     OrderingPolicy policy_;
-    Execution *exec_;
+    Execution &exec_;
     CpuCfg cfg_;
     Cache *cache_ = nullptr;
 

@@ -54,17 +54,18 @@ System::reset(const Program &prog, const SystemCfg &cfg)
     obs_.reset(procs);
     if (cfg_.trace)
         obs_.enableTrace();
+    // The monitor binds to the run's record once it is re-armed.
+    exec_.reset(procs, prog.initialMemory());
     monitor_ = nullptr;
     if (cfg_.monitor) {
-        MonitorCfg mc;
-        mc.flavor = cfg_.policy == OrderingPolicy::wo_drf0_ro
-                        ? HbRelation::SyncFlavor::weak_sync_read
-                        : HbRelation::SyncFlavor::drf0;
+        const HbRelation::SyncFlavor flavor =
+            cfg_.policy == OrderingPolicy::wo_drf0_ro
+                ? HbRelation::SyncFlavor::weak_sync_read
+                : HbRelation::SyncFlavor::drf0;
         if (monitor_store_)
-            monitor_store_->reset(procs, nlocs, prog.initialMemory(), mc);
+            monitor_store_->reset(exec_, flavor);
         else
-            monitor_store_ = std::make_unique<Monitor>(
-                procs, nlocs, prog.initialMemory(), mc);
+            monitor_store_ = std::make_unique<Monitor>(exec_, flavor);
         monitor_ = monitor_store_.get();
         obs_.attachMonitor(monitor_);
     }
@@ -81,18 +82,17 @@ System::reset(const Program &prog, const SystemCfg &cfg)
     net_.reset(cfg_.net);
     dir_.reset(dir_id, prog.initialMemory(), cfg_.dir);
     net_.attach(dir_id, &dir_);
-    exec_.reset(procs, prog.initialMemory());
     cpus_.clear();
     caches_.clear();
     for (ProcId p = 0; p < procs; ++p) {
         if (p == cpu_pool_.size()) {
             cpu_pool_.push_back(std::make_unique<Cpu>(
-                p, prog, eq_, cfg_.policy, &exec_, cfg_.cpu));
+                p, prog, eq_, cfg_.policy, exec_, cfg_.cpu));
             cache_pool_.push_back(std::make_unique<Cache>(
                 p, dir_id, procs, eq_, net_, cpu_pool_[p].get(), nlocs,
                 cfg_.cache));
         } else {
-            cpu_pool_[p]->reset(prog, cfg_.policy, &exec_, cfg_.cpu);
+            cpu_pool_[p]->reset(prog, cfg_.policy, cfg_.cpu);
             cache_pool_[p]->reset(dir_id, cpu_pool_[p].get(), nlocs,
                                   cfg_.cache);
         }
@@ -172,7 +172,7 @@ System::dumpEvidence(const char *why)
     if (monitor_) {
         // A livelocked spin can retire millions of ops; rendering the
         // full hb graph would dwarf the failure it documents.
-        const std::size_t nops = monitor_->execution().ops().size();
+        const std::size_t nops = exec_.ops().size();
         if (nops <= SystemCfg::max_witness_dot_ops) {
             writeFile(prefix + ".hb.dot", monitor_->witnessDot());
             writeFile(prefix + ".hb.svg", monitor_->witnessSvg());

@@ -218,6 +218,8 @@ class System
     SystemCfg cfg_;
     EventQueue eq_;
     Obs obs_{0};
+    /** The run's record: the cpus retire into it, the monitor reads it. */
+    Execution exec_{0, 0};
     std::unique_ptr<Monitor> monitor_store_; //!< kept across resets
     Monitor *monitor_ = nullptr;             //!< this run's, or nullptr
     std::unique_ptr<FlightRecorder> recorder_;
@@ -225,7 +227,6 @@ class System
     bool evidence_dumped_ = false;
     Network net_{eq_, NetworkCfg{}};
     Directory dir_{0, net_, {}};
-    Execution exec_{0, 0};
     // Every processor/cache ever needed; this run's are a prefix.
     std::vector<std::unique_ptr<Cpu>> cpu_pool_;
     std::vector<std::unique_ptr<Cache>> cache_pool_;

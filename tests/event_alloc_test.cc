@@ -141,7 +141,10 @@ TEST(ObsAllocation, UntracedOpHooksDoNotAllocate)
     // per-op hooks only touch counters: a campaign cell pays no heap
     // traffic for operations it never renders.
     Obs obs(2);
-    auto cycle = [&obs](std::uint64_t req) {
+    MemoryOp op;
+    op.addr = 3;
+    op.kind = AccessKind::data_read;
+    auto cycle = [&obs, &op](std::uint64_t req) {
         const ProcId p = static_cast<ProcId>(req % 2);
         const Tick t = req * 10;
         obs.opIssue(p, req, "R", 3, 7, t, t + 1);
@@ -149,7 +152,9 @@ TEST(ObsAllocation, UntracedOpHooksDoNotAllocate)
         obs.stall(p, req, 3, StallPhase::commit_wait, OpSide::data, t + 1,
                   t + 2);
         obs.opPerform(p, req, t + 3);
-        obs.opRetire(p, req, t + 4, 3, AccessKind::data_read, 0, 0, t + 2);
+        op.proc = p;
+        op.commit_tick = t + 2;
+        obs.opRetire(p, req, t + 4, op);
     };
     for (std::uint64_t req = 0; req < 100; ++req)
         cycle(req);

@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -1070,6 +1071,58 @@ TEST(Fleet, ResumeOfCompleteJournalNeedsNoWorkers)
     second.stop();
     EXPECT_EQ(summary.find("resumed")->uintValue(), 48u);
     EXPECT_EQ(summary.find("ran")->uintValue(), 0u);
+}
+
+/**
+ * Resume replays only the directories newLedger(id) names.  "c01" and a
+ * number past 2^64 (which wraps to 1) are not c1: replaying their
+ * journal copies would list c1's campaign three times and open a second
+ * writer on its journal.
+ */
+TEST(Fleet, ResumeAcceptsOnlyCanonicalCampaignDirectories)
+{
+    const std::string out_dir = freshDir("fleet_resume_names");
+    const std::string journal = out_dir + "/c1/campaign.journal.jsonl";
+
+    CampaignSpec spec;
+    spec.seed = 13;
+    spec.cells = 48;
+    spec.shrink = false;
+    {
+        CoordinatorCfg ccfg;
+        ccfg.out_dir = out_dir;
+        ccfg.sync_every = 1;
+        Coordinator coord(ccfg);
+        ASSERT_TRUE(coord.start()) << coord.lastError();
+        WorkerCfg wcfg;
+        wcfg.connect = {"127.0.0.1", coord.port()};
+        WorkerThread w(wcfg);
+        ASSERT_TRUE(coord.waitCampaign(coord.submitLocal(spec), 120'000));
+        coord.kill();
+    }
+    for (const char *alias : {"c01", "c18446744073709551617"}) {
+        const std::string dir = out_dir + "/" + alias;
+        std::filesystem::create_directories(dir);
+        std::filesystem::copy_file(journal,
+                                   dir + "/campaign.journal.jsonl");
+    }
+    const std::string before = slurp(journal);
+
+    CoordinatorCfg rcfg;
+    rcfg.out_dir = out_dir;
+    rcfg.resume = true;
+    Coordinator second(rcfg);
+    ASSERT_TRUE(second.start()) << second.lastError();
+    Json summary;
+    ASSERT_TRUE(second.waitCampaign(1, 10'000, &summary));
+    const Json progress = second.progressJson();
+    second.stop();
+    ASSERT_NE(progress.find("campaigns"), nullptr);
+    EXPECT_EQ(progress.find("campaigns")->items().size(), 1u);
+    EXPECT_EQ(summary.uintAt("resumed"), 48u);
+    const std::string after = slurp(journal);
+    EXPECT_EQ(std::count(after.begin(), after.end(), '\n'),
+              std::count(before.begin(), before.end(), '\n'));
 }
 
 // --- control plane ----------------------------------------------------

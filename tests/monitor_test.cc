@@ -30,9 +30,20 @@ namespace {
 
 // ------------------------------------------------------- monitor: unit
 
+/** Append one op to @p exec, the record @p m is bound to, and retire it
+ *  into the monitor, as Cpu::retire does. */
+void retire(Execution &exec, Monitor &m, ProcId p, Addr addr,
+            AccessKind kind, Value value_read, Value value_written,
+            Tick commit_tick, Tick now)
+{
+    exec.append(p, addr, kind, value_read, value_written, commit_tick);
+    m.opRetired(exec.ops().back(), now);
+}
+
 TEST(Monitor, NegativeCounterIsHardwareViolation)
 {
-    Monitor m(2, 2, {});
+    Execution exec(2, 2);
+    Monitor m(exec);
     m.counterChanged(0, -1, 7);
     EXPECT_EQ(m.totalViolations(), 1u);
     EXPECT_EQ(m.hardwareViolations(), 1u);
@@ -43,7 +54,8 @@ TEST(Monitor, NegativeCounterIsHardwareViolation)
 
 TEST(Monitor, ReserveBitHeldAtCounterZeroLeaks)
 {
-    Monitor m(2, 2, {});
+    Execution exec(2, 2);
+    Monitor m(exec);
     m.counterChanged(1, 1, 1);
     m.reserveSet(1, 0, 2);
     EXPECT_EQ(m.totalViolations(), 0u);
@@ -58,7 +70,8 @@ TEST(Monitor, ReserveBitHeldAtCounterZeroLeaks)
 
 TEST(Monitor, StockClearBeforeZeroStaysClean)
 {
-    Monitor m(2, 2, {});
+    Execution exec(2, 2);
+    Monitor m(exec);
     m.counterChanged(1, 1, 1);
     m.reserveSet(1, 0, 2);
     m.reserveCleared(1, 8);
@@ -70,16 +83,18 @@ TEST(Monitor, StockClearBeforeZeroStaysClean)
 
 TEST(Monitor, ReserveWithoutOutstandingAccessLeaks)
 {
-    Monitor m(2, 2, {});
+    Execution exec(2, 2);
+    Monitor m(exec);
     m.reserveSet(0, 1, 3);
     EXPECT_EQ(m.countOf(ViolationKind::reserve_leak), 1u);
 }
 
 TEST(Monitor, UnsynchronizedConflictIsSoftwareRace)
 {
-    Monitor m(2, 1, {});
-    m.opRetired(0, 0, AccessKind::data_write, 0, 1, 5, 10);
-    m.opRetired(1, 0, AccessKind::data_read, 1, 0, 6, 12);
+    Execution exec(2, 1);
+    Monitor m(exec);
+    retire(exec, m, 0, 0, AccessKind::data_write, 0, 1, 5, 10);
+    retire(exec, m, 1, 0, AccessKind::data_read, 1, 0, 6, 12);
     ASSERT_EQ(m.totalViolations(), 1u);
     EXPECT_EQ(m.races(), 1u);
     EXPECT_EQ(m.hardwareViolations(), 0u);
@@ -110,7 +125,7 @@ TEST(Monitor, RacesPastTheRecordCapKeepTheirReport)
     EXPECT_EQ(mon.races(), 189u);
     EXPECT_EQ(mon.totalViolations(), 189u);
     EXPECT_EQ(mon.hardwareViolations(), 0u);
-    ASSERT_EQ(mon.violations().size(), MonitorCfg{}.max_recorded);
+    ASSERT_EQ(mon.violations().size(), Monitor::max_recorded);
     const Execution &exec = mon.execution();
     for (const MonitorViolation &v : mon.violations()) {
         ASSERT_EQ(v.kind, ViolationKind::drf0_race);
@@ -139,11 +154,12 @@ TEST(Monitor, SyncOrderedHandoffIsRaceFree)
     // P0: W(x)=1; Set(s).   P1: Test(s)=1; R(x)=1.  The sync channel
     // on s orders the conflicting accesses to x -- and the read sees
     // its hb-last write, so the whole history is clean.
-    Monitor m(2, 2, {});
-    m.opRetired(0, 0, AccessKind::data_write, 0, 1, 1, 10);
-    m.opRetired(0, 1, AccessKind::sync_write, 0, 1, 2, 11);
-    m.opRetired(1, 1, AccessKind::sync_read, 1, 0, 3, 12);
-    m.opRetired(1, 0, AccessKind::data_read, 1, 0, 4, 13);
+    Execution exec(2, 2);
+    Monitor m(exec);
+    retire(exec, m, 0, 0, AccessKind::data_write, 0, 1, 1, 10);
+    retire(exec, m, 0, 1, AccessKind::sync_write, 0, 1, 2, 11);
+    retire(exec, m, 1, 1, AccessKind::sync_read, 1, 0, 3, 12);
+    retire(exec, m, 1, 0, AccessKind::data_read, 1, 0, 4, 13);
     m.finalize(20, true, 0);
     EXPECT_EQ(m.totalViolations(), 0u);
 }
@@ -151,11 +167,12 @@ TEST(Monitor, SyncOrderedHandoffIsRaceFree)
 TEST(Monitor, StaleReadInRaceFreeHistoryBlamesHardware)
 {
     // Same handoff, but the hardware returns the pre-write value of x.
-    Monitor m(2, 2, {});
-    m.opRetired(0, 0, AccessKind::data_write, 0, 1, 1, 10);
-    m.opRetired(0, 1, AccessKind::sync_write, 0, 1, 2, 11);
-    m.opRetired(1, 1, AccessKind::sync_read, 1, 0, 3, 12);
-    m.opRetired(1, 0, AccessKind::data_read, /*value_read=*/0, 0, 4, 13);
+    Execution exec(2, 2);
+    Monitor m(exec);
+    retire(exec, m, 0, 0, AccessKind::data_write, 0, 1, 1, 10);
+    retire(exec, m, 0, 1, AccessKind::sync_write, 0, 1, 2, 11);
+    retire(exec, m, 1, 1, AccessKind::sync_read, 1, 0, 3, 12);
+    retire(exec, m, 1, 0, AccessKind::data_read, /*value_read=*/0, 0, 4, 13);
     ASSERT_EQ(m.totalViolations(), 1u);
     const MonitorViolation &v = m.violations()[0];
     EXPECT_EQ(v.kind, ViolationKind::stale_read);
@@ -174,10 +191,12 @@ TEST(Monitor, InFlightRacyWriteValueIsNotBlamedOnHardware)
     // would be unsound; the verdict must wait.  When the write retires
     // it races with the read, voiding the contract on x: the only
     // finding is the software race.
-    Monitor m(2, 1, {});
-    m.opRetired(1, 0, AccessKind::data_read, /*value_read=*/6, 0, 5, 10);
+    Execution exec(2, 1);
+    Monitor m(exec);
+    retire(exec, m, 1, 0, AccessKind::data_read, /*value_read=*/6, 0, 5, 10);
     EXPECT_EQ(m.totalViolations(), 0u); // suspicion held, not raised
-    m.opRetired(0, 0, AccessKind::data_write, 0, /*value_written=*/6, 6, 12);
+    retire(exec, m, 0, 0, AccessKind::data_write, 0, /*value_written=*/6, 6,
+           12);
     m.finalize(20, /*completed=*/true, 0);
     EXPECT_EQ(m.countOf(ViolationKind::stale_read), 0u);
     EXPECT_EQ(m.races(), 1u);
@@ -192,23 +211,27 @@ TEST(Monitor, ResetForgetsThePreviousRunsValues)
     // the unknown value and drops it on the race.  A reused monitor
     // whose run A wrote x = 7 must not still know 7: if it did, the
     // read would be a "known" stale value and blame the hardware.
-    auto runB = [](Monitor &m) {
-        m.opRetired(1, 0, AccessKind::data_read, /*value_read=*/7, 0, 5, 10);
-        m.opRetired(0, 0, AccessKind::data_write, 0, /*value_written=*/7,
-                    6, 12);
+    auto runB = [](Execution &exec, Monitor &m) {
+        retire(exec, m, 1, 0, AccessKind::data_read, /*value_read=*/7, 0, 5,
+               10);
+        retire(exec, m, 0, 0, AccessKind::data_write, 0,
+               /*value_written=*/7, 6, 12);
         m.finalize(20, /*completed=*/true, 0);
     };
-    Monitor fresh(2, 1, {0});
-    runB(fresh);
+    Execution fresh_exec(2, 1, {0});
+    Monitor fresh(fresh_exec);
+    runB(fresh_exec, fresh);
     ASSERT_EQ(fresh.hardwareViolations(), 0u);
     ASSERT_EQ(fresh.races(), 1u);
 
-    Monitor reused(2, 1, {0});
-    reused.opRetired(0, 0, AccessKind::data_write, 0, /*value_written=*/7,
-                     1, 2);
+    Execution exec(2, 1, {0});
+    Monitor reused(exec);
+    retire(exec, reused, 0, 0, AccessKind::data_write, 0,
+           /*value_written=*/7, 1, 2);
     reused.finalize(5, /*completed=*/true, 0);
-    reused.reset(2, 1, {0}, MonitorCfg{});
-    runB(reused);
+    exec.reset(2, {0});
+    reused.reset(exec, HbRelation::SyncFlavor::drf0);
+    runB(exec, reused);
     EXPECT_EQ(reused.hardwareViolations(), fresh.hardwareViolations());
     EXPECT_EQ(reused.report(), fresh.report());
     EXPECT_EQ(reused.toJson().dump(), fresh.toJson().dump());
@@ -222,11 +245,12 @@ TEST(Monitor, NeverWrittenValueIsConfirmedStaleAtFinalize)
     // run completes every write has retired, the value really came
     // from nowhere, and the deferred verdict lands with the read's
     // original tick.
-    Monitor m(2, 2, {});
-    m.opRetired(0, 0, AccessKind::data_write, 0, 1, 1, 10);
-    m.opRetired(0, 1, AccessKind::sync_write, 0, 1, 2, 11);
-    m.opRetired(1, 1, AccessKind::sync_read, 1, 0, 3, 12);
-    m.opRetired(1, 0, AccessKind::data_read, /*value_read=*/7, 0, 4, 13);
+    Execution exec(2, 2);
+    Monitor m(exec);
+    retire(exec, m, 0, 0, AccessKind::data_write, 0, 1, 1, 10);
+    retire(exec, m, 0, 1, AccessKind::sync_write, 0, 1, 2, 11);
+    retire(exec, m, 1, 1, AccessKind::sync_read, 1, 0, 3, 12);
+    retire(exec, m, 1, 0, AccessKind::data_read, /*value_read=*/7, 0, 4, 13);
     EXPECT_EQ(m.totalViolations(), 0u); // deferred
     m.finalize(20, /*completed=*/true, 0);
     ASSERT_EQ(m.totalViolations(), 1u);
@@ -241,8 +265,9 @@ TEST(Monitor, PendingStaleDiesWithAFailedRun)
 {
     // A deadlocked/livelocked run may hold the explaining write in
     // flight forever; the suspicion cannot be confirmed and is dropped.
-    Monitor m(2, 1, {});
-    m.opRetired(1, 0, AccessKind::data_read, /*value_read=*/6, 0, 5, 10);
+    Execution exec(2, 1);
+    Monitor m(exec);
+    retire(exec, m, 1, 0, AccessKind::data_read, /*value_read=*/6, 0, 5, 10);
     m.finalize(20, /*completed=*/false, 0);
     EXPECT_EQ(m.totalViolations(), 0u);
     EXPECT_TRUE(m.clean());
@@ -250,9 +275,10 @@ TEST(Monitor, PendingStaleDiesWithAFailedRun)
 
 TEST(Monitor, WritesRetiringAgainstCommitOrderViolateCoherence)
 {
-    Monitor m(1, 1, {});
-    m.opRetired(0, 0, AccessKind::data_write, 0, 1, /*commit=*/10, 10);
-    m.opRetired(0, 0, AccessKind::data_write, 0, 2, /*commit=*/5, 12);
+    Execution exec(1, 1);
+    Monitor m(exec);
+    retire(exec, m, 0, 0, AccessKind::data_write, 0, 1, /*commit=*/10, 10);
+    retire(exec, m, 0, 0, AccessKind::data_write, 0, 2, /*commit=*/5, 12);
     ASSERT_EQ(m.totalViolations(), 1u);
     EXPECT_EQ(m.violations()[0].kind, ViolationKind::coherence_order);
     EXPECT_EQ(m.hardwareViolations(), 1u);
@@ -263,17 +289,17 @@ TEST(Monitor, WeakSyncReadFlavorExemptsSyncPairs)
     // Under the Section-6 refinement a Test does not publish to the
     // channel, so a later Set conflicts unordered -- but sync-sync
     // pairs are the synchronization mechanism itself, not a race.
-    MonitorCfg cfg;
-    cfg.flavor = HbRelation::SyncFlavor::weak_sync_read;
-    Monitor m(2, 1, {}, cfg);
-    m.opRetired(0, 0, AccessKind::sync_read, 0, 0, 1, 10);
-    m.opRetired(1, 0, AccessKind::sync_write, 0, 1, 2, 11);
+    Execution exec(2, 1);
+    Monitor m(exec, HbRelation::SyncFlavor::weak_sync_read);
+    retire(exec, m, 0, 0, AccessKind::sync_read, 0, 0, 1, 10);
+    retire(exec, m, 1, 0, AccessKind::sync_write, 0, 1, 2, 11);
     EXPECT_EQ(m.totalViolations(), 0u);
 }
 
 TEST(Monitor, FinalizeChecksQuiescence)
 {
-    Monitor m(2, 1, {});
+    Execution exec(2, 1);
+    Monitor m(exec);
     m.counterChanged(0, 2, 5);
     m.finalize(100, /*completed=*/true, /*unperformed_ops=*/3);
     EXPECT_EQ(m.countOf(ViolationKind::counter_undrained), 1u);
@@ -287,7 +313,8 @@ TEST(Monitor, FailedRunsSkipQuiescenceChecks)
 {
     // A deadlocked/livelocked machine legitimately holds outstanding
     // state; the termination itself is reported by the system.
-    Monitor m(2, 1, {});
+    Execution exec(2, 1);
+    Monitor m(exec);
     m.counterChanged(0, 2, 5);
     m.finalize(100, /*completed=*/false, 3);
     EXPECT_EQ(m.totalViolations(), 0u);
@@ -295,9 +322,10 @@ TEST(Monitor, FailedRunsSkipQuiescenceChecks)
 
 TEST(Monitor, JsonAndDotCarryTheVerdict)
 {
-    Monitor m(2, 1, {});
-    m.opRetired(0, 0, AccessKind::data_write, 0, 1, 5, 10);
-    m.opRetired(1, 0, AccessKind::data_write, 0, 2, 6, 12);
+    Execution exec(2, 1);
+    Monitor m(exec);
+    retire(exec, m, 0, 0, AccessKind::data_write, 0, 1, 5, 10);
+    retire(exec, m, 1, 0, AccessKind::data_write, 0, 2, 6, 12);
     auto parsed = jsonParse(m.toJson().dump());
     ASSERT_TRUE(parsed.ok) << parsed.error;
     EXPECT_EQ(parsed.value.find("races")->uintValue(), 1u);

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <vector>
+
 #include "program/builder.hh"
 #include "program/litmus.hh"
 #include "program/program.hh"
@@ -109,6 +113,41 @@ TEST(Builder, AcquireEmitsTestAndTas)
     EXPECT_EQ(tases, 1);
 }
 
+TEST(Builder, AcquireLabelsKeepTheirPrintfNames)
+{
+    // Each acquire defines the next auto label, "__acq<n>" (Test and
+    // TestAndSet, four instructions) or "__acqt<n>" (TestAndSet only,
+    // two); a jump to the printf rendering of the name must land on
+    // the acquire's first instruction.
+    ProgramBuilder b("t", 1);
+    auto &t = b.thread(0);
+    std::vector<Pc> starts;
+    Pc pc = 0;
+    constexpr int num_acquires = 1100;
+    for (int n = 0; n < num_acquires; ++n) {
+        starts.push_back(pc);
+        if (n % 2 == 0) {
+            t.acquire(0);
+            pc += 4;
+        } else {
+            t.acquireTasOnly(0);
+            pc += 2;
+        }
+    }
+    char name[32];
+    for (int n = 0; n < num_acquires; ++n) {
+        std::snprintf(name, sizeof name, n % 2 == 0 ? "__acq%d" : "__acqt%d",
+                      n);
+        t.jmp(name);
+    }
+    const Program p = b.build();
+    for (int n = 0; n < num_acquires; ++n) {
+        const Instruction &j = p.thread(0).code[pc + n];
+        ASSERT_EQ(j.op, Opcode::jump);
+        EXPECT_EQ(j.target, starts[n]) << n;
+    }
+}
+
 TEST(Program, DisassemblyMentionsEverything)
 {
     Program p = litmus::fig1StoreBuffer();
@@ -210,6 +249,30 @@ TEST(Workload, RacyGeneratorHasNoSyncOps)
     for (ProcId t = 0; t < p.numThreads(); ++t)
         for (const auto &i : p.thread(t).code)
             EXPECT_FALSE(i.isSync());
+}
+
+TEST(Workload, GeneratedNamesKeepTheirPrintfBytes)
+{
+    char want[64];
+    for (std::uint64_t seed :
+         {0ULL, 1ULL, 9ULL, 10ULL, 12345ULL, 4294967296ULL,
+          18446744073709551615ULL}) {
+        const auto s = static_cast<unsigned long long>(seed);
+        Drf0WorkloadCfg d;
+        d.seed = seed;
+        d.regions = 12;
+        const Program drf0 = randomDrf0Program(d);
+        std::snprintf(want, sizeof want, "drf0-rand-s%llu", s);
+        EXPECT_EQ(drf0.name(), want);
+        for (Addr r = 0; r < d.regions; ++r) {
+            std::snprintf(want, sizeof want, "L%u", r);
+            EXPECT_EQ(drf0.locationName(r), want);
+        }
+        RacyWorkloadCfg racy;
+        racy.seed = seed;
+        std::snprintf(want, sizeof want, "racy-rand-s%llu", s);
+        EXPECT_EQ(randomRacyProgram(racy).name(), want);
+    }
 }
 
 TEST(Workload, SyntheticMixRespectsSyncPercentExtremes)

@@ -483,6 +483,27 @@ expectSameResult(const SystemResult &a, const SystemResult &b,
     EXPECT_EQ(a.stall_counters, b.stall_counters);
 }
 
+/** @p sys's monitor reads @p r's execution: the same ops, field for
+ *  field. */
+void
+expectMonitorReadsTheRun(const System &sys, const SystemResult &r,
+                         const std::string &what)
+{
+    SCOPED_TRACE(what);
+    const std::vector<MemoryOp> &mon = sys.monitor()->execution().ops();
+    const std::vector<MemoryOp> &run = r.execution.ops();
+    ASSERT_EQ(mon.size(), run.size());
+    for (std::size_t i = 0; i < run.size(); ++i) {
+        const MemoryOp &x = mon[i], &y = run[i];
+        EXPECT_TRUE(x.id == y.id && x.proc == y.proc && x.addr == y.addr &&
+                    x.kind == y.kind && x.value_read == y.value_read &&
+                    x.value_written == y.value_written &&
+                    x.po_index == y.po_index &&
+                    x.commit_tick == y.commit_tick)
+            << "op " << i;
+    }
+}
+
 TEST(Sys, ReusedMachineMatchesFreshSystem)
 {
     // Campaign-lattice cells (litmus corpus, random draws and a .wo
@@ -527,6 +548,10 @@ TEST(Sys, ReusedMachineMatchesFreshSystem)
             EXPECT_EQ(fresh.monitor()->report(), reused->monitor()->report());
             EXPECT_EQ(fresh.monitor()->toJson().dump(),
                       reused->monitor()->toJson().dump());
+            if (cfg.collect_stats) {
+                expectMonitorReadsTheRun(fresh, a, "fresh " + cell.key());
+                expectMonitorReadsTheRun(*reused, b, "reused " + cell.key());
+            }
         }
 
         widths.insert(m.program->numThreads());
